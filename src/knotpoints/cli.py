@@ -177,6 +177,10 @@ def _iv_json(s: IntervalSet) -> list[list[str]]:
 def cmd_nset(args, argv: list[str]) -> dict:
     f = _load_function(args.f, "f")
     a = _rat(args.a, "a")
+    if a <= 0:
+        raise InputError("a", f"scale must be positive, got {a}")
+    if not args.tol > 0:
+        raise InputError("tol", f"tolerance must be positive, got {args.tol}")
     if args.variant not in VARIANTS:
         raise InputError("variant", f"must be one of {sorted(VARIANTS)}")
     inputs = {"f": args.f, "a": str(a), "variant": args.variant, "tol": args.tol}
@@ -192,12 +196,12 @@ def cmd_nset(args, argv: list[str]) -> dict:
             "mode": "enclosure",
             "inner": _iv_json(enc.inner),
             "outer": _iv_json(enc.outer),
-            "undecided_length": enc.undecided_length,
+            "undecided_length": str(enc.undecided_length),
         }
         checks = {
             "undecided_within_tol": {
                 "ok": enc.undecided_length <= 2.0 * args.tol + 1e-15,
-                "margin": 2.0 * args.tol - enc.undecided_length,
+                "margin": str(Fraction(2.0 * args.tol) - enc.undecided_length),
             }
         }
         csv_lines += [f"{float(lo)!r},{float(hi)!r}" for lo, hi in enc.outer.intervals]

@@ -1,8 +1,30 @@
 """Closed subsets of [0,1] as finite unions of rational intervals.
 
-Everything in this module is exact: endpoints are `fractions.Fraction`, set
-algebra and the Hausdorff metric are computed symbolically, never sampled.
-Degenerate intervals (single points) are allowed, so finite point sets embed.
+Everything in this module is exact: set algebra and the Hausdorff metric are
+computed symbolically, never sampled.  Degenerate intervals (single points)
+are allowed, so finite point sets embed.
+
+Representation
+--------------
+An `IntervalSet` stores its endpoints as one flat tuple of Python ints,
+`nums = (lo_0, hi_0, lo_1, hi_1, ...)`, over a single denominator `den`: the
+components are [lo_k/den, hi_k/den], sorted, pairwise disjoint and
+non-adjacent.  `den` is canonical, the lcm of the reduced endpoint
+denominators (1 for the empty and the full set), so two sets are equal as
+values exactly when their (nums, den) pairs are equal.  Comparisons, merging,
+measures and distances are therefore integer operations.
+
+A binary operation first rescales both operands to the lcm of their
+denominators (for two dyadic sets, the finer power of two), and every result
+is reduced back to its canonical denominator.  So `den` grows only when a
+result keeps endpoints that need it: a ball of a non-dyadic radius around a
+dyadic set, or the union of a dyadic enclosure with a net of multiples of
+1/(5*2^k).
+
+`fractions.Fraction` is the boundary type.  Constructors accept ints, floats
+(by their exact binary value), strings and Fractions; `.intervals`,
+`measure`, distances and margins come back as Fractions.  `.intervals` is
+computed on each read, so hot code should stay on the integer form.
 
 Conventions
 -----------
@@ -21,6 +43,9 @@ import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import add, le, lt, sub
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, float, str, Fraction]
@@ -36,26 +61,109 @@ def as_fraction(x: Rat) -> Fraction:
     return Fraction(x)
 
 
-def _normalize(pairs: Iterable[tuple[Fraction, Fraction]]) -> tuple[tuple[Fraction, Fraction], ...]:
-    items = sorted((lo, hi) for lo, hi in pairs)
-    merged: list[list[Fraction]] = []
-    for lo, hi in items:
+def _pairs(nums: Sequence[int]) -> Iterable[tuple[int, int]]:
+    return zip(nums[0::2], nums[1::2])
+
+
+def _normalize(pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Flat endpoints of the union of integer intervals: sorted, with
+    overlapping and touching intervals merged."""
+    out: list[int] = []
+    for lo, hi in sorted(pairs):
         if hi < lo:
             raise ValueError(f"interval with hi < lo: [{lo}, {hi}]")
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1][1] = hi
+        if out and lo <= out[-1]:
+            if hi > out[-1]:
+                out[-1] = hi
         else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
+            out += (lo, hi)
+    return out
 
 
-@dataclass(frozen=True)
+def _gaps(nums: Sequence[int], den: int) -> list[tuple[int, int]]:
+    """The closures of the nonempty gaps of a set in [0, den]."""
+    return [p for p in _pairs((0, *nums, den)) if p[0] < p[1]]
+
+
+def _scaled(nums: Sequence[int], m: int) -> Sequence[int]:
+    return nums if m == 1 else list(map(m.__mul__, nums))
+
+
+def _common(a: "IntervalSet", b: "IntervalSet") -> tuple[Sequence[int], Sequence[int], int]:
+    """Endpoints of a and b over the lcm of their denominators."""
+    if a.den == b.den:
+        return a.nums, b.nums, a.den
+    den = lcm(a.den, b.den)
+    return _scaled(a.nums, den // a.den), _scaled(b.nums, den // b.den), den
+
+
+def _directed_sup2(a: Sequence[int], b: Sequence[int]) -> int:
+    """Twice sup_{x in A} dist(x, B) for nonempty A, B given by their flat
+    endpoints over one denominator.
+
+    dist(., B) is piecewise linear, peaking at component endpoints of A or at
+    gap midpoints of B inside A, where it equals half the gap.  Working with
+    doubled values keeps the midpoints integral."""
+    nb = len(b)
+    bhi, blo = b[1:-1:2], b[2::2]
+    mids = list(map(add, bhi, blo))  # doubled gap midpoints, increasing
+    gaps = list(map(sub, blo, bhi))  # doubled distance at each midpoint
+    nm = len(mids)
+    sup = gsup = 0
+    for lo, hi in _pairs(a):
+        for x in (lo,) if lo == hi else (lo, hi):
+            i = bisect_right(b, x)
+            if i & 1:
+                continue  # x lies in a component of B
+            if i == 0:
+                d = b[0] - x
+            elif i == nb:
+                d = x - b[-1]
+            else:
+                d = x - b[i - 1]
+                if b[i] - x < d:
+                    d = b[i] - x
+            if d > sup:
+                sup = d
+        g0 = bisect_left(mids, 2 * lo)
+        if g0 < nm and mids[g0] <= 2 * hi:
+            d = max(gaps[g0 : bisect_right(mids, 2 * hi, g0)])
+            if d > gsup:
+                gsup = d
+    return max(2 * sup, gsup)
+
+
 class IntervalSet:
     """A closed subset of [0,1]: sorted, pairwise disjoint, non-adjacent closed
-    intervals.  Immutable; all constructors normalize."""
+    intervals with integer endpoints `nums` over the canonical denominator
+    `den` (see the module docstring).  Immutable; `IntervalSet(nums, den)`
+    checks the order and reduces to the canonical denominator, and the
+    `from_pairs` constructor normalizes arbitrary rational pairs."""
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: Iterable[int] = (), den: int = 1) -> None:
+        nums = tuple(nums)
+        if den <= 0 or len(nums) % 2:
+            raise ValueError("need an even number of endpoints over a positive denominator")
+        if not all(map(le, nums[0::2], nums[1::2])):
+            raise ValueError("malformed interval")
+        if not all(map(lt, nums[1:-1:2], nums[2::2])):
+            raise ValueError("intervals not disjoint/sorted; use from_pairs")
+        if nums and (nums[0] < 0 or nums[-1] > den):
+            raise ValueError("interval leaves [0,1]")
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(x // g for x in nums)
+            den //= g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntervalSet is immutable")
+
+    def __reduce__(self):
+        return IntervalSet, (self.nums, self.den)
 
     # -- construction ------------------------------------------------------
 
@@ -65,76 +173,87 @@ class IntervalSet:
         for lo, hi in conv:
             if lo < 0 or hi > 1:
                 raise ValueError(f"interval [{lo}, {hi}] leaves [0,1]")
-        return IntervalSet(_normalize(conv))
+        den = lcm(*(x.denominator for pair in conv for x in pair))
+        ints = [
+            (lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
+            for lo, hi in conv
+        ]
+        return IntervalSet(_normalize(ints), den)
 
     @staticmethod
     def empty() -> "IntervalSet":
-        return IntervalSet(())
+        return IntervalSet()
 
     @staticmethod
     def full() -> "IntervalSet":
-        return IntervalSet(((ZERO, ONE),))
+        return IntervalSet((0, 1))
 
     @staticmethod
     def points(xs: Iterable[Rat]) -> "IntervalSet":
         return IntervalSet.from_pairs([(x, x) for x in xs])
 
-    def __post_init__(self) -> None:
-        prev: Fraction | None = None
-        for lo, hi in self.intervals:
-            if hi < lo:
-                raise ValueError("malformed interval")
-            if prev is not None and lo <= prev:
-                raise ValueError("intervals not disjoint/sorted; use from_pairs")
-            prev = hi
+    # -- the Fraction view and value semantics -----------------------------
+
+    @property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The components as normalized (lo, hi) Fraction pairs, built on
+        each read."""
+        den = self.den
+        ends = iter([Fraction(x, den) for x in self.nums])
+        return tuple(zip(ends, ends))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.intervals,))
+
+    def __repr__(self) -> str:
+        return f"IntervalSet(intervals={self.intervals!r})"
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not self.nums
 
     def n_components(self) -> int:
-        return len(self.intervals)
+        return len(self.nums) // 2
 
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.intervals), ZERO)
+        e = self.nums
+        return Fraction(sum(e[1::2]) - sum(e[0::2]), self.den)
 
     def endpoints(self) -> list[Fraction]:
-        out: list[Fraction] = []
-        for lo, hi in self.intervals:
-            out.append(lo)
-            out.append(hi)
-        return out
+        return [Fraction(x, self.den) for x in self.nums]
 
-    @property
-    def _lows(self) -> list[Fraction]:
-        # cached sorted left endpoints; the instance is immutable
-        cached = getattr(self, "_lows_cache", None)
-        if cached is None:
-            cached = [lo for lo, _ in self.intervals]
-            object.__setattr__(self, "_lows_cache", cached)
-        return cached
+    def _locate(self, x: Fraction) -> tuple[int, bool]:
+        """(i, inside): i counts the endpoints <= floor(x*den), and inside
+        tells whether x lies in the set."""
+        t, rem = divmod(x.numerator * self.den, x.denominator)
+        e = self.nums
+        i = bisect_right(e, t)
+        return i, bool(i & 1) or (rem == 0 and i > 0 and e[i - 1] == t)
 
     def contains_point(self, x: Rat) -> bool:
-        x = as_fraction(x)
-        i = bisect_right(self._lows, x) - 1
-        return i >= 0 and x <= self.intervals[i][1]
+        return self._locate(as_fraction(x))[1]
 
     def distance_to_point(self, x: Rat) -> Fraction | None:
         """dist(x, K); None when the set is empty."""
         if self.is_empty:
             return None
         x = as_fraction(x)
-        i = bisect_right(self._lows, x) - 1
+        i, inside = self._locate(x)
+        if inside:
+            return ZERO
+        e, den = self.nums, self.den
         best: Fraction | None = None
-        if i >= 0:
-            lo, hi = self.intervals[i]
-            if x <= hi:
-                return ZERO
-            best = x - hi
-        if i + 1 < len(self.intervals):
-            cand = self.intervals[i + 1][0] - x
+        if i > 0:
+            best = x - Fraction(e[i - 1], den)
+        if i < len(e):
+            cand = Fraction(e[i], den) - x
             if best is None or cand < best:
                 best = cand
         return best
@@ -142,39 +261,29 @@ class IntervalSet:
     # -- set algebra -------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(_normalize(self.intervals + other.intervals))
+        a, b, den = _common(self, other)
+        return IntervalSet(_normalize(chain(_pairs(a), _pairs(b))), den)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[tuple[Fraction, Fraction]] = []
+        a, b, den = _common(self, other)
+        out: list[int] = []
         i = j = 0
-        a, b = self.intervals, other.intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            lo = max(a[i], b[j])
+            hi = min(a[i + 1], b[j + 1])
             if lo <= hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
+                out += (lo, hi)
+            if a[i + 1] < b[j + 1]:
+                i += 2
             else:
-                j += 1
-        return IntervalSet(_normalize(out))
+                j += 2
+        return IntervalSet(out, den)
 
     def complement_closure(self) -> "IntervalSet":
         """Closure of [0,1] minus this set.  Removing a single point removes
         nothing from the closure, so degenerate components vanish here."""
-        out: list[tuple[Fraction, Fraction]] = []
-        cur = ZERO
-        for lo, hi in self.intervals:
-            if cur < lo:
-                out.append((cur, lo))
-            cur = max(cur, hi)
-        if cur < ONE:
-            out.append((cur, ONE))
-        return IntervalSet(_normalize(out))
-
-    def complement_in_I(self) -> "IntervalSet":
-        """Spec name for `complement_closure` (complement taken in I=[0,1])."""
-        return self.complement_closure()
+        return IntervalSet(_normalize(_gaps(self.nums, self.den)), self.den)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         """Closure of self minus other."""
@@ -182,26 +291,24 @@ class IntervalSet:
 
     def reflect(self) -> "IntervalSet":
         """Image under x -> 1-x."""
-        return IntervalSet(tuple((1 - hi, 1 - lo) for lo, hi in reversed(self.intervals)))
-
-    def dilated(self, r: Rat) -> "IntervalSet":
-        """Closed r-neighborhood clipped to [0,1]; equals ball(self, r)."""
-        return ball(self, r)
+        den = self.den
+        return IntervalSet([den - x for x in reversed(self.nums)], den)
 
     def closed_complement_of_interior(self) -> "IntervalSet":
         """[0,1] minus the interior of this set (interior taken in the
         subspace topology of [0,1], so components touching 0 or 1 are open
         there).  The result is closed: the boundary of this set survives."""
-        pieces = list(self.complement_closure().intervals)
-        for lo, hi in self.intervals:
+        den = self.den
+        pieces = _gaps(self.nums, den)
+        for lo, hi in _pairs(self.nums):
             if lo == hi:
                 pieces.append((lo, hi))  # a point has empty interior
             else:
-                if lo != ZERO:
+                if lo != 0:
                     pieces.append((lo, lo))
-                if hi != ONE:
+                if hi != den:
                     pieces.append((hi, hi))
-        return IntervalSet(_normalize(pieces))
+        return IntervalSet(_normalize(pieces), den)
 
     def subset_of_interior(self, other: "IntervalSet") -> bool:
         """self contained in the (subspace) interior of other, exactly."""
@@ -210,59 +317,17 @@ class IntervalSet:
     # -- metric ------------------------------------------------------------
 
     def _directed_sup(self, other: "IntervalSet") -> Fraction:
-        """sup over x in self of dist(x, other); self, other nonempty.
-
-        dist(., other) is piecewise linear, peaking at component endpoints of
-        self or at gap midpoints of other inside self; all candidates are
-        visited in one increasing sweep with a single pointer into other."""
-        oiv = other.intervals
-        n = len(oiv)
-        sup = ZERO
-        j = 0  # first component of other with upper end >= x, advanced monotonically
-
-        def dist(x: Fraction) -> Fraction:
-            nonlocal j
-            while j < n and oiv[j][1] < x:
-                j += 1
-            if j == n:
-                return x - oiv[n - 1][1]
-            if oiv[j][0] <= x:
-                return ZERO
-            d = oiv[j][0] - x
-            if j > 0:
-                back = x - oiv[j - 1][1]
-                if back < d:
-                    d = back
-            return d
-
-        gi = 0  # pointer into the gap midpoints of other, also monotone
-        for lo, hi in self.intervals:
-            d = dist(lo)
-            if d > sup:
-                sup = d
-            while gi + 1 < n and (oiv[gi][1] + oiv[gi + 1][0]) / 2 < lo:
-                gi += 1
-            g = gi
-            while g + 1 < n:
-                mid = (oiv[g][1] + oiv[g + 1][0]) / 2
-                if mid > hi:
-                    break
-                if mid >= lo:
-                    d = dist(mid)
-                    if d > sup:
-                        sup = d
-                g += 1
-            d = dist(hi)
-            if d > sup:
-                sup = d
-        return sup
+        """sup over x in self of dist(x, other); self, other nonempty."""
+        a, b, den = _common(self, other)
+        return Fraction(_directed_sup2(a, b), 2 * den)
 
     def hausdorff(self, other: "IntervalSet") -> Fraction:
         if self.is_empty and other.is_empty:
             return ZERO
         if self.is_empty or other.is_empty:
             return ONE
-        return max(self._directed_sup(other), other._directed_sup(self))
+        a, b, den = _common(self, other)
+        return Fraction(max(_directed_sup2(a, b), _directed_sup2(b, a)), 2 * den)
 
     def sup_distance_to(self, other: "IntervalSet") -> Fraction | None:
         """One-sided sup_{x in self} dist(x, other); None if undefined
@@ -277,22 +342,21 @@ class IntervalSet:
         """min distance between the two sets; None when either is empty."""
         if self.is_empty or other.is_empty:
             return None
-        best: Fraction | None = None
+        a, b, den = _common(self, other)
+        best: int | None = None
         i = j = 0
-        a, b = self.intervals, other.intervals
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            if max(a[i], b[j]) <= min(a[i + 1], b[j + 1]):
                 return ZERO
-            d = a[i][0] - b[j][1] if a[i][0] > b[j][1] else b[j][0] - a[i][1]
+            d = a[i] - b[j + 1] if a[i] > b[j + 1] else b[j] - a[i + 1]
             if best is None or d < best:
                 best = d
-            if a[i][1] < b[j][1]:
-                i += 1
+            if a[i + 1] < b[j + 1]:
+                i += 2
             else:
-                j += 1
-        return best
+                j += 2
+        return Fraction(best, den)
 
     # -- serialization -----------------------------------------------------
 
@@ -321,8 +385,11 @@ def ball(center: IntervalSet, r: Rat) -> IntervalSet:
     r = as_fraction(r)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    pairs = [(max(ZERO, lo - r), min(ONE, hi + r)) for lo, hi in center.intervals]
-    return IntervalSet(_normalize(pairs))
+    den = lcm(center.den, r.denominator)
+    e = _scaled(center.nums, den // center.den)
+    rn = r.numerator * (den // r.denominator)
+    pairs = ((max(0, lo - rn), min(den, hi + rn)) for lo, hi in _pairs(e))
+    return IntervalSet(_normalize(pairs), den)
 
 
 def subset_within(inner: IntervalSet, outer: IntervalSet, r: Rat) -> tuple[bool, Fraction]:
@@ -353,14 +420,13 @@ def subset_within_closed(inner: IntervalSet, outer: IntervalSet, r: Rat) -> bool
 
 def is_subset(inner: IntervalSet, outer: IntervalSet) -> bool:
     """Plain containment of closed sets (radius-0 closed inclusion)."""
+    a, b, _ = _common(inner, outer)
     j = 0
-    for lo, hi in inner.intervals:
-        while j < len(outer.intervals) and outer.intervals[j][1] < lo:
-            j += 1
-        if j >= len(outer.intervals):
-            return False
-        olo, ohi = outer.intervals[j]
-        if not (olo <= lo and hi <= ohi):
+    nb = len(b)
+    for lo, hi in _pairs(a):
+        while j < nb and b[j + 1] < lo:
+            j += 2
+        if j >= nb or b[j] > lo or hi > b[j + 1]:
             return False
     return True
 
@@ -406,8 +472,10 @@ class FinitePointSet:
         cached = getattr(self, "_iset_cache", None)
         if cached is None:
             # points are sorted and distinct, so the degenerate components
-            # are already in normal form
-            cached = IntervalSet(tuple((p, p) for p in self.points))
+            # are already in normal form over the lcm of their denominators
+            den = lcm(*(p.denominator for p in self.points))
+            nums = [p.numerator * (den // p.denominator) for p in self.points]
+            cached = IntervalSet([x for x in nums for _ in (0, 1)], den)
             object.__setattr__(self, "_iset_cache", cached)
         return cached
 

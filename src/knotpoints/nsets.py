@@ -479,6 +479,22 @@ def point_defects_float(f, a: float, variant: str, xs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _merge_stats(a: dict, b: dict) -> dict:
+    """Stats of a union: cell counts add up, the depth is the deeper one and
+    flags hold when either side sets them."""
+    out = dict(a)
+    for key, val in b.items():
+        if key not in out:
+            out[key] = val
+        elif key == "max_depth":
+            out[key] = max(out[key], val)
+        elif isinstance(val, bool):
+            out[key] = out[key] or val
+        else:
+            out[key] += val
+    return out
+
+
 @dataclass(frozen=True)
 class NSetEnclosure:
     """Certified bracket: inner is provably inside the true set, the true set
@@ -507,7 +523,7 @@ class NSetEnclosure:
             outer,
             max(self.tolerance, other.tolerance),
             outer.measure() - inner.measure(),
-            {"union": True},
+            _merge_stats(self.stats, other.stats),
         )
 
     def reflect(self) -> "NSetEnclosure":
@@ -728,9 +744,10 @@ _WIDTH_FLOOR = 1e-12
 
 def _enclosure_plus_upper_c1(
     f: C1Function, a: float, tol: float
-) -> tuple[list, list, dict]:
-    """Inside cells and undecided cells (float pairs) for the forward-upper
-    set of a C1 function, via two-phase certified bisection."""
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], dict]:
+    """Inside cells and undecided cells, each as (left ends, right ends)
+    arrays, for the forward-upper set of a C1 function, via two-phase
+    certified bisection."""
     delta = 2.0 ** (-a)
     if delta == 0.0:
         raise ValueError(f"window 2^-a underflows to zero at a={a}")
@@ -753,7 +770,7 @@ def _enclosure_plus_upper_c1(
 
     inside, outside = _classify(tab, u, v, seg, delta)
     undecided = ~inside & ~outside
-    inside_cells = list(zip(u[inside], v[inside]))
+    in_u, in_v = [u[inside]], [v[inside]]
     stats = {"phase1_cells": n_cells, "undecided_phase1": int(undecided.sum())}
 
     u, v, seg = u[undecided], v[undecided], seg[undecided]
@@ -767,30 +784,39 @@ def _enclosure_plus_upper_c1(
         vv = np.concatenate([mid, v])
         ss = np.concatenate([seg, seg])
         inside, outside = _classify(tab, uu, vv, ss, delta)
-        inside_cells.extend(zip(uu[inside], vv[inside]))
+        in_u.append(uu[inside])
+        in_v.append(vv[inside])
         keep = ~inside & ~outside
         u, v, seg = uu[keep], vv[keep], ss[keep]
         depth += 1
 
     stats["max_depth"] = depth
     stats["undecided_final"] = len(u)
-    return inside_cells, list(zip(u, v)), stats
+    return (np.concatenate(in_u), np.concatenate(in_v)), (u, v), stats
 
 
-def _merge_float_cells(cells: list) -> IntervalSet:
-    if not cells:
+def _merge_float_cells(u: np.ndarray, v: np.ndarray) -> IntervalSet:
+    """Exact union of the closed float cells [u_i, v_i], clipped to [0,1]."""
+    if not len(u):
         return EMPTY
-    cells = sorted((float(a), float(b)) for a, b in cells)
-    merged = [list(cells[0])]
-    for lo, hi in cells[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    # merged is sorted with strict gaps, so the normal form is direct
-    return IntervalSet(
-        tuple((Fraction(max(lo, 0.0)), Fraction(min(hi, 1.0))) for lo, hi in merged)
-    )
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    reach = np.maximum.accumulate(v)
+    # a component starts at each cell that begins beyond every earlier cell
+    starts = np.flatnonzero(np.concatenate(([True], u[1:] > reach[:-1])))
+    ends = np.empty(2 * len(starts))
+    ends[0::2] = np.maximum(u[starts], 0.0)
+    ends[1::2] = np.minimum(reach[np.append(starts[1:] - 1, len(u) - 1)], 1.0)
+    # each float is odd * 2^exp exactly; over 2^k, k the largest -exp, the
+    # numerators are odd << (exp + k) and 2^k is the canonical denominator
+    mant, exp = np.frexp(ends)
+    odd = (mant * 2.0**53).astype(np.int64)
+    low = np.where(odd != 0, odd & -odd, 1)
+    odd //= low
+    exp += np.frexp(low.astype(float))[1] - 54
+    k = -int(exp[odd != 0].min(initial=0))
+    shift = np.maximum(exp + k, 0)
+    return IntervalSet([o << s for o, s in zip(odd.tolist(), shift.tolist())], 1 << k)
 
 
 def _full_domain_enclosure(a: Rat, forward: bool) -> NSetEnclosure:
@@ -856,9 +882,9 @@ def n_set_enclosure(f, a: Rat, variant: str = "full", tol: float = 1e-4) -> NSet
         g, refl = f.reflect(), True
     else:  # minus_upper
         g, refl = f.reflect().negate(), True
-    inside, undecided, stats = _enclosure_plus_upper_c1(g, af, tol)
-    inner = _merge_float_cells(inside)
-    outer = _merge_float_cells(inside + undecided)
+    (in_u, in_v), (und_u, und_v), stats = _enclosure_plus_upper_c1(g, af, tol)
+    inner = _merge_float_cells(in_u, in_v)
+    outer = _merge_float_cells(np.concatenate([in_u, und_u]), np.concatenate([in_v, und_v]))
     enc = NSetEnclosure(inner, outer, tol, outer.measure() - inner.measure(), stats)
     return enc.reflect() if refl else enc
 

@@ -1,0 +1,44 @@
+"""Command-line front end: the `nset` subcommand through `cli.main`."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from knotpoints import cli
+from knotpoints.intervalsets import IntervalSet
+from knotpoints.realfn import function_to_json, random_c1_function
+
+
+@pytest.fixture
+def c1_file(tmp_path):
+    path = tmp_path / "f.json"
+    f = random_c1_function(0, cells=6, amplitude=0.5, slope_scale=2.0)
+    path.write_text(json.dumps(function_to_json(f)))
+    return str(path)
+
+
+def test_nset_enclosure_report(c1_file, tmp_path):
+    out = tmp_path / "report.json"
+    rc = cli.main(["nset", "--f", c1_file, "--a", "1", "--tol", "1e-4", "--out", str(out)])
+    assert rc == 0
+    rep = json.loads(out.read_text())
+    outputs = rep["outputs"]
+    assert outputs["mode"] == "enclosure"
+    inner = IntervalSet.from_json_dict({"intervals": outputs["inner"]})
+    outer = IntervalSet.from_json_dict({"intervals": outputs["outer"]})
+    und = Fraction(outputs["undecided_length"])
+    assert und == outer.measure() - inner.measure()
+    margin = rep["checks"]["undecided_within_tol"]["margin"]
+    assert Fraction(margin) == Fraction(2.0 * 1e-4) - und
+
+
+@pytest.mark.parametrize(
+    "flags", [["--a", "0"], ["--a", "-1"], ["--a", "1", "--tol", "0"]]
+)
+def test_nset_rejects_nonpositive_scale_and_tolerance(c1_file, tmp_path, flags, capsys):
+    out = tmp_path / "report.json"
+    rc = cli.main(["nset", "--f", c1_file, *flags, "--out", str(out)])
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()

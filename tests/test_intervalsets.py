@@ -34,7 +34,19 @@ def iset(*pairs):
 
 # -- strategies -------------------------------------------------------------
 
-fractions_01 = st.integers(0, 240).map(lambda k: F(k, 240))
+def _over(den):
+    return st.integers(0, den).map(lambda k: F(k, den))
+
+
+# Denominators that meet in set operations: a common grid, float endpoints of
+# any binary exponent, net points k/(5*2^j), and coprime non-dyadic values,
+# so binary operations rescale to large lcms.
+fractions_01 = st.one_of(
+    _over(240),
+    st.floats(0.0, 1.0).map(F),
+    st.integers(0, 60).flatmap(lambda j: _over(5 * 2**j)),
+    st.sampled_from([3, 7, 11, 13, 49, 101, 7919, 2**31 - 1]).flatmap(_over),
+)
 
 
 @st.composite
@@ -130,11 +142,48 @@ def test_union_intersect_difference_pointwise(a, b, x):
         assert b.distance_to_point(x) == 0
 
 
+@given(interval_sets(), fractions_01)
+def test_closed_complement_of_interior_pointwise(s, x):
+    """x is in the closed complement exactly when it is not an interior
+    point of s in the subspace topology of [0,1]."""
+    interior = any(
+        (lo < x or x == lo == 0) and (x < hi or x == hi == 1) for lo, hi in s.intervals
+    )
+    assert s.closed_complement_of_interior().contains_point(x) == (not interior)
+
+
+def test_closed_complement_of_interior_keeps_the_denominator():
+    # the complement closure alone reduces to [0, 1/2] over 2
+    s = iset((F(1, 4), F(1, 4)), (F(1, 2), 1))
+    assert s.closed_complement_of_interior() == iset((0, F(1, 2)))
+    assert not iset((F(1, 2), F(3, 4))).subset_of_interior(s)
+    assert iset((F(3, 4), 1)).subset_of_interior(s)
+
+
 def test_complement_in_I():
     s = iset((F(1, 4), F(1, 2)))
-    assert s.complement_in_I().intervals == ((F(0), F(1, 4)), (F(1, 2), F(1)))
-    assert FULL.complement_in_I().is_empty
-    assert EMPTY.complement_in_I() == FULL
+    assert s.complement_closure().intervals == ((F(0), F(1, 4)), (F(1, 2), F(1)))
+    assert FULL.complement_closure().is_empty
+    assert EMPTY.complement_closure() == FULL
+
+
+def test_equal_values_built_by_different_routes():
+    routes = [
+        IntervalSet.from_pairs([(0.25, 0.5), (0.75, 1.0)]),
+        iset((F(1, 4), F(1, 2)), (F(3, 4), 1)),
+        iset((F(1, 4), F(3, 8))).union(iset((F(5, 16), F(1, 2)), (F(3, 4), 1))),
+        iset((F(1, 5), F(1, 2)), (F(3, 4), 1)).intersect(iset((F(1, 4), 1))),
+        iset((0, F(1, 4)), (F(1, 2), F(3, 4))).reflect(),
+        IntervalSet.from_json_dict({"intervals": [["1/4", "2/4"], ["6/8", "1"]]}),
+    ]
+    first = routes[0]
+    for s in routes[1:]:
+        assert s == first
+        assert hash(s) == hash(first)
+        assert str(s) == str(first)
+        assert s.intervals == first.intervals
+        assert s.to_json_dict() == first.to_json_dict()
+    assert first.den == 4 and first.nums == (1, 2, 3, 4)
 
 
 def test_reflect():

@@ -2,7 +2,10 @@
 path for piecewise-linear functions, certified C1 enclosures, and the scale
 continuity helpers."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from knotpoints.intervalsets import EMPTY, FULL, IntervalSet, ball, is_subset, subset_within
 from knotpoints.nsets import (
     BASIC_VARIANTS,
+    _merge_float_cells,
     NSetEnclosure,
     admissible_eps,
     c1_continuity_delta,
@@ -32,6 +36,7 @@ from knotpoints.realfn import C1Function, PwlFunction, random_c1_function, rando
 from oracles import grid_n_set, grid_n_set_full, hausdorff_set_vs_points
 
 F = Fraction
+REFERENCE = Path(__file__).resolve().parents[1] / "knotbench" / "reference.json"
 
 
 # -- certified 2^-a brackets ------------------------------------------------
@@ -365,6 +370,34 @@ def test_enclosure_union_and_reflect():
     assert u.inner == IntervalSet.from_pairs([(0, F(1, 4)), (F(1, 2), F(3, 4))])
     r = u.reflect()
     assert r.inner == IntervalSet.from_pairs([(F(1, 4), F(1, 2)), (F(3, 4), 1)])
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=30))
+def test_merge_float_cells_is_the_exact_union(cells):
+    """The numpy merge equals the exact union of the closed float cells."""
+    u = np.array([min(c) for c in cells], dtype=float)
+    v = np.array([max(c) for c in cells], dtype=float)
+    assert _merge_float_cells(u, v) == IntervalSet.from_pairs(zip(u.tolist(), v.tolist()))
+
+
+def test_enclosure_union_merges_stats():
+    f = random_c1_function(0, cells=6, amplitude=0.5, slope_scale=2.0)
+    parts = [n_set_enclosure(f, 1, v, tol=1e-4).stats for v in BASIC_VARIANTS]
+    full = n_set_enclosure(f, 1, "full", tol=1e-4).stats
+    for key in ("phase1_cells", "undecided_phase1", "undecided_final"):
+        assert full[key] == sum(p[key] for p in parts)
+    assert full["max_depth"] == max(p["max_depth"] for p in parts)
+
+
+@pytest.mark.parametrize("key", ["0|1|0.0001", "3|2|1e-05"])
+def test_enclosure_output_matches_benchmark_reference(key):
+    """The certified intervals are byte-identical to the referenced ones."""
+    ref = json.loads(REFERENCE.read_text())["c1-enclosure"][key]
+    seed, a, tol = key.split("|")
+    f = random_c1_function(int(seed), cells=6, amplitude=0.5, slope_scale=2.0)
+    enc = n_set_enclosure(f, F(a), "full", tol=float(tol))
+    blob = f"{enc.inner.intervals}|{enc.outer.intervals}".encode()
+    assert hashlib.sha256(blob).hexdigest() == ref
 
 
 def test_enclosure_rejects_bad_inputs():
