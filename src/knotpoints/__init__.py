@@ -84,8 +84,8 @@ from .intervalsets import (
 from .nsets import (
     BASIC_VARIANTS,
     VARIANTS,
+    EnclosureRangeError,
     NSetEnclosure,
-    NSetRequest,
     admissible_eps,
     c1_continuity_delta,
     c1_single_delta,

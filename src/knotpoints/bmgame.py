@@ -1232,18 +1232,6 @@ def _build_L_sets(
     )
 
 
-def _in_interior(iset: IntervalSet, q: Fraction) -> bool:
-    """Membership in the interior of a closed interval union, in the
-    subspace topology of [0,1]."""
-    for lo, hi in iset.intervals:
-        if lo <= q <= hi:
-            left_ok = lo < q or (lo == q == 0)
-            right_ok = q < hi or (q == hi == 1)
-            if left_ok and right_ok:
-                return True
-    return False
-
-
 def _certify_L_claims(
     state: GameState,
     f_m: C1Function,
@@ -1384,10 +1372,8 @@ def _certify_K_claims(
         A = index_set_A(j, m, nseq_m)
         for rd in ("hat", "check"):
             sel = _tilde_union(K_sets, [n for n in A if n <= built], rd)
-            inner = cache_f.get(b2, rd).inner
-            for q in sel.points:
-                if not _in_interior(inner, q):
-                    raise GameError(f"located claim (3) fails at j={j} ({rd})")
+            if not _points_iset(sel).subset_of_interior(cache_f.get(b2, rd).inner):
+                raise GameError(f"located claim (3) fails at j={j} ({rd})")
 
     for rd in ("hat", "check"):
         full_cover = IntervalSet.empty()
@@ -1551,6 +1537,7 @@ def limit_report(state: GameState) -> dict:
         0,
         M,
         state.params.tol,
+        cache=cache,
     )
     report["checks"]["index_chain"] = {
         "ok": comb.ok,

@@ -67,7 +67,8 @@ __all__ = [
 
 
 class EpsilonSearchError(RuntimeError):
-    """Raised when no epsilon at or above the floor can be certified."""
+    """Raised when no epsilon at or above the floor can be certified, or
+    when the certified constants leave no admissible radius mu."""
 
 
 @dataclass(frozen=True)
@@ -401,7 +402,11 @@ def mu(f: C1Function, a: Rat, b: Rat, h: Rat, tol: float = 1e-4) -> float:
     slope_budget = f.deriv_sup_norm() + float(af)
     pow_a = _float_floor(pow2_bounds(af)[0])
     out = 0.5 * min(l / 2.0, pow_a / 2.0, hf / (2.0 * slope_budget))
-    assert out < l / 2 and 2 * out < pow_a and 2 * out * slope_budget < hf
+    if not (out < l / 2 and 2 * out < pow_a and 2 * out * slope_budget < hf):
+        raise EpsilonSearchError(
+            f"no radius strictly inside the mu constraints (l={l!r}, 2^-a>={pow_a!r}, "
+            f"h={hf!r}, |f'|+a={slope_budget!r})"
+        )
     return out
 
 

@@ -51,7 +51,7 @@ from .indexcomb import (
     random_index_seq,
 )
 from .intervalsets import FinitePointSet, IntervalSet, as_fraction
-from .nsets import VARIANTS, n_set_enclosure, n_set_exact
+from .nsets import VARIANTS, EnclosureRangeError, n_set_enclosure, n_set_exact
 from .realfn import (
     C1Function,
     PwlFunction,
@@ -191,7 +191,10 @@ def cmd_nset(args, argv: list[str]) -> dict:
         checks = {"exact": {"ok": True, "margin": None}}
         csv_lines += [f"{float(lo)!r},{float(hi)!r}" for lo, hi in s.intervals]
     else:
-        enc = n_set_enclosure(f, a, args.variant, args.tol)
+        try:
+            enc = n_set_enclosure(f, a, args.variant, args.tol)
+        except EnclosureRangeError as e:
+            raise InputError(e.field, str(e)) from e
         outputs = {
             "mode": "enclosure",
             "inner": _iv_json(enc.inner),

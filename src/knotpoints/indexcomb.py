@@ -34,7 +34,7 @@ from .intervalsets import (
     ball,
     subset_within,
 )
-from .nsets import n_set_enclosure, n_set_exact
+from .nsets import EnclosureRangeError, NSetEnclosure, n_set_enclosure, n_set_exact
 from .realfn import C1Function, PwlFunction
 
 __all__ = [
@@ -335,25 +335,31 @@ def check_S_k(K: SeqOfSets, n: IndexSeq, delta: DeltaSeq, k: int, m_max: int) ->
 _ENGINE_SCALE_CAP = 17
 
 
-def _n_full_bounds(f, a: Rat, tol: float) -> tuple[IntervalSet, IntervalSet, Rat]:
+def _n_full_bounds(f, a: Rat, tol: float, cache=None) -> tuple[IntervalSet, IntervalSet, Rat]:
     """(inner, outer, scale used) bracket of the full exception set at scale
     a.  Piecewise-linear input is exact.  When a C1 scale is beyond the
     engine's certified range, the inner bound falls back to the largest
     feasible smaller scale (the sets grow with the scale, so it is still a
-    subset) and the outer bound degrades to the trivial [0,1]."""
+    subset) and the outer bound degrades to the trivial [0,1].  C1
+    enclosures come from cache.get(scale, "full") when a cache is given."""
     if isinstance(f, PwlFunction):
         s = n_set_exact(f, a, "full")
         return s, s, as_fraction(a)
+
+    def enclosure(scale: Fraction) -> NSetEnclosure:
+        if cache is not None:
+            return cache.get(scale, "full")
+        return n_set_enclosure(f, scale, "full", tol)
+
     af = as_fraction(a)
     try:
-        enc = n_set_enclosure(f, af, "full", tol)
+        enc = enclosure(af)
         return enc.inner, enc.outer, af
-    except ValueError:
+    except EnclosureRangeError:
         c = Fraction(min(int(af), _ENGINE_SCALE_CAP))
         if c <= 0 or c >= af:
             raise
-        enc = n_set_enclosure(f, c, "full", tol)
-        return enc.inner, FULL, c
+        return enclosure(c).inner, FULL, c
 
 
 def check_Y_k(
@@ -365,6 +371,7 @@ def check_Y_k(
     k: int,
     m_max: int,
     tol: float = 1e-4,
+    cache=None,
 ) -> CombCheck:
     """The Y-condition at shift k, truncated at depth m_max: the S-condition
     plus, for every j <= m <= m_max,
@@ -378,6 +385,10 @@ def check_Y_k(
     (outer on the left of the lower family, inner on the right of the upper).
     A failed sound check is re-tested on the anti-sound side: if that side
     passes, the triple is reported undecided rather than failed.
+
+    `cache`, when given, is an enclosure cache for f at tolerance tol (any
+    object whose get(scale, variant) returns n_set_enclosure(f, scale,
+    variant, tol)); every C1 enclosure is fetched through it.
     """
     s = check_S_k(K, n, delta, k, m_max)
     failures = list(s.failures)
@@ -386,8 +397,8 @@ def check_Y_k(
     nk = shift_seq(n, k) if k else n
 
     for j in range(1, m_max + 1):
-        low_in, low_out, _ = _n_full_bounds(f, ladder.a(j), tol)
-        up_in, up_out, _ = _n_full_bounds(f, ladder.b(j), tol)
+        low_in, low_out, _ = _n_full_bounds(f, ladder.a(j), tol, cache)
+        up_in, up_out, _ = _n_full_bounds(f, ladder.b(j), tol, cache)
         for m in range(j, m_max + 1):
             dm = delta.d(m)
             rhs = K.union_over(index_set_A(j, m, nk))

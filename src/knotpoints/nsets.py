@@ -23,7 +23,13 @@ Two computation paths:
   window bounds from closed-form cubic extrema returns inner/outer interval
   enclosures.  Bounds are evaluated in double precision (no directed
   rounding); certification is exact up to float evaluation error, and cells
-  the tests cannot decide go to the outer set only.
+  the tests cannot decide go to the outer set only.  Phase 1 classifies the
+  grid segments themselves and reads their value and slope ranges from the
+  segment tables that also answer the window queries; each bisection half
+  keeps its segment index and inherits the window bound and endpoint values
+  its parent already has, so each bound is computed once.  Every cubic
+  range comes from one kernel pair, `realfn.cubic_range` and
+  `realfn.cubic_deriv_range`.
 
 The scale-continuity helper `continuity_delta(a, b, eps)` returns the explicit
 perturbation budget delta = eps*(b-a)/4: whenever |f-g| < delta in sup norm,
@@ -35,19 +41,27 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .intervalsets import EMPTY, IntervalSet, Rat, as_fraction, is_subset
-from .realfn import C1Function, CubicPieces, PwlFunction, pieces_of
+from .realfn import (
+    C1Function,
+    CubicPieces,
+    PwlFunction,
+    cubic_deriv_range,
+    cubic_eval,
+    cubic_range,
+    pieces_of,
+)
 
 __all__ = [
     "VARIANTS",
     "BASIC_VARIANTS",
-    "NSetRequest",
+    "EnclosureRangeError",
     "NSetEnclosure",
     "sliding_window_max",
     "n_set_exact",
@@ -68,8 +82,21 @@ __all__ = [
 BASIC_VARIANTS = ("plus_upper", "plus_lower", "minus_upper", "minus_lower")
 VARIANTS = BASIC_VARIANTS + ("hat", "check", "full")
 
-_HAT_PARTS = ("plus_upper", "minus_lower")
-_CHECK_PARTS = ("plus_lower", "minus_upper")
+# the basic variants each composite is the union of
+_PARTS = {
+    "hat": ("plus_upper", "minus_lower"),
+    "check": ("plus_lower", "minus_upper"),
+    "full": BASIC_VARIANTS,
+}
+
+
+class EnclosureRangeError(ValueError):
+    """A scale or tolerance outside the range the enclosure engine can
+    certify; `field` names the parameter ("a" or "tol") to change."""
+
+    def __init__(self, field: str, message: str) -> None:
+        super().__init__(message)
+        self.field = field
 
 
 def _check_variant(variant: str) -> None:
@@ -383,8 +410,8 @@ def point_defect_exact(f: PwlFunction, a: Rat, variant: str, x: Rat) -> Fraction
     positive quantifies the worst violation, None means x is outside the
     variant's domain.  Composites take the best defect of their parts."""
     _check_variant(variant)
-    if variant in ("hat", "check", "full"):
-        parts = {"hat": _HAT_PARTS, "check": _CHECK_PARTS, "full": BASIC_VARIANTS}[variant]
+    if variant in _PARTS:
+        parts = _PARTS[variant]
         defs = [point_defect_exact(f, a, p, x) for p in parts]
         defs = [d for d in defs if d is not None]
         return min(defs) if defs else None
@@ -414,8 +441,8 @@ def point_defect_float(f, a: float, variant: str, x: float) -> float:
     """Float membership defect (closed-form window extrema on cubic pieces).
     Returns +inf outside the variant's domain; composites take the minimum."""
     _check_variant(variant)
-    if variant in ("hat", "check", "full"):
-        parts = {"hat": _HAT_PARTS, "check": _CHECK_PARTS, "full": BASIC_VARIANTS}[variant]
+    if variant in _PARTS:
+        parts = _PARTS[variant]
         return min(point_defect_float(f, a, p, x) for p in parts)
     p = pieces_of(f)
     delta = 2.0 ** (-float(a))
@@ -447,8 +474,8 @@ def point_defects_float(f, a: float, variant: str, xs) -> np.ndarray:
     """
     _check_variant(variant)
     xs = np.asarray(xs, dtype=float)
-    if variant in ("hat", "check", "full"):
-        parts = {"hat": _HAT_PARTS, "check": _CHECK_PARTS, "full": BASIC_VARIANTS}[variant]
+    if variant in _PARTS:
+        parts = _PARTS[variant]
         return np.minimum.reduce([point_defects_float(f, a, p, xs) for p in parts])
     p = pieces_of(f)
     af = float(a)
@@ -536,205 +563,219 @@ class NSetEnclosure:
         )
 
 
-@dataclass(frozen=True)
-class NSetRequest:
-    """Bundled query: which variant of which function at which scale."""
-
-    f: object
-    a: Rat
-    variant: str = "full"
-
-    def __post_init__(self) -> None:
-        _check_variant(self.variant)
-        if as_fraction(self.a) <= 0:
-            raise ValueError("scale a must be positive")
-
-    def exact(self) -> IntervalSet:
-        return n_set_exact(self.f, self.a, self.variant)
-
-    def enclosure(self, tol: float) -> NSetEnclosure:
-        return n_set_enclosure(self.f, self.a, self.variant, tol)
-
-
-def _ev_cubic(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return ((c[:, 3] * s + c[:, 2]) * s + c[:, 1]) * s + c[:, 0]
-
-
-def _cubic_max_vec(c: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
-    out = np.maximum(_ev_cubic(c, s_lo), _ev_cubic(c, s_hi))
-    c1, c2, c3 = c[:, 1], c[:, 2], c[:, 3]
-    qa, qb = 3.0 * c3, 2.0 * c2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lin = np.where((qa == 0.0) & (qb != 0.0), -c1 / np.where(qb == 0.0, 1.0, qb), np.nan)
-        disc = qb * qb - 4.0 * qa * c1
-        good = (qa != 0.0) & (disc >= 0.0)
-        sq = np.sqrt(np.where(disc < 0.0, 0.0, disc))
-        den = 2.0 * np.where(qa == 0.0, 1.0, qa)
-        r1 = np.where(good, (-qb - sq) / den, np.nan)
-        r2 = np.where(good, (-qb + sq) / den, np.nan)
-    for r in (lin, r1, r2):
-        ok = np.isfinite(r) & (r > s_lo) & (r < s_hi)
-        if ok.any():
-            out[ok] = np.maximum(out[ok], _ev_cubic(c[ok], r[ok]))
-    return out
-
-
-def _cubic_min_vec(c: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
-    return -_cubic_max_vec(-c, s_lo, s_hi)
-
-
-def _deriv_max_vec(c: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
-    def d(s):
-        return (3.0 * c[:, 3] * s + 2.0 * c[:, 2]) * s + c[:, 1]
-
-    out = np.maximum(d(s_lo), d(s_hi))
-    c3 = c[:, 3]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vert = np.where(c3 != 0.0, -c[:, 2] / (3.0 * np.where(c3 == 0.0, 1.0, c3)), np.nan)
-    ok = np.isfinite(vert) & (vert > s_lo) & (vert < s_hi)
-    if ok.any():
-        vv = vert[ok]
-        out[ok] = np.maximum(out[ok], (3.0 * c[ok, 3] * vv + 2.0 * c[ok, 2]) * vv + c[ok, 1])
-    return out
-
-
 class _RangeMax:
-    """Sparse table for vectorized range-maximum queries over a float array."""
+    """Sparse table for vectorized range-maximum queries over a float array
+    (Bender & Farach-Colton, The LCA problem revisited): level k holds the
+    maxima of all windows of length 2^k, and the levels sit end to end in
+    one flat array, so a batch of queries is two gathers."""
 
     def __init__(self, values: np.ndarray):
-        self.levels = [np.asarray(values, dtype=float)]
-        k = 1
-        while 2 * k <= len(values):
-            prev = self.levels[-1]
-            self.levels.append(np.maximum(prev[:-k], prev[k:]))
-            k *= 2
+        n = len(values)
+        pow2 = 1 << np.arange(max(n.bit_length(), 1))
+        lengths = n - pow2 + 1
+        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        flat = np.empty(int(lengths.sum()))
+        flat[:n] = values
+        for k in range(1, len(pow2)):
+            prev = flat[starts[k - 1] : starts[k - 1] + lengths[k - 1]]
+            h, m = pow2[k - 1], lengths[k]
+            np.maximum(prev[:m], prev[h : h + m], out=flat[starts[k] : starts[k] + m])
+        self.flat = flat
+        # [i, j) is covered by the level-k windows starting at i and at
+        # j - 2^k, for k = floor(log2(j - i))
+        self.level = np.maximum(np.frexp(np.arange(n + 1.0))[1] - 1, 0).astype(np.int8)
+        self.start_lo = starts
+        self.start_hi = starts - pow2
 
     def query(self, i: np.ndarray, j: np.ndarray, empty: float = -np.inf) -> np.ndarray:
         """max over [i, j) per entry; empty ranges give `empty`."""
-        i = np.asarray(i, dtype=np.int64)
-        j = np.asarray(j, dtype=np.int64)
-        out = np.full(i.shape, empty, dtype=float)
-        n = j - i
-        ok = n > 0
-        if not ok.any():
-            return out
-        ks = (np.frexp(n[ok].astype(float))[1] - 1).astype(np.int64)
-        ii, jj = i[ok], j[ok]
-        res = np.empty(ii.shape, dtype=float)
-        for kv in np.unique(ks):
-            m = ks == kv
-            lev = self.levels[int(kv)]
-            res[m] = np.maximum(lev[ii[m]], lev[jj[m] - (1 << int(kv))])
-        out[ok] = res
-        return out
+        ok = j > i
+        i = np.where(ok, i, 0)
+        j = np.where(ok, j, 1)
+        k = self.level[j - i]
+        res = np.maximum(self.flat[self.start_lo[k] + i], self.flat[self.start_hi[k] + j])
+        return np.where(ok, res, empty)
 
 
 class _PhiTables:
     """Knot-aligned segment grid over [0,1] for phi, with per-segment range
-    data and sparse tables for window queries."""
+    data and sparse tables for window queries.
+
+    Every knot of phi is a grid point, so phi is one cubic on each segment:
+    `coeffs[:, i]` in the local coordinate x - kleft[i].  A point x in
+    [grid[i], grid[i+1]) is evaluated exactly as `CubicPieces.eval_vec`
+    would, from segment i.
+    """
 
     def __init__(self, phi: CubicPieces, step: float, xmax: float):
         pts = np.union1d(phi.breaks, np.linspace(0.0, 1.0, int(np.ceil(1.0 / step)) + 1))
         pts = np.union1d(pts, np.array([xmax]))
         self.grid = pts
-        n_seg = len(pts) - 1
-        self.cell = np.clip(
+        self.n_seg = len(pts) - 1
+        cell = np.clip(
             np.searchsorted(phi.breaks, pts[:-1], side="right") - 1, 0, len(phi.coeffs) - 1
         )
-        self.kleft = phi.breaks[self.cell]
-        self.coeffs = phi.coeffs
-        c = phi.coeffs[self.cell]
+        self.kleft = phi.breaks[cell]
+        self.coeffs = np.ascontiguousarray(phi.coeffs.T)[:, cell]
         s_lo = pts[:-1] - self.kleft
         s_hi = pts[1:] - self.kleft
-        self.segmax = _cubic_max_vec(c, s_lo, s_hi)
-        self.segmin = _cubic_min_vec(c, s_lo, s_hi)
-        self.dermax = _deriv_max_vec(c, s_lo, s_hi)
-        self.gridvals = phi.eval_vec(pts)
+        self.segmin, self.segmax = cubic_range(self.coeffs, s_lo, s_hi)
+        self.dermin, self.dermax = cubic_deriv_range(self.coeffs, s_lo, s_hi)
+        self.gridvals = np.append(
+            cubic_eval(self.coeffs, s_lo), self.eval_at(pts[-1:], [self.n_seg - 1])
+        )
         self.rmq_segmax = _RangeMax(self.segmax)
         self.rmq_gridvals = _RangeMax(self.gridvals)
-        self.n_seg = n_seg
-        self.phi = phi
+
+    def last_at_or_below(self, x: np.ndarray) -> np.ndarray:
+        """Index of the last grid point at or below x."""
+        return np.searchsorted(self.grid, x, side="right") - 1
 
     def seg_of(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0, self.n_seg - 1)
+        return np.clip(self.last_at_or_below(x), 0, self.n_seg - 1)
 
-    def range_upper(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Max of phi over [lo, hi] per entry (exact per-segment closed forms)."""
-        i_l = self.seg_of(lo)
-        ilast = np.searchsorted(self.grid, hi, side="right") - 1
-        left_hi = np.minimum(self.grid[i_l + 1], hi)
-        kl = self.kleft[i_l]
-        ub = _cubic_max_vec(self.coeffs[self.cell[i_l]], lo - kl, left_hi - kl)
-        mid = self.rmq_segmax.query(i_l + 1, np.minimum(ilast, self.n_seg))
-        ub = np.maximum(ub, mid)
+    def seg_within(self, x: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        """seg_of(x) for x in [grid[seg], grid[seg+1]], without a search."""
+        return np.minimum(seg + (x >= self.grid[seg + 1]), self.n_seg - 1)
+
+    def eval_at(self, x: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        """phi(x) for x in segment seg (x = 1 in the last one)."""
+        return cubic_eval(self.coeffs[:, seg], x - self.kleft[seg])
+
+    def _upper(self, lo, hi, i_l, ilast, kernel, segbest, rmq) -> np.ndarray:
+        """Max over [lo, hi] of phi or phi' (per kernel and its per-segment
+        maxima), given i_l = seg_of(lo) and ilast the last grid index at or
+        below hi: the left piece, the whole segments after it and the right
+        piece."""
+        grid = self.grid
+        left_hi = np.minimum(grid[i_l + 1], hi)
+        ub = segbest[i_l]
+        part = np.flatnonzero((lo != grid[i_l]) | (left_hi != grid[i_l + 1]))
+        if len(part):
+            idx = i_l[part]
+            kl = self.kleft[idx]
+            ub[part] = kernel(self.coeffs[:, idx], lo[part] - kl, left_hi[part] - kl)[1]
+        ub = np.maximum(ub, rmq.query(i_l + 1, np.minimum(ilast, self.n_seg)))
         ic = np.minimum(ilast, self.n_seg - 1)
-        has_right = (ilast > i_l) & (ilast <= self.n_seg - 1) & (self.grid[ic] < hi)
+        has_right = (ilast > i_l) & (ilast <= self.n_seg - 1) & (grid[ic] < hi)
         if has_right.any():
             idx = ic[has_right]
             kr = self.kleft[idx]
-            val = _cubic_max_vec(
-                self.coeffs[self.cell[idx]], self.grid[idx] - kr, hi[has_right] - kr
-            )
+            val = kernel(self.coeffs[:, idx], grid[idx] - kr, hi[has_right] - kr)[1]
             ub[has_right] = np.maximum(ub[has_right], val)
         return ub
+
+    def range_upper_at(self, lo, hi, i_l, ilast) -> np.ndarray:
+        """range_upper(lo, hi) given i_l = seg_of(lo) and ilast =
+        last_at_or_below(hi)."""
+        return self._upper(lo, hi, i_l, ilast, cubic_range, self.segmax, self.rmq_segmax)
+
+    def range_upper(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Max of phi over [lo, hi] per entry (exact per-segment closed forms)."""
+        return self.range_upper_at(lo, hi, self.seg_of(lo), self.last_at_or_below(hi))
 
     def deriv_upper(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Max of phi' over [lo, hi] per entry."""
         if not hasattr(self, "rmq_dermax"):
             self.rmq_dermax = _RangeMax(self.dermax)
-        i_l = self.seg_of(lo)
-        ilast = np.searchsorted(self.grid, hi, side="right") - 1
-        left_hi = np.minimum(self.grid[i_l + 1], hi)
-        kl = self.kleft[i_l]
-        ub = _deriv_max_vec(self.coeffs[self.cell[i_l]], lo - kl, left_hi - kl)
-        mid = self.rmq_dermax.query(i_l + 1, np.minimum(ilast, self.n_seg))
-        ub = np.maximum(ub, mid)
-        ic = np.minimum(ilast, self.n_seg - 1)
-        has_right = (ilast > i_l) & (ilast <= self.n_seg - 1) & (self.grid[ic] < hi)
-        if has_right.any():
-            idx = ic[has_right]
-            kr = self.kleft[idx]
-            val = _deriv_max_vec(
-                self.coeffs[self.cell[idx]], self.grid[idx] - kr, hi[has_right] - kr
-            )
-            ub[has_right] = np.maximum(ub[has_right], val)
-        return ub
+        return self._upper(
+            lo,
+            hi,
+            self.seg_of(lo),
+            self.last_at_or_below(hi),
+            cubic_deriv_range,
+            self.dermax,
+            self.rmq_dermax,
+        )
 
     def window_upper(self, v: np.ndarray, delta: float) -> np.ndarray:
         """Upper bound for max phi over [v, v+delta] (window clipped to 1)."""
         return self.range_upper(v, np.minimum(v + delta, 1.0))
 
-    def witness_lower(self, v: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """A true value of phi attained somewhere in [v, right]: the best of
-        the grid values inside plus the two endpoint evaluations."""
-        iv = np.searchsorted(self.grid, v, side="left")
-        iw = np.searchsorted(self.grid, right, side="right")
-        w = self.rmq_gridvals.query(iv, iw)
-        ends = np.maximum(self.phi.eval_vec(v), self.phi.eval_vec(np.minimum(right, 1.0)))
-        return np.maximum(w, ends)
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.stack((a, b), axis=1).reshape(-1)
+
+
+@dataclass
+class _Cells:
+    """Cells [u, v] of the C1 bisection, each inside grid segment seg, with
+    the parts of their certificates that a half can inherit:
+
+      ubw    window bound, max phi over [v, min(v+delta, 1)]
+      after  number of grid points at or below u + delta
+      phi_v  phi(v)
+      phi_r  phi(min(u + delta, 1))
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    seg: np.ndarray
+    ubw: np.ndarray
+    after: np.ndarray
+    phi_v: np.ndarray
+    phi_r: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "_Cells":
+        return _Cells(*(getattr(self, f.name)[keep] for f in fields(self)))
+
+
+def _segment_cells(tab: _PhiTables, n: int, delta: float) -> _Cells:
+    """The first n grid segments as cells."""
+    grid = tab.grid
+    seg = np.arange(n)
+    u, v = grid[:n], grid[1 : n + 1]
+    # v + delta of one segment is u + delta of the next, and as the grid
+    # ends at 1, after - 1 is also the last index <= min(v + delta, 1)
+    after = np.searchsorted(grid, grid[: n + 1] + delta, side="right")
+    ubw = tab.range_upper_at(v, np.minimum(v + delta, 1.0), tab.seg_within(v, seg), after[1:] - 1)
+    phi_r = tab.eval_at(np.minimum(u + delta, 1.0), np.minimum(after[:n] - 1, tab.n_seg - 1))
+    return _Cells(u, v, seg, ubw, after[:n], tab.gridvals[1 : n + 1], phi_r)
+
+
+def _split(tab: _PhiTables, cells: _Cells, delta: float) -> _Cells:
+    """Both halves of every cell, interleaved as [u, mid], [mid, v] so that
+    u, v and every search key stay sorted.  A left half has its parent's
+    u + delta, a right half its parent's v and window; what is new is
+    computed once per parent."""
+    mid = 0.5 * (cells.u + cells.v)
+    right = np.minimum(mid + delta, 1.0)
+    # the grid ends at 1, so after_mid - 1 is also the last index <= right
+    after_mid = np.searchsorted(tab.grid, mid + delta, side="right")
+    i_mid = tab.seg_within(mid, cells.seg)
+    return _Cells(
+        _interleave(cells.u, mid),
+        _interleave(mid, cells.v),
+        np.repeat(cells.seg, 2),
+        _interleave(tab.range_upper_at(mid, right, i_mid, after_mid - 1), cells.ubw),
+        _interleave(cells.after, after_mid),
+        _interleave(tab.eval_at(mid, i_mid), cells.phi_v),
+        _interleave(cells.phi_r, tab.eval_at(right, np.minimum(after_mid - 1, tab.n_seg - 1))),
+    )
+
+
+def _witness_lower(tab: _PhiTables, cells: _Cells) -> np.ndarray:
+    """A true value of phi attained somewhere in [v, u + delta]: the best of
+    the grid values inside plus the two endpoint values."""
+    # grid points from seg + 1 on; grid[seg] lies in [v, u + delta] only
+    # when it equals v, whose value phi_v brings in anyway
+    w = tab.rmq_gridvals.query(cells.seg + 1, cells.after)
+    return np.maximum(w, np.maximum(cells.phi_v, cells.phi_r))
 
 
 def _classify(
     tab: _PhiTables,
-    u: np.ndarray,
-    v: np.ndarray,
-    seg: np.ndarray,
-    delta: float,
+    cells: _Cells,
+    vals: tuple[np.ndarray, np.ndarray],
+    ders: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, outside) certificates for cells [u,v], each within segment seg."""
-    kl = tab.kleft[seg]
-    c = tab.coeffs[tab.cell[seg]]
-    s_lo, s_hi = u - kl, v - kl
-    der = _deriv_max_vec(c, s_lo, s_hi)
-    lbmin = _cubic_min_vec(c, s_lo, s_hi)
-    ub_win = tab.window_upper(v, delta)
-    inside = (der <= 0.0) & (ub_win <= lbmin)
-    ubmax = _cubic_max_vec(c, s_lo, s_hi)
-    witness = tab.witness_lower(v, u + delta)
+    """(inside, outside) certificates for the cells, given the (min, max) of
+    phi and of phi' over each."""
+    (vmin, vmax), (dmin, dmax) = vals, ders
+    inside = (dmax <= 0.0) & (cells.ubw <= vmin)
     # a strictly positive slope throughout the cell also rules every point
     # out: phi keeps growing just to the right, inside the window
-    dermin = -_deriv_max_vec(-c, s_lo, s_hi)
-    outside = (witness > ubmax) | (dermin > 0.0)
+    outside = (_witness_lower(tab, cells) > vmax) | (dmin > 0.0)
     return inside, outside & ~inside
 
 
@@ -750,49 +791,54 @@ def _enclosure_plus_upper_c1(
     certified bisection."""
     delta = 2.0 ** (-a)
     if delta == 0.0:
-        raise ValueError(f"window 2^-a underflows to zero at a={a}")
+        raise EnclosureRangeError("a", f"window 2^-a underflows to zero at a={a}")
     xmax = 1.0 - delta
     if xmax <= 0.0:
         raise ValueError("window 2^-a must be smaller than the domain")
     phi = f.as_cubic_pieces().add_linear(-a)
     step = min(tol, delta / 2.0)
     if 1.0 / step > _MAX_SEGMENTS:
-        raise ValueError(
+        raise EnclosureRangeError(
+            "tol" if tol <= delta / 2.0 else "a",
             f"enclosure grid would need {1.0/step:.3g} segments (cap {_MAX_SEGMENTS}); "
-            "scale or tolerance out of the float-certified range"
+            "scale or tolerance out of the float-certified range",
         )
     tab = _PhiTables(phi, step, xmax)
-    grid = tab.grid
-    n_cells = int(np.searchsorted(grid, xmax, side="left"))
-    u = grid[:n_cells].copy()
-    v = grid[1 : n_cells + 1].copy()
-    seg = np.arange(n_cells)
+    n_cells = int(np.searchsorted(tab.grid, xmax, side="left"))
 
-    inside, outside = _classify(tab, u, v, seg, delta)
+    # phase 1: the cells are the grid segments, whose ranges the table holds
+    cells = _segment_cells(tab, n_cells, delta)
+    inside, outside = _classify(
+        tab,
+        cells,
+        (tab.segmin[:n_cells], tab.segmax[:n_cells]),
+        (tab.dermin[:n_cells], tab.dermax[:n_cells]),
+    )
     undecided = ~inside & ~outside
-    in_u, in_v = [u[inside]], [v[inside]]
+    in_u, in_v = [cells.u[inside]], [cells.v[inside]]
     stats = {"phase1_cells": n_cells, "undecided_phase1": int(undecided.sum())}
 
-    u, v, seg = u[undecided], v[undecided], seg[undecided]
+    cells = cells.take(undecided)
     depth = 0
-    while len(u) and depth < 60:
-        width = float(np.max(v - u))
+    while len(cells.u) and depth < 60:
+        width = float(np.max(cells.v - cells.u))
         if width <= _WIDTH_FLOOR:
             break
-        mid = 0.5 * (u + v)
-        uu = np.concatenate([u, mid])
-        vv = np.concatenate([mid, v])
-        ss = np.concatenate([seg, seg])
-        inside, outside = _classify(tab, uu, vv, ss, delta)
-        in_u.append(uu[inside])
-        in_v.append(vv[inside])
-        keep = ~inside & ~outside
-        u, v, seg = uu[keep], vv[keep], ss[keep]
+        cells = _split(tab, cells, delta)
+        kl = tab.kleft[cells.seg]
+        c = tab.coeffs[:, cells.seg]
+        s_lo, s_hi = cells.u - kl, cells.v - kl
+        inside, outside = _classify(
+            tab, cells, cubic_range(c, s_lo, s_hi), cubic_deriv_range(c, s_lo, s_hi)
+        )
+        in_u.append(cells.u[inside])
+        in_v.append(cells.v[inside])
+        cells = cells.take(~inside & ~outside)
         depth += 1
 
     stats["max_depth"] = depth
-    stats["undecided_final"] = len(u)
-    return (np.concatenate(in_u), np.concatenate(in_v)), (u, v), stats
+    stats["undecided_final"] = len(cells.u)
+    return (np.concatenate(in_u), np.concatenate(in_v)), (cells.u, cells.v), stats
 
 
 def _merge_float_cells(u: np.ndarray, v: np.ndarray) -> IntervalSet:
@@ -849,22 +895,21 @@ def n_set_enclosure(f, a: Rat, variant: str = "full", tol: float = 1e-4) -> NSet
             return NSetEnclosure.exact(n_set_exact(f, a, variant))
         if f.lipschitz_bound() <= as_fraction(a):
             # every slope is within the cone, so each part fills its domain
-            parts = {"hat": _HAT_PARTS, "check": _CHECK_PARTS, "full": BASIC_VARIANTS}.get(
-                variant, (variant,)
-            )
+            parts = _PARTS.get(variant, (variant,))
             out = _full_domain_enclosure(a, forward=parts[0].startswith("plus"))
             for p in parts[1:]:
                 out = out.union(_full_domain_enclosure(a, forward=p.startswith("plus")))
             return out
-        raise ValueError(
+        raise EnclosureRangeError(
+            "a",
             "piecewise-linear enclosures need an integer scale when the "
             f"slope bound exceeds the scale; got a={as_fraction(a)} with "
             f"slope bound {f.lipschitz_bound()}"
         )
     if not isinstance(f, C1Function):
         raise TypeError("n_set_enclosure needs a PwlFunction or C1Function")
-    if variant in ("hat", "check", "full"):
-        parts = {"hat": _HAT_PARTS, "check": _CHECK_PARTS, "full": BASIC_VARIANTS}[variant]
+    if variant in _PARTS:
+        parts = _PARTS[variant]
         out = n_set_enclosure(f, a, parts[0], tol)
         for p in parts[1:]:
             out = out.union(n_set_enclosure(f, a, p, tol))

@@ -270,9 +270,7 @@ class C1Function:
     def eval(self, x) -> np.ndarray | float:
         xa = np.asarray(x, dtype=float)
         i = self._locate(np.atleast_1d(xa))
-        s = np.atleast_1d(xa) - self.knots[i]
-        c = self._coeffs[i]
-        out = ((c[:, 3] * s + c[:, 2]) * s + c[:, 1]) * s + c[:, 0]
+        out = cubic_eval(self._coeffs[i].T, np.atleast_1d(xa) - self.knots[i])
         return out if xa.ndim else float(out[0])
 
     def __call__(self, x):
@@ -281,9 +279,7 @@ class C1Function:
     def deriv(self, x) -> np.ndarray | float:
         xa = np.asarray(x, dtype=float)
         i = self._locate(np.atleast_1d(xa))
-        s = np.atleast_1d(xa) - self.knots[i]
-        c = self._coeffs[i]
-        out = (3.0 * c[:, 3] * s + 2.0 * c[:, 2]) * s + c[:, 1]
+        out = _cubic_deriv_eval(self._coeffs[i].T, np.atleast_1d(xa) - self.knots[i])
         return out if xa.ndim else float(out[0])
 
     # -- norms (closed-form extrema, not sampling) -------------------------
@@ -357,33 +353,66 @@ def _poly_shift(c: np.ndarray, dx) -> np.ndarray:
     return r
 
 
-def _cubic_extrema_candidates(c: np.ndarray, s_lo: float, s_hi: float) -> list[float]:
-    """Local s-coordinates (within [s_lo, s_hi]) where a cubic can attain its
-    range: the interval ends plus real critical points."""
-    cands = [s_lo, s_hi]
-    c1, c2, c3 = c[1], c[2], c[3]
-    a, b, cc = 3.0 * c3, 2.0 * c2, c1
-    if a == 0.0:
-        if b != 0.0:
-            s = -cc / b
-            if s_lo < s < s_hi:
-                cands.append(s)
-    else:
-        disc = b * b - 4.0 * a * cc
-        if disc >= 0.0:
-            sq = np.sqrt(disc)
-            for s in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
-                if s_lo < s < s_hi:
-                    cands.append(s)
-    return cands
-
-
-def _eval_local(c: np.ndarray, s: float) -> float:
+def cubic_eval(c: np.ndarray, s) -> np.ndarray:
+    """Value of each cubic at s by Horner's rule; c has shape (4, n), c[k]
+    the coefficient of s^k."""
     return ((c[3] * s + c[2]) * s + c[1]) * s + c[0]
 
 
-def _eval_local_deriv(c: np.ndarray, s: float) -> float:
+def _cubic_deriv_eval(c: np.ndarray, s) -> np.ndarray:
     return (3.0 * c[3] * s + 2.0 * c[2]) * s + c[1]
+
+
+def _cubic_critical_points(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real roots of each cubic's derivative as two arrays, NaN or
+    infinite where a root is missing (such a value lies strictly inside no
+    interval)."""
+    qa, qb = 3.0 * c[3], 2.0 * c[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(qb * qb - 4.0 * qa * c[1])
+        den = 2.0 * qa
+        r1 = np.where(qa != 0.0, (-qb - sq) / den, -c[1] / qb)
+        r2 = (-qb + sq) / den
+    return r1, r2
+
+
+def _widen_at(lo, hi, f, c, r, s_lo, s_hi) -> None:
+    """Widen [lo, hi] by the value of f at the candidates r strictly inside
+    (s_lo, s_hi), in place."""
+    idx = np.flatnonzero((r > s_lo) & (r < s_hi))
+    if len(idx):
+        val = f(c[:, idx], r[idx])
+        lo[idx] = np.minimum(lo[idx], val)
+        hi[idx] = np.maximum(hi[idx], val)
+
+
+def cubic_range(c: np.ndarray, s_lo, s_hi) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) of each cubic over [s_lo, s_hi], from closed-form extrema.
+
+    c has shape (4, n), c[k] the coefficient of s^k.  The range of cubic i
+    is that of its values at both ends and at the critical points strictly
+    inside.  The roots of -c are those of c and IEEE rounding is
+    sign-symmetric, so the min for c is minus the max for -c (up to the sign
+    of a zero).
+    """
+    s_lo, s_hi = np.asarray(s_lo, dtype=float), np.asarray(s_hi, dtype=float)
+    v0, v1 = cubic_eval(c, s_lo), cubic_eval(c, s_hi)
+    lo, hi = np.minimum(v0, v1), np.maximum(v0, v1)
+    for r in _cubic_critical_points(c):
+        _widen_at(lo, hi, cubic_eval, c, r, s_lo, s_hi)
+    return lo, hi
+
+
+def cubic_deriv_range(c: np.ndarray, s_lo, s_hi) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) of each cubic's derivative over [s_lo, s_hi]: the ends and
+    the vertex of the derivative parabola when it lies strictly inside."""
+    s_lo, s_hi = np.asarray(s_lo, dtype=float), np.asarray(s_hi, dtype=float)
+    d0, d1 = _cubic_deriv_eval(c, s_lo), _cubic_deriv_eval(c, s_hi)
+    lo, hi = np.minimum(d0, d1), np.maximum(d0, d1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vert = -c[2] / (3.0 * c[3])
+    _widen_at(lo, hi, _cubic_deriv_eval, c, vert, s_lo, s_hi)
+    return lo, hi
 
 
 class CubicPieces:
@@ -407,38 +436,28 @@ class CubicPieces:
 
     def eval_vec(self, xs: np.ndarray) -> np.ndarray:
         i = np.clip(np.searchsorted(self.breaks, xs, side="right") - 1, 0, len(self.coeffs) - 1)
-        s = xs - self.breaks[i]
-        c = self.coeffs[i]
-        return ((c[:, 3] * s + c[:, 2]) * s + c[:, 1]) * s + c[:, 0]
+        return cubic_eval(self.coeffs[i].T, xs - self.breaks[i])
 
     def eval(self, x: float) -> float:
         return float(self.eval_vec(np.array([x]))[0])
 
     # -- exact-in-float range bounds ---------------------------------------
 
-    def _cells_overlapping(self, p: float, q: float) -> range:
-        i = self.locate(p)
-        j = self.locate(q if q > p else p)
-        while j + 1 < len(self.coeffs) and self.breaks[j + 1] < q:
-            j += 1  # unreachable in practice; locate(q) already lands right
-        return range(i, j + 1)
+    def _pieces_on(self, p: float, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Indices, and local [s_lo, s_hi], of the cells that [p, q] meets."""
+        i = np.arange(self.locate(p), self.locate(q if q > p else p) + 1)
+        lo = np.maximum(p, self.breaks[i])
+        hi = np.minimum(q, self.breaks[i + 1])
+        met = hi >= lo
+        i = i[met]
+        return i, lo[met] - self.breaks[i], hi[met] - self.breaks[i]
 
     def range_on(self, p: float, q: float) -> tuple[float, float]:
         if q < p:
             raise ValueError("empty range query")
-        lo = np.inf
-        hi = -np.inf
-        for i in self._cells_overlapping(p, q):
-            a = max(p, float(self.breaks[i]))
-            b = min(q, float(self.breaks[i + 1]))
-            if b < a:
-                continue
-            c = self.coeffs[i]
-            for s in _cubic_extrema_candidates(c, a - self.breaks[i], b - self.breaks[i]):
-                v = _eval_local(c, s)
-                lo = min(lo, v)
-                hi = max(hi, v)
-        return float(lo), float(hi)
+        i, s_lo, s_hi = self._pieces_on(p, q)
+        lo, hi = cubic_range(self.coeffs[i].T, s_lo, s_hi)
+        return float(lo.min(initial=np.inf)), float(hi.max(initial=-np.inf))
 
     def max_on(self, p: float, q: float) -> float:
         return self.range_on(p, q)[1]
@@ -448,41 +467,24 @@ class CubicPieces:
 
     def argmax_on(self, p: float, q: float) -> tuple[float, float]:
         """(max value, a maximizing x)."""
-        best = -np.inf
-        arg = p
-        for i in self._cells_overlapping(p, q):
-            a = max(p, float(self.breaks[i]))
-            b = min(q, float(self.breaks[i + 1]))
-            if b < a:
-                continue
-            c = self.coeffs[i]
-            for s in _cubic_extrema_candidates(c, a - self.breaks[i], b - self.breaks[i]):
-                v = _eval_local(c, s)
-                if v > best:
-                    best, arg = v, float(self.breaks[i] + s)
-        return float(best), arg
+        i, s_lo, s_hi = self._pieces_on(p, q)
+        if not len(i):
+            return -np.inf, p
+        c = self.coeffs[i].T
+        # cell by cell, candidates in order: ends, then critical points; a
+        # missing critical point repeats s_lo, so it never wins a tie
+        roots = [np.where((r > s_lo) & (r < s_hi), r, s_lo) for r in _cubic_critical_points(c)]
+        cands = np.stack((s_lo, s_hi, *roots), axis=1)
+        vals = cubic_eval(c[:, :, None], cands)
+        k = int(np.argmax(vals))
+        cell, j = divmod(k, cands.shape[1])
+        return float(vals.flat[k]), float(self.breaks[i[cell]] + cands[cell, j])
 
     def deriv_range_on(self, p: float, q: float) -> tuple[float, float]:
         """Range of the derivative (a quadratic per cell)."""
-        lo = np.inf
-        hi = -np.inf
-        for i in self._cells_overlapping(p, q):
-            a = max(p, float(self.breaks[i]))
-            b = min(q, float(self.breaks[i + 1]))
-            if b < a:
-                continue
-            c = self.coeffs[i]
-            s_lo, s_hi = a - self.breaks[i], b - self.breaks[i]
-            cands = [s_lo, s_hi]
-            if c[3] != 0.0:
-                s = -c[2] / (3.0 * c[3])  # vertex of the derivative parabola
-                if s_lo < s < s_hi:
-                    cands.append(s)
-            for s in cands:
-                v = _eval_local_deriv(c, s)
-                lo = min(lo, v)
-                hi = max(hi, v)
-        return float(lo), float(hi)
+        i, s_lo, s_hi = self._pieces_on(p, q)
+        lo, hi = cubic_deriv_range(self.coeffs[i].T, s_lo, s_hi)
+        return float(lo.min(initial=np.inf)), float(hi.max(initial=-np.inf))
 
     def sup_norm(self) -> float:
         lo, hi = self.range_on(*self.domain)

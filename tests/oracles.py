@@ -201,3 +201,66 @@ def lemma_witness_scan(
         if not np.any(gain > 0.0):
             missing += 1
     return checked, missing
+
+
+def cubic_extrema_candidates(c, s_lo: float, s_hi: float) -> list[float]:
+    """Local s-coordinates (within [s_lo, s_hi]) where the cubic with power
+    coefficients c[0..3] can attain its range: the interval ends plus the
+    real critical points strictly inside.  Scalar reference for the
+    vectorized range kernels."""
+    cands = [s_lo, s_hi]
+    c1, c2, c3 = c[1], c[2], c[3]
+    a, b, cc = 3.0 * c3, 2.0 * c2, c1
+    if a == 0.0:
+        if b != 0.0:
+            s = -cc / b
+            if s_lo < s < s_hi:
+                cands.append(s)
+    else:
+        disc = b * b - 4.0 * a * cc
+        if disc >= 0.0:
+            sq = np.sqrt(disc)
+            for s in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
+                if s_lo < s < s_hi:
+                    cands.append(s)
+    return cands
+
+
+def cubic_range_scalar(c, s_lo: float, s_hi: float) -> tuple[float, float]:
+    cands = cubic_extrema_candidates(c, s_lo, s_hi)
+    vals = [((c[3] * s + c[2]) * s + c[1]) * s + c[0] for s in cands]
+    return min(vals), max(vals)
+
+
+def cubic_deriv_range_scalar(c, s_lo: float, s_hi: float) -> tuple[float, float]:
+    cands = [s_lo, s_hi]
+    if c[3] != 0.0:
+        s = -c[2] / (3.0 * c[3])  # vertex of the derivative parabola
+        if s_lo < s < s_hi:
+            cands.append(s)
+    vals = [(3.0 * c[3] * s + 2.0 * c[2]) * s + c[1] for s in cands]
+    return min(vals), max(vals)
+
+
+def pieces_range_scalar(p, lo: float, hi: float, deriv: bool = False) -> tuple[float, float]:
+    """Range of a CubicPieces (or of its derivative) over [lo, hi], cell by
+    cell through the scalar references above."""
+    one = cubic_deriv_range_scalar if deriv else cubic_range_scalar
+    out_lo, out_hi = np.inf, -np.inf
+    i = p.locate(lo)
+    j = p.locate(hi if hi > lo else lo)
+    for k in range(i, j + 1):
+        a = max(lo, float(p.breaks[k]))
+        b = min(hi, float(p.breaks[k + 1]))
+        if b < a:
+            continue
+        mn, mx = one(p.coeffs[k], a - p.breaks[k], b - p.breaks[k])
+        out_lo, out_hi = min(out_lo, mn), max(out_hi, mx)
+    return float(out_lo), float(out_hi)
+
+
+def float_bits(x) -> np.ndarray:
+    """The bit patterns of float x, with -0.0 folded into +0.0: on a tie
+    between the two zeros numpy's and Python's min/max may keep either, and
+    every decision compares values, where the two zeros are equal."""
+    return (np.asarray(x, dtype=np.float64) + 0.0).view(np.int64)

@@ -7,7 +7,7 @@ import pytest
 
 from knotpoints import cli
 from knotpoints.intervalsets import IntervalSet
-from knotpoints.realfn import function_to_json, random_c1_function
+from knotpoints.realfn import PwlFunction, function_to_json, random_c1_function
 
 
 @pytest.fixture
@@ -42,3 +42,20 @@ def test_nset_rejects_nonpositive_scale_and_tolerance(c1_file, tmp_path, flags, 
     assert rc == 2
     assert "input error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_nset_out_of_range_enclosures_are_input_errors(c1_file, tmp_path, capsys):
+    """A PWL function at a non-integer scale above its slope bound, and a C1
+    function at a tolerance finer than the engine certifies, exit with 2
+    and name the field."""
+    zigzag = tmp_path / "zigzag.json"
+    zigzag.write_text(json.dumps(function_to_json(PwlFunction.zigzag())))
+    out = tmp_path / "report.json"
+    for argv, field in (
+        (["--f", str(zigzag), "--a", "3/2"], "a"),
+        (["--f", c1_file, "--a", "1", "--tol", "1e-7"], "tol"),
+    ):
+        rc = cli.main(["nset", *argv, "--out", str(out)])
+        assert rc == 2
+        assert f"input error in field '{field}'" in capsys.readouterr().err
+        assert not out.exists()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotpoints import indexcomb
 from knotpoints.indexcomb import (
     CombScenario,
     DeltaSeq,
@@ -25,8 +26,8 @@ from knotpoints.indexcomb import (
     verify_K_n_trick,
 )
 from knotpoints.intervalsets import EMPTY, FULL, IntervalSet, ball
-from knotpoints.nsets import n_set_exact
-from knotpoints.realfn import PwlFunction
+from knotpoints.nsets import n_set_enclosure, n_set_exact
+from knotpoints.realfn import C1Function, PwlFunction, random_c1_function
 
 F = Fraction
 
@@ -341,6 +342,45 @@ def test_check_y_detects_a_broken_set():
     res = check_Y_k(SeqOfSets(tuple(sets)), zz, n, delta, lad, 0, 3)
     assert not res.ok
     assert any(fam == "lower" for fam, _, _ in res.failures)
+
+
+class CountingCache:
+    """Enclosure cache stand-in that records every fetch."""
+
+    def __init__(self, f, tol):
+        self.f, self.tol, self.fetches = f, tol, []
+
+    def get(self, a, variant):
+        self.fetches.append((a, variant))
+        return n_set_enclosure(self.f, a, variant, self.tol)
+
+
+def test_check_y_fetches_every_c1_enclosure_through_the_cache(monkeypatch):
+    """With a cache, check_Y_k computes no enclosure itself, the range
+    fallback included (b_3 = 40 is past the engine's range for a slope
+    near 50, so its inner bound comes from the capped scale 17), and its
+    verdict is unchanged."""
+    K, _, n, delta, _ = zigzag_scenario()
+    f = random_c1_function(3, cells=6, amplitude=0.5, slope_scale=2.0)
+    f = f.add(C1Function.linear(50.0))
+    lad = ScaleLadder.default((4, 5, 40))
+    plain = check_Y_k(K, f, n, delta, lad, 0, 3, tol=1e-4)
+    cache = CountingCache(f, 1e-4)
+
+    def no_direct_call(*args, **kwargs):
+        raise AssertionError("enclosure computed outside the cache")
+
+    monkeypatch.setattr(indexcomb, "n_set_enclosure", no_direct_call)
+    cached = check_Y_k(K, f, n, delta, lad, 0, 3, tol=1e-4, cache=cache)
+    assert cache.fetches == [
+        (F(1), "full"), (F(4), "full"),
+        (F(2), "full"), (F(5), "full"),
+        (F(3), "full"), (F(40), "full"), (F(17), "full"),
+    ]
+    assert (cached.ok, cached.failures, cached.undecided) == (
+        plain.ok, plain.failures, plain.undecided
+    )
+    assert cached.margins == plain.margins
 
 
 def test_verify_K_n_trick_on_exact_construction():

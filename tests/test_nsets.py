@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from knotpoints.intervalsets import EMPTY, FULL, IntervalSet, ball, is_subset, subset_within
 from knotpoints.nsets import (
     BASIC_VARIANTS,
+    EnclosureRangeError,
+    _Cells,
     _merge_float_cells,
+    _PhiTables,
+    _segment_cells,
+    _split,
+    _witness_lower,
     NSetEnclosure,
     admissible_eps,
     c1_continuity_delta,
@@ -32,8 +38,15 @@ from knotpoints.nsets import (
     pow2_gap_bounds,
     sliding_window_max,
 )
-from knotpoints.realfn import C1Function, PwlFunction, random_c1_function, random_function
-from oracles import grid_n_set, grid_n_set_full, hausdorff_set_vs_points
+from knotpoints.realfn import (
+    C1Function,
+    PwlFunction,
+    cubic_deriv_range,
+    cubic_range,
+    random_c1_function,
+    random_function,
+)
+from oracles import float_bits, grid_n_set, grid_n_set_full, hausdorff_set_vs_points
 
 F = Fraction
 REFERENCE = Path(__file__).resolve().parents[1] / "knotbench" / "reference.json"
@@ -325,8 +338,9 @@ def test_enclosure_pwl_fractional_scale_small_slope_shortcut():
 
 def test_enclosure_pwl_fractional_scale_steep_raises():
     steep = PwlFunction.from_pairs([(0, 0), (F(1, 2), 10), (1, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(EnclosureRangeError) as err:
         n_set_enclosure(steep, F(43, 25), "plus_upper")
+    assert err.value.field == "a"
 
 
 def test_enclosure_c1_derivative_shortcut():
@@ -340,8 +354,122 @@ def test_enclosure_c1_derivative_shortcut():
 
 def test_enclosure_underflow_guard():
     f = C1Function.linear(6000.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(EnclosureRangeError) as err:
         n_set_enclosure(f, 5000, "plus_upper")
+    assert err.value.field == "a"
+
+
+@pytest.mark.parametrize("a, tol, field", [(1, 1e-7, "tol"), (20, 1e-4, "a")])
+def test_enclosure_segment_cap_names_the_binding_parameter(a, tol, field):
+    f = C1Function.linear(100.0)
+    with pytest.raises(EnclosureRangeError) as err:
+        n_set_enclosure(f, a, "plus_upper", tol)
+    assert err.value.field == field
+
+
+def _upper_ref(tab: _PhiTables, lo, hi, kernel, segbest) -> np.ndarray:
+    """Max of phi (kernel cubic_range, segbest the segment maxima) or of phi'
+    over each [lo, hi], one query at a time: segment indices from
+    searchsorted, the left piece always from the kernel, the middle from a
+    plain max over segbest."""
+    grid, n_seg = tab.grid, tab.n_seg
+    out = []
+    for x, h in zip(lo, hi):
+        i = min(max(int(np.searchsorted(grid, x, side="right")) - 1, 0), n_seg - 1)
+        ilast = int(np.searchsorted(grid, h, side="right")) - 1
+        kl = tab.kleft[i]
+        best = kernel(tab.coeffs[:, [i]], [x - kl], [min(grid[i + 1], h) - kl])[1][0]
+        if i + 1 < min(ilast, n_seg):
+            best = max(best, segbest[i + 1 : min(ilast, n_seg)].max())
+        if i < ilast <= n_seg - 1 and grid[ilast] < h:
+            kr = tab.kleft[ilast]
+            best = max(best, kernel(tab.coeffs[:, [ilast]], [grid[ilast] - kr], [h - kr])[1][0])
+        out.append(best)
+    return np.array(out)
+
+
+def test_range_bounds_equal_the_one_query_reference():
+    """Whole segments come from the tables, partial pieces from the kernels:
+    queries that start on a grid point and end inside its segment, cover
+    whole segments, or start and end anywhere."""
+    f = random_c1_function(11, cells=7, amplitude=0.5, slope_scale=3.0)
+    tab = _PhiTables(f.as_cubic_pieces().add_linear(-2.0), 0.01, 0.75)
+    rng = np.random.default_rng(11)
+    i = rng.integers(0, tab.n_seg - 3, 300)
+    g = tab.grid
+    lo = np.where(i % 3 == 2, g[i] + rng.random(300) * (g[i + 1] - g[i]), g[i])
+    hi = np.select(
+        [i % 3 == 0, i % 3 == 1],
+        [g[i] + rng.random(300) * (g[i + 1] - g[i]), g[i + 1 + i % 2]],
+        np.minimum(lo + rng.random(300) * 0.3, 1.0),
+    )
+    assert np.array_equal(
+        float_bits(tab.range_upper(lo, hi)),
+        float_bits(_upper_ref(tab, lo, hi, cubic_range, tab.segmax)),
+    )
+    assert np.array_equal(
+        float_bits(tab.deriv_upper(lo, hi)),
+        float_bits(_upper_ref(tab, lo, hi, cubic_deriv_range, tab.dermax)),
+    )
+
+
+def _by_search(tab: _PhiTables, phi, u: np.ndarray, v: np.ndarray, delta: float) -> dict:
+    """Cell fields and witness the way a fresh search computes them: every
+    index from searchsorted, phi from CubicPieces.eval_vec, the window from
+    the one-query reference."""
+    grid = tab.grid
+    ubw = _upper_ref(tab, v, np.minimum(v + delta, 1.0), cubic_range, tab.segmax)
+    after = np.searchsorted(grid, u + delta, side="right")
+    phi_v = phi.eval_vec(v)
+    phi_r = phi.eval_vec(np.minimum(u + delta, 1.0))
+    first = np.searchsorted(grid, v, side="left")
+    w = [tab.gridvals[i:j].max() if j > i else -np.inf for i, j in zip(first, after)]
+    return {
+        "ubw": ubw,
+        "after": after,
+        "phi_v": phi_v,
+        "phi_r": phi_r,
+        "witness": np.maximum(w, np.maximum(phi_v, phi_r)),
+    }
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+@settings(max_examples=15, deadline=None)
+def test_segment_indexed_bounds_equal_the_search_route(seed, a):
+    """Phase-1 cells, random cells inside a segment (points, one-float
+    cells, whole segments among them) and three generations of halves carry
+    the same window bounds, search indices, phi values and witnesses as a
+    fresh search on their ends would give, bit for bit."""
+    f = random_c1_function(seed, cells=7, amplitude=0.5, slope_scale=3.0)
+    delta = 2.0 ** -a
+    phi = f.as_cubic_pieces().add_linear(-a)
+    tab = _PhiTables(phi, min(1e-2, delta / 2.0), 1.0 - delta)
+    n = int(np.searchsorted(tab.grid, 1.0 - delta, side="left"))
+
+    def check(cells: _Cells) -> None:
+        ref = _by_search(tab, phi, cells.u, cells.v, delta)
+        assert np.array_equal(cells.after, ref["after"])
+        for name in ("ubw", "phi_v", "phi_r"):
+            assert np.array_equal(float_bits(getattr(cells, name)), float_bits(ref[name])), name
+        assert np.array_equal(float_bits(_witness_lower(tab, cells)), float_bits(ref["witness"]))
+
+    check(_segment_cells(tab, n, delta))
+
+    rng = np.random.default_rng(seed)
+    seg = rng.integers(0, n, 200)
+    lo, hi = tab.grid[seg], tab.grid[seg + 1]
+    t = np.sort(rng.random((200, 2)), axis=1)
+    u = np.clip(lo + t[:, 0] * (hi - lo), lo, hi)
+    v = np.clip(lo + t[:, 1] * (hi - lo), u, hi)
+    u[:20], v[:20] = lo[:20], lo[:20]
+    u[20:40], v[20:40] = hi[20:40], hi[20:40]
+    u[40:60], v[40:60] = lo[40:60], hi[40:60]
+    v[60:80] = np.minimum(np.nextafter(u[60:80], 2.0), hi[60:80])
+    ref = _by_search(tab, phi, u, v, delta)
+    cells = _Cells(u, v, seg, ref["ubw"], ref["after"], ref["phi_v"], ref["phi_r"])
+    for _ in range(3):
+        cells = _split(tab, cells, delta)
+        check(cells)
 
 
 @given(st.integers(0, 10 ** 6))

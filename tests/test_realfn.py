@@ -12,12 +12,21 @@ from knotpoints.realfn import (
     C1Function,
     CubicPieces,
     PwlFunction,
+    cubic_deriv_range,
+    cubic_range,
     function_from_json,
     function_to_json,
     pieces_of,
     promote_pwl,
     random_c1_function,
     random_function,
+)
+from oracles import (
+    cubic_deriv_range_scalar,
+    cubic_extrema_candidates,
+    cubic_range_scalar,
+    float_bits,
+    pieces_range_scalar,
 )
 
 F = Fraction
@@ -196,6 +205,71 @@ def test_cubic_range_bounds_contain_samples(seed, pk, qk):
     # the bounds are attained, not just valid
     assert hi <= np.max(vals) + 1e-3
     assert lo >= np.min(vals) - 1e-3
+
+
+coefficient = st.one_of(
+    st.just(0.0),
+    st.integers(-4, 4).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def cubic_on_interval(draw):
+    """A cubic with c3 = 0 or c2 = 0 now and then, on an interval that may be
+    a single point or end exactly at a critical point."""
+    c = [draw(coefficient) for _ in range(4)]
+    zero = draw(st.sampled_from(["none", "c3", "c2", "both"]))
+    if zero in ("c3", "both"):
+        c[3] = 0.0
+    if zero in ("c2", "both"):
+        c[2] = 0.0
+    s_lo = draw(st.floats(-2.0, 2.0, allow_nan=False))
+    width = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0, allow_nan=False)))
+    s_hi = s_lo + width
+    crit = cubic_extrema_candidates(c, -np.inf, np.inf)[2:]
+    end = draw(st.sampled_from(["free", "lo_at_root", "hi_at_root"]))
+    if crit and end == "lo_at_root":
+        s_lo = crit[0]
+        s_hi = s_lo + width
+    elif crit and end == "hi_at_root":
+        s_hi = crit[-1]
+        s_lo = s_hi - width
+    return c, s_lo, s_hi
+
+
+@given(st.lists(cubic_on_interval(), min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_range_kernels_equal_the_scalar_reference_bitwise(rows):
+    """The vectorized kernels give the scalar loop's min and max, bit for
+    bit, on every row of a batch."""
+    c = np.array([r[0] for r in rows]).T
+    s_lo = np.array([r[1] for r in rows])
+    s_hi = np.array([r[2] for r in rows])
+    pairs = ((cubic_range, cubic_range_scalar), (cubic_deriv_range, cubic_deriv_range_scalar))
+    for kernel, scalar in pairs:
+        lo, hi = kernel(c, s_lo, s_hi)
+        ref = [scalar(r[0], r[1], r[2]) for r in rows]
+        assert np.array_equal(float_bits(lo), float_bits([m for m, _ in ref]))
+        assert np.array_equal(float_bits(hi), float_bits([m for _, m in ref]))
+        # the min is the max of the negated cubic, negated
+        nlo, nhi = kernel(-c, s_lo, s_hi)
+        assert np.array_equal(float_bits(lo), float_bits(-nhi))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 30), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_pieces_ranges_equal_the_scalar_reference_bitwise(seed, cells, x, y):
+    """range_on and deriv_range_on equal the cell-by-cell scalar loop, also
+    on a single point and from a knot."""
+    pc = pieces_of(random_c1_function(seed=seed, cells=cells))
+    p, q = min(x, y), max(x, y)
+    k = float(pc.breaks[cells // 2])
+    for lo, hi in ((p, q), (p, p), (k, max(k, q))):
+        ref = pieces_range_scalar(pc, lo, hi)
+        assert float_bits(pc.range_on(lo, hi)).tolist() == float_bits(ref).tolist()
+        ref = pieces_range_scalar(pc, lo, hi, deriv=True)
+        assert float_bits(pc.deriv_range_on(lo, hi)).tolist() == float_bits(ref).tolist()
 
 
 def test_cubic_argmax_is_a_maximizer():
