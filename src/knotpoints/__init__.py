@@ -99,7 +99,6 @@ from .nsets import (
     point_defects_float,
     pow2_bounds,
     pow2_gap_bounds,
-    sliding_window_max,
 )
 from .realfn import (
     C1Function,

@@ -59,7 +59,13 @@ from .intervalsets import (
     subset_within,
     union_of_point_sets,
 )
-from .nsets import NSetEnclosure, admissible_eps, continuity_delta, n_set_enclosure
+from .nsets import (
+    EnclosureRangeError,
+    NSetEnclosure,
+    admissible_eps,
+    continuity_delta,
+    n_set_enclosure,
+)
 from .realfn import C1Function, function_from_json, function_to_json, random_c1_function
 
 __all__ = [
@@ -531,10 +537,6 @@ class _EnclosureCache:
         return self._store[key]
 
 
-def _points_iset(pts: FinitePointSet) -> IntervalSet:
-    return pts.as_interval_set()
-
-
 @dataclass(frozen=True)
 class StarCheck:
     """Verdict for the three bullet families over j in [m], both readings.
@@ -577,10 +579,10 @@ def star_bullets(
         a_scale = ladder.a_refined(j, m, ka)
         b_scale = ladder.b_refined(j, m, kb)
         for rd in ("hat", "check"):
-            sel = _points_iset(_tilde_union(K_sets, A, rd))
+            sel = _tilde_union(K_sets, A, rd).as_interval_set()
             try:
                 enc_a = cache.get(a_scale, rd)
-            except ValueError as e:
+            except EnclosureRangeError as e:
                 undecided.append((j, 1, rd))
                 margins[(j, 1, rd)] = f"enclosure unavailable: {e}"
                 undecided.append((j, 3, rd))
@@ -614,7 +616,7 @@ def star_bullets(
                     else:
                         failures.append((j, 2, rd))
                         margins[(j, 2, rd)] = float(m2)
-            except ValueError as e:
+            except EnclosureRangeError as e:
                 undecided.append((j, 2, rd))
                 margins[(j, 2, rd)] = f"enclosure unavailable: {e}"
             # bullet (iii): fine slope set avoids closed w-balls of the rest
@@ -622,7 +624,7 @@ def star_bullets(
                 if not out_idx:
                     margins[(j, 3, rd)] = "vacuous"
                     continue
-                others = ball(_points_iset(_tilde_union(K_sets, out_idx, rd)), w_m)
+                others = ball(_tilde_union(K_sets, out_idx, rd).as_interval_set(), w_m)
                 apart, gap = disjoint_gap(enc_a.outer, others)
                 if apart:
                     margins[(j, 3, rd)] = float(gap) if gap is not None else None
@@ -1000,7 +1002,7 @@ def round_m(
         A_prev = index_set_A(j, m - 1, IndexSeq(ns_prev))
         a1 = ladder.a_refined(j, m, 1)
         for rd in ("hat", "check"):
-            sel = _points_iset(_tilde_union(prev.K_sets, A_prev, rd))
+            sel = _tilde_union(prev.K_sets, A_prev, rd).as_interval_set()
             ok, marg = subset_within(cache_f.get(a1, rd).outer, sel, prev.w_m)
             if not ok:
                 raise GameError(
@@ -1183,7 +1185,7 @@ def _build_L_sets(
         b1 = ladder.b_refined(j, m, 1)
         a1 = ladder.a_refined(j, m, 1)
         for rd in ("hat", "check"):
-            anchor = _points_iset(prev.K_sets[n - 1].tilde(rd))
+            anchor = prev.K_sets[n - 1].tilde(rd).as_interval_set()
             carrier = cache_f.get(b1, rd).inner.intersect(ball(anchor, wp))
             target = cache_f.get(a1, rd).outer.intersect(ball(anchor, wp - zeta))
             if carrier.is_empty and not target.is_empty:
@@ -1204,7 +1206,7 @@ def _build_L_sets(
         A_prev = index_set_A(j - 1, m - 1, nseq)
         for rd in ("hat", "check"):
             balls_prev = ball(
-                _points_iset(_tilde_union(prev.K_sets, A_prev, rd)), wp - zeta
+                _tilde_union(prev.K_sets, A_prev, rd).as_interval_set(), wp - zeta
             )
             carrier = (
                 cache_f.get(a1j, rd)
@@ -1219,7 +1221,7 @@ def _build_L_sets(
     for rd in ("hat", "check"):
         covered = IntervalSet.empty()
         for s in halves[rd]:
-            covered = covered.union(ball(_points_iset(s), mu_frac))
+            covered = covered.union(ball(s.as_interval_set(), mu_frac))
         residual = IntervalSet.full().difference(covered)
         pts = _grid_points(residual, step)
         total += len(pts)
@@ -1258,8 +1260,8 @@ def _certify_L_claims(
     for n in range(1, prev.n_m + 1):
         for rd in ("hat", "check"):
             d = (
-                _points_iset(L_sets[n - 1].tilde(rd))
-                .hausdorff(_points_iset(prev.K_sets[n - 1].tilde(rd)))
+                L_sets[n - 1].tilde(rd).as_interval_set()
+                .hausdorff(prev.K_sets[n - 1].tilde(rd).as_interval_set())
             )
             slack = wp - d
             if not slack > 0:
@@ -1273,7 +1275,7 @@ def _certify_L_claims(
     a_top = ladder.a_refined(m - 1, m, 1)
     for rd in ("hat", "check"):
         nets = union_of_point_sets(s.tilde(rd) for s in L_sets[: prev.n_m + m - 2])
-        ok, marg = subset_within(cache_f.get(a_top, rd).outer, _points_iset(nets), mu_frac)
+        ok, marg = subset_within(cache_f.get(a_top, rd).outer, nets.as_interval_set(), mu_frac)
         if not ok:
             raise GameError(f"claim (2) fails ({rd})")
         margins[f"claim_2_{rd}"] = float(marg)
@@ -1291,7 +1293,7 @@ def _certify_L_claims(
     for rd in ("hat", "check"):
         full_cover = IntervalSet.empty()
         for s in L_sets:
-            full_cover = full_cover.union(ball(_points_iset(s.tilde(rd)), mu_frac))
+            full_cover = full_cover.union(ball(s.tilde(rd).as_interval_set(), mu_frac))
         if not is_subset(IntervalSet.full(), full_cover):
             raise GameError(f"claim (4) fails ({rd})")
     # the nets are grids at spacing strictly below the covering radius;
@@ -1304,12 +1306,12 @@ def _certify_L_claims(
         A_prevj = index_set_A(j - 1, m - 1, nseq)
         for rd in ("hat", "check"):
             sel = _tilde_union(L_sets, [n for n in grown if n <= len(L_sets)], rd)
-            near = _points_iset(
+            near = (
                 union_of_point_sets(
                     L_sets[n - 1].tilde(rd) for n in sorted(A_prevj)
                 )
-            )
-            ok, marg = subset_within(_points_iset(sel), near, 2 * wp)
+            ).as_interval_set()
+            ok, marg = subset_within(sel.as_interval_set(), near, 2 * wp)
             if not ok:
                 raise GameError(f"claim (5) fails at j={j} ({rd})")
             margins[f"claim_5_j{j}_{rd}"] = float(marg)
@@ -1321,7 +1323,7 @@ def _certify_L_claims(
         for rd in ("hat", "check"):
             if not out_idx:
                 continue
-            others = _points_iset(_tilde_union(L_sets, out_idx, rd))
+            others = _tilde_union(L_sets, out_idx, rd).as_interval_set()
             apart, gapv = disjoint_gap(cache_f.get(a2, rd).outer, others)
             if not apart:
                 raise GameError(f"claim (6) fails at j={j} ({rd})")
@@ -1357,8 +1359,8 @@ def _certify_K_claims(
     for n in range(1, prev.n_m + 1):
         for rd in ("hat", "check"):
             d = (
-                _points_iset(K_sets[n - 1].tilde(rd))
-                .hausdorff(_points_iset(prev.K_sets[n - 1].tilde(rd)))
+                K_sets[n - 1].tilde(rd).as_interval_set()
+                .hausdorff(prev.K_sets[n - 1].tilde(rd).as_interval_set())
             )
             slack = wp - d
             if not slack > 0:
@@ -1372,13 +1374,13 @@ def _certify_K_claims(
         A = index_set_A(j, m, nseq_m)
         for rd in ("hat", "check"):
             sel = _tilde_union(K_sets, [n for n in A if n <= built], rd)
-            if not _points_iset(sel).subset_of_interior(cache_f.get(b2, rd).inner):
+            if not sel.as_interval_set().subset_of_interior(cache_f.get(b2, rd).inner):
                 raise GameError(f"located claim (3) fails at j={j} ({rd})")
 
     for rd in ("hat", "check"):
         full_cover = IntervalSet.empty()
         for s in K_sets[:built]:
-            full_cover = full_cover.union(ball(_points_iset(s.tilde(rd)), mu_frac))
+            full_cover = full_cover.union(ball(s.tilde(rd).as_interval_set(), mu_frac))
         if not is_subset(IntervalSet.full(), full_cover):
             raise GameError(f"located claim (4) fails ({rd})")
 
@@ -1386,10 +1388,10 @@ def _certify_K_claims(
         grown = index_set_A(j, m, nseq_m) - index_set_A(j, m - 1, nseq)
         A_prevj = index_set_A(j - 1, m - 1, nseq)
         for rd in ("hat", "check"):
-            sel = _points_iset(
+            sel = (
                 _tilde_union(K_sets, [n for n in grown if n <= built], rd)
-            )
-            near = _points_iset(_tilde_union(K_sets, A_prevj, rd))
+            ).as_interval_set()
+            near = _tilde_union(K_sets, A_prevj, rd).as_interval_set()
             ok, marg = subset_within(sel, near, 2 * wp)
             if not ok:
                 raise GameError(f"located claim (5) fails at j={j} ({rd})")
@@ -1402,7 +1404,7 @@ def _certify_K_claims(
         if not out_idx:
             continue
         for rd in ("hat", "check"):
-            others = _points_iset(_tilde_union(K_sets, out_idx, rd))
+            others = _tilde_union(K_sets, out_idx, rd).as_interval_set()
             apart, gapv = disjoint_gap(cache_f.get(a2, rd).outer, others)
             if not apart:
                 raise GameError(f"located claim (6) fails at j={j} ({rd})")
@@ -1478,8 +1480,8 @@ def limit_report(state: GameState) -> dict:
         for n in range(1, rec.n_m + 1):
             for mj in range(mi, M + 1):
                 d = (
-                    _points_iset(state.rounds[mj - 1].K_sets[n - 1].flat())
-                    .hausdorff(_points_iset(rec.K_sets[n - 1].flat()))
+                    state.rounds[mj - 1].K_sets[n - 1].flat().as_interval_set()
+                    .hausdorff(rec.K_sets[n - 1].flat().as_interval_set())
                 )
                 slack = float(bound - d)
                 if worst is None or slack < worst:
@@ -1498,18 +1500,18 @@ def limit_report(state: GameState) -> dict:
         radius = 3 * rec.w_m
         for j in range(1, m + 1):
             A = index_set_A(j, m, nseq)
-            sel = _points_iset(
+            sel = (
                 union_of_point_sets(limit_sets[n - 1] for n in sorted(A) if n <= len(limit_sets))
-            )
+            ).as_interval_set()
             try:
                 enc = cache.get(Fraction(j), "full")
                 okf, margf = subset_within(enc.outer, sel, radius)
-            except ValueError as e:
+            except EnclosureRangeError as e:
                 okf, margf = None, str(e)
             try:
                 encb = cache.get(rec.b_m, "full")
                 okb, margb = subset_within(sel, encb.inner, radius)
-            except ValueError as e:
+            except EnclosureRangeError as e:
                 okb, margb = None, str(e)
             cov_entries[f"j={j},m={m}"] = {
                 "fine_in_balls": okf,
@@ -1527,7 +1529,7 @@ def limit_report(state: GameState) -> dict:
     for rec in state.rounds:
         deltas.append(4 * rec.w_m + 2 * w_prev)
         w_prev = rec.w_m
-    K_seq = SeqOfSets(tuple(_points_iset(s) for s in limit_sets))
+    K_seq = SeqOfSets(tuple(s.as_interval_set() for s in limit_sets))
     comb = check_Y_k(
         K_seq,
         f,
@@ -1552,8 +1554,8 @@ def limit_report(state: GameState) -> dict:
         worst_o = None
         for n in range(1, rec.n_m + 1):
             d = (
-                _points_iset(limit_sets[n - 1])
-                .hausdorff(_points_iset(rec.K_sets[n - 1].flat()))
+                limit_sets[n - 1].as_interval_set()
+                .hausdorff(rec.K_sets[n - 1].flat().as_interval_set())
             )
             slack = float(bound - d)
             worst_o = slack if worst_o is None else min(worst_o, slack)

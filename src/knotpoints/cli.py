@@ -394,9 +394,20 @@ def cmd_game(args, argv: list[str]) -> dict:
     return _report(argv, inputs, outputs, checks, seed=args.seed), None
 
 
+def _grid_hits(s: IntervalSet, n: int) -> int:
+    """How many of the grid points i/n, i = 0..n, lie in s: per component
+    [lo, hi], the integers from ceil(lo*n) to floor(hi*n)."""
+    hits = 0
+    for lo, hi in zip(s.nums[0::2], s.nums[1::2]):
+        hits += max(0, hi * n // s.den + (-lo * n) // s.den + 1)
+    return hits
+
+
 def cmd_jarnik_demo(args, argv: list[str]) -> dict:
     if args.grid < 1000:
         raise InputError("grid", "grid must be at least 1000")
+    if args.depth < 0:
+        raise InputError("depth", f"depth must be >= 0, got {args.depth}")
     a_list = _int_list(args.a_list, "a-list")
     if not a_list or any(a < 1 for a in a_list):
         raise InputError("a-list", "need positive integer scales")
@@ -406,8 +417,7 @@ def cmd_jarnik_demo(args, argv: list[str]) -> dict:
     fractions = {}
     for a in sorted(a_list):
         s = n_set_exact(f, a, "full")
-        hits = sum(1 for i in range(args.grid + 1) if s.contains_point(Fraction(i, args.grid)))
-        fractions[a] = hits / (args.grid + 1)
+        fractions[a] = _grid_hits(s, args.grid) / (args.grid + 1)
     monotone = all(
         fractions[x] <= fractions[y] + 1e-15
         for x, y in zip(sorted(fractions), sorted(fractions)[1:])

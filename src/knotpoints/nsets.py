@@ -15,10 +15,13 @@ the a-set in the b-set variant by variant.
 
 Two computation paths:
 
-* exact (PwlFunction, integer a): the membership test collapses to a sliding
-  window maximum of phi = f - a*id, which is again piecewise linear with
-  constructible breakpoints; the set is the exact zero set of the slack
-  M - phi >= 0.  Everything is rational arithmetic.
+* exact (PwlFunction, integer a): the membership test compares phi = f - a*id
+  with its sliding window maximum.  One integer event sweep over phi (all
+  positions and values are integers over common denominators) visits the
+  cells between consecutive window events; on each cell phi and the window
+  end are single lines and the interior breakpoints a constant, so the set
+  is read per cell from endpoint signs.  Only crossing points are new
+  rationals; nothing is rounded.
 * certified enclosure (C1Function, real a > 0): adaptive bisection with
   window bounds from closed-form cubic extrema returns inner/outer interval
   enclosures.  Bounds are evaluated in double precision (no directed
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
@@ -63,7 +67,6 @@ __all__ = [
     "BASIC_VARIANTS",
     "EnclosureRangeError",
     "NSetEnclosure",
-    "sliding_window_max",
     "n_set_exact",
     "n_set_enclosure",
     "n_full_truncated",
@@ -228,126 +231,113 @@ def admissible_eps(a: Rat, b: Rat, eps: Rat) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# exact path: piecewise-linear sliding window maximum
+# exact path: one integer event sweep
 # ---------------------------------------------------------------------------
 
 
-def _line_through(x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction) -> tuple[Fraction, Fraction]:
-    s = (y1 - y0) / (x1 - x0)
-    return s, y0 - s * x0
+def _half_cell(u: int, v: int, gu: int, gv: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """{x in [u, v] : g(x) >= 0} for g linear on the cell with g(u) = gu and
+    g(v) = gv, as (lo, hi) with each end a pair (n, d), d > 0, standing for
+    n/d in the units of u and v.  A sign change crosses at (v gu - u gv) /
+    (gu - gv); an empty half comes back inverted, as (v, u)."""
+    if gu >= 0 and gv >= 0:
+        return (u, 1), (v, 1)
+    if gu < 0 and gv < 0:
+        return (v, 1), (u, 1)
+    if gu >= 0:
+        return (u, 1), (v * gu - u * gv, gu - gv)
+    return (u * gv - v * gu, gv - gu), (v, 1)
 
 
-def _envelope_points(
-    lines: list[tuple[Fraction, Fraction]], u: Fraction, v: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Upper envelope of finitely many lines on [u,v] as (x, value) samples;
-    between consecutive samples the envelope is a single line, so the samples
-    describe it exactly."""
-    xs = {u, v}
-    for i in range(len(lines)):
-        s1, c1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            s2, c2 = lines[j]
-            if s1 != s2:
-                x = (c2 - c1) / (s1 - s2)
-                if u < x < v:
-                    xs.add(x)
+def _le(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    return p[0] * q[1] <= q[0] * p[1]
+
+
+def _values_at(T: list[int], Z: list[int], S: list[int], pts: list[int]) -> list[int]:
+    """phi at increasing integer points of [T[0], T[-1]], by one forward walk
+    over the segments: Z[j] + S[j] (p - T[j]) on [T[j], T[j+1]]."""
     out = []
-    for x in sorted(xs):
-        out.append((x, max(s * x + c for s, c in lines)))
+    j, last = 0, len(T) - 2
+    for p in pts:
+        while j < last and T[j + 1] <= p:
+            j += 1
+        out.append(Z[j] + S[j] * (p - T[j]))
     return out
 
 
-def sliding_window_max(phi: PwlFunction, delta: Rat) -> PwlFunction:
-    """M(x) = max of phi over [x, x+delta], exactly, on [0, 1-delta].
-
-    Between consecutive event points (breakpoints and breakpoints shifted left
-    by delta) the window interior sees a fixed set of breakpoints, so M is the
-    upper envelope of two lines (the moving endpoints) and one constant (the
-    best interior breakpoint, maintained by a monotone deque).
-    """
-    delta = as_fraction(delta)
-    if not 0 < delta <= 1:
-        raise ValueError("need 0 < delta <= 1")
-    if phi.domain != (Fraction(0), Fraction(1)):
-        raise ValueError("sliding_window_max expects domain [0,1]")
-    xmax = 1 - delta
-    if xmax == 0:
-        # window is the whole domain; a PWL max is attained at a breakpoint
-        return PwlFunction((Fraction(0),), (max(phi.values),))
-
-    bks = phi.breakpoints
-    events = {Fraction(0), xmax}
-    for t in bks:
-        if t <= xmax:
-            events.add(t)
-        if 0 <= t - delta <= xmax:
-            events.add(t - delta)
-    ev = sorted(events)
-
-    # monotone deque of breakpoint indices with t in [v, u+delta], values
-    # decreasing from the front
-    from collections import deque
-
-    dq: deque[int] = deque()
-    add_ptr = 0
-    samples: dict[Fraction, Fraction] = {}
-
-    for u, v in zip(ev, ev[1:]):
-        hi = u + delta
-        while add_ptr < len(bks) and bks[add_ptr] <= hi:
-            val = phi.values[add_ptr]
-            while dq and phi.values[dq[-1]] <= val:
-                dq.pop()
-            dq.append(add_ptr)
-            add_ptr += 1
-        while dq and bks[dq[0]] < v:
-            dq.popleft()
-
-        lines = [
-            _line_through(u, phi.eval(u), v, phi.eval(v)),
-            _line_through(u, phi.eval(u + delta), v, phi.eval(v + delta)),
-        ]
-        if dq:
-            lines.append((Fraction(0), phi.values[dq[0]]))
-        for x, val in _envelope_points(lines, u, v):
-            prev = samples.get(x)
-            if prev is not None and prev != val:
-                raise AssertionError("window max envelope mismatch at cell boundary")
-            samples[x] = val
-
-    xs = sorted(samples)
-    return PwlFunction(tuple(xs), tuple(samples[x] for x in xs)).simplify()
-
-
-def _zero_set(d: PwlFunction) -> IntervalSet:
-    """Zero set of a nonnegative piecewise-linear function, exactly: whole
-    segments where it vanishes identically plus isolated endpoint zeros."""
-    pairs: list[tuple[Fraction, Fraction]] = []
-    bks, vals = d.breakpoints, d.values
-    if len(bks) == 1:
-        return IntervalSet.points([bks[0]]) if vals[0] == 0 else EMPTY
-    for i in range(len(bks) - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 < 0 or v1 < 0:
-            raise AssertionError("window-max slack went negative; internal error")
-        if v0 == 0 and v1 == 0:
-            pairs.append((bks[i], bks[i + 1]))
-        elif v0 == 0:
-            pairs.append((bks[i], bks[i]))
-        elif v1 == 0:
-            pairs.append((bks[i + 1], bks[i + 1]))
-    return IntervalSet.from_pairs(pairs)
-
-
 def _plus_upper_exact(f: PwlFunction, a: int) -> IntervalSet:
-    delta = Fraction(1, 2**a)
-    phi = f.add_linear(-a)
-    m = sliding_window_max(phi, delta)
-    if 1 - delta == 0:
-        return IntervalSet.points([0]) if m.values[0] == phi.values[0] else EMPTY
-    d = m.sub(phi.restrict(0, 1 - delta))
-    return _zero_set(d)
+    """The forward-upper set of f at integer scale a >= 1 in one integer
+    event sweep of phi = f - a*x.
+
+    Between consecutive events (breakpoints <= 1 - delta and breakpoints
+    shifted left by delta) the window [x, x+delta] of a cell [u, v] sees a
+    fixed set of breakpoints, [v, u+delta], whose best value c a monotone
+    deque keeps (Lemire's streaming max filter), and phi is one line L0 at x
+    and one line L1 at x + delta.  The window max is max(L0, L1, c), so the
+    set on the cell is {L0 >= L1} & {L0 >= c}; each half is all, none or one
+    side of a sign change.  Since the window holds x, L0 never exceeds the
+    max: the slack max - phi is nonnegative by construction.
+
+    Positions are integers over X = lcm(2^a, breakpoint denominators), and
+    values integers over one denominator that makes phi exact at every event
+    and event + delta: the lcm of the value denominators and X, times the
+    lcm of the segment widths.  No division rounds: every // below divides
+    an lcm by one of its arguments.
+    """
+    if f.domain != (0, 1):
+        raise ValueError("the exact sweep expects domain [0,1]")
+    X = math.lcm(1 << a, *(t.denominator for t in f.breakpoints))
+    D = X >> a
+    T = [t.numerator * (X // t.denominator) for t in f.breakpoints]
+    V = math.lcm(X, *(y.denominator for y in f.values))
+    Y = [y.numerator * (V // y.denominator) - a * t * (V // X) for t, y in zip(T, f.values)]
+    L = math.lcm(*(t1 - t0 for t0, t1 in zip(T, T[1:])))
+    Z = [y * L for y in Y]
+    S = [(y1 - y0) * (L // (t1 - t0)) for t0, t1, y0, y1 in zip(T, T[1:], Y, Y[1:])]
+
+    xmax = X - D
+    ev = sorted({t for t in T if t <= xmax} | {t - D for t in T if t >= D})
+    at = _values_at(T, Z, S, ev)
+    ahead = _values_at(T, Z, S, [e + D for e in ev])
+
+    dq: deque[int] = deque()  # breakpoints in [v, u + D], values decreasing
+    add = 0
+    runs: list[list[tuple[int, int]]] = []
+    m_prev = None
+    for i in range(len(ev) - 1):
+        u, v = ev[i], ev[i + 1]
+        while add < len(T) and T[add] <= u + D:
+            while dq and Z[dq[-1]] <= Z[add]:
+                dq.pop()
+            dq.append(add)
+            add += 1
+        while dq and T[dq[0]] < v:
+            dq.popleft()
+        pu, pv, ru, rv = at[i], at[i + 1], ahead[i], ahead[i + 1]
+        # with no breakpoint inside the window, min(pu, pv) stands in for c:
+        # it changes neither the max nor {L0 >= c}, as L0 >= min(pu, pv)
+        c = Z[dq[0]] if dq else min(pu, pv)
+
+        # the window max at u from this cell must match the one at the
+        # same point from the cell before
+        if m_prev is not None and max(pu, ru, c) != m_prev:
+            raise AssertionError("window max envelope mismatch at cell boundary")
+        m_prev = max(pv, rv, c)
+
+        lo1, hi1 = _half_cell(u, v, pu - ru, pv - rv)
+        lo2, hi2 = _half_cell(u, v, pu - c, pv - c)
+        lo = lo2 if _le(lo1, lo2) else lo1
+        hi = hi1 if _le(hi1, hi2) else hi2
+        if not _le(lo, hi):
+            continue
+        if runs and _le(lo, runs[-1][1]):
+            runs[-1][1] = hi  # lo is where the run before ends
+        else:
+            runs.append([lo, hi])
+
+    ends = [p for run in runs for p in run]
+    den = math.lcm(*(X * d for _, d in ends))
+    return IntervalSet([n * (den // (X * d)) for n, d in ends], den)
 
 
 def n_set_exact(f: PwlFunction, a: Rat, variant: str = "full") -> IntervalSet:

@@ -1,19 +1,23 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here recomputes the quantities under test from their definitions,
-on grids, without touching the library's exact sweep/envelope machinery: a
-trailing/leading window max by block cummax (van Herk), grid membership for
-the window conditions, float Hausdorff comparisons, and a witness scan for
-the certified epsilon.  Deliberately simple; speed comes from numpy only.
+on grids, without touching the library's exact sweep: a trailing/leading
+window max by block cummax (van Herk), grid membership for the window
+conditions, float Hausdorff comparisons, and a witness scan for the certified
+epsilon.  Deliberately simple; speed comes from numpy only.  The exact
+exception sets of piecewise-linear functions have a rational reference too:
+the window-max envelope built with `PwlFunction` arithmetic and its zero set
+against phi.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
-from knotpoints.intervalsets import IntervalSet
+from knotpoints.intervalsets import EMPTY, IntervalSet, as_fraction
 from knotpoints.realfn import C1Function, PwlFunction
 
 VARIANT_NAMES = ("plus_upper", "plus_lower", "minus_upper", "minus_lower")
@@ -264,3 +268,135 @@ def float_bits(x) -> np.ndarray:
     between the two zeros numpy's and Python's min/max may keep either, and
     every decision compares values, where the two zeros are equal."""
     return (np.asarray(x, dtype=np.float64) + 0.0).view(np.int64)
+
+
+def _line_through(x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction) -> tuple[Fraction, Fraction]:
+    s = (y1 - y0) / (x1 - x0)
+    return s, y0 - s * x0
+
+
+def _envelope_points(
+    lines: list[tuple[Fraction, Fraction]], u: Fraction, v: Fraction
+) -> list[tuple[Fraction, Fraction]]:
+    """Upper envelope of finitely many lines on [u,v] as (x, value) samples;
+    between consecutive samples the envelope is a single line, so the samples
+    describe it exactly."""
+    xs = {u, v}
+    for i in range(len(lines)):
+        s1, c1 = lines[i]
+        for j in range(i + 1, len(lines)):
+            s2, c2 = lines[j]
+            if s1 != s2:
+                x = (c2 - c1) / (s1 - s2)
+                if u < x < v:
+                    xs.add(x)
+    out = []
+    for x in sorted(xs):
+        out.append((x, max(s * x + c for s, c in lines)))
+    return out
+
+
+def sliding_window_max(phi: PwlFunction, delta) -> PwlFunction:
+    """M(x) = max of phi over [x, x+delta], exactly, on [0, 1-delta].
+
+    Between consecutive event points (breakpoints and breakpoints shifted left
+    by delta) the window interior sees a fixed set of breakpoints, so M is the
+    upper envelope of two lines (the moving endpoints) and one constant (the
+    best interior breakpoint, maintained by a monotone deque).
+    """
+    delta = as_fraction(delta)
+    if not 0 < delta <= 1:
+        raise ValueError("need 0 < delta <= 1")
+    if phi.domain != (Fraction(0), Fraction(1)):
+        raise ValueError("sliding_window_max expects domain [0,1]")
+    xmax = 1 - delta
+    if xmax == 0:
+        # window is the whole domain; a PWL max is attained at a breakpoint
+        return PwlFunction((Fraction(0),), (max(phi.values),))
+
+    bks = phi.breakpoints
+    events = {Fraction(0), xmax}
+    for t in bks:
+        if t <= xmax:
+            events.add(t)
+        if 0 <= t - delta <= xmax:
+            events.add(t - delta)
+    ev = sorted(events)
+
+    # monotone deque of breakpoint indices with t in [v, u+delta], values
+    # decreasing from the front
+    dq: deque[int] = deque()
+    add_ptr = 0
+    samples: dict[Fraction, Fraction] = {}
+
+    for u, v in zip(ev, ev[1:]):
+        hi = u + delta
+        while add_ptr < len(bks) and bks[add_ptr] <= hi:
+            val = phi.values[add_ptr]
+            while dq and phi.values[dq[-1]] <= val:
+                dq.pop()
+            dq.append(add_ptr)
+            add_ptr += 1
+        while dq and bks[dq[0]] < v:
+            dq.popleft()
+
+        lines = [
+            _line_through(u, phi.eval(u), v, phi.eval(v)),
+            _line_through(u, phi.eval(u + delta), v, phi.eval(v + delta)),
+        ]
+        if dq:
+            lines.append((Fraction(0), phi.values[dq[0]]))
+        for x, val in _envelope_points(lines, u, v):
+            prev = samples.get(x)
+            if prev is not None and prev != val:
+                raise AssertionError("window max envelope mismatch at cell boundary")
+            samples[x] = val
+
+    xs = sorted(samples)
+    return PwlFunction(tuple(xs), tuple(samples[x] for x in xs)).simplify()
+
+
+def _zero_set(d: PwlFunction) -> IntervalSet:
+    """Zero set of a nonnegative piecewise-linear function, exactly: whole
+    segments where it vanishes identically plus isolated endpoint zeros."""
+    pairs: list[tuple[Fraction, Fraction]] = []
+    bks, vals = d.breakpoints, d.values
+    if len(bks) == 1:
+        return IntervalSet.points([bks[0]]) if vals[0] == 0 else EMPTY
+    for i in range(len(bks) - 1):
+        v0, v1 = vals[i], vals[i + 1]
+        if v0 < 0 or v1 < 0:
+            raise AssertionError("window-max slack went negative")
+        if v0 == 0 and v1 == 0:
+            pairs.append((bks[i], bks[i + 1]))
+        elif v0 == 0:
+            pairs.append((bks[i], bks[i]))
+        elif v1 == 0:
+            pairs.append((bks[i + 1], bks[i + 1]))
+    return IntervalSet.from_pairs(pairs)
+
+
+def plus_upper_reference(f: PwlFunction, a: int) -> IntervalSet:
+    """The forward-upper set of f at integer scale a as the zero set of
+    sliding_window_max(phi, delta) - phi on [0, 1-delta], phi = f - a*x, all
+    in `PwlFunction` arithmetic."""
+    delta = Fraction(1, 2**a)
+    phi = f.add_linear(-a)
+    m = sliding_window_max(phi, delta)
+    if 1 - delta == 0:
+        return IntervalSet.points([0]) if m.values[0] == phi.values[0] else EMPTY
+    return _zero_set(m.sub(phi.restrict(0, 1 - delta)))
+
+
+def basic_variant_reference(f: PwlFunction, a: int, variant: str) -> IntervalSet:
+    """A basic variant through plus_upper_reference and the two involutions
+    (negate f for the lower bound, reflect x for backward windows)."""
+    if variant == "plus_upper":
+        return plus_upper_reference(f, a)
+    if variant == "plus_lower":
+        return plus_upper_reference(f.negate(), a)
+    if variant == "minus_lower":
+        return plus_upper_reference(f.reflect(), a).reflect()
+    if variant == "minus_upper":
+        return plus_upper_reference(f.reflect().negate(), a).reflect()
+    raise ValueError(f"unknown variant {variant!r}")

@@ -1,13 +1,18 @@
-"""Command-line front end: the `nset` subcommand through `cli.main`."""
+"""Command-line front end: the `nset` and `jarnik-demo` subcommands through
+`cli.main`, and the grid count behind `jarnik-demo`."""
 
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotpoints import cli
 from knotpoints.intervalsets import IntervalSet
 from knotpoints.realfn import PwlFunction, function_to_json, random_c1_function
+
+F = Fraction
 
 
 @pytest.fixture
@@ -59,3 +64,36 @@ def test_nset_out_of_range_enclosures_are_input_errors(c1_file, tmp_path, capsys
         assert rc == 2
         assert f"input error in field '{field}'" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_jarnik_demo_rejects_negative_depth(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    rc = cli.main(["jarnik-demo", "--depth", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "input error in field 'depth'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@st.composite
+def interval_sets(draw):
+    """Sets over a mix of denominators: grid-like ones (so endpoints fall
+    exactly on the grid) and ones coprime to it; components may be points."""
+    den = draw(st.sampled_from((1, 2, 7, 10, 12, 1000, 2000, 2001, 4096, 3 * 2**20, 99991)))
+    ends = sorted(draw(st.lists(st.integers(0, den), max_size=12)))
+    pairs = [(F(lo, den), F(hi, den)) for lo, hi in zip(ends[0::2], ends[1::2])]
+    if draw(st.booleans()):
+        pairs += [(x, x) for x in draw(st.lists(st.integers(0, den).map(lambda k: F(k, den)), max_size=3))]
+    return IntervalSet.from_pairs(pairs)
+
+
+@given(interval_sets(), st.sampled_from((1, 3, 7, 10, 1000, 2000, 2001)))
+@settings(max_examples=200, deadline=None)
+def test_grid_hits_counts_grid_points(s, n):
+    assert cli._grid_hits(s, n) == sum(s.contains_point(Fraction(i, n)) for i in range(n + 1))
+
+
+def test_grid_hits_examples():
+    assert cli._grid_hits(IntervalSet.full(), 2000) == 2001
+    assert cli._grid_hits(IntervalSet.points([Fraction(1, 2)]), 2000) == 1
+    assert cli._grid_hits(IntervalSet.points([Fraction(1, 3)]), 2000) == 0
+    assert cli._grid_hits(IntervalSet.from_pairs([(Fraction(1, 3), Fraction(2, 3))]), 3) == 2

@@ -1,6 +1,6 @@
-"""Exception sets: certified power-of-two brackets, the exact sliding-window
-path for piecewise-linear functions, certified C1 enclosures, and the scale
-continuity helpers."""
+"""Exception sets: certified power-of-two brackets, the exact integer sweep
+for piecewise-linear functions (against the rational window-max reference in
+`oracles`), certified C1 enclosures, and the scale continuity helpers."""
 
 import hashlib
 import json
@@ -36,7 +36,6 @@ from knotpoints.nsets import (
     point_defects_float,
     pow2_bounds,
     pow2_gap_bounds,
-    sliding_window_max,
 )
 from knotpoints.realfn import (
     C1Function,
@@ -46,7 +45,14 @@ from knotpoints.realfn import (
     random_c1_function,
     random_function,
 )
-from oracles import float_bits, grid_n_set, grid_n_set_full, hausdorff_set_vs_points
+from oracles import (
+    basic_variant_reference,
+    float_bits,
+    grid_n_set,
+    grid_n_set_full,
+    hausdorff_set_vs_points,
+    sliding_window_max,
+)
 
 F = Fraction
 REFERENCE = Path(__file__).resolve().parents[1] / "knotbench" / "reference.json"
@@ -128,7 +134,7 @@ def test_admissible_eps():
     assert admissible_eps(1, 2, F(1, 100)) == F(1, 100)
 
 
-# -- exact sliding-window maximum -------------------------------------------
+# -- exact sliding-window maximum (the reference in oracles) ----------------
 
 
 def test_sliding_window_max_zigzag_quarter():
@@ -162,6 +168,67 @@ def test_sliding_window_max_dominates_grid(seed, a):
         grid_max = max(f(x + step * t) for t in range(width + 1))
         assert m(x) >= grid_max
         assert float(m(x)) <= float(grid_max) + L * float(step) + 1e-12
+
+
+# -- exact N-sets: the integer sweep against the rational reference ---------
+
+
+def _assert_basics_match_reference(f: PwlFunction, a: int) -> None:
+    for variant in BASIC_VARIANTS:
+        assert n_set_exact(f, a, variant) == basic_variant_reference(f, a, variant), variant
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 6), st.integers(1, 9))
+@settings(max_examples=40, deadline=None)
+def test_sweep_matches_reference_random_functions(seed, depth, a):
+    """Dyadic breakpoints, from a line (depth 0) to 65 breakpoints, at scales
+    below and above the depth."""
+    _assert_basics_match_reference(random_function(seed=seed, depth=depth), a)
+
+
+@st.composite
+def pwl_non_dyadic(draw):
+    """PWL functions on [0,1] whose breakpoints and values have denominators
+    3, 5, 7 and 12, so neither the positions nor the values are dyadic."""
+    dens = st.sampled_from((3, 5, 7, 12))
+    inner = draw(
+        st.lists(dens.flatmap(lambda q: st.integers(1, q - 1).map(lambda k: F(k, q))), max_size=8)
+    )
+    xs = sorted({F(0), F(1), *inner})
+    value = st.builds(F, st.integers(-12, 12), dens)
+    return PwlFunction(tuple(xs), tuple(draw(value) for _ in xs))
+
+
+@given(pwl_non_dyadic(), st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_reference_non_dyadic(f, a):
+    _assert_basics_match_reference(f, a)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        PwlFunction.zigzag(),
+        PwlFunction.zero(),
+        PwlFunction.constant(F(2, 7)),
+        PwlFunction.from_pairs([(0, 0), (1, F(5, 3))]),
+        PwlFunction.from_pairs([(0, 1), (1, -3)]),
+        PwlFunction.from_pairs([(0, F(1, 7)), (1, F(1, 7) + 2)]),
+    ],
+    ids=["zigzag", "zero", "constant", "rising", "falling", "slope-two"],
+)
+@pytest.mark.parametrize("a", [1, 2, 3, 5, 8])
+def test_sweep_matches_reference_sparse_breakpoints(f, a):
+    """Few breakpoints, so many windows hold no breakpoint inside (the
+    empty-deque cells); f of slope 2 gives phi the slopes 1, 0 and below as
+    a runs up from 1."""
+    _assert_basics_match_reference(f, a)
+
+
+def test_n_set_exact_rejects_partial_domain():
+    f = PwlFunction.from_pairs([(0, 0), (F(1, 2), 1)])
+    with pytest.raises(ValueError):
+        n_set_exact(f, 1, "plus_upper")
 
 
 # -- exact N-sets: frozen examples ------------------------------------------
