@@ -28,11 +28,15 @@ Two computation paths:
   rounding); certification is exact up to float evaluation error, and cells
   the tests cannot decide go to the outer set only.  Phase 1 classifies the
   grid segments themselves and reads their value and slope ranges from the
-  segment tables that also answer the window queries; each bisection half
-  keeps its segment index and inherits the window bound and endpoint values
-  its parent already has, so each bound is computed once.  Every cubic
-  range comes from one kernel pair, `realfn.cubic_range` and
-  `realfn.cubic_deriv_range`.
+  segment tables that also answer the window queries.  Each bisection half
+  keeps its segment index and inherits from its parent the window bound or
+  the witness and the values of phi and phi' at the end they share, so a
+  split evaluates phi and phi' once at the midpoint and phi once at the
+  end of the midpoint's window.  The critical points of phi and phi' are
+  computed once per cubic piece, and every range is the min or max of
+  those values, table entries and the critical values whose root lies
+  strictly inside: the floats that `realfn.cubic_range` and
+  `realfn.cubic_deriv_range` compute, which still serve `CubicPieces`.
 
 The scale-continuity helper `continuity_delta(a, b, eps)` returns the explicit
 perturbation budget delta = eps*(b-a)/4: whenever |f-g| < delta in sup norm,
@@ -56,9 +60,10 @@ from .realfn import (
     C1Function,
     CubicPieces,
     PwlFunction,
-    cubic_deriv_range,
+    cubic_critical_points,
+    cubic_deriv_eval,
+    cubic_deriv_vertex,
     cubic_eval,
-    cubic_range,
     pieces_of,
 )
 
@@ -588,13 +593,25 @@ class _RangeMax:
 
 
 class _PhiTables:
-    """Knot-aligned segment grid over [0,1] for phi, with per-segment range
-    data and sparse tables for window queries.
+    """Knot-aligned segment grid over [0,1] for phi, with per-segment end
+    values and ranges, per-piece critical values, and sparse tables for
+    window queries.
 
-    Every knot of phi is a grid point, so phi is one cubic on each segment:
-    `coeffs[:, i]` in the local coordinate x - kleft[i].  A point x in
-    [grid[i], grid[i+1]) is evaluated exactly as `CubicPieces.eval_vec`
-    would, from segment i.
+    Every knot of phi is a grid point, so segment i lies in one cubic piece,
+    `piece[i]`, whose coefficients `pc[:, piece[i]]` act in the local
+    coordinate x - kleft[i].  A point x in [grid[i], grid[i+1]) is evaluated
+    exactly as `CubicPieces.eval_vec` would, from segment i.
+
+    Segment i keeps phi and phi' at both of its ends from its own cubic:
+    `gridvals[i]`, `hi_val[i]`, `lo_der[i]` and `hi_der[i]` (at a knot,
+    hi_val[i] and gridvals[i+1] come from different pieces).  Each piece
+    keeps the critical points of phi and of phi' and the values there,
+    computed once per piece, and `crit_in_seg`/`vertex_in_seg` mark the
+    segments that hold one strictly inside.  The range of phi or phi' over
+    any part of a segment is then the min or max of its values at the two
+    ends and the critical values whose root lies strictly inside: the floats
+    `realfn.cubic_range` and `cubic_deriv_range` compute, without evaluating
+    anything but the ends.
     """
 
     def __init__(self, phi: CubicPieces, step: float, xmax: float):
@@ -602,20 +619,44 @@ class _PhiTables:
         pts = np.union1d(pts, np.array([xmax]))
         self.grid = pts
         self.n_seg = len(pts) - 1
-        cell = np.clip(
+        self.piece = np.clip(
             np.searchsorted(phi.breaks, pts[:-1], side="right") - 1, 0, len(phi.coeffs) - 1
         )
-        self.kleft = phi.breaks[cell]
-        self.coeffs = np.ascontiguousarray(phi.coeffs.T)[:, cell]
-        s_lo = pts[:-1] - self.kleft
-        s_hi = pts[1:] - self.kleft
-        self.segmin, self.segmax = cubic_range(self.coeffs, s_lo, s_hi)
-        self.dermin, self.dermax = cubic_deriv_range(self.coeffs, s_lo, s_hi)
-        self.gridvals = np.append(
-            cubic_eval(self.coeffs, s_lo), self.eval_at(pts[-1:], [self.n_seg - 1])
+        self.kleft = phi.breaks[self.piece]
+        self.pc = np.ascontiguousarray(phi.coeffs.T)
+        # a missing root is NaN or infinite and lies strictly inside nothing
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.roots = cubic_critical_points(self.pc)
+            self.crit_vals = tuple(cubic_eval(self.pc, r) for r in self.roots)
+            self.vertex = cubic_deriv_vertex(self.pc)
+            self.vertex_der = cubic_deriv_eval(self.pc, self.vertex)
+        self.s_beg = pts[:-1] - self.kleft
+        self.s_end = pts[1:] - self.kleft
+
+        def inside(r):
+            rp = r[self.piece]
+            return (rp > self.s_beg) & (rp < self.s_end)
+
+        self.crit_in_seg = inside(self.roots[0]) | inside(self.roots[1])
+        self.vertex_in_seg = inside(self.vertex)
+        c = self.pc[:, self.piece]
+        self.hi_val = cubic_eval(c, self.s_end)
+        self.gridvals = np.append(cubic_eval(c, self.s_beg), self.hi_val[-1])
+        self.lo_der = cubic_deriv_eval(c, self.s_beg)
+        self.hi_der = cubic_deriv_eval(c, self.s_end)
+        every = np.arange(self.n_seg)
+        self.segmin, self.segmax = self.part_range(
+            every, self.s_beg, self.s_end, self.gridvals[:-1], self.hi_val
+        )
+        self.dermin, self.dermax = self.part_range(
+            every, self.s_beg, self.s_end, self.lo_der, self.hi_der, deriv=True
         )
         self.rmq_segmax = _RangeMax(self.segmax)
         self.rmq_gridvals = _RangeMax(self.gridvals)
+
+    @functools.cached_property
+    def rmq_dermax(self) -> _RangeMax:
+        return _RangeMax(self.dermax)
 
     def last_at_or_below(self, x: np.ndarray) -> np.ndarray:
         """Index of the last grid point at or below x."""
@@ -628,55 +669,78 @@ class _PhiTables:
         """seg_of(x) for x in [grid[seg], grid[seg+1]], without a search."""
         return np.minimum(seg + (x >= self.grid[seg + 1]), self.n_seg - 1)
 
-    def eval_at(self, x: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        """phi(x) for x in segment seg (x = 1 in the last one)."""
-        return cubic_eval(self.coeffs[:, seg], x - self.kleft[seg])
+    def eval_at(self, x: np.ndarray, seg: np.ndarray, deriv: bool = False) -> np.ndarray:
+        """phi(x), or phi'(x), for x in segment seg (x = 1 in the last one)."""
+        kernel = cubic_deriv_eval if deriv else cubic_eval
+        return kernel(self.pc[:, self.piece[seg]], x - self.kleft[seg])
 
-    def _upper(self, lo, hi, i_l, ilast, kernel, segbest, rmq) -> np.ndarray:
-        """Max over [lo, hi] of phi or phi' (per kernel and its per-segment
-        maxima), given i_l = seg_of(lo) and ilast the last grid index at or
-        below hi: the left piece, the whole segments after it and the right
-        piece."""
-        grid = self.grid
-        left_hi = np.minimum(grid[i_l + 1], hi)
-        ub = segbest[i_l]
-        part = np.flatnonzero((lo != grid[i_l]) | (left_hi != grid[i_l + 1]))
-        if len(part):
-            idx = i_l[part]
-            kl = self.kleft[idx]
-            ub[part] = kernel(self.coeffs[:, idx], lo[part] - kl, left_hi[part] - kl)[1]
-        ub = np.maximum(ub, rmq.query(i_l + 1, np.minimum(ilast, self.n_seg)))
+    def part_range(self, seg, s_lo, s_hi, at_lo, at_hi, deriv=False, lower=True):
+        """(min, max) of phi, or phi', over [s_lo, s_hi] inside segment seg
+        (local coordinates), given its values at both ends; the min is None
+        unless `lower`.  Only the segments that hold a critical point are
+        looked at: a part of any other segment holds none either."""
+        lo = np.minimum(at_lo, at_hi) if lower else None
+        hi = np.maximum(at_lo, at_hi)
+        flags = self.vertex_in_seg if deriv else self.crit_in_seg
+        cand = np.flatnonzero(flags[seg])
+        if len(cand):
+            p = self.piece[seg[cand]]
+            s_lo, s_hi = s_lo[cand], s_hi[cand]
+            roots = (self.vertex,) if deriv else self.roots
+            vals = (self.vertex_der,) if deriv else self.crit_vals
+            for r, val in zip(roots, vals):
+                rp = r[p]
+                k = np.flatnonzero((rp > s_lo) & (rp < s_hi))
+                if len(k):
+                    idx, cv = cand[k], val[p[k]]
+                    if lower:
+                        lo[idx] = np.minimum(lo[idx], cv)
+                    hi[idx] = np.maximum(hi[idx], cv)
+        return lo, hi
+
+    def window_max(self, left, i_l, ilast, hi, at_hi, deriv=False) -> np.ndarray:
+        """Max of phi, or phi', over [lo, hi], given `left`, the max over
+        the left piece [lo, min(grid[i_l+1], hi)] in segment i_l =
+        seg_of(lo), ilast, the last grid index at or below hi, and at_hi, the
+        value at hi in segment min(ilast, n_seg - 1).  The whole segments
+        after the left piece come from the sparse table, and the right piece
+        [grid[ilast], hi] from its end values and critical values."""
+        rmq = self.rmq_dermax if deriv else self.rmq_segmax
+        ub = np.maximum(left, rmq.query(i_l + 1, np.minimum(ilast, self.n_seg)))
         ic = np.minimum(ilast, self.n_seg - 1)
-        has_right = (ilast > i_l) & (ilast <= self.n_seg - 1) & (grid[ic] < hi)
-        if has_right.any():
-            idx = ic[has_right]
-            kr = self.kleft[idx]
-            val = kernel(self.coeffs[:, idx], grid[idx] - kr, hi[has_right] - kr)[1]
-            ub[has_right] = np.maximum(ub[has_right], val)
+        has = np.flatnonzero((ilast > i_l) & (ilast <= self.n_seg - 1) & (self.grid[ic] < hi))
+        if len(has):
+            idx = ic[has]
+            at_lo = self.lo_der[idx] if deriv else self.gridvals[idx]
+            s_hi = hi[has] - self.kleft[idx]
+            _, val = self.part_range(idx, self.s_beg[idx], s_hi, at_lo, at_hi[has], deriv, False)
+            ub[has] = np.maximum(ub[has], val)
         return ub
 
-    def range_upper_at(self, lo, hi, i_l, ilast) -> np.ndarray:
-        """range_upper(lo, hi) given i_l = seg_of(lo) and ilast =
-        last_at_or_below(hi)."""
-        return self._upper(lo, hi, i_l, ilast, cubic_range, self.segmax, self.rmq_segmax)
+    def upper_at(self, lo, hi, i_l, ilast, deriv=False) -> np.ndarray:
+        """Max over [lo, hi] of phi or phi', given i_l = seg_of(lo) and ilast
+        the last grid index at or below hi; lo and hi lie in [0, 1]."""
+        left_hi = np.minimum(self.grid[i_l + 1], hi)
+        kl = self.kleft[i_l]
+        _, left = self.part_range(
+            i_l,
+            lo - kl,
+            left_hi - kl,
+            self.eval_at(lo, i_l, deriv),
+            self.eval_at(left_hi, i_l, deriv),
+            deriv,
+            False,
+        )
+        at_hi = self.eval_at(hi, np.minimum(ilast, self.n_seg - 1), deriv)
+        return self.window_max(left, i_l, ilast, hi, at_hi, deriv)
 
     def range_upper(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Max of phi over [lo, hi] per entry (exact per-segment closed forms)."""
-        return self.range_upper_at(lo, hi, self.seg_of(lo), self.last_at_or_below(hi))
+        return self.upper_at(lo, hi, self.seg_of(lo), self.last_at_or_below(hi))
 
     def deriv_upper(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Max of phi' over [lo, hi] per entry."""
-        if not hasattr(self, "rmq_dermax"):
-            self.rmq_dermax = _RangeMax(self.dermax)
-        return self._upper(
-            lo,
-            hi,
-            self.seg_of(lo),
-            self.last_at_or_below(hi),
-            cubic_deriv_range,
-            self.dermax,
-            self.rmq_dermax,
-        )
+        return self.upper_at(lo, hi, self.seg_of(lo), self.last_at_or_below(hi), deriv=True)
 
     def window_upper(self, v: np.ndarray, delta: float) -> np.ndarray:
         """Upper bound for max phi over [v, v+delta] (window clipped to 1)."""
@@ -684,7 +748,9 @@ class _PhiTables:
 
 
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack((a, b), axis=1).reshape(-1)
+    out = np.empty(2 * len(a), dtype=a.dtype)
+    out[0::2], out[1::2] = a, b
+    return out
 
 
 @dataclass
@@ -692,81 +758,129 @@ class _Cells:
     """Cells [u, v] of the C1 bisection, each inside grid segment seg, with
     the parts of their certificates that a half can inherit:
 
-      ubw    window bound, max phi over [v, min(v+delta, 1)]
-      after  number of grid points at or below u + delta
-      phi_v  phi(v)
-      phi_r  phi(min(u + delta, 1))
+      ubw     window bound, max phi over [v, min(v+delta, 1)]
+      wit     a value phi attains in [v, u + delta]: the best of phi at the
+              grid points after grid[seg] up to u + delta and at
+              min(u + delta, 1); phi(v) never beats the cell's own max,
+              so it is left out
+      pu, pv  phi at u and at v from segment seg's own cubic
+      du, dv  phi' at u and at v, likewise
     """
 
     u: np.ndarray
     v: np.ndarray
     seg: np.ndarray
     ubw: np.ndarray
-    after: np.ndarray
-    phi_v: np.ndarray
-    phi_r: np.ndarray
+    wit: np.ndarray
+    pu: np.ndarray
+    pv: np.ndarray
+    du: np.ndarray
+    dv: np.ndarray
 
     def take(self, keep: np.ndarray) -> "_Cells":
         return _Cells(*(getattr(self, f.name)[keep] for f in fields(self)))
 
 
-def _segment_cells(tab: _PhiTables, n: int, delta: float) -> _Cells:
-    """The first n grid segments as cells."""
+def _first_cells(tab: _PhiTables, n: int, delta: float) -> _Cells:
+    """The first n grid segments as cells.  Segments are narrower than
+    delta, so the window of segment i starts with the whole segment i + 1,
+    and its end is the u + delta of segment i + 1: phi there is evaluated
+    once for both."""
     grid = tab.grid
-    seg = np.arange(n)
-    u, v = grid[:n], grid[1 : n + 1]
-    # v + delta of one segment is u + delta of the next, and as the grid
-    # ends at 1, after - 1 is also the last index <= min(v + delta, 1)
-    after = np.searchsorted(grid, grid[: n + 1] + delta, side="right")
-    ubw = tab.range_upper_at(v, np.minimum(v + delta, 1.0), tab.seg_within(v, seg), after[1:] - 1)
-    phi_r = tab.eval_at(np.minimum(u + delta, 1.0), np.minimum(after[:n] - 1, tab.n_seg - 1))
-    return _Cells(u, v, seg, ubw, after[:n], tab.gridvals[1 : n + 1], phi_r)
-
-
-def _split(tab: _PhiTables, cells: _Cells, delta: float) -> _Cells:
-    """Both halves of every cell, interleaved as [u, mid], [mid, v] so that
-    u, v and every search key stay sorted.  A left half has its parent's
-    u + delta, a right half its parent's v and window; what is new is
-    computed once per parent."""
-    mid = 0.5 * (cells.u + cells.v)
-    right = np.minimum(mid + delta, 1.0)
-    # the grid ends at 1, so after_mid - 1 is also the last index <= right
-    after_mid = np.searchsorted(tab.grid, mid + delta, side="right")
-    i_mid = tab.seg_within(mid, cells.seg)
+    seg = np.arange(n, dtype=np.int32)
+    reach = grid[: n + 1] + delta
+    # as the grid ends at 1, after - 1 is also the last index <= min(reach, 1)
+    after = np.searchsorted(grid, reach, side="right")
+    ends = np.minimum(reach, 1.0)
+    at_end = tab.eval_at(ends, np.minimum(after - 1, tab.n_seg - 1))
+    ubw = tab.window_max(tab.segmax[1 : n + 1], seg + 1, after[1:] - 1, ends[1:], at_end[1:])
+    wit = np.maximum(tab.rmq_gridvals.query(seg + 1, after[:n]), at_end[:n])
     return _Cells(
-        _interleave(cells.u, mid),
-        _interleave(mid, cells.v),
-        np.repeat(cells.seg, 2),
-        _interleave(tab.range_upper_at(mid, right, i_mid, after_mid - 1), cells.ubw),
-        _interleave(cells.after, after_mid),
-        _interleave(tab.eval_at(mid, i_mid), cells.phi_v),
-        _interleave(cells.phi_r, tab.eval_at(right, np.minimum(after_mid - 1, tab.n_seg - 1))),
+        grid[:n],
+        grid[1 : n + 1],
+        seg,
+        ubw,
+        wit,
+        tab.gridvals[:n],
+        tab.hi_val[:n],
+        tab.lo_der[:n],
+        tab.hi_der[:n],
     )
 
 
-def _witness_lower(tab: _PhiTables, cells: _Cells) -> np.ndarray:
-    """A true value of phi attained somewhere in [v, u + delta]: the best of
-    the grid values inside plus the two endpoint values."""
-    # grid points from seg + 1 on; grid[seg] lies in [v, u + delta] only
-    # when it equals v, whose value phi_v brings in anyway
-    w = tab.rmq_gridvals.query(cells.seg + 1, cells.after)
-    return np.maximum(w, np.maximum(cells.phi_v, cells.phi_r))
+def _halves(tab: _PhiTables, cells: _Cells, delta: float) -> tuple[_Cells, _Cells]:
+    """The left halves [u, mid] and the right halves [mid, v] of the cells.
+    A left half keeps its parent's witness and values at u, a right half
+    its parent's window bound and values at v; what is new is phi and phi'
+    at mid, phi at min(mid + delta, 1), the left half's window bound and
+    the right half's witness."""
+    u, v, seg = cells.u, cells.v, cells.seg
+    mid = 0.5 * (u + v)
+    right = np.minimum(mid + delta, 1.0)
+    # the grid ends at 1, so after - 1 is also the last index <= right
+    after = np.searchsorted(tab.grid, mid + delta, side="right")
+    c = tab.pc[:, tab.piece[seg]]
+    s_mid = mid - tab.kleft[seg]
+    phi_mid, der_mid = cubic_eval(c, s_mid), cubic_deriv_eval(c, s_mid)
+    del c
+    phi_right = tab.eval_at(right, np.minimum(after - 1, tab.n_seg - 1))
+    # a segment is narrower than delta, so the window [mid, right] of the
+    # left half starts with the piece [mid, grid[seg + 1]] ...
+    s_end = tab.s_end[seg]
+    _, left = tab.part_range(seg, s_mid, s_end, phi_mid, tab.hi_val[seg], lower=False)
+    ubw = tab.window_max(left, seg, after - 1, right, phi_right)
+    # ... unless mid is the segment's right end (a cell one float wide
+    # split there), where the window starts in the next segment
+    odd = np.flatnonzero(s_mid >= s_end)
+    if len(odd):
+        i_l = tab.seg_within(mid[odd], seg[odd])
+        ubw[odd] = tab.upper_at(mid[odd], right[odd], i_l, after[odd] - 1)
+    wit = np.maximum(tab.rmq_gridvals.query(seg + 1, after), phi_right)
+    return (
+        _Cells(u, mid, seg, ubw, cells.wit, cells.pu, phi_mid, cells.du, der_mid),
+        _Cells(mid, v, seg, cells.ubw, wit, phi_mid, cells.pv, der_mid, cells.dv),
+    )
 
 
-def _classify(
-    tab: _PhiTables,
-    cells: _Cells,
-    vals: tuple[np.ndarray, np.ndarray],
-    ders: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(inside, outside) certificates for the cells, given the (min, max) of
-    phi and of phi' over each."""
+def _cell_ranges(tab: _PhiTables, cells: _Cells):
+    """((min, max) of phi, (min, max) of phi') over each cell, from the
+    values at its ends and the critical values inside."""
+    kl = tab.kleft[cells.seg]
+    s_u, s_v = cells.u - kl, cells.v - kl
+    return (
+        tab.part_range(cells.seg, s_u, s_v, cells.pu, cells.pv),
+        tab.part_range(cells.seg, s_u, s_v, cells.du, cells.dv, deriv=True),
+    )
+
+
+def _decide(cells: _Cells, vals, ders) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, undecided) masks for the cells, given the (min, max) of phi
+    and of phi' over each."""
     (vmin, vmax), (dmin, dmax) = vals, ders
     inside = (dmax <= 0.0) & (cells.ubw <= vmin)
     # a strictly positive slope throughout the cell also rules every point
     # out: phi keeps growing just to the right, inside the window
-    outside = (_witness_lower(tab, cells) > vmax) | (dmin > 0.0)
-    return inside, outside & ~inside
+    outside = (cells.wit > vmax) | (dmin > 0.0)
+    return inside, ~inside & ~outside
+
+
+def _refine(tab: _PhiTables, cells: _Cells, delta: float):
+    """Split every cell at its midpoint and certify both halves.  Returns
+    the inside halves as (left ends, right ends) and the undecided ones as
+    cells, both in the order [u, mid], [mid, v] of their parents, so that
+    u, v and every search key stay sorted.  Each field of the undecided
+    halves is gathered on its own, to keep the peak memory low."""
+    halves = _halves(tab, cells, delta)
+    inside, keep = zip(*(_decide(h, *_cell_ranges(tab, h)) for h in halves))
+    inside, keep = _interleave(*inside), _interleave(*keep)
+    left, right = halves
+    in_u = _interleave(left.u, right.u)[inside]
+    in_v = _interleave(left.v, right.v)[inside]
+    del inside
+    out = _Cells(
+        *(_interleave(getattr(left, f.name), getattr(right, f.name))[keep] for f in fields(_Cells))
+    )
+    return (in_u, in_v), out
 
 
 _MAX_SEGMENTS = 400_000
@@ -797,14 +911,12 @@ def _enclosure_plus_upper_c1(
     n_cells = int(np.searchsorted(tab.grid, xmax, side="left"))
 
     # phase 1: the cells are the grid segments, whose ranges the table holds
-    cells = _segment_cells(tab, n_cells, delta)
-    inside, outside = _classify(
-        tab,
+    cells = _first_cells(tab, n_cells, delta)
+    inside, undecided = _decide(
         cells,
         (tab.segmin[:n_cells], tab.segmax[:n_cells]),
         (tab.dermin[:n_cells], tab.dermax[:n_cells]),
     )
-    undecided = ~inside & ~outside
     in_u, in_v = [cells.u[inside]], [cells.v[inside]]
     stats = {"phase1_cells": n_cells, "undecided_phase1": int(undecided.sum())}
 
@@ -814,16 +926,9 @@ def _enclosure_plus_upper_c1(
         width = float(np.max(cells.v - cells.u))
         if width <= _WIDTH_FLOOR:
             break
-        cells = _split(tab, cells, delta)
-        kl = tab.kleft[cells.seg]
-        c = tab.coeffs[:, cells.seg]
-        s_lo, s_hi = cells.u - kl, cells.v - kl
-        inside, outside = _classify(
-            tab, cells, cubic_range(c, s_lo, s_hi), cubic_deriv_range(c, s_lo, s_hi)
-        )
-        in_u.append(cells.u[inside])
-        in_v.append(cells.v[inside])
-        cells = cells.take(~inside & ~outside)
+        (iu, iv), cells = _refine(tab, cells, delta)
+        in_u.append(iu)
+        in_v.append(iv)
         depth += 1
 
     stats["max_depth"] = depth
@@ -878,7 +983,7 @@ def n_set_enclosure(f, a: Rat, variant: str = "full", tol: float = 1e-4) -> NSet
     two involutions as the exact path mapping the result to other variants.
     """
     _check_variant(variant)
-    if tol <= 0:
+    if not tol > 0:  # also refuses NaN
         raise ValueError("tol must be positive")
     if isinstance(f, PwlFunction):
         if as_fraction(a).denominator == 1:

@@ -279,7 +279,7 @@ class C1Function:
     def deriv(self, x) -> np.ndarray | float:
         xa = np.asarray(x, dtype=float)
         i = self._locate(np.atleast_1d(xa))
-        out = _cubic_deriv_eval(self._coeffs[i].T, np.atleast_1d(xa) - self.knots[i])
+        out = cubic_deriv_eval(self._coeffs[i].T, np.atleast_1d(xa) - self.knots[i])
         return out if xa.ndim else float(out[0])
 
     # -- norms (closed-form extrema, not sampling) -------------------------
@@ -359,11 +359,12 @@ def cubic_eval(c: np.ndarray, s) -> np.ndarray:
     return ((c[3] * s + c[2]) * s + c[1]) * s + c[0]
 
 
-def _cubic_deriv_eval(c: np.ndarray, s) -> np.ndarray:
+def cubic_deriv_eval(c: np.ndarray, s) -> np.ndarray:
+    """Value of each cubic's derivative at s."""
     return (3.0 * c[3] * s + 2.0 * c[2]) * s + c[1]
 
 
-def _cubic_critical_points(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def cubic_critical_points(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The real roots of each cubic's derivative as two arrays, NaN or
     infinite where a root is missing (such a value lies strictly inside no
     interval)."""
@@ -374,6 +375,13 @@ def _cubic_critical_points(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         r1 = np.where(qa != 0.0, (-qb - sq) / den, -c[1] / qb)
         r2 = (-qb + sq) / den
     return r1, r2
+
+
+def cubic_deriv_vertex(c: np.ndarray) -> np.ndarray:
+    """The vertex of each cubic's derivative parabola, NaN or infinite where
+    there is none (c[3] = 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -c[2] / (3.0 * c[3])
 
 
 def _widen_at(lo, hi, f, c, r, s_lo, s_hi) -> None:
@@ -398,7 +406,7 @@ def cubic_range(c: np.ndarray, s_lo, s_hi) -> tuple[np.ndarray, np.ndarray]:
     s_lo, s_hi = np.asarray(s_lo, dtype=float), np.asarray(s_hi, dtype=float)
     v0, v1 = cubic_eval(c, s_lo), cubic_eval(c, s_hi)
     lo, hi = np.minimum(v0, v1), np.maximum(v0, v1)
-    for r in _cubic_critical_points(c):
+    for r in cubic_critical_points(c):
         _widen_at(lo, hi, cubic_eval, c, r, s_lo, s_hi)
     return lo, hi
 
@@ -407,11 +415,9 @@ def cubic_deriv_range(c: np.ndarray, s_lo, s_hi) -> tuple[np.ndarray, np.ndarray
     """(min, max) of each cubic's derivative over [s_lo, s_hi]: the ends and
     the vertex of the derivative parabola when it lies strictly inside."""
     s_lo, s_hi = np.asarray(s_lo, dtype=float), np.asarray(s_hi, dtype=float)
-    d0, d1 = _cubic_deriv_eval(c, s_lo), _cubic_deriv_eval(c, s_hi)
+    d0, d1 = cubic_deriv_eval(c, s_lo), cubic_deriv_eval(c, s_hi)
     lo, hi = np.minimum(d0, d1), np.maximum(d0, d1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vert = -c[2] / (3.0 * c[3])
-    _widen_at(lo, hi, _cubic_deriv_eval, c, vert, s_lo, s_hi)
+    _widen_at(lo, hi, cubic_deriv_eval, c, cubic_deriv_vertex(c), s_lo, s_hi)
     return lo, hi
 
 
@@ -473,7 +479,7 @@ class CubicPieces:
         c = self.coeffs[i].T
         # cell by cell, candidates in order: ends, then critical points; a
         # missing critical point repeats s_lo, so it never wins a tie
-        roots = [np.where((r > s_lo) & (r < s_hi), r, s_lo) for r in _cubic_critical_points(c)]
+        roots = [np.where((r > s_lo) & (r < s_hi), r, s_lo) for r in cubic_critical_points(c)]
         cands = np.stack((s_lo, s_hi, *roots), axis=1)
         vals = cubic_eval(c[:, :, None], cands)
         k = int(np.argmax(vals))

@@ -176,18 +176,20 @@ def lemma_witness_scan(
     """Independent scan of the witness property behind the certified eps:
     every grid x in [0, 1-2^-a] that clearly violates the scale-b forward
     condition must admit a grid y in (x+eps, x+2^-b] with
-    f(y) - f(x) > c (y-x).  Returns (checked, missing)."""
+    f(y) - f(x) > c (y-x).  The y-grid runs over all of [0, 1], as windows
+    reach past 1-2^-a; the x-grid is its start.  Returns (checked,
+    missing)."""
     af, bf, cf = float(Fraction(a)), float(Fraction(b)), float(Fraction(c))
     win_b = 2.0 ** (-bf)
     step = eps / steps
     n = int((1.0 - 2.0 ** (-af)) / step)
-    xs = step * np.arange(n + 1)
-    fv = eval_float(f, xs)
+    ys = np.minimum(step * np.arange(int(1.0 / step) + 1), 1.0)
+    fv = eval_float(f, ys)
 
     # worst forward quotient over a fine y-grid approximates the b-defect
     # from below, so "clearly failing" survives the discretization
     m = int(win_b / step)
-    u = fv - bf * xs
+    u = fv - bf * ys
     pad = np.concatenate([u, np.full(m, -np.inf)])
     wmax = van_herk_max(pad, m)[: n + 1]
     failing = np.nonzero(wmax - u[: n + 1] > fail_cut)[0]
@@ -195,13 +197,13 @@ def lemma_witness_scan(
     checked = len(failing)
     missing = 0
     for i in failing:
-        x = xs[i]
+        x = ys[i]
         j0 = i + int(np.ceil((eps * (1 + 1e-12)) / step)) + 1
-        j1 = min(i + m, len(xs) - 1)
+        j1 = min(i + m, len(ys) - 1)
         if j0 > j1:
             missing += 1
             continue
-        gain = fv[j0 : j1 + 1] - fv[i] - cf * (xs[j0 : j1 + 1] - x)
+        gain = fv[j0 : j1 + 1] - fv[i] - cf * (ys[j0 : j1 + 1] - x)
         if not np.any(gain > 0.0):
             missing += 1
     return checked, missing

@@ -4,6 +4,7 @@ for piecewise-linear functions (against the rational window-max reference in
 
 import hashlib
 import json
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,11 +18,11 @@ from knotpoints.nsets import (
     BASIC_VARIANTS,
     EnclosureRangeError,
     _Cells,
+    _cell_ranges,
+    _first_cells,
+    _halves,
     _merge_float_cells,
     _PhiTables,
-    _segment_cells,
-    _split,
-    _witness_lower,
     NSetEnclosure,
     admissible_eps,
     c1_continuity_delta,
@@ -42,6 +43,7 @@ from knotpoints.realfn import (
     PwlFunction,
     cubic_deriv_range,
     cubic_range,
+    promote_pwl,
     random_c1_function,
     random_function,
 )
@@ -434,96 +436,152 @@ def test_enclosure_segment_cap_names_the_binding_parameter(a, tol, field):
     assert err.value.field == field
 
 
-def _upper_ref(tab: _PhiTables, lo, hi, kernel, segbest) -> np.ndarray:
-    """Max of phi (kernel cubic_range, segbest the segment maxima) or of phi'
-    over each [lo, hi], one query at a time: segment indices from
-    searchsorted, the left piece always from the kernel, the middle from a
-    plain max over segbest."""
+def _phi_of(kind: str, seed: int, a: float):
+    """phi = f - a*x for a cubic, a quadratic (c3 = 0, phi' vanishing at
+    the grid point a/2) or a piecewise-linear (c2 = c3 = 0) f."""
+    if kind == "cubic":
+        f = random_c1_function(seed, cells=7, amplitude=0.5, slope_scale=3.0)
+    elif kind == "quadratic":
+        f = C1Function([0.0, 0.5, 1.0], [0.0, 0.25, 1.0], [0.0, 1.0, 2.0])  # x^2
+    else:
+        f = promote_pwl(random_function(seed, 3))
+    return f.as_cubic_pieces().add_linear(-a)
+
+
+def _seg_cubic(phi, x):
+    """Coefficients (as one column) and left break of the piece of phi that
+    a grid segment starting at x lies in, found in phi's own breaks."""
+    k = phi.locate(x)
+    return phi.coeffs[k][:, None], phi.breaks[k]
+
+
+def _segment_maxima(tab: _PhiTables, phi, kernel) -> np.ndarray:
+    """kernel's max over every whole grid segment, from phi's own pieces."""
+    g = tab.grid
+    k = np.clip(np.searchsorted(phi.breaks, g[:-1], side="right") - 1, 0, len(phi.coeffs) - 1)
+    kl = phi.breaks[k]
+    return kernel(phi.coeffs[k].T, g[:-1] - kl, g[1:] - kl)[1]
+
+
+def _upper_ref(tab: _PhiTables, phi, lo, hi, kernel) -> np.ndarray:
+    """Max of phi (kernel cubic_range) or of phi' (cubic_deriv_range) over
+    each [lo, hi], one query at a time: segment indices from searchsorted,
+    each piece's cubic from phi's breaks, the left and right pieces from the
+    kernel and the middle from a plain max of the kernel over whole
+    segments."""
     grid, n_seg = tab.grid, tab.n_seg
+    whole = _segment_maxima(tab, phi, kernel)
     out = []
     for x, h in zip(lo, hi):
         i = min(max(int(np.searchsorted(grid, x, side="right")) - 1, 0), n_seg - 1)
         ilast = int(np.searchsorted(grid, h, side="right")) - 1
-        kl = tab.kleft[i]
-        best = kernel(tab.coeffs[:, [i]], [x - kl], [min(grid[i + 1], h) - kl])[1][0]
+        c, kl = _seg_cubic(phi, grid[i])
+        best = kernel(c, [x - kl], [min(grid[i + 1], h) - kl])[1][0]
         if i + 1 < min(ilast, n_seg):
-            best = max(best, segbest[i + 1 : min(ilast, n_seg)].max())
+            best = max(best, whole[i + 1 : min(ilast, n_seg)].max())
         if i < ilast <= n_seg - 1 and grid[ilast] < h:
-            kr = tab.kleft[ilast]
-            best = max(best, kernel(tab.coeffs[:, [ilast]], [grid[ilast] - kr], [h - kr])[1][0])
+            c, kr = _seg_cubic(phi, grid[ilast])
+            best = max(best, kernel(c, [grid[ilast] - kr], [h - kr])[1][0])
         out.append(best)
     return np.array(out)
 
 
+def _same_bits(x, y) -> bool:
+    return np.array_equal(float_bits(x), float_bits(y))
+
+
 def test_range_bounds_equal_the_one_query_reference():
-    """Whole segments come from the tables, partial pieces from the kernels:
-    queries that start on a grid point and end inside its segment, cover
-    whole segments, or start and end anywhere."""
-    f = random_c1_function(11, cells=7, amplitude=0.5, slope_scale=3.0)
-    tab = _PhiTables(f.as_cubic_pieces().add_linear(-2.0), 0.01, 0.75)
+    """The per-segment tables equal the kernels on whole segments, and range
+    queries equal the one-query reference: queries that start on a grid
+    point and end inside its segment, cover whole segments, or start and
+    end anywhere."""
+    for kind, a in (("cubic", 2.0), ("quadratic", 1.0), ("linear", 2.0)):
+        _check_range_bounds(_phi_of(kind, 11, a))
+
+
+def _check_range_bounds(phi) -> None:
+    tab = _PhiTables(phi, 0.01, 0.75)
+    g = tab.grid
+    k = np.clip(np.searchsorted(phi.breaks, g[:-1], side="right") - 1, 0, len(phi.coeffs) - 1)
+    c, kl = phi.coeffs[k].T, phi.breaks[k]
+    for kernel, lo_name, hi_name in (
+        (cubic_range, "segmin", "segmax"),
+        (cubic_deriv_range, "dermin", "dermax"),
+    ):
+        lo, hi = kernel(c, g[:-1] - kl, g[1:] - kl)
+        assert _same_bits(getattr(tab, lo_name), lo) and _same_bits(getattr(tab, hi_name), hi)
+    at_end = cubic_range(c, g[1:] - kl, g[1:] - kl)[0]
+    assert _same_bits(tab.gridvals, np.append(cubic_range(c, g[:-1] - kl, g[:-1] - kl)[0], at_end[-1]))
+    assert _same_bits(tab.hi_val, at_end)
+    assert _same_bits(tab.lo_der, cubic_deriv_range(c, g[:-1] - kl, g[:-1] - kl)[0])
+    assert _same_bits(tab.hi_der, cubic_deriv_range(c, g[1:] - kl, g[1:] - kl)[0])
+
     rng = np.random.default_rng(11)
     i = rng.integers(0, tab.n_seg - 3, 300)
-    g = tab.grid
     lo = np.where(i % 3 == 2, g[i] + rng.random(300) * (g[i + 1] - g[i]), g[i])
     hi = np.select(
         [i % 3 == 0, i % 3 == 1],
         [g[i] + rng.random(300) * (g[i + 1] - g[i]), g[i + 1 + i % 2]],
         np.minimum(lo + rng.random(300) * 0.3, 1.0),
     )
-    assert np.array_equal(
-        float_bits(tab.range_upper(lo, hi)),
-        float_bits(_upper_ref(tab, lo, hi, cubic_range, tab.segmax)),
-    )
-    assert np.array_equal(
-        float_bits(tab.deriv_upper(lo, hi)),
-        float_bits(_upper_ref(tab, lo, hi, cubic_deriv_range, tab.dermax)),
-    )
+    assert _same_bits(tab.range_upper(lo, hi), _upper_ref(tab, phi, lo, hi, cubic_range))
+    assert _same_bits(tab.deriv_upper(lo, hi), _upper_ref(tab, phi, lo, hi, cubic_deriv_range))
 
 
-def _by_search(tab: _PhiTables, phi, u: np.ndarray, v: np.ndarray, delta: float) -> dict:
-    """Cell fields and witness the way a fresh search computes them: every
-    index from searchsorted, phi from CubicPieces.eval_vec, the window from
-    the one-query reference."""
+def _by_search(tab: _PhiTables, phi, cells: _Cells, delta: float) -> dict:
+    """Cell fields and ranges the way a fresh search computes them: `after`
+    from searchsorted, phi from CubicPieces.eval_vec, the window from the
+    one-query reference, and every value and range from the kernels on the
+    cubic of the cell's segment and the cell's own ends."""
+    u, v, seg = cells.u, cells.v, cells.seg
     grid = tab.grid
-    ubw = _upper_ref(tab, v, np.minimum(v + delta, 1.0), cubic_range, tab.segmax)
     after = np.searchsorted(grid, u + delta, side="right")
-    phi_v = phi.eval_vec(v)
     phi_r = phi.eval_vec(np.minimum(u + delta, 1.0))
-    first = np.searchsorted(grid, v, side="left")
-    w = [tab.gridvals[i:j].max() if j > i else -np.inf for i, j in zip(first, after)]
+    at_grid = phi.eval_vec(grid)
+    w = [at_grid[i + 1 : j].max() if j > i + 1 else -np.inf for i, j in zip(seg, after)]
+    k = np.clip(np.searchsorted(phi.breaks, grid[seg], side="right") - 1, 0, len(phi.coeffs) - 1)
+    c, kl = phi.coeffs[k].T, phi.breaks[k]
+    s_u, s_v = u - kl, v - kl
     return {
-        "ubw": ubw,
-        "after": after,
-        "phi_v": phi_v,
-        "phi_r": phi_r,
-        "witness": np.maximum(w, np.maximum(phi_v, phi_r)),
+        "ubw": _upper_ref(tab, phi, v, np.minimum(v + delta, 1.0), cubic_range),
+        "wit": np.maximum(w, phi_r),
+        "pu": cubic_range(c, s_u, s_u)[0],
+        "pv": cubic_range(c, s_v, s_v)[0],
+        "du": cubic_deriv_range(c, s_u, s_u)[0],
+        "dv": cubic_deriv_range(c, s_v, s_v)[0],
+        "ranges": (*cubic_range(c, s_u, s_v), *cubic_deriv_range(c, s_u, s_v)),
     }
 
 
-@given(st.integers(0, 10 ** 6), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+@given(
+    st.integers(0, 10 ** 6),
+    st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    st.sampled_from(["cubic", "cubic", "quadratic", "linear"]),
+)
 @settings(max_examples=15, deadline=None)
-def test_segment_indexed_bounds_equal_the_search_route(seed, a):
+def test_segment_indexed_bounds_equal_the_search_route(seed, a, kind):
     """Phase-1 cells, random cells inside a segment (points, one-float
-    cells, whole segments among them) and three generations of halves carry
-    the same window bounds, search indices, phi values and witnesses as a
-    fresh search on their ends would give, bit for bit."""
-    f = random_c1_function(seed, cells=7, amplitude=0.5, slope_scale=3.0)
+    cells, whole segments among them) and three generations of their halves
+    carry the same window bounds, witnesses and end values, and have the
+    same value and slope ranges, as a fresh search and the kernels on their
+    own ends give, bit for bit."""
     delta = 2.0 ** -a
-    phi = f.as_cubic_pieces().add_linear(-a)
+    phi = _phi_of(kind, seed, a)
     tab = _PhiTables(phi, min(1e-2, delta / 2.0), 1.0 - delta)
     n = int(np.searchsorted(tab.grid, 1.0 - delta, side="left"))
 
     def check(cells: _Cells) -> None:
-        ref = _by_search(tab, phi, cells.u, cells.v, delta)
-        assert np.array_equal(cells.after, ref["after"])
-        for name in ("ubw", "phi_v", "phi_r"):
-            assert np.array_equal(float_bits(getattr(cells, name)), float_bits(ref[name])), name
-        assert np.array_equal(float_bits(_witness_lower(tab, cells)), float_bits(ref["witness"]))
+        ref = _by_search(tab, phi, cells, delta)
+        for name in ("ubw", "wit", "pu", "pv", "du", "dv"):
+            assert _same_bits(getattr(cells, name), ref[name]), name
+        (vmin, vmax), (dmin, dmax) = _cell_ranges(tab, cells)
+        for got, want in zip((vmin, vmax, dmin, dmax), ref["ranges"]):
+            assert _same_bits(got, want)
 
-    check(_segment_cells(tab, n, delta))
+    check(_first_cells(tab, n, delta))
 
     rng = np.random.default_rng(seed)
-    seg = rng.integers(0, n, 200)
+    seg = rng.integers(0, n, 200).astype(np.int32)
     lo, hi = tab.grid[seg], tab.grid[seg + 1]
     t = np.sort(rng.random((200, 2)), axis=1)
     u = np.clip(lo + t[:, 0] * (hi - lo), lo, hi)
@@ -532,11 +590,18 @@ def test_segment_indexed_bounds_equal_the_search_route(seed, a):
     u[20:40], v[20:40] = hi[20:40], hi[20:40]
     u[40:60], v[40:60] = lo[40:60], hi[40:60]
     v[60:80] = np.minimum(np.nextafter(u[60:80], 2.0), hi[60:80])
-    ref = _by_search(tab, phi, u, v, delta)
-    cells = _Cells(u, v, seg, ref["ubw"], ref["after"], ref["phi_v"], ref["phi_r"])
+    u[80:90] = np.nextafter(hi[80:90], 0.0)
+    v[80:90] = hi[80:90]
+    cells = _Cells(u, v, seg, *np.zeros((6, 200)))
+    ref = _by_search(tab, phi, cells, delta)
+    cells = _Cells(u, v, seg, ref["ubw"], ref["wit"], ref["pu"], ref["pv"], ref["du"], ref["dv"])
     for _ in range(3):
-        cells = _split(tab, cells, delta)
-        check(cells)
+        halves = _halves(tab, cells, delta)
+        for h in halves:
+            check(h)
+        cells = _Cells(
+            *(np.concatenate([getattr(h, f.name) for h in halves]) for f in fields(_Cells))
+        )
 
 
 @given(st.integers(0, 10 ** 6))
@@ -584,22 +649,40 @@ def test_enclosure_union_merges_stats():
     assert full["max_depth"] == max(p["max_depth"] for p in parts)
 
 
-@pytest.mark.parametrize("key", ["0|1|0.0001", "3|2|1e-05"])
+# (phase1_cells, undecided_phase1, max_depth, undecided_final) per corpus key
+_REFERENCE_STATS = {
+    "0|1|0.0001": (20008, 7, 27, 12043),
+    "3|2|1e-05": (300012, 12, 24, 410),
+    # cells double at every level here; these two set the corpus's peak memory
+    "2|1|0.0001": (20008, 6, 27, 313441),
+    "3|1|0.0001": (20008, 10, 27, 276020),
+}
+
+
+@pytest.mark.parametrize("key", list(_REFERENCE_STATS))
 def test_enclosure_output_matches_benchmark_reference(key):
-    """The certified intervals are byte-identical to the referenced ones."""
+    """The certified intervals are byte-identical to the referenced ones,
+    and the bisection counts are the pinned ones."""
+    stats = _REFERENCE_STATS[key]
     ref = json.loads(REFERENCE.read_text())["c1-enclosure"][key]
     seed, a, tol = key.split("|")
     f = random_c1_function(int(seed), cells=6, amplitude=0.5, slope_scale=2.0)
     enc = n_set_enclosure(f, F(a), "full", tol=float(tol))
     blob = f"{enc.inner.intervals}|{enc.outer.intervals}".encode()
     assert hashlib.sha256(blob).hexdigest() == ref
+    names = ("phase1_cells", "undecided_phase1", "max_depth", "undecided_final")
+    assert enc.stats == dict(zip(names, stats))
 
 
 def test_enclosure_rejects_bad_inputs():
     with pytest.raises(ValueError):
         n_set_enclosure(C1Function.zero(), 1, "sideways")
-    with pytest.raises(ValueError):
-        n_set_enclosure(C1Function.zero(), 1, "full", tol=0.0)
+    for tol in (0.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            n_set_enclosure(C1Function.zero(), 1, "full", tol=tol)
+    wiggly = random_c1_function(0, cells=6, amplitude=0.5, slope_scale=2.0)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        n_set_enclosure(wiggly, 1, "full", tol=float("nan"))
     with pytest.raises(TypeError):
         n_set_enclosure(lambda x: x, 1, "full")
 
