@@ -95,7 +95,6 @@ from .nsets import (
     n_set_enclosure,
     n_set_exact,
     point_defect_exact,
-    point_defect_float,
     point_defects_float,
     pow2_bounds,
     pow2_gap_bounds,

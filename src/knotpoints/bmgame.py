@@ -12,11 +12,29 @@ one-sided slope sets of every f in the answered ball to the located points:
   (iii) the fine slope sets avoid the closed w_m-balls of the unselected
         located sets.
 
-Rounds nest: the located sets of round m sit within w_{m-1} of their round
-m-1 ancestors and the radii at least halve, so the finite engine can verify
-truncated limit statements (Cauchy prefixes, coverage of the slope sets of
-the last answer with tripled radii, the nested-index inclusion chain, and
-membership in every oracle certificate ball) with certified margins.
+Round 1 is played in full, and the finite engine verifies the truncated
+limit statements of the game played so far (Cauchy prefixes, coverage of
+the slope sets of the last answer with tripled radii, the nested-index
+inclusion chain, and membership in every oracle certificate ball) with
+certified margins.  In the construction, round m refines the located sets
+to within w_{m-1} of their round m-1 ancestors at radii that at least
+halve; the engine does not build that refinement.  `round_m` checks the
+move rules and the inherited invariant, computes the perturbation radius
+mu_m, and stops at the size of the net that radius would need.
+
+Why it stops there.  The round-1 bump forces curvature of order
+height/width^2 on the played function, and the certified witness scale
+collapses with it.  At `game run --rounds 2 --seed 1`, round 2 fails at the
+scales (2.576, 2.72): the slope norm of g_1 is 38,291, the witness eps is
+2.26e-9, l = (c-a)*eps/(|f'|+a) = 4.25e-15 and mu = 1.06e-15, so the net
+would need 2.09e15 points against a cap of 2*10^6.  Local slopes do not
+rescue it: on 4,000,001 grid points |g_1'| exceeds 10 on 45% of [0, 1] and
+10^4 on 39% (median 1.76).  On that 39% a net graded by the local slope in
+place of the norm is at most 3.9 times sparser, so it still needs over
+10^14 points there.  Every seed tried ends the same way, so a round-m net
+that fits under the cap is outside what the engine was built to reach and
+raises GameError; a real second round needs a different construction
+scenario, not different constants.
 
 Everything "sufficiently small" in the construction is an explicit number
 here: margins come from certified set inclusions, shrink loops stop at a
@@ -31,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -47,12 +65,10 @@ from .bump import (
 from .indexcomb import DeltaSeq, IndexSeq, ScaleLadder, SeqOfSets, check_Y_k, index_set_A
 from .intervalsets import (
     FinitePointSet,
-    IntervalSet,
     Rat,
     as_fraction,
     ball,
     disjoint_gap,
-    is_subset,
     open_cover_full,
     pairwise_disjoint,
     prefix_distance,
@@ -127,8 +143,10 @@ class GameParams:
     net_factor: net spacing as a multiple of the covering radius (< 1 keeps
     a positive coverage margin).  w_safety: located-ball radius as a multiple
     of the minimum point gap (< 1/2 keeps closed balls disjoint).
-    max_net_points caps every net the engine builds; a round whose mu would
-    need more points raises GameInfeasibleError.
+    max_net_points is the net-size diagnosis threshold: a round whose mu
+    would need a net of more points raises GameInfeasibleError with the
+    measured cascade.  Round 1 builds its net only below it; later rounds
+    build none.
     """
 
     tol: float = 1e-4
@@ -551,6 +569,14 @@ class StarCheck:
         return self.ok
 
 
+def _enclosure_or_reason(cache: _EnclosureCache, a: Rat, variant: str) -> NSetEnclosure | str:
+    """The enclosure at scale a, or the message saying why it is unavailable."""
+    try:
+        return cache.get(a, variant)
+    except EnclosureRangeError as e:
+        return f"enclosure unavailable: {e}"
+
+
 def star_bullets(
     f: C1Function,
     K_sets: Sequence[HatCheckSet],
@@ -573,6 +599,26 @@ def star_bullets(
     undecided: list = []
     margins: dict = {}
 
+    def settle(key, enc, test=None, reason: str = "", decisive: str = "outer") -> None:
+        """Record bullet `key`.  `test(side)` gives (ok, margin) on one side of
+        the enclosure `enc`: a pass on the decisive side settles it, else the
+        other side tells undecided (`reason`) from failed.  `enc` may instead
+        be the message saying why it is unavailable."""
+        if isinstance(enc, str):
+            undecided.append(key)
+            margins[key] = enc
+            return
+        first, second = (enc.outer, enc.inner) if decisive == "outer" else (enc.inner, enc.outer)
+        ok, marg = test(first)
+        if ok:
+            margins[key] = None if marg is None else float(marg)
+        elif test(second)[0]:
+            undecided.append(key)
+            margins[key] = reason
+        else:
+            failures.append(key)
+            margins[key] = float(marg)
+
     for j in range(1, m + 1):
         A = index_set_A(j, m, nseq)
         out_idx = [n for n in range(1, n_m + 1) if n not in A]
@@ -580,62 +626,32 @@ def star_bullets(
         b_scale = ladder.b_refined(j, m, kb)
         for rd in ("hat", "check"):
             sel = _tilde_union(K_sets, A, rd).as_interval_set()
-            try:
-                enc_a = cache.get(a_scale, rd)
-            except EnclosureRangeError as e:
-                undecided.append((j, 1, rd))
-                margins[(j, 1, rd)] = f"enclosure unavailable: {e}"
-                undecided.append((j, 3, rd))
-                margins[(j, 3, rd)] = "enclosure unavailable"
-                enc_a = None
-            if enc_a is not None:
-                # bullet (i): fine slope set inside the open w-balls of the
-                # selected located points
-                ok1, m1 = subset_within(enc_a.outer, sel, w_m)
-                if ok1:
-                    margins[(j, 1, rd)] = float(m1)
-                else:
-                    ok1_inner, _ = subset_within(enc_a.inner, sel, w_m)
-                    if ok1_inner:
-                        undecided.append((j, 1, rd))
-                        margins[(j, 1, rd)] = "outer fails, inner passes"
-                    else:
-                        failures.append((j, 1, rd))
-                        margins[(j, 1, rd)] = float(m1)
+            enc_a = _enclosure_or_reason(cache, a_scale, rd)
+            # bullet (i): fine slope set inside the open w-balls of the
+            # selected located points
+            settle(
+                (j, 1, rd), enc_a, lambda s: subset_within(s, sel, w_m), "outer fails, inner passes"
+            )
+            if isinstance(enc_a, str):
+                settle((j, 3, rd), "enclosure unavailable")
             # bullet (ii): selected located points near the coarse slope set
-            try:
-                enc_b = cache.get(b_scale, rd)
-                ok2, m2 = subset_within(sel, enc_b.inner, w_m)
-                if ok2:
-                    margins[(j, 2, rd)] = float(m2)
-                else:
-                    ok2_out, _ = subset_within(sel, enc_b.outer, w_m)
-                    if ok2_out:
-                        undecided.append((j, 2, rd))
-                        margins[(j, 2, rd)] = "inner fails, outer passes"
-                    else:
-                        failures.append((j, 2, rd))
-                        margins[(j, 2, rd)] = float(m2)
-            except EnclosureRangeError as e:
-                undecided.append((j, 2, rd))
-                margins[(j, 2, rd)] = f"enclosure unavailable: {e}"
+            settle(
+                (j, 2, rd),
+                _enclosure_or_reason(cache, b_scale, rd),
+                lambda s: subset_within(sel, s, w_m),
+                "inner fails, outer passes",
+                "inner",
+            )
             # bullet (iii): fine slope set avoids closed w-balls of the rest
-            if enc_a is not None:
-                if not out_idx:
-                    margins[(j, 3, rd)] = "vacuous"
-                    continue
-                others = ball(_tilde_union(K_sets, out_idx, rd).as_interval_set(), w_m)
-                apart, gap = disjoint_gap(enc_a.outer, others)
-                if apart:
-                    margins[(j, 3, rd)] = float(gap) if gap is not None else None
-                else:
-                    apart_inner, _ = disjoint_gap(enc_a.inner, others)
-                    if apart_inner:
-                        undecided.append((j, 3, rd))
-                        margins[(j, 3, rd)] = "outer touches, inner clear"
-                    else:
-                        failures.append((j, 3, rd))
-                        margins[(j, 3, rd)] = 0.0
+            if isinstance(enc_a, str):
+                continue
+            if not out_idx:
+                margins[(j, 3, rd)] = "vacuous"
+                continue
+            others = ball(_tilde_union(K_sets, out_idx, rd).as_interval_set(), w_m)
+            settle(
+                (j, 3, rd), enc_a, lambda s: disjoint_gap(s, others), "outer touches, inner clear"
+            )
     return StarCheck(not failures and not undecided, tuple(failures), tuple(undecided), margins)
 
 
@@ -672,18 +688,6 @@ def _alternating_net(spacing: Fraction) -> tuple[FinitePointSet, FinitePointSet]
         check.append(i * spacing + spacing / 2)
         i += 1
     return FinitePointSet.of(hat), FinitePointSet.of(check)
-
-def _grid_points(region: IntervalSet, step: Fraction) -> list[Fraction]:
-    """Evenly spaced points on each component, spacing at most step, always
-    including both endpoints; exact rationals inside the region."""
-    out: list[Fraction] = []
-    for lo, hi in region.intervals:
-        if hi == lo:
-            out.append(lo)
-            continue
-        k = max(1, math.ceil((hi - lo) / step))
-        out.extend(lo + (hi - lo) * Fraction(i, k) for i in range(k + 1))
-    return out
 
 
 def _tag_by_nearest(
@@ -926,14 +930,16 @@ def round_m(
     f_m: C1Function,
     alpha_m: Rat,
     oracle: DenseOpenOracle,
-) -> RoundRecord:
-    """General round: refine the located sets of the previous round into
-    nets at the new, smaller perturbation radius, snap them through the
-    oracle, and certify every construction claim.  Raises
-    GameInfeasibleError when the certified radius collapses below any
-    buildable net (which it provably does at desk scale: the previous bump
-    forces curvature ~ height/width^2, and the witness scale shrinks with
-    its reciprocal)."""
+) -> NoReturn:
+    """Move-rule checks plus diagnosis for a round m >= 2; never returns.
+
+    Raises GameRuleError when the move ball does not lie inside the previous
+    answer, and GameError when the previous invariant fails at the move
+    center.  Otherwise it computes the perturbation radius mu_m (the least
+    over j in [m]) and raises GameInfeasibleError with the measured cascade
+    when a net at that radius would exceed params.max_net_points.  A net
+    that fits raises GameError: the engine builds no round-m net (see the
+    module docstring), so `oracle` is never consulted."""
     params = state.params
     tol = params.tol
     m = len(state.rounds) + 1
@@ -953,13 +959,12 @@ def round_m(
 
     ladder = state.ladder()
     ns_prev = state.ns
-    cache_f = _EnclosureCache(f_m, tol)
 
     # the previous invariant must hold for the actual move; this replaces
     # the inherited-by-continuity argument, whose coarse-side budget is
     # below float resolution at large slope scales
     inherited = star_bullets(
-        f_m, prev.K_sets, prev.n_m, prev.w_m, ns_prev, m - 1, ladder, 4, 3, tol, cache_f
+        f_m, prev.K_sets, prev.n_m, prev.w_m, ns_prev, m - 1, ladder, 4, 3, tol
     )
     if inherited.failures:
         raise GameError(
@@ -994,424 +999,12 @@ def round_m(
             params.max_net_points,
             tol,
         )
-
-    # auxiliary inclusion slack: previous fine sets sit strictly inside the
-    # previous located balls; half the least margin survives perturbation
-    zeta_margins = []
-    for j in range(1, m):
-        A_prev = index_set_A(j, m - 1, IndexSeq(ns_prev))
-        a1 = ladder.a_refined(j, m, 1)
-        for rd in ("hat", "check"):
-            sel = _tilde_union(prev.K_sets, A_prev, rd).as_interval_set()
-            ok, marg = subset_within(cache_f.get(a1, rd).outer, sel, prev.w_m)
-            if not ok:
-                raise GameError(
-                    f"previous located balls no longer catch the scale-{float(a1):.4g} set",
-                    {"j": j, "reading": rd},
-                )
-            zeta_margins.append(float(marg))
-    zeta_m = min(zeta_margins) / 2.0
-    if zeta_m < params.shrink_floor:
-        raise GameInfeasibleError(f"zeta_{m} = {zeta_m:.3g} below the floor")
-
-    L_sets = _build_L_sets(state, f_m, mu_m, zeta_m, cache_f, ladder, m)
-    l_margins = _certify_L_claims(state, f_m, L_sets, mu_m, cache_f, ladder, m)
-    rho = as_fraction(min(l_margins.values())) / 4
-    if float(rho) < params.shrink_floor:
-        raise GameInfeasibleError(f"net perturbation budget {float(rho):.3g} below the floor")
-
-    # snap the refined nets through the oracle, keeping every point within a
-    # budget that the re-verified claims absorb
-    built = len(L_sets)
-    Q_flat = _dedupe_across([s.flat() for s in L_sets], rho / 2)
-    eps_orc = float(min(rho / 2, as_fraction(mu_m) / 20))
-    reply = None
-    K_built: list[HatCheckSet] | None = None
-    for _ in range(params.max_oracle_retries):
-        reply = oracle(Q_flat, eps_orc)
-        if not pairwise_disjoint(list(reply.sets)):
-            raise OracleError("oracle reply is not a family of pairwise disjoint sets")
-        if len(reply.sets) < built:
-            raise OracleError("oracle reply dropped refined sets")
-        budget = as_fraction(eps_orc) + rho / 2
-        tagged = [
-            _tag_by_nearest(reply.sets[i], L_sets[i].hat, L_sets[i].check, budget)
-            for i in range(built)
-        ]
-        if all(t is not None for t in tagged):
-            K_built = [t for t in tagged if t is not None]
-            break
-        eps_orc /= 4.0
-    if K_built is None or reply is None:
-        raise OracleError(
-            "oracle replies never stayed within the snapping budget of the refined nets",
-            {"last_eps": eps_orc, "rho": float(rho)},
-        )
-
-    n_m = max(reply.l, built)
-    K_sets = tuple(K_built) + tuple(_alternate_tags(s) for s in reply.sets[built:n_m])
-    ns_m = ns_prev + (n_m,)
-    k_margins, sep_gaps = _certify_K_claims(
-        state, f_m, K_sets, mu_m, cache_f, ladder, m, ns_m
+    raise GameError(
+        f"round {m} net of about {need:.3g} points fits under the cap, but the "
+        "engine stops at the net-size diagnosis and builds no round-m net; "
+        "see the knotpoints.bmgame module docstring",
+        {"mu": mu_m, "net_points": need, "cap": params.max_net_points},
     )
-
-    flat_all = _flat_union(K_sets)
-    gap = flat_all.min_gap()
-    if gap is None or gap <= 0:
-        raise OracleError("located points collapsed onto each other")
-    w_half = prev.w_m / 2 * (1 - Fraction(1, 10**9))
-    w_candidates = [as_fraction(reply.r), w_half, params.w_safety * gap]
-    if sep_gaps:
-        w_candidates.append(min(sep_gaps) / 2)
-    w_m = min(w_candidates)
-    if float(w_m) < params.shrink_floor:
-        raise GameInfeasibleError(f"w_{m} = {float(w_m):.3g} fell below the floor")
-
-    hat_u = union_of_point_sets(s.hat for s in K_sets[:built])
-    check_u = union_of_point_sets(s.check for s in K_sets[:built])
-    spec = BumpSpec(hat_u, check_u, h_m, w_m)
-    phi = make_bump(spec)
-    certs: dict = {
-        "bump_properties": check_bump_properties(spec, phi),
-        "L_margins": _json_clean(l_margins),
-        "K_margins": _json_clean(k_margins),
-        "claim_2_on_K": "inherited from the nets; not re-verified (documented skip)",
-    }
-    if not certs["bump_properties"]:
-        raise GameError("constructed bump violates its defining properties")
-    g_m = f_m.add(phi)
-
-    b_m = Fraction(
-        max(m + 3, math.floor(prev.b_m) + 1, math.ceil(g_m.deriv_sup_norm() + 0.72) + 1)
-    )
-    ladder_m = params.ladder(tuple(r.b_m for r in state.rounds) + (b_m,))
-    if not ladder_m.b_refined(m, m, 2) >= as_fraction(g_m.deriv_sup_norm()):
-        raise GameError(f"b_{m} does not dominate the answered slope norm")
-
-    claims = star_bullets(g_m, K_sets, n_m, w_m, ns_m, m, ladder_m, 3, 2, tol)
-    certs["claims_g"] = {
-        "ok": claims.ok,
-        "failures": list(claims.failures),
-        "undecided": list(claims.undecided),
-        "margins": _json_clean(claims.margins),
-    }
-    if not claims.ok:
-        raise GameError(
-            f"round-{m} claims for g_{m} failed",
-            {"failures": claims.failures, "undecided": claims.undecided},
-        )
-
-    margin = min(
-        v
-        for (jj, bb, rr), v in claims.margins.items()
-        if bb == 1 and isinstance(v, float)
-    )
-    eps_m = margin / 2.0
-    if eps_m < params.shrink_floor:
-        raise GameInfeasibleError(f"eps_{m} margin {eps_m:.3g} below the floor")
-    beta_candidates = [alpha - h_m]
-    for j in range(1, m + 1):
-        a4 = ladder_m.a_refined(j, m, 4)
-        a3 = ladder_m.a_refined(j, m, 3)
-        adm = admissible_eps(a4, a3, as_fraction(eps_m))
-        beta_candidates.append(continuity_delta(a4, a3, adm))
-    beta_m = min(beta_candidates)
-    if float(beta_m) < params.shrink_floor:
-        raise GameInfeasibleError(f"beta_{m} = {float(beta_m):.3g} below the floor")
-
-    rec = RoundRecord(
-        m=m,
-        f_m=f_m,
-        alpha_m=alpha,
-        h_m=h_m,
-        mu_m=mu_m,
-        zeta_m=zeta_m,
-        L_sets=L_sets,
-        K_sets=K_sets,
-        n_m=n_m,
-        w_m=w_m,
-        g_m=g_m,
-        b_m=b_m,
-        beta_m=beta_m,
-        eps_m=eps_m,
-        oracle_l=reply.l,
-        oracle_r=as_fraction(reply.r),
-        oracle_label=reply.label,
-        certifications=certs,
-    )
-    star = check_star(rec, g_m, ns_m, ladder_m, tol)
-    certs["star_self"] = {
-        "ok": star.ok,
-        "failures": list(star.failures),
-        "undecided": list(star.undecided),
-        "margins": _json_clean(star.margins),
-    }
-    if not star.ok:
-        raise GameError(
-            f"round-{m} invariant failed for the answered center",
-            {"failures": star.failures, "undecided": star.undecided},
-        )
-    return rec
-
-
-def _build_L_sets(
-    state: GameState,
-    f_m: C1Function,
-    mu_m: float,
-    zeta_m: float,
-    cache_f: _EnclosureCache,
-    ladder: ScaleLadder,
-    m: int,
-) -> tuple[HatCheckSet, ...]:
-    """Refinement nets: one per previous located set (covering it and the
-    fine slope set near it), one per intermediate index (covering the
-    annulus between consecutive fine scales), and a final net covering the
-    residual.  Every point is drawn from a certified carrier."""
-    params = state.params
-    prev = state.last()
-    ns_prev = state.ns
-    nseq = IndexSeq(ns_prev)
-    step = as_fraction(mu_m) * params.net_factor
-    wp = prev.w_m
-    zeta = as_fraction(zeta_m)
-    total = 0
-    halves: dict[str, list[FinitePointSet]] = {"hat": [], "check": []}
-
-    n_prev = prev.n_m
-    for n in range(1, n_prev + 1):
-        j = next(
-            j for j in range(1, m) if n in index_set_A(j, m - 1, nseq)
-        )
-        b1 = ladder.b_refined(j, m, 1)
-        a1 = ladder.a_refined(j, m, 1)
-        for rd in ("hat", "check"):
-            anchor = prev.K_sets[n - 1].tilde(rd).as_interval_set()
-            carrier = cache_f.get(b1, rd).inner.intersect(ball(anchor, wp))
-            target = cache_f.get(a1, rd).outer.intersect(ball(anchor, wp - zeta))
-            if carrier.is_empty and not target.is_empty:
-                raise GameError(
-                    f"carrier for refined net {n} ({rd}) is empty while its target is not"
-                )
-            pts = _grid_points(carrier, step)
-            total += len(pts)
-            if total > params.max_net_points:
-                raise GameInfeasibleError(
-                    f"refined nets exceed the point cap at set {n}"
-                )
-            halves[rd].append(FinitePointSet.of(pts))
-
-    for j in range(2, m):
-        a1j = ladder.a_refined(j, m, 1)
-        a1jm = ladder.a_refined(j - 1, m, 1)
-        A_prev = index_set_A(j - 1, m - 1, nseq)
-        for rd in ("hat", "check"):
-            balls_prev = ball(
-                _tilde_union(prev.K_sets, A_prev, rd).as_interval_set(), wp - zeta
-            )
-            carrier = (
-                cache_f.get(a1j, rd)
-                .inner.difference(cache_f.get(a1jm, rd).outer)
-                .intersect(balls_prev)
-            )
-            pts = _grid_points(carrier, step)
-            total += len(pts)
-            halves[rd].append(FinitePointSet.of(pts))
-
-    mu_frac = as_fraction(mu_m)
-    for rd in ("hat", "check"):
-        covered = IntervalSet.empty()
-        for s in halves[rd]:
-            covered = covered.union(ball(s.as_interval_set(), mu_frac))
-        residual = IntervalSet.full().difference(covered)
-        pts = _grid_points(residual, step)
-        total += len(pts)
-        if total > params.max_net_points:
-            raise GameInfeasibleError("residual net exceeds the point cap")
-        halves[rd].append(FinitePointSet.of(pts))
-
-    return tuple(
-        HatCheckSet(h, c) for h, c in zip(halves["hat"], halves["check"])
-    )
-
-
-def _certify_L_claims(
-    state: GameState,
-    f_m: C1Function,
-    L_sets: Sequence[HatCheckSet],
-    mu_m: float,
-    cache_f: _EnclosureCache,
-    ladder: ScaleLadder,
-    m: int,
-) -> dict[str, float]:
-    """The construction claims for the refinement nets, checked exactly on
-    the finite sets and through enclosures where slope sets appear: (1)
-    proximity to the previous located sets, (2) coverage of the top fine
-    slope set, (3) membership in the coarse slope sets, (4) full coverage of
-    the interval, (5) new selected indices stay near the previous selection,
-    (6) the mid slope sets avoid the unselected nets.  Returns the positive
-    margins; any failed claim aborts the round."""
-    prev = state.last()
-    nseq = IndexSeq(state.ns)
-    wp = prev.w_m
-    mu_frac = as_fraction(mu_m)
-    margins: dict[str, float] = {}
-
-    worst1 = None
-    for n in range(1, prev.n_m + 1):
-        for rd in ("hat", "check"):
-            d = (
-                L_sets[n - 1].tilde(rd).as_interval_set()
-                .hausdorff(prev.K_sets[n - 1].tilde(rd).as_interval_set())
-            )
-            slack = wp - d
-            if not slack > 0:
-                raise GameError(
-                    f"claim (1) fails at n={n} ({rd}): distance {float(d):.3g}"
-                )
-            worst1 = slack if worst1 is None else min(worst1, slack)
-    if worst1 is not None:
-        margins["claim_1"] = float(worst1)
-
-    a_top = ladder.a_refined(m - 1, m, 1)
-    for rd in ("hat", "check"):
-        nets = union_of_point_sets(s.tilde(rd) for s in L_sets[: prev.n_m + m - 2])
-        ok, marg = subset_within(cache_f.get(a_top, rd).outer, nets.as_interval_set(), mu_frac)
-        if not ok:
-            raise GameError(f"claim (2) fails ({rd})")
-        margins[f"claim_2_{rd}"] = float(marg)
-
-    for j in range(1, m):
-        b1 = ladder.b_refined(j, m, 1)
-        A = index_set_A(j, m, nseq)
-        for rd in ("hat", "check"):
-            sel = _tilde_union(L_sets, [n for n in A if n <= len(L_sets)], rd)
-            inner = cache_f.get(b1, rd).inner
-            for q in sel.points:
-                if not inner.contains_point(q):
-                    raise GameError(f"claim (3) fails at j={j} ({rd})")
-
-    for rd in ("hat", "check"):
-        full_cover = IntervalSet.empty()
-        for s in L_sets:
-            full_cover = full_cover.union(ball(s.tilde(rd).as_interval_set(), mu_frac))
-        if not is_subset(IntervalSet.full(), full_cover):
-            raise GameError(f"claim (4) fails ({rd})")
-    # the nets are grids at spacing strictly below the covering radius;
-    # that spacing slack is the coverage margin
-    margins["claim_4"] = float(mu_frac * (1 - state.params.net_factor))
-
-    nseq_m = IndexSeq(state.ns + (prev.n_m + m - 1,))
-    for j in range(2, m):
-        grown = index_set_A(j, m, nseq_m) - index_set_A(j, m - 1, nseq)
-        A_prevj = index_set_A(j - 1, m - 1, nseq)
-        for rd in ("hat", "check"):
-            sel = _tilde_union(L_sets, [n for n in grown if n <= len(L_sets)], rd)
-            near = (
-                union_of_point_sets(
-                    L_sets[n - 1].tilde(rd) for n in sorted(A_prevj)
-                )
-            ).as_interval_set()
-            ok, marg = subset_within(sel.as_interval_set(), near, 2 * wp)
-            if not ok:
-                raise GameError(f"claim (5) fails at j={j} ({rd})")
-            margins[f"claim_5_j{j}_{rd}"] = float(marg)
-
-    for j in range(1, m):
-        a2 = ladder.a_refined(j, m, 2)
-        A = index_set_A(j, m, nseq_m)
-        out_idx = [n for n in range(1, len(L_sets) + 1) if n not in A]
-        for rd in ("hat", "check"):
-            if not out_idx:
-                continue
-            others = _tilde_union(L_sets, out_idx, rd).as_interval_set()
-            apart, gapv = disjoint_gap(cache_f.get(a2, rd).outer, others)
-            if not apart:
-                raise GameError(f"claim (6) fails at j={j} ({rd})")
-            if gapv is not None:
-                margins[f"claim_6_j{j}_{rd}"] = float(gapv)
-    return margins
-
-
-def _certify_K_claims(
-    state: GameState,
-    f_m: C1Function,
-    K_sets: Sequence[HatCheckSet],
-    mu_m: float,
-    cache_f: _EnclosureCache,
-    ladder: ScaleLadder,
-    m: int,
-    ns_m: tuple[int, ...],
-) -> tuple[dict[str, float], list[Fraction]]:
-    """Re-verify the net claims on the snapped located sets: proximity (1),
-    interior membership in the coarse slope sets (3), full coverage (4),
-    proximity of new selections (5), and separation of the mid slope sets
-    from the unselected located points (6), whose gaps bound w_m."""
-    prev = state.last()
-    nseq = IndexSeq(state.ns)
-    nseq_m = IndexSeq(ns_m)
-    built = prev.n_m + m - 1
-    wp = prev.w_m
-    mu_frac = as_fraction(mu_m)
-    margins: dict[str, float] = {}
-    sep_gaps: list[Fraction] = []
-
-    worst1 = None
-    for n in range(1, prev.n_m + 1):
-        for rd in ("hat", "check"):
-            d = (
-                K_sets[n - 1].tilde(rd).as_interval_set()
-                .hausdorff(prev.K_sets[n - 1].tilde(rd).as_interval_set())
-            )
-            slack = wp - d
-            if not slack > 0:
-                raise GameError(f"located claim (1) fails at n={n} ({rd})")
-            worst1 = slack if worst1 is None else min(worst1, slack)
-    if worst1 is not None:
-        margins["claim_1"] = float(worst1)
-
-    for j in range(1, m):
-        b2 = ladder.b_refined(j, m, 2)
-        A = index_set_A(j, m, nseq_m)
-        for rd in ("hat", "check"):
-            sel = _tilde_union(K_sets, [n for n in A if n <= built], rd)
-            if not sel.as_interval_set().subset_of_interior(cache_f.get(b2, rd).inner):
-                raise GameError(f"located claim (3) fails at j={j} ({rd})")
-
-    for rd in ("hat", "check"):
-        full_cover = IntervalSet.empty()
-        for s in K_sets[:built]:
-            full_cover = full_cover.union(ball(s.tilde(rd).as_interval_set(), mu_frac))
-        if not is_subset(IntervalSet.full(), full_cover):
-            raise GameError(f"located claim (4) fails ({rd})")
-
-    for j in range(2, m):
-        grown = index_set_A(j, m, nseq_m) - index_set_A(j, m - 1, nseq)
-        A_prevj = index_set_A(j - 1, m - 1, nseq)
-        for rd in ("hat", "check"):
-            sel = (
-                _tilde_union(K_sets, [n for n in grown if n <= built], rd)
-            ).as_interval_set()
-            near = _tilde_union(K_sets, A_prevj, rd).as_interval_set()
-            ok, marg = subset_within(sel, near, 2 * wp)
-            if not ok:
-                raise GameError(f"located claim (5) fails at j={j} ({rd})")
-            margins[f"claim_5_j{j}_{rd}"] = float(marg)
-
-    for j in range(1, m + 1):
-        a2 = ladder.a_refined(j, m, 2)
-        A = index_set_A(j, m, nseq_m)
-        out_idx = [n for n in range(1, built + 1) if n not in A]
-        if not out_idx:
-            continue
-        for rd in ("hat", "check"):
-            others = _tilde_union(K_sets, out_idx, rd).as_interval_set()
-            apart, gapv = disjoint_gap(cache_f.get(a2, rd).outer, others)
-            if not apart:
-                raise GameError(f"located claim (6) fails at j={j} ({rd})")
-            if gapv is not None:
-                sep_gaps.append(gapv)
-                margins[f"claim_6_j{j}_{rd}"] = float(gapv)
-    return margins, sep_gaps
 
 
 # ---------------------------------------------------------------------------
@@ -1444,19 +1037,9 @@ def run_game(
             rec = round_one(f, alpha, oracle, params)
         else:
             rec = round_m(state, f, alpha, oracle)
-            _assert_monotone(state.last(), rec)
         state = GameState(state.rounds + (rec,), params)
     report = limit_report(state)
     return state, report
-
-
-def _assert_monotone(prev: RoundRecord, rec: RoundRecord) -> None:
-    if not rec.w_m < prev.w_m / 2:
-        raise GameError("radius failed to halve between rounds")
-    if not rec.n_m >= prev.n_m + rec.m - 1:
-        raise GameError("located index count grew too slowly")
-    if not rec.b_m > max(rec.m + 2, prev.b_m):
-        raise GameError("slope bound failed to grow")
 
 
 def limit_report(state: GameState) -> dict:

@@ -50,7 +50,7 @@ from .nsets import (
     pow2_bounds,
     pow2_gap_bounds,
 )
-from .realfn import C1Function, pieces_of
+from .realfn import C1Function, cubic_range, pieces_of
 
 __all__ = [
     "BumpSpec",
@@ -189,28 +189,10 @@ def check_bump_properties(spec: BumpSpec, phi: C1Function, tol: float = 1e-12) -
         if np.max(np.abs(np.asarray(phi.eval(xs)) - sign * h)) > tol * max(1.0, h):
             return False
 
-    # per-piece extrema of the cubics: endpoint values plus interior
-    # critical points, all vectorized
+    # per-piece range of the cubics, in each piece's local coordinate
     pieces = phi.as_cubic_pieces()
-    br = np.asarray(pieces.breaks, dtype=float)
-    co = np.asarray(pieces.coeffs, dtype=float)
-    dx = np.diff(br)
-    c0, c1, c2, c3 = co[:, 0], co[:, 1], co[:, 2], co[:, 3]
-    cand = [c0, ((c3 * dx + c2) * dx + c1) * dx + c0]
-    disc = c2 * c2 - 3.0 * c3 * c1
-    safe = disc >= 0.0
-    sq = np.sqrt(np.where(safe, disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for sgn in (1.0, -1.0):
-            s = np.where(
-                c3 != 0.0,
-                (-c2 + sgn * sq) / (3.0 * c3),
-                np.where(c2 != 0.0, -c1 / (2.0 * c2), np.nan),
-            )
-            s = np.where(safe & (s > 0.0) & (s < dx), s, 0.0)
-            cand.append(((c3 * s + c2) * s + c1) * s + c0)
-    vals = np.stack(cand)
-    mn, mx = vals.min(axis=0), vals.max(axis=0)
+    br = pieces.breaks
+    mn, mx = cubic_range(pieces.coeffs.T, 0.0, np.diff(br))
 
     for flags, pts in ((mx > tol, spec.H_hat), (mn < -tol, spec.H_check)):
         if not bool(flags.any()):

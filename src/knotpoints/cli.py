@@ -4,8 +4,9 @@ Subcommands: nset, hausdorff, comb (check-s | check-y | perm), bump
 (make | mu), game (run | verify), jarnik-demo.  Every command emits a
 schema-versioned JSON report that is byte-identical across repeated runs
 with the same inputs and seed; wall-clock time goes to stderr, never into
-the report.  Exit codes: 0 when every check passes, 1 when a check fails
-or is refuted, 2 for malformed input (the message names the field).
+the report.  `inputs_digest` hashes the inputs, the seed and the bytes of
+every input file.  Exit codes: 0 when every check passes, 1 when a check
+fails or is refuted, 2 for malformed input (the message names the field).
 """
 
 from __future__ import annotations
@@ -123,9 +124,14 @@ def _load_interval_set(path: str, field: str) -> IntervalSet:
         raise InputError(field, f"not a valid interval-set file: {e}") from e
 
 
-def _digest(inputs: dict) -> str:
-    blob = json.dumps(inputs, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()
+def _digest(inputs: dict, seed, files) -> str:
+    """sha256 of the inputs, the seed and the bytes of every input file, so
+    two runs share a digest only when they read the same data."""
+    h = hashlib.sha256(json.dumps([inputs, seed], sort_keys=True, default=str).encode())
+    for path in files:
+        with open(path, "rb") as fh:
+            h.update(hashlib.sha256(fh.read()).digest())
+    return h.hexdigest()
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -151,12 +157,15 @@ def _emit(report: dict, out: str | None, csv_text: str | None, csv_path: str | N
         _atomic_write(csv_path, csv_text)
 
 
-def _report(command: list[str], inputs: dict, outputs: dict, checks: dict, seed=None) -> dict:
+def _report(
+    command: list[str], inputs: dict, outputs: dict, checks: dict, seed=None, files=()
+) -> dict:
+    """The report envelope; `files` lists the paths of the files read."""
     ok = all(bool(c.get("ok")) for c in checks.values()) if checks else True
     return {
         "schema": REPORT_SCHEMA,
         "command": command,
-        "inputs_digest": _digest(inputs),
+        "inputs_digest": _digest(inputs, seed, files),
         "inputs": inputs,
         "seed": seed,
         "outputs": outputs,
@@ -208,7 +217,7 @@ def cmd_nset(args, argv: list[str]) -> dict:
             }
         }
         csv_lines += [f"{float(lo)!r},{float(hi)!r}" for lo, hi in enc.outer.intervals]
-    rep = _report(argv, inputs, outputs, checks)
+    rep = _report(argv, inputs, outputs, checks, files=[args.f])
     return rep, "\n".join(csv_lines) + "\n"
 
 
@@ -218,7 +227,8 @@ def cmd_hausdorff(args, argv: list[str]) -> dict:
     d = k.hausdorff(l)
     inputs = {"k": args.k, "l": args.l}
     outputs = {"distance": str(d), "distance_float": float(d)}
-    return _report(argv, inputs, outputs, {"computed": {"ok": True, "margin": None}}), None
+    checks = {"computed": {"ok": True, "margin": None}}
+    return _report(argv, inputs, outputs, checks, files=[args.k, args.l]), None
 
 
 def _comb_sets(args) -> SeqOfSets:
@@ -277,7 +287,8 @@ def cmd_comb(args, argv: list[str]) -> dict:
         "undecided": [list(x) for x in res.undecided],
     }
     checks = {"chain": {"ok": res.ok, "margin": None}}
-    return _report(argv, inputs, outputs, checks), None
+    files = [args.sets] + ([args.f] if args.mode == "check-y" else [])
+    return _report(argv, inputs, outputs, checks, files=files), None
 
 
 def cmd_bump(args, argv: list[str]) -> dict:
@@ -308,7 +319,7 @@ def cmd_bump(args, argv: list[str]) -> dict:
             "bump_properties": {"ok": bool(props), "margin": None},
             "window_estimates": {"ok": bool(easy), "margin": None},
         }
-        rep = _report(argv, inputs, outputs, checks)
+        rep = _report(argv, inputs, outputs, checks, files=[args.f] if args.f else [])
         if args.fn_out:
             _atomic_write(args.fn_out, json.dumps(function_to_json(phi), sort_keys=True) + "\n")
         return rep, None
@@ -326,10 +337,10 @@ def cmd_bump(args, argv: list[str]) -> dict:
     except EpsilonSearchError as e:
         outputs = {"error": str(e)}
         checks = {"radius": {"ok": False, "margin": None}}
-        return _report(argv, inputs, outputs, checks), None
+        return _report(argv, inputs, outputs, checks, files=[args.f]), None
     outputs = {"l": lval, "mu": muval}
     checks = {"radius": {"ok": muval > 0.0, "margin": muval}}
-    return _report(argv, inputs, outputs, checks), None
+    return _report(argv, inputs, outputs, checks, files=[args.f]), None
 
 
 def _parse_oracle(spec: str):
@@ -361,13 +372,14 @@ def cmd_game(args, argv: list[str]) -> dict:
         inputs = {"mode": "verify", "report": args.report}
         outputs = {"recomputed": recomputed}
         checks = {"reproduces": {"ok": ok, "margin": None}}
-        return _report(argv, inputs, outputs, checks), None
+        return _report(argv, inputs, outputs, checks, files=[args.report]), None
 
     if args.rounds < 1:
         raise InputError("rounds", "need at least one round")
     oracle = _parse_oracle(args.oracle)
     adv = random_player_one(args.seed)
     inputs = {"mode": "run", "rounds": args.rounds, "oracle": args.oracle}
+    files = [args.oracle.split(":", 1)[1]] if args.oracle.startswith("target:") else []
     try:
         state, limit = run_game(adv, oracle, args.rounds)
     except GameInfeasibleError as e:
@@ -377,11 +389,11 @@ def cmd_game(args, argv: list[str]) -> dict:
             "details": {k: (str(v) if isinstance(v, Fraction) else v) for k, v in e.details.items()},
         }
         checks = {"completed_rounds": {"ok": False, "margin": None}}
-        return _report(argv, inputs, outputs, checks, seed=args.seed), None
+        return _report(argv, inputs, outputs, checks, seed=args.seed, files=files), None
     except GameError as e:
         outputs = {"status": "error", "message": str(e)}
         checks = {"completed_rounds": {"ok": False, "margin": None}}
-        return _report(argv, inputs, outputs, checks, seed=args.seed), None
+        return _report(argv, inputs, outputs, checks, seed=args.seed, files=files), None
     grep = game_report(state, limit)
     outputs = {"status": "complete", "game": grep}
     checks = {
@@ -391,7 +403,7 @@ def cmd_game(args, argv: list[str]) -> dict:
     for rec in state.rounds:
         star = rec.certifications.get("star_self", {})
         checks[f"star_round_{rec.m}"] = {"ok": bool(star.get("ok")), "margin": None}
-    return _report(argv, inputs, outputs, checks, seed=args.seed), None
+    return _report(argv, inputs, outputs, checks, seed=args.seed, files=files), None
 
 
 def _grid_hits(s: IntervalSet, n: int) -> int:

@@ -76,7 +76,6 @@ __all__ = [
     "n_set_enclosure",
     "n_full_truncated",
     "point_defect_exact",
-    "point_defect_float",
     "point_defects_float",
     "continuity_delta",
     "admissible_eps",
@@ -432,36 +431,10 @@ def point_defect_exact(f: PwlFunction, a: Rat, variant: str, x: Rat) -> Fraction
     return gx - mn  # need window min >= value at x
 
 
-def point_defect_float(f, a: float, variant: str, x: float) -> float:
-    """Float membership defect (closed-form window extrema on cubic pieces).
-    Returns +inf outside the variant's domain; composites take the minimum."""
-    _check_variant(variant)
-    if variant in _PARTS:
-        parts = _PARTS[variant]
-        return min(point_defect_float(f, a, p, x) for p in parts)
-    p = pieces_of(f)
-    delta = 2.0 ** (-float(a))
-    tolredge = 1e-12
-    if variant.startswith("plus"):
-        if not -tolredge <= x <= 1 - delta + tolredge:
-            return np.inf
-        lo, hi = x, min(x + delta, 1.0)
-    else:
-        if not delta - tolredge <= x <= 1 + tolredge:
-            return np.inf
-        lo, hi = max(x - delta, 0.0), x
-    lo, hi = max(lo, 0.0), min(hi, 1.0)
-    sign = -1.0 if variant in ("plus_upper", "minus_upper") else 1.0
-    g = p.add_linear(sign * float(a))
-    gx = g.eval(min(max(x, 0.0), 1.0))
-    mn, mx = g.range_on(lo, hi)
-    if variant in ("plus_upper", "minus_lower"):
-        return mx - gx
-    return gx - mn
-
-
 def point_defects_float(f, a: float, variant: str, xs) -> np.ndarray:
-    """Vectorized point_defect_float over an array of points.
+    """Float counterpart of `point_defect_exact` at an array of points:
+    +inf outside the variant's domain; composites take the minimum of their
+    parts.
 
     Every basic variant is the forward-upper defect of a transformed function
     at a transformed point, so one segment table per variant serves all the

@@ -1,12 +1,26 @@
 """Ball-game checks on hand-built scenarios: an enclosure that the engine
-cannot certify makes a verdict undecided, any other error propagates."""
+cannot certify makes a verdict undecided, any other error propagates, and
+`round_m` enforces the move rules and ends at its net-size diagnosis."""
 
 from fractions import Fraction
 
 import pytest
 
 from knotpoints import bmgame
-from knotpoints.bmgame import GameParams, GameState, HatCheckSet, RoundRecord, limit_report, star_bullets
+from knotpoints.bmgame import (
+    GameError,
+    GameInfeasibleError,
+    GameParams,
+    GameRuleError,
+    GameState,
+    HatCheckSet,
+    RoundRecord,
+    StarCheck,
+    limit_report,
+    oracle_everything,
+    round_m,
+    star_bullets,
+)
 from knotpoints.intervalsets import FULL, FinitePointSet
 from knotpoints.nsets import EnclosureRangeError, NSetEnclosure
 from knotpoints.realfn import C1Function
@@ -99,3 +113,48 @@ def test_limit_report_propagates_other_value_errors(monkeypatch, scale):
     monkeypatch.setattr(bmgame, "check_Y_k", index_chain)
     with pytest.raises(ValueError, match="not a range error"):
         limit_report(_one_round_state())
+
+
+def _round_m(state, f, alpha):
+    return round_m(state, f, alpha, oracle_everything())
+
+
+def test_round_m_rejects_moves_outside_the_previous_answer():
+    state = _one_round_state()
+    one = C1Function([0.0, 1.0], [1.0, 1.0], [0.0, 0.0])  # 1 away from g_1, beta_1 = 1/2
+    with pytest.raises(GameRuleError, match="outside beta"):
+        _round_m(state, one, F(1, 8))
+    with pytest.raises(GameRuleError, match="does not fit"):
+        _round_m(state, C1Function.zero(), F(1))
+
+
+def test_round_m_needs_a_completed_first_round():
+    with pytest.raises(GameError, match="completed first round"):
+        _round_m(GameState(()), C1Function.zero(), F(1, 8))
+
+
+@pytest.fixture
+def stub_round_m(monkeypatch):
+    """A legal move whose inherited invariant holds; returns a setter for
+    the perturbation radius that every j gets."""
+    monkeypatch.setattr(bmgame, "star_bullets", lambda *args: StarCheck(True))
+    monkeypatch.setattr(bmgame, "lemma_epsilon", lambda *args: 2e-9)
+    monkeypatch.setattr(bmgame, "interval_length_l", lambda *args: 4e-15)
+    return lambda radius: monkeypatch.setattr(bmgame, "mu", lambda *args: radius)
+
+
+def test_round_m_diagnoses_a_net_above_the_cap(stub_round_m):
+    stub_round_m(1e-15)
+    with pytest.raises(GameInfeasibleError) as err:
+        _round_m(_one_round_state(), C1Function.zero(), F(1, 8))
+    d = err.value.details
+    assert set(d) == {"mu", "eps", "l", "net_points", "cap", "deriv_norm"}
+    assert (d["mu"], d["eps"], d["l"], d["cap"], d["deriv_norm"]) == (1e-15, 2e-9, 4e-15, 2_000_000, 0.0)
+    assert d["net_points"] == pytest.approx(2 / 0.9e-15)
+
+
+def test_round_m_stops_when_the_net_would_fit(stub_round_m):
+    stub_round_m(0.1)
+    with pytest.raises(GameError, match="net-size diagnosis") as err:
+        _round_m(_one_round_state(), C1Function.zero(), F(1, 8))
+    assert not isinstance(err.value, GameInfeasibleError)

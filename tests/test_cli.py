@@ -1,5 +1,6 @@
 """Command-line front end: the `nset` and `jarnik-demo` subcommands through
-`cli.main`, and the grid count behind `jarnik-demo`."""
+`cli.main`, the input digest of a report, and the grid count behind
+`jarnik-demo`."""
 
 import json
 from fractions import Fraction
@@ -72,6 +73,24 @@ def test_jarnik_demo_rejects_negative_depth(tmp_path, capsys):
     assert rc == 2
     assert "input error in field 'depth'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_inputs_digest_covers_seed_and_file_contents(tmp_path):
+    out = tmp_path / "report.json"
+
+    def digest(*argv):
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        return json.loads(out.read_text())["inputs_digest"]
+
+    perm = ("comb", "perm", "--count", "2", "--seed")
+    assert digest(*perm, "0") == digest(*perm, "0") != digest(*perm, "1")
+    k, l = tmp_path / "k.json", tmp_path / "l.json"
+    l.write_text(json.dumps(IntervalSet.from_pairs([(0, F(1, 2))]).to_json_dict()))
+    digests = []
+    for hi in (F(1, 2), F(3, 4)):
+        k.write_text(json.dumps(IntervalSet.from_pairs([(0, hi)]).to_json_dict()))
+        digests.append(digest("hausdorff", "--k", str(k), "--l", str(l)))
+    assert digests[0] != digests[1]
 
 
 @st.composite
