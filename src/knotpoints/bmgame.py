@@ -66,6 +66,8 @@ from .indexcomb import DeltaSeq, IndexSeq, ScaleLadder, SeqOfSets, check_Y_k, in
 from .intervalsets import (
     FinitePointSet,
     Rat,
+    _common_points,
+    _of_ratios,
     as_fraction,
     ball,
     disjoint_gap,
@@ -189,15 +191,10 @@ class HatCheckSet:
     check: FinitePointSet
 
     def __post_init__(self) -> None:
-        a, b = self.hat.points, self.check.points
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i] < b[j]:
-                i += 1
-            elif b[j] < a[i]:
-                j += 1
-            else:
-                raise ValueError(f"hat and check parts share the point {a[i]}")
+        (a, b), den = _common_points((self.hat, self.check))
+        shared = set(a).intersection(b)
+        if shared:
+            raise ValueError(f"hat and check parts share the point {Fraction(min(shared), den)}")
 
     def tilde(self, reading: str) -> FinitePointSet:
         if reading == "hat":
@@ -208,10 +205,6 @@ class HatCheckSet:
 
     def flat(self) -> FinitePointSet:
         return self.hat.union(self.check)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.hat.points) + len(self.check.points)
 
     def to_json(self) -> dict:
         return {
@@ -268,21 +261,24 @@ def _dedupe_across(
 ) -> tuple[FinitePointSet, ...]:
     """Shift later repeats of any point shared across sets by tiny distinct
     offsets within the budget, making the family pairwise disjoint."""
-    seen: set[Fraction] = set()
+    nums, den = _common_points(sets)
+    # points scaled by den: ints, and Fractions once shifted off a repeat
+    seen: set = set()
     out = []
     bump_idx = 1
-    for s in sets:
+    for s in nums:
         pts = []
-        for p in s.points:
+        for p in s:
             q = p
-            while q in seen or q > 1 or q < 0:
-                q = p + budget * Fraction(bump_idx, 8 * (bump_idx + len(seen) + 1))
-                if q > 1:
-                    q = p - budget * Fraction(bump_idx, 8 * (bump_idx + len(seen) + 1))
+            while q in seen or q > den or q < 0:
+                step = budget * den * Fraction(bump_idx, 8 * (bump_idx + len(seen) + 1))
+                q = p + step
+                if q > den:
+                    q = p - step
                 bump_idx += 1
             seen.add(q)
             pts.append(q)
-        out.append(FinitePointSet.of(pts))
+        out.append(_of_ratios([(q.numerator, q.denominator * den) for q in pts]))
     return tuple(out)
 
 
@@ -677,17 +673,12 @@ def check_star(
 def _alternating_net(spacing: Fraction) -> tuple[FinitePointSet, FinitePointSet]:
     """Two interleaved grids, each an open cover net at radius just above
     spacing: hat points at multiples of spacing, check points offset by half."""
-    hat = []
-    i = 0
-    while i * spacing <= 1:
-        hat.append(i * spacing)
-        i += 1
-    check = []
-    i = 0
-    while i * spacing + spacing / 2 <= 1:
-        check.append(i * spacing + spacing / 2)
-        i += 1
-    return FinitePointSet.of(hat), FinitePointSet.of(check)
+    p, q = spacing.numerator, spacing.denominator
+    # over 2q: hat points i*2p, check points i*2p + p, both up to 2q
+    return (
+        FinitePointSet(range(0, 2 * q + 1, 2 * p), 2 * q),
+        FinitePointSet(range(p, 2 * q + 1, 2 * p), 2 * q),
+    )
 
 
 def _tag_by_nearest(
@@ -700,10 +691,14 @@ def _tag_by_nearest(
     point is ambiguous or farther than the snapping budget.  Queries are
     sorted, so one monotone pointer per target suffices."""
 
-    def monotone_nearest(arr: tuple[Fraction, ...]):
+    (xs, hs, cs), den = _common_points((pts, hat_target, check_target))
+    # d > within  <=>  d * wd > wn * den, for a distance d over den
+    wd, wn = within.denominator, within.numerator * den
+
+    def monotone_nearest(arr: Sequence[int]):
         state = [0]
 
-        def query(q: Fraction) -> Fraction | None:
+        def query(q: int) -> int | None:
             if not arr:
                 return None
             i = state[0]
@@ -719,30 +714,30 @@ def _tag_by_nearest(
 
         return query
 
-    dist_h = monotone_nearest(hat_target.points)
-    dist_c = monotone_nearest(check_target.points)
+    dist_h = monotone_nearest(hs)
+    dist_c = monotone_nearest(cs)
     hat_pts, check_pts = [], []
-    for q in pts.points:
+    for q in xs:
         dh = dist_h(q)
         dc = dist_c(q)
         if dh is None and dc is None:
             return None
         if dc is None or (dh is not None and dh < dc):
-            if dh > within:
+            if dh * wd > wn:
                 return None
             hat_pts.append(q)
         elif dh is None or dc < dh:
-            if dc > within:
+            if dc * wd > wn:
                 return None
             check_pts.append(q)
         else:
             return None
-    return HatCheckSet(FinitePointSet.of(hat_pts), FinitePointSet.of(check_pts))
+    return HatCheckSet(FinitePointSet(hat_pts, den), FinitePointSet(check_pts, den))
 
 
 def _alternate_tags(pts: FinitePointSet) -> HatCheckSet:
-    xs = pts.points
-    return HatCheckSet(FinitePointSet.of(xs[0::2]), FinitePointSet.of(xs[1::2]))
+    xs, den = pts.nums, pts.den
+    return HatCheckSet(FinitePointSet(xs[0::2], den), FinitePointSet(xs[1::2], den))
 
 
 def _infeasible_cascade(
@@ -818,7 +813,7 @@ def round_one(
         reply = oracle(target, eps_orc)
         if not pairwise_disjoint([s for s in reply.sets]):
             raise OracleError("oracle reply is not a family of pairwise disjoint sets")
-        if reply.sets[0].points == flat_t.points:
+        if reply.sets[0] == flat_t:
             tagged = tagged_t
         else:
             tagged = _tag_by_nearest(reply.sets[0], hat_t, check_t, as_fraction(eps_orc))

@@ -31,6 +31,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .intervalsets import (
     FinitePointSet,
     IntervalSet,
     Rat,
+    _common_points,
     as_fraction,
     ball,
     is_subset,
@@ -86,9 +88,11 @@ class BumpSpec:
         object.__setattr__(self, "width", as_fraction(self.width))
         if self.height <= 0 or self.width <= 0:
             raise ValueError("height and width must be positive")
-        overlap = set(self.H_hat.points) & set(self.H_check.points)
+        (a, b), den = _common_points((self.H_hat, self.H_check))
+        overlap = set(a).intersection(b)
         if overlap:
-            raise ValueError(f"H_hat and H_check must be disjoint; both contain {sorted(overlap)}")
+            both = [Fraction(x, den) for x in sorted(overlap)]
+            raise ValueError(f"H_hat and H_check must be disjoint; both contain {both}")
         g = self.all_points().min_gap()
         if g is not None and g <= 2 * self.width:
             warnings.warn(
@@ -106,6 +110,13 @@ class BumpSpec:
         if reading == "check":
             return self.H_check
         raise ValueError("reading must be 'hat' or 'check'")
+
+
+def _floats(pts: FinitePointSet) -> np.ndarray:
+    """float(p) for every point p, in order: n / den is the correctly rounded
+    int division that `Fraction.__float__` performs, so the bits agree."""
+    den = pts.den
+    return np.array([x / den for x in pts.nums], dtype=float)
 
 
 def _smoothstep(t: float) -> tuple[float, float]:
@@ -128,17 +139,18 @@ def lobe_half_width(spec: BumpSpec) -> Fraction:
 def make_bump(spec: BumpSpec) -> C1Function:
     """Build the bump: one cubic smoothstep lobe per located point, positive
     at H_hat, negative at H_check, zero with zero slope elsewhere."""
-    pts = [(p, 1.0) for p in spec.H_hat] + [(p, -1.0) for p in spec.H_check]
+    (hat, check), den = _common_points((spec.H_hat, spec.H_check))
+    # (numerator over den, sign) in increasing order: the halves are disjoint
+    # sorted runs, so the sort is one merge of two runs
+    pts = sorted(chain(zip(hat, repeat(1.0)), zip(check, repeat(-1.0))))
     if not pts:
         raise ValueError("a bump of positive height needs at least one located point")
-    pts.sort()
     r = float(lobe_half_width(spec))
     h = float(spec.height)
+    pts = [(n / den, sign) for n, sign in pts]
     for (p, _), (q, _) in zip(pts, pts[1:]):
-        if float(q) - float(p) < 2 * r - 1e-15:
-            raise ValueError(
-                f"lobes at {float(p):.6g} and {float(q):.6g} overlap after shrinking"
-            )
+        if q - p < 2 * r - 1e-15:
+            raise ValueError(f"lobes at {p:.6g} and {q:.6g} overlap after shrinking")
 
     knots: dict[float, tuple[float, float]] = {}
 
@@ -148,8 +160,7 @@ def make_bump(spec: BumpSpec) -> C1Function:
             raise ValueError("conflicting lobe data at a shared knot")
         knots[x] = (val, slope)
 
-    for p, sign in pts:
-        c = float(p)
+    for c, sign in pts:
         amp = sign * h
         lo, hi = c - r, c + r
         if lo >= 0.0:
@@ -185,7 +196,7 @@ def check_bump_properties(spec: BumpSpec, phi: C1Function, tol: float = 1e-12) -
     for pts, sign in ((spec.H_hat, 1.0), (spec.H_check, -1.0)):
         if pts.is_empty:
             continue
-        xs = np.array([float(p) for p in pts], dtype=float)
+        xs = _floats(pts)
         if np.max(np.abs(np.asarray(phi.eval(xs)) - sign * h)) > tol * max(1.0, h):
             return False
 
@@ -199,7 +210,7 @@ def check_bump_properties(spec: BumpSpec, phi: C1Function, tol: float = 1e-12) -
             continue
         if pts.is_empty:
             return False
-        parr = np.array([float(p) for p in pts], dtype=float)
+        parr = _floats(pts)
         for x in (br[:-1][flags], br[1:][flags]):
             idx = np.searchsorted(parr, x)
             right = parr[np.minimum(idx, len(parr) - 1)]
@@ -408,7 +419,7 @@ def check_bump_easy(f: C1Function, a: Rat, spec: BumpSpec, phi: C1Function | Non
     g = f.add(phi)
     af = float(as_fraction(a))
     for reading in ("hat", "check"):
-        pts = np.array([float(p) for p in spec.located(reading)], dtype=float)
+        pts = _floats(spec.located(reading))
         if not len(pts):
             continue
         df = point_defects_float(f, af, reading, pts)

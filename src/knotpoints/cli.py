@@ -309,11 +309,13 @@ def cmd_bump(args, argv: list[str]) -> dict:
         easy = check_bump_easy(base, _rat(args.a, "a"), spec, phi)
         inputs = {
             "mode": "make",
-            "hat": [str(p) for p in hat.points],
-            "check": [str(p) for p in check.points],
+            "hat": hat.to_json_list(),
+            "check": check.to_json_list(),
             "height": str(height),
             "width": str(width),
         }
+        if args.f:
+            inputs["f"] = args.f
         outputs = {"function": function_to_json(phi), "sup_norm": phi.sup_norm()}
         checks = {
             "bump_properties": {"ok": bool(props), "margin": None},
@@ -490,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check", default="", help="comma-separated points")
     sp.add_argument("--height", default="1/2")
     sp.add_argument("--width", default="1/100")
-    sp.add_argument("--f", help="function file (mu)")
+    sp.add_argument("--f", help="function file (mu; in make, the base of the window estimates)")
     sp.add_argument("--a", default="1")
     sp.add_argument("--b", default="2")
     sp.add_argument("--tol", type=float, default=1e-4)

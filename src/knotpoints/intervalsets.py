@@ -26,6 +26,16 @@ dyadic set, or the union of a dyadic enclosure with a net of multiples of
 `measure`, distances and margins come back as Fractions.  `.intervals` is
 computed on each read, so hot code should stay on the integer form.
 
+A `FinitePointSet` is stored the same way: one sorted tuple of distinct
+Python-int numerators `nums` over its canonical denominator `den`, the lcm
+of the reduced point denominators, so equal sets have equal (nums, den)
+pairs.  Unions, gaps, nearest points and cover tests rescale to a common
+denominator and stay on integers; `as_interval_set` doubles the numerators
+into degenerate components without building a Fraction.  `.points` and
+iteration give the Fraction view, built on each read.  A float consumer takes
+a point as `n / den`: that int division is correctly rounded, as is the one
+`Fraction.__float__` performs, so it gives the same bits.
+
 Conventions
 -----------
 * The ambient space is I = [0,1].
@@ -39,9 +49,7 @@ Conventions
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -440,87 +448,155 @@ def disjoint_gap(a: IntervalSet, b: IntervalSet) -> tuple[bool, Fraction | None]
     return d > 0, d
 
 
-@dataclass(frozen=True)
 class FinitePointSet:
-    """Finite set of rational points in [0,1], sorted and distinct."""
+    """Finite set of rational points in [0,1]: sorted, distinct integer
+    numerators `nums` over the canonical denominator `den` (see the module
+    docstring).  Immutable; `FinitePointSet(nums, den)` checks the order and
+    reduces to the canonical denominator, and `of` accepts arbitrary
+    rationals in any order."""
 
-    points: tuple[Fraction, ...]
+    __slots__ = ("nums", "den", "_iset")
+
+    def __init__(self, nums: Iterable[int] = (), den: int = 1) -> None:
+        nums = tuple(nums)
+        if den <= 0:
+            raise ValueError("need a positive denominator")
+        if not all(map(lt, nums, nums[1:])):
+            raise ValueError("points not sorted and distinct; use of")
+        if nums and (nums[0] < 0 or nums[-1] > den):
+            raise ValueError("point leaves [0,1]")
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(x // g for x in nums)
+            den //= g
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_iset", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FinitePointSet is immutable")
+
+    def __reduce__(self):
+        return FinitePointSet, (self.nums, self.den)
 
     @staticmethod
     def of(xs: Iterable[Rat]) -> "FinitePointSet":
-        raw = [as_fraction(x) for x in xs]
-        if all(a < b for a, b in zip(raw, raw[1:])):
-            pts = raw  # already sorted and distinct; skip hashing and sorting
-        else:
-            pts = sorted(set(raw))
-        if pts and (pts[0] < 0 or pts[-1] > 1):
-            bad = pts[0] if pts[0] < 0 else pts[-1]
-            raise ValueError(f"point {bad} outside [0,1]")
-        return FinitePointSet(tuple(pts))
+        return _of_ratios([_ratio(as_fraction(x)) for x in xs])
+
+    # -- the Fraction view and value semantics -----------------------------
+
+    @property
+    def points(self) -> tuple[Fraction, ...]:
+        """The points as sorted Fractions, built on each read."""
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.nums])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.points,))
+
+    def __repr__(self) -> str:
+        return f"FinitePointSet(points={self.points!r})"
 
     @property
     def is_empty(self) -> bool:
-        return not self.points
+        return not self.nums
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.nums)
 
     def __iter__(self):
         return iter(self.points)
 
+    # -- queries -----------------------------------------------------------
+
     def as_interval_set(self) -> IntervalSet:
-        cached = getattr(self, "_iset_cache", None)
-        if cached is None:
-            # points are sorted and distinct, so the degenerate components
-            # are already in normal form over the lcm of their denominators
-            den = lcm(*(p.denominator for p in self.points))
-            nums = [p.numerator * (den // p.denominator) for p in self.points]
-            cached = IntervalSet([x for x in nums for _ in (0, 1)], den)
-            object.__setattr__(self, "_iset_cache", cached)
-        return cached
+        """The points as degenerate components, cached on the instance."""
+        if self._iset is None:
+            # sorted distinct points over the canonical denominator are
+            # already an IntervalSet in normal form
+            doubled = list(chain.from_iterable(zip(self.nums, self.nums)))
+            object.__setattr__(self, "_iset", IntervalSet(doubled, self.den))
+        return self._iset
 
     def min_gap(self) -> Fraction | None:
         """Smallest spacing between consecutive points; None when fewer than 2."""
-        if len(self.points) < 2:
+        e = self.nums
+        if len(e) < 2:
             return None
-        return min(b - a for a, b in zip(self.points, self.points[1:]))
+        return Fraction(min(map(sub, e[1:], e)), self.den)
 
     def nearest(self, x: Rat) -> Fraction:
         """The point of the set closest to x (ties resolve to the left)."""
         if self.is_empty:
             raise ValueError("nearest point of an empty set")
         x = as_fraction(x)
-        i = bisect_right(self.points, x)
-        cands = [p for p in (self.points[i - 1] if i > 0 else None,
-                             self.points[i] if i < len(self.points) else None)
-                 if p is not None]
-        return min(cands, key=lambda p: abs(p - x))
+        e, den = self.nums, self.den
+        # compare den*x*q against the points scaled by q = x.denominator
+        q = x.denominator
+        t = x.numerator * den
+        i = bisect_right(e, t // q)
+        cands = e[max(i - 1, 0) : i + 1]
+        return Fraction(min(cands, key=lambda p: abs(p * q - t)), den)
 
     def union(self, other: "FinitePointSet") -> "FinitePointSet":
-        a, b = self.points, other.points
-        out: list[Fraction] = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i] < b[j]:
-                out.append(a[i])
-                i += 1
-            elif b[j] < a[i]:
-                out.append(b[j])
-                j += 1
-            else:
-                out.append(a[i])
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return FinitePointSet(tuple(out))
+        return union_of_point_sets((self, other))
+
+    # -- serialization -----------------------------------------------------
 
     def to_json_list(self) -> list[str]:
-        return [str(p) for p in self.points]
+        den = self.den
+        out = []
+        for x in self.nums:
+            g = gcd(x, den)
+            out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return out
 
     @staticmethod
     def from_json_list(items: Sequence[str]) -> "FinitePointSet":
-        return FinitePointSet.of([Fraction(s) for s in items])
+        return _of_ratios([_parse_point(s) for s in items])
+
+
+def _ratio(x: Union[int, Fraction]) -> tuple[int, int]:
+    return x.numerator, x.denominator
+
+
+def _parse_point(s: str) -> tuple[int, int]:
+    """(numerator, denominator) of a point read from JSON.  The "n" and "n/d"
+    strings that `to_json_list` writes are split into ints directly; every
+    other spelling Fraction accepts (and every error it raises) goes through
+    Fraction."""
+    if s.__class__ is str:
+        n, slash, d = s.partition("/")
+        if n.isascii() and n.isdigit():
+            if not slash:
+                return int(n), 1
+            if d.isascii() and d.isdigit() and d.strip("0"):
+                return int(n), int(d)
+    return _ratio(Fraction(s))
+
+
+def _of_ratios(ratios: Sequence[tuple[int, int]]) -> FinitePointSet:
+    """The set of the points n/d over the (n, d) pairs, in any order and with
+    repeats; d > 0 need not be reduced."""
+    den = lcm(*{d for _, d in ratios})
+    nums = [n * (den // d) for n, d in ratios]
+    if not all(map(lt, nums, nums[1:])):
+        nums = sorted(set(nums))
+    if nums and (nums[0] < 0 or nums[-1] > den):
+        bad = nums[0] if nums[0] < 0 else nums[-1]
+        raise ValueError(f"point {Fraction(bad, den)} outside [0,1]")
+    return FinitePointSet(nums, den)
+
+
+def _common_points(sets: Sequence[FinitePointSet]) -> tuple[list[Sequence[int]], int]:
+    """The numerators of every set over the lcm of their denominators."""
+    den = lcm(*(s.den for s in sets))
+    return [_scaled(s.nums, den // s.den) for s in sets], den
 
 
 def open_cover_full(points: FinitePointSet, r: Rat) -> bool:
@@ -530,28 +606,26 @@ def open_cover_full(points: FinitePointSet, r: Rat) -> bool:
     r = as_fraction(r)
     if points.is_empty:
         return False
-    pts = points.points
-    if pts[0] >= r or 1 - pts[-1] >= r:
+    e, den = points.nums, points.den
+    # x/den < r  <=>  x * r.denominator < r.numerator * den
+    rd, rn = r.denominator, r.numerator * den
+    if e[0] * rd >= rn or (den - e[-1]) * rd >= rn:
         return False
-    return all(b - a < 2 * r for a, b in zip(pts, pts[1:]))
+    return len(e) < 2 or max(map(sub, e[1:], e)) * rd < 2 * rn
 
 
 def union_of_point_sets(sets: Iterable[FinitePointSet]) -> FinitePointSet:
-    merged: list[Fraction] = []
-    for p in heapq.merge(*(s.points for s in sets)):
-        if not merged or p != merged[-1]:
-            merged.append(p)
-    return FinitePointSet(tuple(merged))
+    nums, den = _common_points(list(sets))
+    # sorting the concatenated sorted runs merges them
+    merged = sorted(chain.from_iterable(nums))
+    if not all(map(lt, merged, merged[1:])):
+        merged = sorted(set(merged))
+    return FinitePointSet(merged, den)
 
 
 def pairwise_disjoint(sets: Sequence[FinitePointSet]) -> bool:
-    seen: set[Fraction] = set()
-    for s in sets:
-        for p in s.points:
-            if p in seen:
-                return False
-            seen.add(p)
-    return True
+    nums, _ = _common_points(sets)
+    return len(set().union(*nums)) == sum(map(len, nums))
 
 
 def prefix_distance(K: Sequence[IntervalSet], L: Sequence[IntervalSet], l: int) -> Fraction:

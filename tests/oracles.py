@@ -7,17 +7,24 @@ conditions, float Hausdorff comparisons, and a witness scan for the certified
 epsilon.  Deliberately simple; speed comes from numpy only.  The exact
 exception sets of piecewise-linear functions have a rational reference too:
 the window-max envelope built with `PwlFunction` arithmetic and its zero set
-against phi.
+against phi.  Finite point sets have one as well: `FractionPointSet`, a
+sorted tuple of Fractions, with the point-set functions on top of it, and
+the ball game's snapping and tagging of located points on Fraction lists.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from knotpoints.intervalsets import EMPTY, IntervalSet, as_fraction
+from knotpoints.intervalsets import EMPTY, IntervalSet, Rat, as_fraction
 from knotpoints.realfn import C1Function, PwlFunction
 
 VARIANT_NAMES = ("plus_upper", "plus_lower", "minus_upper", "minus_lower")
@@ -402,3 +409,139 @@ def basic_variant_reference(f: PwlFunction, a: int, variant: str) -> IntervalSet
     if variant == "minus_upper":
         return plus_upper_reference(f.reflect().negate(), a).reflect()
     raise ValueError(f"unknown variant {variant!r}")
+
+
+# ---------------------------------------------------------------------------
+# finite point sets on Fractions
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FractionPointSet:
+    """Finite set of rational points in [0,1] as a sorted tuple of distinct
+    Fractions: the reference for `intervalsets.FinitePointSet`."""
+
+    points: tuple[Fraction, ...]
+
+    @staticmethod
+    def of(xs: Iterable[Rat]) -> "FractionPointSet":
+        raw = [as_fraction(x) for x in xs]
+        if all(a < b for a, b in zip(raw, raw[1:])):
+            pts = raw
+        else:
+            pts = sorted(set(raw))
+        if pts and (pts[0] < 0 or pts[-1] > 1):
+            bad = pts[0] if pts[0] < 0 else pts[-1]
+            raise ValueError(f"point {bad} outside [0,1]")
+        return FractionPointSet(tuple(pts))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.points
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __iter__(self):
+        return iter(self.points)
+
+    def as_interval_set(self) -> IntervalSet:
+        den = lcm(*(p.denominator for p in self.points))
+        nums = [p.numerator * (den // p.denominator) for p in self.points]
+        return IntervalSet([x for x in nums for _ in (0, 1)], den)
+
+    def min_gap(self) -> Fraction | None:
+        if len(self.points) < 2:
+            return None
+        return min(b - a for a, b in zip(self.points, self.points[1:]))
+
+    def nearest(self, x: Rat) -> Fraction:
+        if self.is_empty:
+            raise ValueError("nearest point of an empty set")
+        x = as_fraction(x)
+        i = bisect_right(self.points, x)
+        cands = [p for p in (self.points[i - 1] if i > 0 else None,
+                             self.points[i] if i < len(self.points) else None)
+                 if p is not None]
+        return min(cands, key=lambda p: abs(p - x))
+
+    def union(self, other: "FractionPointSet") -> "FractionPointSet":
+        return FractionPointSet(tuple(sorted(set(self.points) | set(other.points))))
+
+    def to_json_list(self) -> list[str]:
+        return [str(p) for p in self.points]
+
+    @staticmethod
+    def from_json_list(items: Sequence[str]) -> "FractionPointSet":
+        return FractionPointSet.of([Fraction(s) for s in items])
+
+
+def fraction_open_cover_full(points: FractionPointSet, r: Rat) -> bool:
+    r = as_fraction(r)
+    if points.is_empty:
+        return False
+    pts = points.points
+    if pts[0] >= r or 1 - pts[-1] >= r:
+        return False
+    return all(b - a < 2 * r for a, b in zip(pts, pts[1:]))
+
+
+def fraction_union_of_point_sets(sets: Iterable[FractionPointSet]) -> FractionPointSet:
+    merged: list[Fraction] = []
+    for p in heapq.merge(*(s.points for s in sets)):
+        if not merged or p != merged[-1]:
+            merged.append(p)
+    return FractionPointSet(tuple(merged))
+
+
+def fraction_pairwise_disjoint(sets: Sequence[FractionPointSet]) -> bool:
+    seen: set[Fraction] = set()
+    for s in sets:
+        for p in s.points:
+            if p in seen:
+                return False
+            seen.add(p)
+    return True
+
+
+def dedupe_across_reference(sets: Sequence[Sequence[Fraction]], budget: Fraction) -> list[list[Fraction]]:
+    """`bmgame._dedupe_across` on sorted Fraction lists: later repeats of a
+    point shift by budget*k/(8(k+|seen|+1)) for the running k until new."""
+    seen: set[Fraction] = set()
+    out = []
+    bump_idx = 1
+    for s in sets:
+        pts = []
+        for p in s:
+            q = p
+            while q in seen or q > 1 or q < 0:
+                q = p + budget * Fraction(bump_idx, 8 * (bump_idx + len(seen) + 1))
+                if q > 1:
+                    q = p - budget * Fraction(bump_idx, 8 * (bump_idx + len(seen) + 1))
+                bump_idx += 1
+            seen.add(q)
+            pts.append(q)
+        out.append(sorted(set(pts)))
+    return out
+
+
+def tag_by_nearest_reference(
+    pts: Sequence[Fraction], hat: Sequence[Fraction], check: Sequence[Fraction], within: Fraction
+) -> tuple[list[Fraction], list[Fraction]] | None:
+    """`bmgame._tag_by_nearest` by brute force: each point goes to the half
+    holding its strictly nearest target, within the budget; None otherwise."""
+    hat_pts, check_pts = [], []
+    for q in pts:
+        dh = min((abs(q - p) for p in hat), default=None)
+        dc = min((abs(q - p) for p in check), default=None)
+        if dc is None or (dh is not None and dh < dc):
+            if dh is None or dh > within:
+                return None
+            hat_pts.append(q)
+        elif dh is None or dc < dh:
+            if dc > within:
+                return None
+            check_pts.append(q)
+        else:
+            return None
+    return hat_pts, check_pts

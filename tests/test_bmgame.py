@@ -1,10 +1,15 @@
 """Ball-game checks on hand-built scenarios: an enclosure that the engine
-cannot certify makes a verdict undecided, any other error propagates, and
-`round_m` enforces the move rules and ends at its net-size diagnosis."""
+cannot certify makes a verdict undecided, any other error propagates,
+`round_m` enforces the move rules and ends at its net-size diagnosis, and a
+saved game reads back and verifies."""
 
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotpoints import bmgame
 from knotpoints.bmgame import (
@@ -16,14 +21,19 @@ from knotpoints.bmgame import (
     HatCheckSet,
     RoundRecord,
     StarCheck,
+    game_report,
     limit_report,
     oracle_everything,
     round_m,
     star_bullets,
+    state_from_json,
+    state_to_json,
+    verify_report,
 )
 from knotpoints.intervalsets import FULL, FinitePointSet
 from knotpoints.nsets import EnclosureRangeError, NSetEnclosure
 from knotpoints.realfn import C1Function
+from oracles import dedupe_across_reference, tag_by_nearest_reference
 
 F = Fraction
 B1 = F(9, 2)
@@ -158,3 +168,87 @@ def test_round_m_stops_when_the_net_would_fit(stub_round_m):
     with pytest.raises(GameError, match="net-size diagnosis") as err:
         _round_m(_one_round_state(), C1Function.zero(), F(1, 8))
     assert not isinstance(err.value, GameInfeasibleError)
+
+
+def test_saved_game_reads_back_and_verifies():
+    """One round on f = 0, whose enclosures are all the whole interval, with
+    both halves of the located set 1/10-dense so that the invariant holds."""
+    hat = FinitePointSet.of([F(2 * k + 1, 16) for k in range(8)])
+    check = FinitePointSet.of([F(k, 8) for k in range(9)])
+    rec = replace(
+        _one_round_state().rounds[0],
+        K_sets=(HatCheckSet(hat, check),),
+        L_sets=(),
+        w_m=F(1, 10),
+        certifications={"star_self": {"ok": True}},
+    )
+    state = GameState((rec,))
+    text = json.dumps(state_to_json(state), sort_keys=True)
+    assert json.dumps(state_to_json(state_from_json(json.loads(text))), sort_keys=True) == text
+
+    report = json.loads(json.dumps(game_report(state, limit_report(state))))
+    assert report["limit"]["ok"]
+    ok, recomputed = verify_report(report)
+    assert ok and recomputed["mismatches"] == []
+    report["state"]["rounds"][0]["certifications"]["star_self"]["ok"] = False
+    ok, recomputed = verify_report(report)
+    assert not ok and recomputed["mismatches"] == ["round 1: star verdict changed"]
+
+
+# points on a coarse grid, so that sets collide, and off it
+grid_points = st.one_of(
+    st.integers(0, 8).map(lambda k: F(k, 8)),
+    st.integers(0, 3 * 2**10).map(lambda k: F(k, 3 * 2**10)),
+)
+
+
+@given(
+    st.lists(st.lists(grid_points, max_size=5), min_size=1, max_size=4),
+    st.sampled_from([F(1, 16), F(1, 5 * 2**20), F(1, 7)]),
+)
+@settings(max_examples=60)
+def test_dedupe_across_matches_the_fraction_reference(sets, budget):
+    point_sets = [FinitePointSet.of(xs) for xs in sets]
+    got = bmgame._dedupe_across(point_sets, budget)
+    want = dedupe_across_reference([p.points for p in point_sets], budget)
+    assert [list(s.points) for s in got] == want
+
+
+offsets = st.sampled_from([F(0), F(1, 32), -F(1, 32), F(1, 16), F(1, 3 * 2**12), -F(1, 5 * 2**9), F(1, 7)])
+
+
+@given(
+    st.lists(grid_points, max_size=6),
+    st.lists(st.tuples(st.integers(0, 5), offsets), max_size=6),
+    st.sampled_from([F(1, 16), F(1, 3 * 2**11), F(1, 7)]),
+)
+@settings(max_examples=60)
+def test_tag_by_nearest_matches_the_fraction_reference(targets, moves, within):
+    """Targets split alternately into the two halves, and points moved off
+    them: a tie, a point past the budget or two empty halves give None."""
+    flat = FinitePointSet.of(targets)
+    hat, check = FinitePointSet.of(flat.points[0::2]), FinitePointSet.of(flat.points[1::2])
+    ts = flat.points or (F(1, 2),)
+    pts = FinitePointSet.of(min(max(ts[i % len(ts)] + off, 0), 1) for i, off in moves)
+    got = bmgame._tag_by_nearest(pts, hat, check, within)
+    want = tag_by_nearest_reference(pts.points, hat.points, check.points, within)
+    if want is None:
+        assert got is None
+    else:
+        assert (list(got.hat.points), list(got.check.points)) == want
+
+
+def test_hat_check_set_rejects_a_shared_point():
+    hat = FinitePointSet.of([F(1, 4), F(1, 2), F(7, 8)])
+    with pytest.raises(ValueError, match="share the point 1/2$"):
+        HatCheckSet(hat, FinitePointSet.of([F(1, 2), F(7, 8)]))
+
+
+@pytest.mark.parametrize("spacing", [F(2, 3), F(1, 4), F(9, 50), F(3, 7), F(9, 640)])
+def test_alternating_net_is_two_interleaved_grids(spacing):
+    """Hat points at the multiples of the spacing in [0, 1], check points
+    half a spacing on; 2/3 puts a check point on 1 itself."""
+    hat, check = bmgame._alternating_net(spacing)
+    want_hat = [i * spacing for i in range(int(1 / spacing) + 1)]
+    assert list(hat.points) == want_hat
+    assert list(check.points) == [x + spacing / 2 for x in want_hat if x + spacing / 2 <= 1]

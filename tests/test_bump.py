@@ -1,13 +1,49 @@
-"""Bump constants: the perturbation radius mu and the witness eps."""
+"""Bump construction on exact located points, and the bump constants: the
+perturbation radius mu and the witness eps."""
 
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from knotpoints import bump
-from knotpoints.bump import EpsilonSearchError, lemma_epsilon, mu
+from knotpoints.bump import (
+    BumpSpec,
+    EpsilonSearchError,
+    check_bump_properties,
+    lemma_epsilon,
+    make_bump,
+    mu,
+)
+from knotpoints.intervalsets import FinitePointSet
 from knotpoints.realfn import random_c1_function
 from oracles import lemma_witness_scan
+
+
+def test_bump_reads_each_point_as_its_float():
+    """Points with 68-bit numerators over 5*2^66, as the game's nets have:
+    every float the bump takes of a point is float(p) bit for bit, the lobe
+    centres are knots, and the bump has its defining properties."""
+    den = 5 * 2**66
+    rng = random.Random(0)
+    ks = sorted({rng.randrange(1, den) for _ in range(400)})
+    hat = FinitePointSet.of([Fraction(k, den) for k in ks[0::2]])
+    check = FinitePointSet.of([Fraction(k, den) for k in ks[1::2]])
+    for pts in (hat, check):
+        assert bump._floats(pts).tolist() == [float(p) for p in pts.points]
+    spec = BumpSpec(hat, check, Fraction(1, 2), hat.union(check).min_gap() / 4)
+    phi = make_bump(spec)
+    centres = {float(p) for p in hat.points + check.points}
+    assert centres <= set(phi.knots.tolist())
+    assert check_bump_properties(spec, phi)
+
+
+def test_bump_spec_rejects_a_shared_point():
+    hat = FinitePointSet.of([Fraction(1, 4), Fraction(1, 2), Fraction(7, 8)])
+    check = FinitePointSet.of(["2/4", Fraction(7, 8)])
+    with pytest.raises(ValueError, match=re.escape("both contain [Fraction(1, 2), Fraction(7, 8)]")):
+        BumpSpec(hat, check, Fraction(1, 2), Fraction(1, 100))
 
 
 def test_mu_raises_when_no_radius_fits(monkeypatch):

@@ -1,6 +1,6 @@
-"""Command-line front end: the `nset` and `jarnik-demo` subcommands through
-`cli.main`, the input digest of a report, and the grid count behind
-`jarnik-demo`."""
+"""Command-line front end: the `nset`, `bump make` and `jarnik-demo`
+subcommands through `cli.main`, the input digest of a report, and the grid
+count behind `jarnik-demo`."""
 
 import json
 from fractions import Fraction
@@ -65,6 +65,19 @@ def test_nset_out_of_range_enclosures_are_input_errors(c1_file, tmp_path, capsys
         assert rc == 2
         assert f"input error in field '{field}'" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("with_f", [False, True], ids=["no-f", "f"])
+def test_bump_make_inputs_name_the_base_function(c1_file, tmp_path, with_f):
+    """`--f` is the base function of the window estimates; the report's
+    inputs name it when given and are unchanged without it."""
+    out = tmp_path / "report.json"
+    argv = ["bump", "make", "--hat", "1/4", "--check", "3/4", "--out", str(out)]
+    assert cli.main(argv + (["--f", c1_file] if with_f else [])) == 0
+    want = {"mode": "make", "hat": ["1/4"], "check": ["3/4"], "height": "1/2", "width": "1/100"}
+    if with_f:
+        want["f"] = c1_file
+    assert json.loads(out.read_text())["inputs"] == want
 
 
 def test_jarnik_demo_rejects_negative_depth(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Exact interval-set layer: construction, metric, balls, finite point sets."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,13 @@ from knotpoints.intervalsets import (
     subset_within_closed,
     union_of_point_sets,
 )
-from oracles import grid_hausdorff
+from oracles import (
+    FractionPointSet,
+    fraction_open_cover_full,
+    fraction_pairwise_disjoint,
+    fraction_union_of_point_sets,
+    grid_hausdorff,
+)
 
 F = Fraction
 
@@ -399,6 +406,131 @@ def test_open_cover_full_strict():
     assert not open_cover_full(p, F(1, 4))
     assert open_cover_full(p, F(1, 4) + F(1, 100))
     assert not open_cover_full(FinitePointSet.of([]), F(1, 2))
+
+
+# -- point sets against the Fraction reference -----------------------------
+
+
+def _spellings(x):
+    """x as a Fraction, its str, and its int or float when those are exact."""
+    forms = [x, str(x)]
+    if x.denominator == 1:
+        forms.append(int(x))
+    if float(x) == x:
+        forms.append(float(x))
+    return st.sampled_from(forms)
+
+
+point_inputs = st.lists(fractions_01.flatmap(_spellings), max_size=8).flatmap(
+    lambda xs: st.permutations(xs + xs[: len(xs) // 2])  # unsorted, with repeats
+)
+
+
+def _json_spellings(x):
+    """Strings Fraction reads as x: the canonical one and others."""
+    n, d = x.numerator, x.denominator
+    forms = [str(x), f"{3 * n}/{3 * d}", f" {x} ", f"+{x}", f"{n}/{d}"]
+    if float(x) == x:
+        forms.append(repr(float(x)))
+    return st.sampled_from(forms)
+
+
+def _outcome(build):
+    """The points build() returns, or the type and message of its error."""
+    try:
+        return build().points
+    except Exception as e:  # compared with the reference's outcome
+        return type(e), str(e)
+
+
+@given(point_inputs)
+@settings(max_examples=50)
+def test_point_set_of_matches_the_reference(xs):
+    p, ref = FinitePointSet.of(xs), FractionPointSet.of(xs)
+    assert p.points == ref.points and list(p) == list(ref) and len(p) == len(ref)
+    assert p.den == math.lcm(*(x.denominator for x in ref.points))
+    assert p.nums == tuple(x * p.den for x in ref.points)
+    assert hash(p) == hash(ref)
+    assert [x / p.den for x in p.nums] == [float(x) for x in ref.points]  # bitwise
+    assert p.to_json_list() == ref.to_json_list()
+    assert p.as_interval_set() == ref.as_interval_set()
+    assert p.min_gap() == ref.min_gap()
+
+
+@given(st.lists(fractions_01.flatmap(_json_spellings), max_size=8))
+@settings(max_examples=50)
+def test_point_set_from_json_list_matches_the_reference(items):
+    p = FinitePointSet.from_json_list(items)
+    assert p.points == FractionPointSet.from_json_list(items).points
+
+
+@pytest.mark.parametrize(
+    "items",
+    [["1/0"], ["abc"], [""], ["1/"], ["/2"], ["-1/2"], ["3/2"], ["1/2", "5/4"], ["٣/٤"], ["1_0/2_0"], [0.25, 1]],
+)
+def test_point_set_odd_inputs_match_the_reference(items):
+    """Errors and non-canonical spellings: the same points or the same error."""
+    for build in ("of", "from_json_list"):
+        got = _outcome(lambda: getattr(FinitePointSet, build)(items))
+        assert got == _outcome(lambda: getattr(FractionPointSet, build)(items))
+
+
+@given(point_inputs, point_inputs, point_inputs, fractions_01, fractions_01)
+@settings(max_examples=50)
+def test_point_set_operations_match_the_reference(xs, ys, zs, x, r):
+    a, b, c = (FinitePointSet.of(v) for v in (xs, ys, zs))
+    ra, rb, rc = (FractionPointSet.of(v) for v in (xs, ys, zs))
+    assert a.union(b).points == ra.union(rb).points
+    assert union_of_point_sets([a, b, c]).points == fraction_union_of_point_sets([ra, rb, rc]).points
+    assert union_of_point_sets([]).points == ()
+    assert pairwise_disjoint([a, b, c]) == fraction_pairwise_disjoint([ra, rb, rc])
+    assert pairwise_disjoint([a, a]) == (a.is_empty)
+    for s, rs in ((a, ra), (b, rb)):
+        pts = rs.points
+        pairs = list(zip(pts, pts[1:]))
+        radii = [r]  # and the boundary cases: the end gaps, half the widest gap
+        if pts:
+            radii += [pts[0], 1 - pts[-1]]
+        if pairs:
+            radii.append(max(v - u for u, v in pairs) / 2)
+        for rr in radii:
+            assert open_cover_full(s, rr) == fraction_open_cover_full(rs, rr)
+        if rs.is_empty:
+            with pytest.raises(ValueError):
+                s.nearest(x)
+            continue
+        assert s.nearest(x) == rs.nearest(x)
+        for u, v in pairs[:3]:  # on a point, at a tie, nearer the right one
+            for y in (u, (u + v) / 2, (u + 3 * v) / 4):
+                assert s.nearest(y) == rs.nearest(y)
+    assert (a == b) == (ra == rb)
+    assert (a.union(b) == b.union(a)) and hash(a.union(b)) == hash(rb.union(ra))
+
+
+@given(point_inputs, st.integers(1, 30))
+@settings(max_examples=50)
+def test_point_sets_equal_in_value_are_equal(xs, k):
+    """The same points reached by different routes: raw inputs, Fractions,
+    JSON strings, an unreduced denominator, unions of parts and of
+    singletons."""
+    p = FinitePointSet.of(xs)
+    ref = FractionPointSet.of(xs).points
+    routes = [
+        FinitePointSet.of(ref),
+        FinitePointSet.of(reversed(ref)),
+        FinitePointSet.from_json_list(p.to_json_list()),
+        FinitePointSet([x * k for x in p.nums], p.den * k),
+        FinitePointSet.of(ref[0::2]).union(FinitePointSet.of(ref[1::2])),
+        union_of_point_sets([FinitePointSet.of([x]) for x in ref]),
+    ]
+    for q in routes:
+        assert q == p and hash(q) == hash(p) and (q.nums, q.den) == (p.nums, p.den)
+    if F(1, 7) not in ref:
+        assert p != FinitePointSet.of([*ref, F(1, 7)])
+    with pytest.raises(ValueError):
+        FinitePointSet((1, 1), 2)
+    with pytest.raises(ValueError):
+        FinitePointSet((0, 3), 2)
 
 
 # -- serialization ----------------------------------------------------------
