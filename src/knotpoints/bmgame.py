@@ -66,8 +66,7 @@ from .indexcomb import DeltaSeq, IndexSeq, ScaleLadder, SeqOfSets, check_Y_k, in
 from .intervalsets import (
     FinitePointSet,
     Rat,
-    _common_points,
-    _of_ratios,
+    common_numerators,
     as_fraction,
     ball,
     disjoint_gap,
@@ -191,10 +190,9 @@ class HatCheckSet:
     check: FinitePointSet
 
     def __post_init__(self) -> None:
-        (a, b), den = _common_points((self.hat, self.check))
-        shared = set(a).intersection(b)
-        if shared:
-            raise ValueError(f"hat and check parts share the point {Fraction(min(shared), den)}")
+        shared = self.hat.intersection(self.check)
+        if not shared.is_empty:
+            raise ValueError(f"hat and check parts share the point {shared.points[0]}")
 
     def tilde(self, reading: str) -> FinitePointSet:
         if reading == "hat":
@@ -261,7 +259,7 @@ def _dedupe_across(
 ) -> tuple[FinitePointSet, ...]:
     """Shift later repeats of any point shared across sets by tiny distinct
     offsets within the budget, making the family pairwise disjoint."""
-    nums, den = _common_points(sets)
+    nums, den = common_numerators(sets)
     # points scaled by den: ints, and Fractions once shifted off a repeat
     seen: set = set()
     out = []
@@ -278,7 +276,7 @@ def _dedupe_across(
                 bump_idx += 1
             seen.add(q)
             pts.append(q)
-        out.append(_of_ratios([(q.numerator, q.denominator * den) for q in pts]))
+        out.append(FinitePointSet.from_ratios([(q.numerator, q.denominator * den) for q in pts]))
     return tuple(out)
 
 
@@ -691,7 +689,7 @@ def _tag_by_nearest(
     point is ambiguous or farther than the snapping budget.  Queries are
     sorted, so one monotone pointer per target suffices."""
 
-    (xs, hs, cs), den = _common_points((pts, hat_target, check_target))
+    (xs, hs, cs), den = common_numerators((pts, hat_target, check_target))
     # d > within  <=>  d * wd > wn * den, for a distance d over den
     wd, wn = within.denominator, within.numerator * den
 

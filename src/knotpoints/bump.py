@@ -39,7 +39,6 @@ from .intervalsets import (
     FinitePointSet,
     IntervalSet,
     Rat,
-    _common_points,
     as_fraction,
     ball,
     is_subset,
@@ -88,11 +87,9 @@ class BumpSpec:
         object.__setattr__(self, "width", as_fraction(self.width))
         if self.height <= 0 or self.width <= 0:
             raise ValueError("height and width must be positive")
-        (a, b), den = _common_points((self.H_hat, self.H_check))
-        overlap = set(a).intersection(b)
-        if overlap:
-            both = [Fraction(x, den) for x in sorted(overlap)]
-            raise ValueError(f"H_hat and H_check must be disjoint; both contain {both}")
+        both = self.H_hat.intersection(self.H_check)
+        if not both.is_empty:
+            raise ValueError(f"H_hat and H_check must be disjoint; both contain {list(both.points)}")
         g = self.all_points().min_gap()
         if g is not None and g <= 2 * self.width:
             warnings.warn(
@@ -110,13 +107,6 @@ class BumpSpec:
         if reading == "check":
             return self.H_check
         raise ValueError("reading must be 'hat' or 'check'")
-
-
-def _floats(pts: FinitePointSet) -> np.ndarray:
-    """float(p) for every point p, in order: n / den is the correctly rounded
-    int division that `Fraction.__float__` performs, so the bits agree."""
-    den = pts.den
-    return np.array([x / den for x in pts.nums], dtype=float)
 
 
 def _smoothstep(t: float) -> tuple[float, float]:
@@ -139,15 +129,15 @@ def lobe_half_width(spec: BumpSpec) -> Fraction:
 def make_bump(spec: BumpSpec) -> C1Function:
     """Build the bump: one cubic smoothstep lobe per located point, positive
     at H_hat, negative at H_check, zero with zero slope elsewhere."""
-    (hat, check), den = _common_points((spec.H_hat, spec.H_check))
-    # (numerator over den, sign) in increasing order: the halves are disjoint
-    # sorted runs, so the sort is one merge of two runs
-    pts = sorted(chain(zip(hat, repeat(1.0)), zip(check, repeat(-1.0))))
+    # (centre, sign) in increasing order: the halves are sorted runs, so the
+    # sort is one merge of two runs
+    hat = zip(spec.H_hat.floats(), repeat(1.0))
+    check = zip(spec.H_check.floats(), repeat(-1.0))
+    pts = sorted(chain(hat, check))
     if not pts:
         raise ValueError("a bump of positive height needs at least one located point")
     r = float(lobe_half_width(spec))
     h = float(spec.height)
-    pts = [(n / den, sign) for n, sign in pts]
     for (p, _), (q, _) in zip(pts, pts[1:]):
         if q - p < 2 * r - 1e-15:
             raise ValueError(f"lobes at {p:.6g} and {q:.6g} overlap after shrinking")
@@ -196,7 +186,7 @@ def check_bump_properties(spec: BumpSpec, phi: C1Function, tol: float = 1e-12) -
     for pts, sign in ((spec.H_hat, 1.0), (spec.H_check, -1.0)):
         if pts.is_empty:
             continue
-        xs = _floats(pts)
+        xs = np.array(pts.floats())
         if np.max(np.abs(np.asarray(phi.eval(xs)) - sign * h)) > tol * max(1.0, h):
             return False
 
@@ -210,7 +200,7 @@ def check_bump_properties(spec: BumpSpec, phi: C1Function, tol: float = 1e-12) -
             continue
         if pts.is_empty:
             return False
-        parr = _floats(pts)
+        parr = np.array(pts.floats())
         for x in (br[:-1][flags], br[1:][flags]):
             idx = np.searchsorted(parr, x)
             right = parr[np.minimum(idx, len(parr) - 1)]
@@ -419,7 +409,7 @@ def check_bump_easy(f: C1Function, a: Rat, spec: BumpSpec, phi: C1Function | Non
     g = f.add(phi)
     af = float(as_fraction(a))
     for reading in ("hat", "check"):
-        pts = _floats(spec.located(reading))
+        pts = np.array(spec.located(reading).floats())
         if not len(pts):
             continue
         df = point_defects_float(f, af, reading, pts)

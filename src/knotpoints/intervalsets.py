@@ -32,9 +32,8 @@ of the reduced point denominators, so equal sets have equal (nums, den)
 pairs.  Unions, gaps, nearest points and cover tests rescale to a common
 denominator and stay on integers; `as_interval_set` doubles the numerators
 into degenerate components without building a Fraction.  `.points` and
-iteration give the Fraction view, built on each read.  A float consumer takes
-a point as `n / den`: that int division is correctly rounded, as is the one
-`Fraction.__float__` performs, so it gives the same bits.
+iteration give the Fraction view, built on each read.  `floats()` gives the
+points as the same floats as `float(p)`, without building a Fraction.
 
 Conventions
 -----------
@@ -141,25 +140,21 @@ def _directed_sup2(a: Sequence[int], b: Sequence[int]) -> int:
     return max(2 * sup, gsup)
 
 
-class IntervalSet:
-    """A closed subset of [0,1]: sorted, pairwise disjoint, non-adjacent closed
-    intervals with integer endpoints `nums` over the canonical denominator
-    `den` (see the module docstring).  Immutable; `IntervalSet(nums, den)`
-    checks the order and reduces to the canonical denominator, and the
-    `from_pairs` constructor normalizes arbitrary rational pairs."""
+class _IntRationals:
+    """Storage shared by `IntervalSet` and `FinitePointSet`: a sorted tuple
+    of int numerators `nums` over the canonical denominator `den` (see the
+    module docstring).  A subclass checks its own order in `_check`; this
+    class checks that the values lie in [0,1], reduces to the canonical
+    denominator and makes the instance immutable."""
 
     __slots__ = ("nums", "den")
+    _OUTSIDE = ""
 
     def __init__(self, nums: Iterable[int] = (), den: int = 1) -> None:
         nums = tuple(nums)
-        if den <= 0 or len(nums) % 2:
-            raise ValueError("need an even number of endpoints over a positive denominator")
-        if not all(map(le, nums[0::2], nums[1::2])):
-            raise ValueError("malformed interval")
-        if not all(map(lt, nums[1:-1:2], nums[2::2])):
-            raise ValueError("intervals not disjoint/sorted; use from_pairs")
+        self._check(nums, den)
         if nums and (nums[0] < 0 or nums[-1] > den):
-            raise ValueError("interval leaves [0,1]")
+            raise ValueError(self._OUTSIDE)
         g = gcd(den, *nums)
         if g != 1:
             nums = tuple(x // g for x in nums)
@@ -167,11 +162,40 @@ class IntervalSet:
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
 
+    @staticmethod
+    def _check(nums: tuple[int, ...], den: int) -> None:
+        raise NotImplementedError
+
     def __setattr__(self, name, value):
-        raise AttributeError("IntervalSet is immutable")
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
 
     def __reduce__(self):
-        return IntervalSet, (self.nums, self.den)
+        return self.__class__, (self.nums, self.den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+
+class IntervalSet(_IntRationals):
+    """A closed subset of [0,1]: sorted, pairwise disjoint, non-adjacent closed
+    intervals with integer endpoints `nums` over the canonical denominator
+    `den` (see the module docstring).  Immutable; `IntervalSet(nums, den)`
+    checks the order and reduces to the canonical denominator, and the
+    `from_pairs` constructor normalizes arbitrary rational pairs."""
+
+    __slots__ = ()
+    _OUTSIDE = "interval leaves [0,1]"
+
+    @staticmethod
+    def _check(nums: tuple[int, ...], den: int) -> None:
+        if den <= 0 or len(nums) % 2:
+            raise ValueError("need an even number of endpoints over a positive denominator")
+        if not all(map(le, nums[0::2], nums[1::2])):
+            raise ValueError("malformed interval")
+        if not all(map(lt, nums[1:-1:2], nums[2::2])):
+            raise ValueError("intervals not disjoint/sorted; use from_pairs")
 
     # -- construction ------------------------------------------------------
 
@@ -209,11 +233,6 @@ class IntervalSet:
         den = self.den
         ends = iter([Fraction(x, den) for x in self.nums])
         return tuple(zip(ends, ends))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
         return hash((self.intervals,))
@@ -448,40 +467,43 @@ def disjoint_gap(a: IntervalSet, b: IntervalSet) -> tuple[bool, Fraction | None]
     return d > 0, d
 
 
-class FinitePointSet:
+class FinitePointSet(_IntRationals):
     """Finite set of rational points in [0,1]: sorted, distinct integer
     numerators `nums` over the canonical denominator `den` (see the module
     docstring).  Immutable; `FinitePointSet(nums, den)` checks the order and
-    reduces to the canonical denominator, and `of` accepts arbitrary
-    rationals in any order."""
+    reduces to the canonical denominator, and `of` and `from_ratios` accept
+    arbitrary rationals in any order."""
 
-    __slots__ = ("nums", "den", "_iset")
+    __slots__ = ("_iset",)
+    _OUTSIDE = "point leaves [0,1]"
 
     def __init__(self, nums: Iterable[int] = (), den: int = 1) -> None:
-        nums = tuple(nums)
+        super().__init__(nums, den)
+        object.__setattr__(self, "_iset", None)
+
+    @staticmethod
+    def _check(nums: tuple[int, ...], den: int) -> None:
         if den <= 0:
             raise ValueError("need a positive denominator")
         if not all(map(lt, nums, nums[1:])):
             raise ValueError("points not sorted and distinct; use of")
-        if nums and (nums[0] < 0 or nums[-1] > den):
-            raise ValueError("point leaves [0,1]")
-        g = gcd(den, *nums)
-        if g != 1:
-            nums = tuple(x // g for x in nums)
-            den //= g
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_iset", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FinitePointSet is immutable")
-
-    def __reduce__(self):
-        return FinitePointSet, (self.nums, self.den)
 
     @staticmethod
     def of(xs: Iterable[Rat]) -> "FinitePointSet":
-        return _of_ratios([_ratio(as_fraction(x)) for x in xs])
+        return FinitePointSet.from_ratios([_ratio(as_fraction(x)) for x in xs])
+
+    @staticmethod
+    def from_ratios(ratios: Sequence[tuple[int, int]]) -> "FinitePointSet":
+        """The set of the points n/d over the (n, d) pairs, in any order and
+        with repeats; d > 0 need not be reduced."""
+        den = lcm(*{d for _, d in ratios})
+        nums = [n * (den // d) for n, d in ratios]
+        if not all(map(lt, nums, nums[1:])):
+            nums = sorted(set(nums))
+        if nums and (nums[0] < 0 or nums[-1] > den):
+            bad = nums[0] if nums[0] < 0 else nums[-1]
+            raise ValueError(f"point {Fraction(bad, den)} outside [0,1]")
+        return FinitePointSet(nums, den)
 
     # -- the Fraction view and value semantics -----------------------------
 
@@ -490,11 +512,6 @@ class FinitePointSet:
         """The points as sorted Fractions, built on each read."""
         den = self.den
         return tuple([Fraction(x, den) for x in self.nums])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
         return hash((self.points,))
@@ -511,6 +528,13 @@ class FinitePointSet:
 
     def __iter__(self):
         return iter(self.points)
+
+    def floats(self) -> list[float]:
+        """float(p) for every point p, in order.  n / den is the correctly
+        rounded int division that `Fraction.__float__` performs, so the bits
+        agree."""
+        den = self.den
+        return [x / den for x in self.nums]
 
     # -- queries -----------------------------------------------------------
 
@@ -546,6 +570,10 @@ class FinitePointSet:
     def union(self, other: "FinitePointSet") -> "FinitePointSet":
         return union_of_point_sets((self, other))
 
+    def intersection(self, other: "FinitePointSet") -> "FinitePointSet":
+        (a, b), den = common_numerators((self, other))
+        return FinitePointSet(sorted(set(a).intersection(b)), den)
+
     # -- serialization -----------------------------------------------------
 
     def to_json_list(self) -> list[str]:
@@ -558,42 +586,14 @@ class FinitePointSet:
 
     @staticmethod
     def from_json_list(items: Sequence[str]) -> "FinitePointSet":
-        return _of_ratios([_parse_point(s) for s in items])
+        return FinitePointSet.from_ratios([_ratio(Fraction(s)) for s in items])
 
 
 def _ratio(x: Union[int, Fraction]) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def _parse_point(s: str) -> tuple[int, int]:
-    """(numerator, denominator) of a point read from JSON.  The "n" and "n/d"
-    strings that `to_json_list` writes are split into ints directly; every
-    other spelling Fraction accepts (and every error it raises) goes through
-    Fraction."""
-    if s.__class__ is str:
-        n, slash, d = s.partition("/")
-        if n.isascii() and n.isdigit():
-            if not slash:
-                return int(n), 1
-            if d.isascii() and d.isdigit() and d.strip("0"):
-                return int(n), int(d)
-    return _ratio(Fraction(s))
-
-
-def _of_ratios(ratios: Sequence[tuple[int, int]]) -> FinitePointSet:
-    """The set of the points n/d over the (n, d) pairs, in any order and with
-    repeats; d > 0 need not be reduced."""
-    den = lcm(*{d for _, d in ratios})
-    nums = [n * (den // d) for n, d in ratios]
-    if not all(map(lt, nums, nums[1:])):
-        nums = sorted(set(nums))
-    if nums and (nums[0] < 0 or nums[-1] > den):
-        bad = nums[0] if nums[0] < 0 else nums[-1]
-        raise ValueError(f"point {Fraction(bad, den)} outside [0,1]")
-    return FinitePointSet(nums, den)
-
-
-def _common_points(sets: Sequence[FinitePointSet]) -> tuple[list[Sequence[int]], int]:
+def common_numerators(sets: Sequence[FinitePointSet]) -> tuple[list[Sequence[int]], int]:
     """The numerators of every set over the lcm of their denominators."""
     den = lcm(*(s.den for s in sets))
     return [_scaled(s.nums, den // s.den) for s in sets], den
@@ -615,7 +615,7 @@ def open_cover_full(points: FinitePointSet, r: Rat) -> bool:
 
 
 def union_of_point_sets(sets: Iterable[FinitePointSet]) -> FinitePointSet:
-    nums, den = _common_points(list(sets))
+    nums, den = common_numerators(list(sets))
     # sorting the concatenated sorted runs merges them
     merged = sorted(chain.from_iterable(nums))
     if not all(map(lt, merged, merged[1:])):
@@ -624,7 +624,7 @@ def union_of_point_sets(sets: Iterable[FinitePointSet]) -> FinitePointSet:
 
 
 def pairwise_disjoint(sets: Sequence[FinitePointSet]) -> bool:
-    nums, _ = _common_points(sets)
+    nums, _ = common_numerators(sets)
     return len(set().union(*nums)) == sum(map(len, nums))
 
 

@@ -31,7 +31,7 @@ def test_bump_reads_each_point_as_its_float():
     hat = FinitePointSet.of([Fraction(k, den) for k in ks[0::2]])
     check = FinitePointSet.of([Fraction(k, den) for k in ks[1::2]])
     for pts in (hat, check):
-        assert bump._floats(pts).tolist() == [float(p) for p in pts.points]
+        assert pts.floats() == [float(p) for p in pts.points]
     spec = BumpSpec(hat, check, Fraction(1, 2), hat.union(check).min_gap() / 4)
     phi = make_bump(spec)
     centres = {float(p) for p in hat.points + check.points}

@@ -1,6 +1,7 @@
 """Exact interval-set layer: construction, metric, balls, finite point sets."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -451,7 +452,7 @@ def test_point_set_of_matches_the_reference(xs):
     assert p.den == math.lcm(*(x.denominator for x in ref.points))
     assert p.nums == tuple(x * p.den for x in ref.points)
     assert hash(p) == hash(ref)
-    assert [x / p.den for x in p.nums] == [float(x) for x in ref.points]  # bitwise
+    assert p.floats() == [float(x) for x in ref.points]  # bitwise
     assert p.to_json_list() == ref.to_json_list()
     assert p.as_interval_set() == ref.as_interval_set()
     assert p.min_gap() == ref.min_gap()
@@ -481,6 +482,7 @@ def test_point_set_operations_match_the_reference(xs, ys, zs, x, r):
     a, b, c = (FinitePointSet.of(v) for v in (xs, ys, zs))
     ra, rb, rc = (FractionPointSet.of(v) for v in (xs, ys, zs))
     assert a.union(b).points == ra.union(rb).points
+    assert a.intersection(b).points == tuple(sorted(set(ra.points) & set(rb.points)))
     assert union_of_point_sets([a, b, c]).points == fraction_union_of_point_sets([ra, rb, rc]).points
     assert union_of_point_sets([]).points == ()
     assert pairwise_disjoint([a, b, c]) == fraction_pairwise_disjoint([ra, rb, rc])
@@ -520,6 +522,8 @@ def test_point_sets_equal_in_value_are_equal(xs, k):
         FinitePointSet.of(reversed(ref)),
         FinitePointSet.from_json_list(p.to_json_list()),
         FinitePointSet([x * k for x in p.nums], p.den * k),
+        FinitePointSet.from_ratios([(x.numerator * k, x.denominator * k) for x in reversed(ref)]),
+        pickle.loads(pickle.dumps(p)),
         FinitePointSet.of(ref[0::2]).union(FinitePointSet.of(ref[1::2])),
         union_of_point_sets([FinitePointSet.of([x]) for x in ref]),
     ]
@@ -531,6 +535,18 @@ def test_point_sets_equal_in_value_are_equal(xs, k):
         FinitePointSet((1, 1), 2)
     with pytest.raises(ValueError):
         FinitePointSet((0, 3), 2)
+
+
+def test_sets_are_immutable_and_pickle_by_value():
+    s = iset((0, F(1, 3)), (F(1, 2), F(2, 3)))
+    p = FinitePointSet.of([F(1, 3), F(1, 2)])
+    for x in (s, p):
+        with pytest.raises(AttributeError, match=f"{type(x).__name__} is immutable"):
+            x.den = 1
+        y = pickle.loads(pickle.dumps(x))
+        assert type(y) is type(x) and y == x and (y.nums, y.den) == (x.nums, x.den)
+    assert p.as_interval_set() == IntervalSet.points(p.points)
+    assert s != p and p != s
 
 
 # -- serialization ----------------------------------------------------------
