@@ -40,10 +40,10 @@ from .bump import (
     BumpDifficultCheck,
     BumpSpec,
     EpsilonSearchError,
+    SizingChain,
     check_bump_difficult,
     check_bump_easy,
     check_bump_properties,
-    interval_length_l,
     lemma_epsilon,
     lobe_half_width,
     make_bump,

@@ -56,9 +56,8 @@ import numpy as np
 from .bump import (
     BumpSpec,
     EpsilonSearchError,
+    SizingChain,
     check_bump_properties,
-    interval_length_l,
-    lemma_epsilon,
     make_bump,
     mu,
 )
@@ -739,27 +738,22 @@ def _alternate_tags(pts: FinitePointSet) -> HatCheckSet:
 
 
 def _infeasible_cascade(
-    f: C1Function, a3: Fraction, a2: Fraction, h: Fraction, mu_val: float, need: float, cap: int, tol: float
+    f: C1Function, a3: Fraction, a2: Fraction, chain: SizingChain, need: float, cap: int
 ) -> GameInfeasibleError:
     """Assemble the measured collapse chain for the error message."""
-    try:
-        eps = lemma_epsilon(f, a3, a2, (a3 + a2) / 2, tol)
-        lval = interval_length_l(f, a3, a2, tol)
-    except EpsilonSearchError:
-        eps, lval = float("nan"), float("nan")
     return GameInfeasibleError(
-        f"perturbation radius mu = {mu_val:.3g} would need a net of about "
+        f"perturbation radius mu = {chain.mu:.3g} would need a net of about "
         f"{need:.3g} points (cap {cap}).  Certified chain at scales "
-        f"({float(a3):.6g}, {float(a2):.6g}): witness eps = {eps:.3g}, "
-        f"interval length l = {lval:.3g}, slope norm = {f.deriv_sup_norm():.6g}. "
+        f"({float(a3):.6g}, {float(a2):.6g}): witness eps = {chain.eps:.3g}, "
+        f"interval length l = {chain.l:.3g}, slope norm = {f.deriv_sup_norm():.6g}. "
         "The located nets of the previous round force curvature of order "
         "height/width^2 on the played function, and the certified witness "
         "scale collapses proportionally; no parameter choice at this round "
         "recovers a buildable net.",
         {
-            "mu": mu_val,
-            "eps": eps,
-            "l": lval,
+            "mu": chain.mu,
+            "eps": chain.eps,
+            "l": chain.l,
             "net_points": need,
             "cap": cap,
             "deriv_norm": f.deriv_sup_norm(),
@@ -792,14 +786,15 @@ def round_one(
 
     h1 = alpha / 2
     try:
-        mu1 = mu(f1, a13, a12, h1, tol)
+        chain = mu(f1, a13, a12, h1, tol)
     except EpsilonSearchError as e:
         raise GameInfeasibleError(f"round 1 perturbation radius failed: {e}") from e
+    mu1 = chain.mu
 
     spacing = as_fraction(mu1) * params.net_factor
     need = 2.0 / float(spacing)
     if need > params.max_net_points:
-        raise _infeasible_cascade(f1, a13, a12, h1, mu1, need, params.max_net_points, tol)
+        raise _infeasible_cascade(f1, a13, a12, chain, need, params.max_net_points)
     hat_t, check_t = _alternating_net(spacing)
     flat_t = hat_t.union(check_t)
     target = (flat_t,)
@@ -966,18 +961,18 @@ def round_m(
         )
 
     h_m = alpha / 2
-    mu_vals = {}
+    chains = {}
     for j in range(1, m + 1):
         a3 = ladder.a_refined(j, m, 3)
         a2 = ladder.a_refined(j, m, 2)
         try:
-            mu_vals[j] = mu(f_m, a3, a2, h_m, tol)
+            chains[j] = mu(f_m, a3, a2, h_m, tol)
         except EpsilonSearchError as e:
             raise GameInfeasibleError(
                 f"round {m} perturbation radius failed at j={j}: {e}"
             ) from e
-    mu_m = min(mu_vals.values())
-    j_min = min(mu_vals, key=mu_vals.get)
+    j_min = min(chains, key=lambda j: chains[j].mu)
+    mu_m = chains[j_min].mu
 
     spacing = as_fraction(mu_m) * params.net_factor
     need = 2.0 / float(spacing)
@@ -986,11 +981,9 @@ def round_m(
             f_m,
             ladder.a_refined(j_min, m, 3),
             ladder.a_refined(j_min, m, 2),
-            h_m,
-            mu_m,
+            chains[j_min],
             need,
             params.max_net_points,
-            tol,
         )
     raise GameError(
         f"round {m} net of about {need:.3g} points fits under the cap, but the "
@@ -1005,27 +998,21 @@ def round_m(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_for(oracles, m: int) -> DenseOpenOracle:
-    if callable(oracles):
-        return oracles
-    return oracles[min(m - 1, len(oracles) - 1)]
-
-
 def run_game(
     adversary: PlayerI,
-    oracles,
+    oracle: DenseOpenOracle,
     rounds: int,
     params: GameParams = GameParams(),
 ) -> tuple[GameState, dict]:
     """Play the given number of rounds and verify the truncated limit
-    statements.  Returns the immutable state and the limit report."""
+    statements.  Returns the immutable state and the limit report.  Only
+    round 1 consults the oracle (see `round_m`)."""
     if rounds < 1:
         raise ValueError("need at least one round")
     state = GameState((), params)
     for m in range(1, rounds + 1):
         prev = None if not state.rounds else (state.last().g_m, state.last().beta_m)
         f, alpha = adversary(m, prev)
-        oracle = _oracle_for(oracles, m)
         if m == 1:
             rec = round_one(f, alpha, oracle, params)
         else:
@@ -1045,20 +1032,26 @@ def limit_report(state: GameState) -> dict:
     M = len(state.rounds)
     ladder = state.ladder()
     last = state.last()
-    limit_sets = [s.flat() for s in last.K_sets]
+    # each round's located sets, flattened once; their interval sets are
+    # cached on them, and round M's row is the limit prefix
+    located = [[s.flat() for s in rec.K_sets] for rec in state.rounds]
+    limit_sets = located[-1]
     report: dict = {"rounds": M, "checks": {}}
 
+    # dist[mi, mj, n]: Hausdorff distance between the n-th located sets of
+    # rounds mj >= mi, each computed once; a set is at distance 0 from itself
+    dist: dict[tuple[int, int, int], Fraction] = {}
     cauchy_ok = True
     worst = None
-    for mi in range(1, M + 1):
-        rec = state.rounds[mi - 1]
+    for mi, rec in enumerate(state.rounds, start=1):
         bound = 2 * rec.w_m
         for n in range(1, rec.n_m + 1):
+            ref = located[mi - 1][n - 1].as_interval_set()
             for mj in range(mi, M + 1):
-                d = (
-                    state.rounds[mj - 1].K_sets[n - 1].flat().as_interval_set()
-                    .hausdorff(rec.K_sets[n - 1].flat().as_interval_set())
-                )
+                d = Fraction(0)
+                if mj > mi:
+                    d = located[mj - 1][n - 1].as_interval_set().hausdorff(ref)
+                dist[mi, mj, n] = d
                 slack = float(bound - d)
                 if worst is None or slack < worst:
                     worst = slack
@@ -1125,14 +1118,11 @@ def limit_report(state: GameState) -> dict:
 
     orc_ok = True
     orc_entries = {}
-    for rec in state.rounds:
+    for mi, rec in enumerate(state.rounds, start=1):
         bound = 2 * rec.w_m
         worst_o = None
         for n in range(1, rec.n_m + 1):
-            d = (
-                limit_sets[n - 1].as_interval_set()
-                .hausdorff(rec.K_sets[n - 1].flat().as_interval_set())
-            )
+            d = dist[mi, M, n]
             slack = float(bound - d)
             worst_o = slack if worst_o is None else min(worst_o, slack)
             if not d <= bound:

@@ -9,16 +9,18 @@ never collide and the sign supports sit strictly inside the prescribed
 neighborhoods.
 
 The sizing chain for the difficult direction (adding a bump at scale a must
-not create exception points far from the located sets, relative to scale b):
+not create exception points far from the located sets, relative to scale b)
+is one record, `mu(f,a,b,h)`, built from one `lemma_epsilon` call with the
+midpoint slope c = (a+b)/2:
 
-  lemma_epsilon(f,a,b,c):  a certified eps such that every x in the domain
-      that fails the forward-upper condition at scale b has a witness y in
-      (x+eps, x+2^-b] with f(y)-f(x) > c(y-x);
-  interval_length_l(f,a,b): with c=(a+b)/2, the guaranteed length
+  eps: a certified witness scale such that every x in the domain that
+      fails the forward-upper condition at scale b has a witness y in
+      (x+eps, x+2^-b] with f(y)-f(x) > c(y-x) (`lemma_epsilon`);
+  l:  the guaranteed length
       l = min{min(eps, 2^-a - 2^-b), (c-a)*eps/(|f'|+a)} of open intervals
       inside the witness sets;
-  mu(f,a,b,h): half of min{l/2, 2^-a/2, h/(2(|f'|+a))}, strictly inside all
-      three constraints used by the perturbation argument.
+  mu: half of min{l/2, 2^-a/2, h/(2(|f'|+a))}, strictly inside all three
+      constraints used by the perturbation argument.
 
 `check_bump_easy` verifies pointwise that located points which already
 satisfy a reading keep satisfying it after the bump is added;
@@ -58,7 +60,7 @@ __all__ = [
     "make_bump",
     "check_bump_properties",
     "lemma_epsilon",
-    "interval_length_l",
+    "SizingChain",
     "mu",
     "check_bump_easy",
     "BumpDifficultCheck",
@@ -360,29 +362,34 @@ def lemma_epsilon(
     )
 
 
-def interval_length_l(f: C1Function, a: Rat, b: Rat, tol: float = 1e-4) -> float:
-    """Guaranteed length of the open intervals inside the witness sets, with
-    the midpoint slope c = (a+b)/2: l = min{min(eps, 2^-a - 2^-b),
-    (c-a)*eps/(|f'|+a)}."""
+@dataclass(frozen=True)
+class SizingChain:
+    """The constants of one bump-lemma application, in the order they are
+    derived: the witness scale eps, the interval length l and the
+    perturbation radius mu."""
+
+    eps: float
+    l: float
+    mu: float
+
+
+def mu(f: C1Function, a: Rat, b: Rat, h: Rat, tol: float = 1e-4) -> SizingChain:
+    """The sizing chain at the midpoint slope c = (a+b)/2.  l is the
+    guaranteed length of the open intervals inside the witness sets,
+    min{min(eps, 2^-a - 2^-b), (c-a)*eps/(|f'|+a)}; mu is strictly inside
+    the three constraints mu < l/2, 2*mu < 2^-a, 2*mu*(|f'|+a) < h: half
+    their minimum."""
     af, bf = as_fraction(a), as_fraction(b)
+    hf = float(as_fraction(h))
+    if hf <= 0:
+        raise ValueError("h must be positive")
     if not 0 < af < bf:
         raise ValueError("need 0 < a < b")
     cf = (af + bf) / 2
     eps = lemma_epsilon(f, af, bf, cf, tol)
     gap = _float_floor(pow2_gap_bounds(af, bf)[0])
     slope_budget = f.deriv_sup_norm() + float(af)
-    return min(min(eps, gap), float(cf - af) * eps / slope_budget)
-
-
-def mu(f: C1Function, a: Rat, b: Rat, h: Rat, tol: float = 1e-4) -> float:
-    """Perturbation radius strictly inside the three constraints
-    mu < l/2, 2*mu < 2^-a, 2*mu*(|f'|+a) < h: half their minimum."""
-    af = as_fraction(a)
-    hf = float(as_fraction(h))
-    if hf <= 0:
-        raise ValueError("h must be positive")
-    l = interval_length_l(f, a, b, tol)
-    slope_budget = f.deriv_sup_norm() + float(af)
+    l = min(min(eps, gap), float(cf - af) * eps / slope_budget)
     pow_a = _float_floor(pow2_bounds(af)[0])
     out = 0.5 * min(l / 2.0, pow_a / 2.0, hf / (2.0 * slope_budget))
     if not (out < l / 2 and 2 * out < pow_a and 2 * out * slope_budget < hf):
@@ -390,7 +397,7 @@ def mu(f: C1Function, a: Rat, b: Rat, h: Rat, tol: float = 1e-4) -> float:
             f"no radius strictly inside the mu constraints (l={l!r}, 2^-a>={pow_a!r}, "
             f"h={hf!r}, |f'|+a={slope_budget!r})"
         )
-    return out
+    return SizingChain(eps, l, out)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .bump import (
     EpsilonSearchError,
     check_bump_easy,
     check_bump_properties,
-    interval_length_l,
     make_bump,
     mu,
 )
@@ -89,6 +88,18 @@ def _rat_list(text: str, field: str) -> list[Fraction]:
     if not items:
         raise InputError(field, "empty list")
     return [_rat(t, field) for t in items]
+
+
+def _positive(text: str, field: str) -> Fraction:
+    x = _rat(text, field)
+    if x <= 0:
+        raise InputError(field, f"must be positive, got {x}")
+    return x
+
+
+def _check_tol(tol: float) -> None:
+    if not tol > 0:  # also refuses NaN
+        raise InputError("tol", f"tolerance must be positive, got {tol}")
 
 
 def _int_list(text: str, field: str) -> list[int]:
@@ -185,11 +196,8 @@ def _iv_json(s: IntervalSet) -> list[list[str]]:
 
 def cmd_nset(args, argv: list[str]) -> dict:
     f = _load_function(args.f, "f")
-    a = _rat(args.a, "a")
-    if a <= 0:
-        raise InputError("a", f"scale must be positive, got {a}")
-    if not args.tol > 0:
-        raise InputError("tol", f"tolerance must be positive, got {args.tol}")
+    a = _positive(args.a, "a")
+    _check_tol(args.tol)
     if args.variant not in VARIANTS:
         raise InputError("variant", f"must be one of {sorted(VARIANTS)}")
     inputs = {"f": args.f, "a": str(a), "variant": args.variant, "tol": args.tol}
@@ -297,16 +305,19 @@ def cmd_bump(args, argv: list[str]) -> dict:
         check = (
             FinitePointSet.of(_rat_list(args.check, "check")) if args.check else FinitePointSet.of([])
         )
-        height = _rat(args.height, "height")
-        width = _rat(args.width, "width")
+        if hat.is_empty and check.is_empty:
+            raise InputError("hat", "a bump needs at least one located point")
+        height = _positive(args.height, "height")
+        width = _positive(args.width, "width")
+        a = _positive(args.a, "a")
         try:
             spec = BumpSpec(hat, check, height, width)
         except ValueError as e:
-            raise InputError("width", str(e)) from e
+            raise InputError("check", str(e)) from e
         phi = make_bump(spec)
         props = check_bump_properties(spec, phi)
         base = _load_function(args.f, "f") if args.f else C1Function.zero()
-        easy = check_bump_easy(base, _rat(args.a, "a"), spec, phi)
+        easy = check_bump_easy(base, a, spec, phi)
         inputs = {
             "mode": "make",
             "hat": hat.to_json_list(),
@@ -327,21 +338,23 @@ def cmd_bump(args, argv: list[str]) -> dict:
         return rep, None
 
     f = _load_function(args.f, "f")
-    a = _rat(args.a, "a")
+    a = _positive(args.a, "a")
     b = _rat(args.b, "b")
-    height = _rat(args.height, "height")
-    if not 0 < a < b:
+    height = _positive(args.height, "height")
+    _check_tol(args.tol)
+    if not a < b:
         raise InputError("b", "need 0 < a < b")
     inputs = {"mode": "mu", "f": args.f, "a": str(a), "b": str(b), "height": str(height), "tol": args.tol}
     try:
-        lval = interval_length_l(f, a, b, args.tol)
-        muval = mu(f, a, b, height, args.tol)
+        chain = mu(f, a, b, height, args.tol)
+    except EnclosureRangeError as e:
+        raise InputError(e.field, str(e)) from e
     except EpsilonSearchError as e:
         outputs = {"error": str(e)}
         checks = {"radius": {"ok": False, "margin": None}}
         return _report(argv, inputs, outputs, checks, files=[args.f]), None
-    outputs = {"l": lval, "mu": muval}
-    checks = {"radius": {"ok": muval > 0.0, "margin": muval}}
+    outputs = {"l": chain.l, "mu": chain.mu}
+    checks = {"radius": {"ok": chain.mu > 0.0, "margin": chain.mu}}
     return _report(argv, inputs, outputs, checks, files=[args.f]), None
 
 

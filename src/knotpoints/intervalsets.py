@@ -253,9 +253,6 @@ class IntervalSet(_IntRationals):
         e = self.nums
         return Fraction(sum(e[1::2]) - sum(e[0::2]), self.den)
 
-    def endpoints(self) -> list[Fraction]:
-        return [Fraction(x, self.den) for x in self.nums]
-
     def _locate(self, x: Fraction) -> tuple[int, bool]:
         """(i, inside): i counts the endpoints <= floor(x*den), and inside
         tells whether x lies in the set."""

@@ -97,6 +97,25 @@ _PARTS = {
 }
 
 
+def _plus_upper_form(f, variant: str):
+    """(g, reflected) for a basic variant: its set for f is the plus_upper
+    set of g, reflected back when `reflected` is set.  Negating f swaps the
+    upper/lower slope bound, reflecting x swaps forward/backward windows:
+
+      plus_lower(f,a)  = plus_upper(-f, a)
+      minus_lower(f,a) = reflect(plus_upper(reflect(f), a))
+      minus_upper(f,a) = reflect(plus_upper(-reflect(f), a))
+
+    f is anything with `negate` and `reflect`."""
+    if variant == "plus_upper":
+        return f, False
+    if variant == "plus_lower":
+        return f.negate(), False
+    if variant == "minus_lower":
+        return f.reflect(), True
+    return f.reflect().negate(), True  # minus_upper
+
+
 class EnclosureRangeError(ValueError):
     """A scale or tolerance outside the range the enclosure engine can
     certify; `field` names the parameter ("a" or "tol") to change."""
@@ -345,33 +364,16 @@ def _plus_upper_exact(f: PwlFunction, a: int) -> IntervalSet:
 
 
 def n_set_exact(f: PwlFunction, a: Rat, variant: str = "full") -> IntervalSet:
-    """Exact exception set for a piecewise-linear f and integer scale a.
-
-    The three non-plus_upper basics come from two involutions: negating f
-    swaps the upper/lower slope bound, reflecting x swaps forward/backward
-    windows:
-
-      plus_lower(f,a)  = plus_upper(-f, a)
-      minus_lower(f,a) = reflect(plus_upper(reflect(f), a))
-      minus_upper(f,a) = reflect(plus_upper(-reflect(f), a))
-    """
+    """Exact exception set for a piecewise-linear f and integer scale a;
+    every basic variant is a plus_upper set (`_plus_upper_form`)."""
     if not isinstance(f, PwlFunction):
         raise TypeError("n_set_exact needs a PwlFunction; use n_set_enclosure for C1")
     _check_variant(variant)
-    if variant == "hat":
-        return n_set_exact(f, a, "plus_upper").union(n_set_exact(f, a, "minus_lower"))
-    if variant == "check":
-        return n_set_exact(f, a, "plus_lower").union(n_set_exact(f, a, "minus_upper"))
-    if variant == "full":
-        return n_set_exact(f, a, "hat").union(n_set_exact(f, a, "check"))
-    ai = _as_integer_scale(a)
-    if variant == "plus_upper":
-        return _plus_upper_exact(f, ai)
-    if variant == "plus_lower":
-        return _plus_upper_exact(f.negate(), ai)
-    if variant == "minus_lower":
-        return _plus_upper_exact(f.reflect(), ai).reflect()
-    return _plus_upper_exact(f.reflect().negate(), ai).reflect()  # minus_upper
+    if variant in _PARTS:
+        return functools.reduce(IntervalSet.union, (n_set_exact(f, a, p) for p in _PARTS[variant]))
+    g, refl = _plus_upper_form(f, variant)
+    s = _plus_upper_exact(g, _as_integer_scale(a))
+    return s.reflect() if refl else s
 
 
 def n_full_truncated(f: PwlFunction, a_list: Sequence[Rat]) -> IntervalSet:
@@ -450,14 +452,8 @@ def point_defects_float(f, a: float, variant: str, xs) -> np.ndarray:
     delta = 2.0 ** (-af)
     if delta >= 1.0:
         raise ValueError("window 2^-a must be smaller than the domain")
-    if variant == "plus_upper":
-        q, ts = p, xs
-    elif variant == "plus_lower":
-        q, ts = p.negate(), xs
-    elif variant == "minus_lower":
-        q, ts = p.reflect(), 1.0 - xs
-    else:
-        q, ts = p.reflect().negate(), 1.0 - xs
+    q, refl = _plus_upper_form(p, variant)
+    ts = 1.0 - xs if refl else xs
     phi = q.add_linear(-af)
     tab = _PhiTables(phi, delta / 2.0, 1.0 - delta)
     out = np.full(xs.shape, np.inf, dtype=float)
@@ -987,14 +983,7 @@ def n_set_enclosure(f, a: Rat, variant: str = "full", tol: float = 1e-4) -> NSet
     if f.deriv_sup_norm() <= af - 1e-9:
         return _full_domain_enclosure(a, forward=variant.startswith("plus"))
 
-    if variant == "plus_upper":
-        g, refl = f, False
-    elif variant == "plus_lower":
-        g, refl = f.negate(), False
-    elif variant == "minus_lower":
-        g, refl = f.reflect(), True
-    else:  # minus_upper
-        g, refl = f.reflect().negate(), True
+    g, refl = _plus_upper_form(f, variant)
     (in_u, in_v), (und_u, und_v), stats = _enclosure_plus_upper_c1(g, af, tol)
     inner = _merge_float_cells(in_u, in_v)
     outer = _merge_float_cells(np.concatenate([in_u, und_u]), np.concatenate([in_v, und_v]))

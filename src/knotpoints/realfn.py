@@ -197,14 +197,6 @@ class PwlFunction:
         coeffs[:, 1] = [float(s) for s in self.slopes()]
         return CubicPieces(breaks, coeffs)
 
-    def sample_grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Float samples on a uniform n+1 point grid (for oracles and CSV)."""
-        lo, hi = self.domain
-        xs = np.linspace(float(lo), float(hi), n + 1)
-        bx = np.array([float(b) for b in self.breakpoints])
-        bv = np.array([float(v) for v in self.values])
-        return xs, np.interp(xs, bx, bv)
-
 
 # ---------------------------------------------------------------------------
 # float piecewise cubic
@@ -468,9 +460,6 @@ class CubicPieces:
     def max_on(self, p: float, q: float) -> float:
         return self.range_on(p, q)[1]
 
-    def min_on(self, p: float, q: float) -> float:
-        return self.range_on(p, q)[0]
-
     def argmax_on(self, p: float, q: float) -> tuple[float, float]:
         """(max value, a maximizing x)."""
         i, s_lo, s_hi = self._pieces_on(p, q)
@@ -492,33 +481,7 @@ class CubicPieces:
         lo, hi = cubic_deriv_range(self.coeffs[i].T, s_lo, s_hi)
         return float(lo.min(initial=np.inf)), float(hi.max(initial=-np.inf))
 
-    def sup_norm(self) -> float:
-        lo, hi = self.range_on(*self.domain)
-        return max(abs(lo), abs(hi))
-
-    def deriv_bound(self) -> float:
-        lo, hi = self.deriv_range_on(*self.domain)
-        return max(abs(lo), abs(hi))
-
     # -- algebra -----------------------------------------------------------
-
-    def rebase(self, new_breaks: np.ndarray) -> "CubicPieces":
-        """Re-express on a finer break grid (must contain the old breaks)."""
-        idx = np.clip(
-            np.searchsorted(self.breaks, new_breaks[:-1], side="right") - 1,
-            0,
-            len(self.coeffs) - 1,
-        )
-        dx = new_breaks[:-1] - self.breaks[idx]
-        return CubicPieces(new_breaks, _poly_shift(self.coeffs[idx], dx))
-
-    def add(self, other: "CubicPieces") -> "CubicPieces":
-        if self.domain != other.domain:
-            raise ValueError("domain mismatch")
-        breaks = np.union1d(self.breaks, other.breaks)
-        a = self.rebase(breaks)
-        b = other.rebase(breaks)
-        return CubicPieces(breaks, a.coeffs + b.coeffs)
 
     def scale(self, c: float) -> "CubicPieces":
         return CubicPieces(self.breaks, c * self.coeffs)
@@ -542,17 +505,6 @@ class CubicPieces:
         shifted[:, 1] *= -1.0
         shifted[:, 3] *= -1.0
         return CubicPieces(1.0 - self.breaks[::-1], shifted[::-1])
-
-    def restrict(self, p: float, q: float) -> "CubicPieces":
-        if not (self.breaks[0] <= p < q <= self.breaks[-1]):
-            raise ValueError("bad restriction")
-        inner = self.breaks[(self.breaks > p) & (self.breaks < q)]
-        breaks = np.concatenate(([p], inner, [q]))
-        idx = np.clip(
-            np.searchsorted(self.breaks, breaks[:-1], side="right") - 1, 0, len(self.coeffs) - 1
-        )
-        dx = breaks[:-1] - self.breaks[idx]
-        return CubicPieces(breaks, _poly_shift(self.coeffs[idx], dx))
 
 
 def pieces_of(f) -> CubicPieces:

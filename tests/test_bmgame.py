@@ -1,7 +1,8 @@
 """Ball-game checks on hand-built scenarios: an enclosure that the engine
 cannot certify makes a verdict undecided, any other error propagates,
-`round_m` enforces the move rules and ends at its net-size diagnosis, and a
-saved game reads back and verifies."""
+`round_m` enforces the move rules and ends at its net-size diagnosis, a
+saved game reads back and verifies, and the limit distances match a direct
+computation."""
 
 import json
 from dataclasses import replace
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotpoints import bmgame
+from knotpoints import bmgame, bump
 from knotpoints.bmgame import (
     GameError,
     GameInfeasibleError,
@@ -30,6 +31,7 @@ from knotpoints.bmgame import (
     state_to_json,
     verify_report,
 )
+from knotpoints.bump import SizingChain
 from knotpoints.intervalsets import FULL, FinitePointSet
 from knotpoints.nsets import EnclosureRangeError, NSetEnclosure
 from knotpoints.realfn import C1Function
@@ -146,11 +148,15 @@ def test_round_m_needs_a_completed_first_round():
 @pytest.fixture
 def stub_round_m(monkeypatch):
     """A legal move whose inherited invariant holds; returns a setter for
-    the perturbation radius that every j gets."""
+    the perturbation radius that every j gets.  The diagnosis reads eps and
+    l from the record, so a witness search would fail the test."""
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the sizing chain was recomputed")
+
     monkeypatch.setattr(bmgame, "star_bullets", lambda *args: StarCheck(True))
-    monkeypatch.setattr(bmgame, "lemma_epsilon", lambda *args: 2e-9)
-    monkeypatch.setattr(bmgame, "interval_length_l", lambda *args: 4e-15)
-    return lambda radius: monkeypatch.setattr(bmgame, "mu", lambda *args: radius)
+    monkeypatch.setattr(bump, "lemma_epsilon", no_search)
+    return lambda radius: monkeypatch.setattr(bmgame, "mu", lambda *args: SizingChain(2e-9, 4e-15, radius))
 
 
 def test_round_m_diagnoses_a_net_above_the_cap(stub_round_m):
@@ -252,3 +258,63 @@ def test_alternating_net_is_two_interleaved_grids(spacing):
     want_hat = [i * spacing for i in range(int(1 / spacing) + 1)]
     assert list(hat.points) == want_hat
     assert list(check.points) == [x + spacing / 2 for x in want_hat if x + spacing / 2 <= 1]
+
+
+def _two_round_state(far: bool) -> GameState:
+    """Round 1 of `_one_round_state` followed by a round with two located
+    sets; the first moves its check point to 7/8, or to 15/16 when `far`,
+    which is 3/16 from round 1's and so beyond round 1's bound 2*w_1."""
+    rec1 = _one_round_state().rounds[0]
+    moved = F(15, 16) if far else F(7, 8)
+    rec2 = replace(
+        rec1,
+        m=2,
+        K_sets=(
+            HatCheckSet(FinitePointSet.of([F(9, 32)]), FinitePointSet.of([F(3, 4), moved])),
+            HatCheckSet(FinitePointSet.of([F(1, 8)]), FinitePointSet.of([F(1, 2)])),
+        ),
+        n_m=2,
+        w_m=F(1, 32),
+        b_m=F(11, 2),
+    )
+    return GameState((rec1, rec2))
+
+
+def _distance_checks_reference(state: GameState) -> tuple[dict, dict]:
+    """prefix_cauchy and oracle_balls with every Hausdorff distance computed
+    directly, the diagonal included."""
+    M = len(state.rounds)
+
+    def located(m, n):
+        return state.rounds[m - 1].K_sets[n - 1].flat().as_interval_set()
+
+    def block(pairs):
+        ds = [
+            (located(mj, n).hausdorff(located(mi, n)), 2 * state.rounds[mi - 1].w_m) for mi, mj, n in pairs
+        ]
+        return all(d <= bound for d, bound in ds), min(float(bound - d) for d, bound in ds)
+
+    pairs = [
+        (rec.m, mj, n) for rec in state.rounds for n in range(1, rec.n_m + 1) for mj in range(rec.m, M + 1)
+    ]
+    ok, slack = block(pairs)
+    cauchy = {"ok": ok, "min_slack": slack}
+    entries = {}
+    orc_ok = True
+    for rec in state.rounds:
+        ok, slack = block([(rec.m, M, n) for n in range(1, rec.n_m + 1)])
+        orc_ok &= ok
+        entries[f"m={rec.m}"] = {"min_slack": slack, "l": rec.oracle_l, "r": str(rec.oracle_r)}
+    return cauchy, {"ok": orc_ok, "entries": entries}
+
+
+@pytest.mark.parametrize("far", [False, True], ids=["within", "beyond"])
+def test_limit_distances_match_a_direct_computation(far):
+    """The distance table behind prefix_cauchy and oracle_balls, on the
+    entries with m < M that a real run (which stops at round 1) never has."""
+    state = _two_round_state(far)
+    checks = limit_report(state)["checks"]
+    cauchy, oracle = _distance_checks_reference(state)
+    assert checks["prefix_cauchy"] == cauchy
+    assert checks["oracle_balls"] == oracle
+    assert cauchy["ok"] is oracle["ok"] is (not far)

@@ -1,6 +1,6 @@
-"""Command-line front end: the `nset`, `bump make` and `jarnik-demo`
-subcommands through `cli.main`, the input digest of a report, and the grid
-count behind `jarnik-demo`."""
+"""Command-line front end: the `nset`, `bump` and `jarnik-demo` subcommands
+through `cli.main`, the input digest of a report, and the grid count behind
+`jarnik-demo`."""
 
 import json
 from fractions import Fraction
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotpoints import cli
+from knotpoints import bump, cli
 from knotpoints.intervalsets import IntervalSet
 from knotpoints.realfn import PwlFunction, function_to_json, random_c1_function
 
@@ -52,16 +52,17 @@ def test_nset_rejects_nonpositive_scale_and_tolerance(c1_file, tmp_path, flags, 
 
 def test_nset_out_of_range_enclosures_are_input_errors(c1_file, tmp_path, capsys):
     """A PWL function at a non-integer scale above its slope bound, and a C1
-    function at a tolerance finer than the engine certifies, exit with 2
-    and name the field."""
+    function at a tolerance finer than the engine certifies (in `nset` and
+    in `bump mu`), exit with 2 and name the field."""
     zigzag = tmp_path / "zigzag.json"
     zigzag.write_text(json.dumps(function_to_json(PwlFunction.zigzag())))
     out = tmp_path / "report.json"
     for argv, field in (
-        (["--f", str(zigzag), "--a", "3/2"], "a"),
-        (["--f", c1_file, "--a", "1", "--tol", "1e-7"], "tol"),
+        (["nset", "--f", str(zigzag), "--a", "3/2"], "a"),
+        (["nset", "--f", c1_file, "--a", "1", "--tol", "1e-7"], "tol"),
+        (["bump", "mu", "--f", c1_file, "--tol", "1e-7"], "tol"),
     ):
-        rc = cli.main(["nset", *argv, "--out", str(out)])
+        rc = cli.main([*argv, "--out", str(out)])
         assert rc == 2
         assert f"input error in field '{field}'" in capsys.readouterr().err
         assert not out.exists()
@@ -78,6 +79,51 @@ def test_bump_make_inputs_name_the_base_function(c1_file, tmp_path, with_f):
     if with_f:
         want["f"] = c1_file
     assert json.loads(out.read_text())["inputs"] == want
+
+
+@pytest.mark.parametrize(
+    "mode, flags, field",
+    [
+        ("mu", ["--height", "0"], "height"),
+        ("mu", ["--tol", "0"], "tol"),
+        ("mu", ["--tol", "nan"], "tol"),
+        ("make", ["--a", "0"], "a"),
+        ("make", ["--height", "0"], "height"),
+        ("make", ["--hat", "", "--check", ""], "hat"),
+        ("make", ["--hat", "1/2", "--check", "1/2"], "check"),
+    ],
+    ids=["mu-height", "mu-tol-0", "mu-tol-nan", "make-a", "make-height", "make-no-points", "make-shared"],
+)
+def test_bump_rejects_malformed_input_before_computing(
+    c1_file, tmp_path, monkeypatch, capsys, mode, flags, field
+):
+    def compute(*args):
+        raise AssertionError("computed before validating the input")
+
+    monkeypatch.setattr(cli, "mu", compute)
+    monkeypatch.setattr(cli, "make_bump", compute)
+    out = tmp_path / "report.json"
+    rc = cli.main(["bump", mode, "--f", c1_file, "--hat", "1/4", "--check", "3/4", *flags, "--out", str(out)])
+    assert rc == 2
+    assert f"input error in field '{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bump_mu_reports_the_record_from_one_witness_search(c1_file, tmp_path, monkeypatch):
+    calls = []
+    search = bump.lemma_epsilon
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(bump, "lemma_epsilon", counted)
+    out = tmp_path / "report.json"
+    assert cli.main(["bump", "mu", "--f", c1_file, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    chain = bump.mu(cli._load_function(c1_file, "f"), 1, 2, F(1, 2), 1e-4)
+    outputs = json.loads(out.read_text())["outputs"]
+    assert (outputs["l"], outputs["mu"]) == (chain.l, chain.mu)
 
 
 def test_jarnik_demo_rejects_negative_depth(tmp_path, capsys):
