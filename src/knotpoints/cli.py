@@ -51,7 +51,7 @@ from .indexcomb import (
     random_index_seq,
 )
 from .intervalsets import FinitePointSet, IntervalSet, as_fraction
-from .nsets import VARIANTS, EnclosureRangeError, n_set_enclosure, n_set_exact
+from .nsets import VARIANTS, DomainError, EnclosureRangeError, n_set_enclosure, n_set_exact
 from .realfn import (
     C1Function,
     PwlFunction,
@@ -203,7 +203,10 @@ def cmd_nset(args, argv: list[str]) -> dict:
     inputs = {"f": args.f, "a": str(a), "variant": args.variant, "tol": args.tol}
     csv_lines = ["lo,hi"]
     if isinstance(f, PwlFunction) and a.denominator == 1:
-        s = n_set_exact(f, a, args.variant)
+        try:
+            s = n_set_exact(f, a, args.variant)
+        except DomainError as e:
+            raise InputError("f", str(e)) from e
         outputs = {"mode": "exact", "intervals": _iv_json(s), "measure": str(s.measure())}
         checks = {"exact": {"ok": True, "margin": None}}
         csv_lines += [f"{float(lo)!r},{float(hi)!r}" for lo, hi in s.intervals]
@@ -212,6 +215,8 @@ def cmd_nset(args, argv: list[str]) -> dict:
             enc = n_set_enclosure(f, a, args.variant, args.tol)
         except EnclosureRangeError as e:
             raise InputError(e.field, str(e)) from e
+        except DomainError as e:
+            raise InputError("f", str(e)) from e
         outputs = {
             "mode": "enclosure",
             "inner": _iv_json(enc.inner),

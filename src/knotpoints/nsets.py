@@ -15,9 +15,11 @@ the a-set in the b-set variant by variant.
 
 Two computation paths:
 
-* exact (PwlFunction, integer a): the membership test compares phi = f - a*id
-  with its sliding window maximum.  One integer event sweep over phi (all
-  positions and values are integers over common denominators) visits the
+* exact (PwlFunction on [0,1], integer a): the membership test compares
+  phi = f - a*id with its sliding window maximum.  f is converted once per
+  call to integers (breakpoints over one denominator, values over another),
+  and the involutions that turn each basic variant into a plus_upper set
+  act on that integer form.  One integer event sweep over phi visits the
   cells between consecutive window events; on each cell phi and the window
   end are single lines and the interior breakpoints a constant, so the set
   is read per cell from endpoint signs.  Only crossing points are new
@@ -51,7 +53,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,6 +72,7 @@ from .realfn import (
 __all__ = [
     "VARIANTS",
     "BASIC_VARIANTS",
+    "DomainError",
     "EnclosureRangeError",
     "NSetEnclosure",
     "n_set_exact",
@@ -106,7 +109,8 @@ def _plus_upper_form(f, variant: str):
       minus_lower(f,a) = reflect(plus_upper(reflect(f), a))
       minus_upper(f,a) = reflect(plus_upper(-reflect(f), a))
 
-    f is anything with `negate` and `reflect`."""
+    f is anything with `negate` and `reflect`: the integer form of the exact
+    path (`_IntPwl`), `CubicPieces` and `C1Function`."""
     if variant == "plus_upper":
         return f, False
     if variant == "plus_lower":
@@ -123,6 +127,16 @@ class EnclosureRangeError(ValueError):
     def __init__(self, field: str, message: str) -> None:
         super().__init__(message)
         self.field = field
+
+
+class DomainError(ValueError):
+    """A piecewise-linear f that does not live on all of [0,1]."""
+
+
+def _check_unit_domain(f: PwlFunction) -> None:
+    lo, hi = f.domain
+    if (lo, hi) != (0, 1):
+        raise DomainError(f"exception sets need f on the domain [0,1]; got [{lo}, {hi}]")
 
 
 def _check_variant(variant: str) -> None:
@@ -288,9 +302,37 @@ def _values_at(T: list[int], Z: list[int], S: list[int], pts: list[int]) -> list
     return out
 
 
-def _plus_upper_exact(f: PwlFunction, a: int) -> IntervalSet:
-    """The forward-upper set of f at integer scale a >= 1 in one integer
-    event sweep of phi = f - a*x.
+class _IntPwl(NamedTuple):
+    """A piecewise-linear function on [0,1] in integers: breakpoints T[i]/X
+    and values W[i]/V, with V a multiple of X and X a multiple of 2^a for
+    the scale a it was built for."""
+
+    T: list[int]
+    W: list[int]
+    X: int
+    V: int
+
+    @staticmethod
+    def of(f: PwlFunction, a: int) -> "_IntPwl":
+        """f over X = lcm(2^a, breakpoint denominators) and V = lcm(X,
+        value denominators)."""
+        X = math.lcm(1 << a, *(t.denominator for t in f.breakpoints))
+        V = math.lcm(X, *(y.denominator for y in f.values))
+        T = [t.numerator * (X // t.denominator) for t in f.breakpoints]
+        W = [y.numerator * (V // y.denominator) for y in f.values]
+        return _IntPwl(T, W, X, V)
+
+    def negate(self) -> "_IntPwl":
+        return _IntPwl(self.T, [-w for w in self.W], self.X, self.V)
+
+    def reflect(self) -> "_IntPwl":
+        """x -> f(1-x)."""
+        return _IntPwl([self.X - t for t in reversed(self.T)], self.W[::-1], self.X, self.V)
+
+
+def _plus_upper_exact(g: _IntPwl, a: int) -> IntervalSet:
+    """The forward-upper set of g at integer scale a >= 1 in one integer
+    event sweep of phi = g - a*x.
 
     Between consecutive events (breakpoints <= 1 - delta and breakpoints
     shifted left by delta) the window [x, x+delta] of a cell [u, v] sees a
@@ -301,19 +343,14 @@ def _plus_upper_exact(f: PwlFunction, a: int) -> IntervalSet:
     side of a sign change.  Since the window holds x, L0 never exceeds the
     max: the slack max - phi is nonnegative by construction.
 
-    Positions are integers over X = lcm(2^a, breakpoint denominators), and
-    values integers over one denominator that makes phi exact at every event
-    and event + delta: the lcm of the value denominators and X, times the
-    lcm of the segment widths.  No division rounds: every // below divides
-    an lcm by one of its arguments.
+    Positions are the integers of g over X, and values integers over one
+    denominator that makes phi exact at every event and event + delta: V
+    times the lcm of the segment widths.  No division rounds: every // below
+    divides an lcm by one of its arguments.
     """
-    if f.domain != (0, 1):
-        raise ValueError("the exact sweep expects domain [0,1]")
-    X = math.lcm(1 << a, *(t.denominator for t in f.breakpoints))
+    T, X, V = g.T, g.X, g.V
     D = X >> a
-    T = [t.numerator * (X // t.denominator) for t in f.breakpoints]
-    V = math.lcm(X, *(y.denominator for y in f.values))
-    Y = [y.numerator * (V // y.denominator) - a * t * (V // X) for t, y in zip(T, f.values)]
+    Y = [w - a * t * (V // X) for t, w in zip(T, g.W)]
     L = math.lcm(*(t1 - t0 for t0, t1 in zip(T, T[1:])))
     Z = [y * L for y in Y]
     S = [(y1 - y0) * (L // (t1 - t0)) for t0, t1, y0, y1 in zip(T, T[1:], Y, Y[1:])]
@@ -364,16 +401,21 @@ def _plus_upper_exact(f: PwlFunction, a: int) -> IntervalSet:
 
 
 def n_set_exact(f: PwlFunction, a: Rat, variant: str = "full") -> IntervalSet:
-    """Exact exception set for a piecewise-linear f and integer scale a;
-    every basic variant is a plus_upper set (`_plus_upper_form`)."""
+    """Exact exception set for a piecewise-linear f on [0,1] and integer
+    scale a; every basic variant is a plus_upper set (`_plus_upper_form`) of
+    one integer form of f."""
     if not isinstance(f, PwlFunction):
         raise TypeError("n_set_exact needs a PwlFunction; use n_set_enclosure for C1")
     _check_variant(variant)
-    if variant in _PARTS:
-        return functools.reduce(IntervalSet.union, (n_set_exact(f, a, p) for p in _PARTS[variant]))
-    g, refl = _plus_upper_form(f, variant)
-    s = _plus_upper_exact(g, _as_integer_scale(a))
-    return s.reflect() if refl else s
+    _check_unit_domain(f)
+    ai = _as_integer_scale(a)
+    g = _IntPwl.of(f, ai)
+    sets = []
+    for part in _PARTS.get(variant, (variant,)):
+        h, refl = _plus_upper_form(g, part)
+        s = _plus_upper_exact(h, ai)
+        sets.append(s.reflect() if refl else s)
+    return functools.reduce(IntervalSet.union, sets)
 
 
 def n_full_truncated(f: PwlFunction, a_list: Sequence[Rat]) -> IntervalSet:
@@ -955,6 +997,7 @@ def n_set_enclosure(f, a: Rat, variant: str = "full", tol: float = 1e-4) -> NSet
     if not tol > 0:  # also refuses NaN
         raise ValueError("tol must be positive")
     if isinstance(f, PwlFunction):
+        _check_unit_domain(f)
         if as_fraction(a).denominator == 1:
             return NSetEnclosure.exact(n_set_exact(f, a, variant))
         if f.lipschitz_bound() <= as_fraction(a):

@@ -538,22 +538,18 @@ def random_function(
     def draw() -> Fraction:
         return Fraction(rng.getrandbits(40), 2**39) - 1  # exact dyadic in [-1, 1)
 
-    vals: dict[Fraction, Fraction] = {
-        Fraction(0): amplitude * draw(),
-        Fraction(1): amplitude * draw(),
-    }
+    # values at the grid points i/2^level in x-order; each level draws its
+    # midpoints left to right
+    vals = [amplitude * draw(), amplitude * draw()]
     scale = amplitude
     for _ in range(depth):
         scale *= decay
-        new_pts = []
-        xs = sorted(vals)
-        for a, b in zip(xs, xs[1:]):
-            mid = (a + b) / 2
-            new_pts.append((mid, (vals[a] + vals[b]) / 2 + scale * draw()))
-        for x, v in new_pts:
-            vals[x] = v
-    xs = sorted(vals)
-    return PwlFunction(tuple(xs), tuple(vals[x] for x in xs))
+        finer = [vals[0]]
+        for va, vb in zip(vals, vals[1:]):
+            finer += ((va + vb) / 2 + scale * draw(), vb)
+        vals = finer
+    n = len(vals) - 1
+    return PwlFunction(tuple(Fraction(i, n) for i in range(n + 1)), tuple(vals))
 
 
 def random_c1_function(

@@ -10,11 +10,14 @@ the window-max envelope built with `PwlFunction` arithmetic and its zero set
 against phi.  Finite point sets have one as well: `FractionPointSet`, a
 sorted tuple of Fractions, with the point-set functions on top of it, and
 the ball game's snapping and tagging of located points on Fraction lists.
+`random_function` has one too: a dict of Fraction grid points, sorted at
+every level.
 """
 
 from __future__ import annotations
 
 import heapq
+import random
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -277,6 +280,29 @@ def float_bits(x) -> np.ndarray:
     between the two zeros numpy's and Python's min/max may keep either, and
     every decision compares values, where the two zeros are equal."""
     return (np.asarray(x, dtype=np.float64) + 0.0).view(np.int64)
+
+
+def random_function_reference(
+    seed: int, depth: int = 6, decay: Rat = Fraction(3, 5), amplitude: Rat = 1
+) -> PwlFunction:
+    """`realfn.random_function` by the sort-based builder: a dict from grid
+    point to value, sorted at every level to draw the midpoints in x-order."""
+    rng = random.Random(seed)
+    decay = as_fraction(decay)
+    amplitude = as_fraction(amplitude)
+
+    def draw() -> Fraction:
+        return Fraction(rng.getrandbits(40), 2**39) - 1
+
+    vals = {Fraction(0): amplitude * draw(), Fraction(1): amplitude * draw()}
+    scale = amplitude
+    for _ in range(depth):
+        scale *= decay
+        xs = sorted(vals)
+        new_pts = [((a + b) / 2, (vals[a] + vals[b]) / 2 + scale * draw()) for a, b in zip(xs, xs[1:])]
+        vals.update(new_pts)
+    xs = sorted(vals)
+    return PwlFunction(tuple(xs), tuple(vals[x] for x in xs))
 
 
 def _line_through(x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction) -> tuple[Fraction, Fraction]:

@@ -2,8 +2,10 @@
 through `cli.main`, the input digest of a report, and the grid count behind
 `jarnik-demo`."""
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from knotpoints.intervalsets import IntervalSet
 from knotpoints.realfn import PwlFunction, function_to_json, random_c1_function
 
 F = Fraction
+REFERENCE = Path(__file__).resolve().parents[1] / "knotbench" / "reference.json"
 
 
 @pytest.fixture
@@ -66,6 +69,20 @@ def test_nset_out_of_range_enclosures_are_input_errors(c1_file, tmp_path, capsys
         assert rc == 2
         assert f"input error in field '{field}'" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("variant", ["plus_upper", "minus_lower"])
+@pytest.mark.parametrize("a", ["1", "3/2"])
+def test_nset_rejects_a_function_off_the_unit_domain(tmp_path, capsys, a, variant):
+    """f on [0, 3/4] is refused on the exact path (a = 1) and before the
+    slope shortcut of the enclosure path (a = 3/2, above the slope 4/3)."""
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps({"class": "pwl", "knots": ["0", "3/4"], "values": ["0", "1"]}))
+    out = tmp_path / "report.json"
+    rc = cli.main(["nset", "--f", str(part), "--a", a, "--variant", variant, "--out", str(out)])
+    assert rc == 2
+    assert "input error in field 'f'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("with_f", [False, True], ids=["no-f", "f"])
@@ -132,6 +149,17 @@ def test_jarnik_demo_rejects_negative_depth(tmp_path, capsys):
     assert rc == 2
     assert "input error in field 'depth'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["0", "5", "11"])
+def test_jarnik_demo_output_matches_benchmark_reference(tmp_path, seed):
+    """The default `jarnik-demo` outputs are byte-identical to the
+    referenced ones."""
+    ref = json.loads(REFERENCE.read_text())["exact-pwl"][seed]
+    out = tmp_path / "report.json"
+    assert cli.main(["jarnik-demo", "--seed", seed, "--out", str(out)]) == 0
+    blob = json.dumps(json.loads(out.read_text())["outputs"], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == ref
 
 
 def test_inputs_digest_covers_seed_and_file_contents(tmp_path):

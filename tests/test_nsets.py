@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from knotpoints.intervalsets import EMPTY, FULL, IntervalSet, ball, is_subset, subset_within
 from knotpoints.nsets import (
     BASIC_VARIANTS,
+    VARIANTS,
     EnclosureRangeError,
     _Cells,
     _cell_ranges,
@@ -228,8 +229,9 @@ def test_sweep_matches_reference_sparse_breakpoints(f, a):
 
 def test_n_set_exact_rejects_partial_domain():
     f = PwlFunction.from_pairs([(0, 0), (F(1, 2), 1)])
-    with pytest.raises(ValueError):
-        n_set_exact(f, 1, "plus_upper")
+    for variant in VARIANTS:
+        with pytest.raises(ValueError, match=r"domain \[0,1\]; got \[0, 1/2\]"):
+            n_set_exact(f, 1, variant)
 
 
 # -- exact N-sets: frozen examples ------------------------------------------
@@ -274,12 +276,16 @@ def test_n_set_exact_rejects_fractional_scale():
 # -- exact N-sets: structural properties ------------------------------------
 
 
-@given(st.integers(0, 10 ** 6), st.sampled_from(BASIC_VARIANTS))
-@settings(max_examples=25, deadline=None)
-def test_symmetry_reductions(seed, variant):
-    """Each variant is the forward-upper set of a transformed function."""
-    f = random_function(seed=seed, depth=4)
-    a = 1 + seed % 3
+@given(
+    st.one_of(st.integers(0, 10 ** 6).map(lambda seed: random_function(seed, depth=4)), pwl_non_dyadic()),
+    st.integers(1, 3),
+    st.sampled_from(BASIC_VARIANTS),
+)
+@settings(max_examples=40, deadline=None)
+def test_symmetry_reductions(f, a, variant):
+    """Each variant is the forward-upper set of a transformed function: the
+    involutions on the integer form of f agree with `PwlFunction.negate`
+    and `reflect`, on dyadic and on non-dyadic (3, 5, 7, 12) data."""
     s = n_set_exact(f, a, variant)
     if variant == "plus_upper":
         other = s
@@ -397,6 +403,15 @@ def test_enclosure_pwl_fractional_scale_small_slope_shortcut():
     lo, hi = pow2_bounds(F(43, 25))
     assert enc.inner == IntervalSet.from_pairs([(0, 1 - hi)])
     assert enc.outer == IntervalSet.from_pairs([(0, 1 - lo)])
+
+
+@pytest.mark.parametrize("variant", ["plus_upper", "minus_lower", "full"])
+def test_enclosure_pwl_rejects_partial_domain_before_the_shortcut(variant):
+    """Slope 4/3 is below a = 3/2, so the shortcut would fill [0, 1-2^-a],
+    though f lives on [0, 3/4] only."""
+    f = PwlFunction.from_pairs([(0, 0), (F(3, 4), 1)])
+    with pytest.raises(ValueError, match=r"domain \[0,1\]; got \[0, 3/4\]"):
+        n_set_enclosure(f, F(3, 2), variant)
 
 
 def test_enclosure_pwl_fractional_scale_steep_raises():

@@ -27,6 +27,7 @@ from oracles import (
     cubic_range_scalar,
     float_bits,
     pieces_range_scalar,
+    random_function_reference,
 )
 
 F = Fraction
@@ -323,6 +324,22 @@ def test_random_function_deterministic_and_bounded():
 
 def test_random_function_distinct_seeds_differ():
     assert random_function(seed=1) != random_function(seed=2)
+
+
+@pytest.mark.parametrize(
+    "decay, amplitude",
+    [(F(3, 5), 1), (F(11, 20), 1), (F(1, 2), 1), (F(2), 1), (F(11, 20), F(-7, 3))],
+    ids=["3/5", "11/20", "1/2", "2", "amplitude-7/3"],
+)
+def test_random_function_matches_the_sort_based_builder(decay, amplitude):
+    """The grid-order builder draws the same midpoints in the same order as
+    the builder that sorts a dict of grid points at every level; the two
+    deepest grids take one seed each to keep the test fast."""
+    cases = [(seed, depth) for depth in range(8) for seed in (0, 7)] + [(3, 8), (5, 9)]
+    for seed, depth in cases:
+        got = random_function(seed, depth, decay, amplitude)
+        assert got == random_function_reference(seed, depth, decay, amplitude)
+        assert all(type(x) is F for x in got.breakpoints + got.values)
 
 
 def test_random_c1_function_deterministic():
