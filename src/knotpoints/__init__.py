@@ -84,6 +84,7 @@ from .intervalsets import (
 from .nsets import (
     BASIC_VARIANTS,
     VARIANTS,
+    DomainError,
     EnclosureRangeError,
     NSetEnclosure,
     admissible_eps,
