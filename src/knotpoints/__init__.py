@@ -31,7 +31,6 @@ from .bmgame import (
     round_m,
     round_one,
     run_game,
-    scripted_player_one,
     state_from_json,
     state_to_json,
     verify_report,

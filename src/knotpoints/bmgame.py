@@ -99,7 +99,6 @@ __all__ = [
     "oracle_avoid_point",
     "oracle_target_prefix",
     "random_player_one",
-    "scripted_player_one",
     "round_one",
     "round_m",
     "check_star",
@@ -393,18 +392,6 @@ def random_player_one(
         if alpha <= 0:
             alpha = (beta - used) / 2
         return f, alpha
-
-    return move
-
-
-def scripted_player_one(moves: Sequence[tuple[C1Function, Rat]]) -> PlayerI:
-    """Replay a fixed move list; the engine still validates the ball rule."""
-    moves = [(f, as_fraction(a)) for f, a in moves]
-
-    def move(m: int, prev):
-        if m > len(moves):
-            raise GameError(f"scripted adversary has no move for round {m}")
-        return moves[m - 1]
 
     return move
 

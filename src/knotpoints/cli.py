@@ -127,6 +127,20 @@ def _load_function(path: str, field: str):
         raise InputError(field, f"not a valid function file: {e}") from e
 
 
+def _load_c1(path: str, field: str) -> C1Function:
+    f = _load_function(path, field)
+    if not isinstance(f, C1Function):
+        raise InputError(field, "bumps perturb C^1 functions only; got a piecewise-linear one")
+    return f
+
+
+def _points(text: str, field: str) -> FinitePointSet:
+    try:
+        return FinitePointSet.of(_rat_list(text, field) if text else [])
+    except ValueError as e:
+        raise InputError(field, str(e)) from e
+
+
 def _load_interval_set(path: str, field: str) -> IntervalSet:
     obj = _load_json(path, field)
     try:
@@ -254,10 +268,43 @@ def _comb_sets(args) -> SeqOfSets:
         raise InputError("sets", f"invalid interval set in list: {e}") from e
 
 
+def _comb_prefixes(args, K: SeqOfSets) -> tuple[IndexSeq, DeltaSeq]:
+    """n and delta from the flags, refused unless they and the sets reach
+    depth m_max at shift k.  check-s reads A_j^m(n^k) for 2 <= j < m <=
+    m_max, whose largest index is n^k_{m_max-1} + m_max - 2; check-y also
+    reads A_m^m(n^k) = [1, n^k_m].  Both read delta_m for every m they
+    reach."""
+    k, m_max, check_y = args.k, args.m_max, args.mode == "check-y"
+    if k < 0:
+        raise InputError("k", f"shift must be >= 0, got {k}")
+    try:
+        n = IndexSeq(tuple(_int_list(args.n, "n")))
+    except ValueError as e:
+        raise InputError("n", str(e)) from e
+    try:
+        delta = DeltaSeq(tuple(_rat_list(args.delta, "delta")))
+    except ValueError as e:
+        raise InputError("delta", str(e)) from e
+    top = m_max if check_y else max(m_max - 1, 1)  # deepest entry of n^k read
+    if len(n) < k + top:
+        raise InputError("n", f"need {k + top} entries for --k {k} and --m-max {m_max}, got {len(n)}")
+    if check_y or m_max >= 3:
+        if len(delta) < m_max:
+            raise InputError("delta", f"need {m_max} entries for --m-max {m_max}, got {len(delta)}")
+        need = n.n(k + top) if check_y else n.n(k + top) + top - 1
+        if len(K) < need:
+            raise InputError("sets", f"need {need} sets for --k {k} and --m-max {m_max}, got {len(K)}")
+    return n, delta
+
+
 def cmd_comb(args, argv: list[str]) -> dict:
+    if args.m_max < 1:
+        raise InputError("m-max", f"depth must be >= 1, got {args.m_max}")
     if args.mode == "perm":
         seed = args.seed
         count = args.count
+        if count < 1:
+            raise InputError("count", f"need at least one case, got {count}")
         failures = []
         for i in range(count):
             n = random_index_seq(seed + 2 * i, args.m_max)
@@ -272,8 +319,7 @@ def cmd_comb(args, argv: list[str]) -> dict:
         return _report(argv, inputs, outputs, checks, seed=seed), None
 
     K = _comb_sets(args)
-    n = IndexSeq(tuple(_int_list(args.n, "n")))
-    delta = DeltaSeq(tuple(_rat_list(args.delta, "delta")))
+    n, delta = _comb_prefixes(args, K)
     inputs = {
         "mode": args.mode,
         "sets": args.sets,
@@ -289,10 +335,19 @@ def cmd_comb(args, argv: list[str]) -> dict:
             raise InputError("f", "check-y needs a function file")
         if not args.ladder_b:
             raise InputError("ladder-b", "check-y needs the coarse scale values")
+        _check_tol(args.tol)
         f = _load_function(args.f, "f")
-        ladder = ScaleLadder.geometric(tuple(_rat_list(args.ladder_b, "ladder-b")))
+        try:
+            ladder = ScaleLadder.geometric(tuple(_rat_list(args.ladder_b, "ladder-b")))
+        except ValueError as e:
+            raise InputError("ladder-b", str(e)) from e
+        if len(ladder.b_values) < args.m_max:
+            raise InputError(
+                "ladder-b", f"need {args.m_max} values for --m-max {args.m_max}, got {len(ladder.b_values)}"
+            )
         inputs["f"] = args.f
         inputs["ladder_b"] = [str(b) for b in ladder.b_values]
+        inputs["tol"] = args.tol
         res = check_Y_k(K, f, n, delta, ladder, args.k, args.m_max, args.tol)
     outputs = {
         "ok": res.ok,
@@ -306,10 +361,8 @@ def cmd_comb(args, argv: list[str]) -> dict:
 
 def cmd_bump(args, argv: list[str]) -> dict:
     if args.mode == "make":
-        hat = FinitePointSet.of(_rat_list(args.hat, "hat")) if args.hat else FinitePointSet.of([])
-        check = (
-            FinitePointSet.of(_rat_list(args.check, "check")) if args.check else FinitePointSet.of([])
-        )
+        hat = _points(args.hat, "hat")
+        check = _points(args.check, "check")
         if hat.is_empty and check.is_empty:
             raise InputError("hat", "a bump needs at least one located point")
         height = _positive(args.height, "height")
@@ -319,10 +372,13 @@ def cmd_bump(args, argv: list[str]) -> dict:
             spec = BumpSpec(hat, check, height, width)
         except ValueError as e:
             raise InputError("check", str(e)) from e
+        base = _load_c1(args.f, "f") if args.f else C1Function.zero()
         phi = make_bump(spec)
         props = check_bump_properties(spec, phi)
-        base = _load_function(args.f, "f") if args.f else C1Function.zero()
-        easy = check_bump_easy(base, a, spec, phi)
+        try:
+            easy = check_bump_easy(base, a, spec, phi)
+        except EnclosureRangeError as e:
+            raise InputError(e.field, str(e)) from e
         inputs = {
             "mode": "make",
             "hat": hat.to_json_list(),
@@ -342,7 +398,9 @@ def cmd_bump(args, argv: list[str]) -> dict:
             _atomic_write(args.fn_out, json.dumps(function_to_json(phi), sort_keys=True) + "\n")
         return rep, None
 
-    f = _load_function(args.f, "f")
+    if not args.f:
+        raise InputError("f", "bump mu needs a function file")
+    f = _load_c1(args.f, "f")
     a = _positive(args.a, "a")
     b = _rat(args.b, "b")
     height = _positive(args.height, "height")
@@ -396,6 +454,8 @@ def cmd_game(args, argv: list[str]) -> dict:
 
     if args.rounds < 1:
         raise InputError("rounds", "need at least one round")
+    if args.seed < 0:
+        raise InputError("seed", f"seed must be >= 0, got {args.seed}")
     oracle = _parse_oracle(args.oracle)
     adv = random_player_one(args.seed)
     inputs = {"mode": "run", "rounds": args.rounds, "oracle": args.oracle}
@@ -510,7 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--check", default="", help="comma-separated points")
     sp.add_argument("--height", default="1/2")
     sp.add_argument("--width", default="1/100")
-    sp.add_argument("--f", help="function file (mu; in make, the base of the window estimates)")
+    sp.add_argument("--f", help="C^1 function file (mu; in make, the base of the window estimates)")
     sp.add_argument("--a", default="1")
     sp.add_argument("--b", default="2")
     sp.add_argument("--tol", type=float, default=1e-4)

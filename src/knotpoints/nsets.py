@@ -38,7 +38,12 @@ Two computation paths:
   computed once per cubic piece, and every range is the min or max of
   those values, table entries and the critical values whose root lies
   strictly inside: the floats that `realfn.cubic_range` and
-  `realfn.cubic_deriv_range` compute, which still serve `CubicPieces`.
+  `realfn.cubic_deriv_range` compute for the C1Function sup norms.
+
+On both paths, and in the float point defects, the involutions act on the
+function before its cubic pieces are built: on the integer form of the exact
+path, on PwlFunction and on C1Function.  A point defect thus bounds the same
+cubic as the enclosure of the same variant.
 
 The scale-continuity helper `continuity_delta(a, b, eps)` returns the explicit
 perturbation budget delta = eps*(b-a)/4: whenever |f-g| < delta in sup norm,
@@ -110,7 +115,7 @@ def _plus_upper_form(f, variant: str):
       minus_upper(f,a) = reflect(plus_upper(-reflect(f), a))
 
     f is anything with `negate` and `reflect`: the integer form of the exact
-    path (`_IntPwl`), `CubicPieces` and `C1Function`."""
+    path (`_IntPwl`), `PwlFunction` and `C1Function`."""
     if variant == "plus_upper":
         return f, False
     if variant == "plus_lower":
@@ -489,15 +494,12 @@ def point_defects_float(f, a: float, variant: str, xs) -> np.ndarray:
     if variant in _PARTS:
         parts = _PARTS[variant]
         return np.minimum.reduce([point_defects_float(f, a, p, xs) for p in parts])
-    p = pieces_of(f)
     af = float(a)
-    delta = 2.0 ** (-af)
-    if delta >= 1.0:
-        raise ValueError("window 2^-a must be smaller than the domain")
-    q, refl = _plus_upper_form(p, variant)
+    delta, step = _grid_step(af)
+    g, refl = _plus_upper_form(f, variant)
     ts = 1.0 - xs if refl else xs
-    phi = q.add_linear(-af)
-    tab = _PhiTables(phi, delta / 2.0, 1.0 - delta)
+    phi = pieces_of(g).add_linear(-af)
+    tab = _PhiTables(phi, step, 1.0 - delta)
     out = np.full(xs.shape, np.inf, dtype=float)
     tolredge = 1e-12
     ok = (ts >= -tolredge) & (ts <= 1.0 - delta + tolredge)
@@ -898,26 +900,35 @@ _MAX_SEGMENTS = 400_000
 _WIDTH_FLOOR = 1e-12
 
 
+def _grid_step(a: float, tol: float = math.inf) -> tuple[float, float]:
+    """(delta, step) for a segment grid at scale a: delta = 2^-a and the
+    step the smaller of tol and delta/2.  A scale whose half-window
+    underflows, or a grid over _MAX_SEGMENTS segments, is out of the
+    float-certified range; the error names tol when tol sets the step."""
+    delta = 2.0 ** (-a)
+    if delta >= 1.0:
+        raise ValueError("window 2^-a must be smaller than the domain")
+    if delta / 2.0 == 0.0:
+        raise EnclosureRangeError("a", f"window 2^-a underflows to zero at a={a}")
+    step = min(tol, delta / 2.0)
+    if 1.0 / step > _MAX_SEGMENTS:
+        raise EnclosureRangeError(
+            "tol" if tol <= delta / 2.0 else "a",
+            f"segment grid would need {1.0/step:.3g} segments (cap {_MAX_SEGMENTS}); "
+            "scale or tolerance out of the float-certified range",
+        )
+    return delta, step
+
+
 def _enclosure_plus_upper_c1(
     f: C1Function, a: float, tol: float
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], dict]:
     """Inside cells and undecided cells, each as (left ends, right ends)
     arrays, for the forward-upper set of a C1 function, via two-phase
     certified bisection."""
-    delta = 2.0 ** (-a)
-    if delta == 0.0:
-        raise EnclosureRangeError("a", f"window 2^-a underflows to zero at a={a}")
+    delta, step = _grid_step(a, tol)
     xmax = 1.0 - delta
-    if xmax <= 0.0:
-        raise ValueError("window 2^-a must be smaller than the domain")
     phi = f.as_cubic_pieces().add_linear(-a)
-    step = min(tol, delta / 2.0)
-    if 1.0 / step > _MAX_SEGMENTS:
-        raise EnclosureRangeError(
-            "tol" if tol <= delta / 2.0 else "a",
-            f"enclosure grid would need {1.0/step:.3g} segments (cap {_MAX_SEGMENTS}); "
-            "scale or tolerance out of the float-certified range",
-        )
     tab = _PhiTables(phi, step, xmax)
     n_cells = int(np.searchsorted(tab.grid, xmax, side="left"))
 

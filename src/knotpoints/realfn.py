@@ -10,9 +10,10 @@ Two concrete classes:
   computed from closed-form cubic extrema, so they are exact up to float
   rounding; nothing is sampled.
 
-`CubicPieces` is the shared low-level form (power-basis coefficients per cell)
-used by the certified enclosure machinery.  Piecewise-linear functions embed
-into it, so sums like "PWL + C^1 bump" can be analyzed without promotion.
+`CubicPieces` is the float evaluation form (power-basis coefficients per
+cell): a C1Function evaluates and bounds through the one it builds, and the
+certified enclosure machinery reads both classes through `as_cubic_pieces`.
+Negation and reflection act on the function classes, never on the pieces.
 
 Promotion PWL -> C^1 (`promote_pwl`) changes the function (slopes are averaged
 at interior knots); it exists only to build new C^1 test inputs and is never
@@ -241,7 +242,9 @@ class C1Function:
             raise ValueError("knots must be strictly increasing")
         if self.knots[0] != 0.0 or self.knots[-1] != 1.0:
             raise ValueError("C1Function lives on [0,1]")
-        self._coeffs = _hermite_coeffs(self.knots, self.values, self.slopes)
+        self._pieces = CubicPieces(
+            self.knots, _hermite_coeffs(self.knots, self.values, self.slopes)
+        )
 
     # -- constructors ------------------------------------------------------
 
@@ -255,39 +258,36 @@ class C1Function:
 
     # -- evaluation --------------------------------------------------------
 
-    def _locate(self, x: np.ndarray) -> np.ndarray:
-        i = np.searchsorted(self.knots, x, side="right") - 1
-        return np.clip(i, 0, len(self.knots) - 2)
+    def _at(self, x, deriv: bool):
+        xa = np.asarray(x, dtype=float)
+        out = self._pieces.eval_vec(np.atleast_1d(xa), deriv)
+        return out if xa.ndim else float(out[0])
 
     def eval(self, x) -> np.ndarray | float:
-        xa = np.asarray(x, dtype=float)
-        i = self._locate(np.atleast_1d(xa))
-        out = cubic_eval(self._coeffs[i].T, np.atleast_1d(xa) - self.knots[i])
-        return out if xa.ndim else float(out[0])
+        return self._at(x, deriv=False)
 
     def __call__(self, x):
         return self.eval(x)
 
     def deriv(self, x) -> np.ndarray | float:
-        xa = np.asarray(x, dtype=float)
-        i = self._locate(np.atleast_1d(xa))
-        out = cubic_deriv_eval(self._coeffs[i].T, np.atleast_1d(xa) - self.knots[i])
-        return out if xa.ndim else float(out[0])
+        return self._at(x, deriv=True)
 
     # -- norms (closed-form extrema, not sampling) -------------------------
 
+    def _norm(self, kernel) -> float:
+        """max |.| of the cubics, or of their derivatives, over every piece."""
+        p = self._pieces
+        lo, hi = kernel(p.coeffs.T, 0.0, np.diff(p.breaks))
+        return max(abs(float(lo.min())), abs(float(hi.max())))
+
     def sup_norm(self) -> float:
         if not hasattr(self, "_sup_norm_cache"):
-            p = self.as_cubic_pieces()
-            lo, hi = p.range_on(0.0, 1.0)
-            self._sup_norm_cache = max(abs(lo), abs(hi))
+            self._sup_norm_cache = self._norm(cubic_range)
         return self._sup_norm_cache
 
     def deriv_sup_norm(self) -> float:
         if not hasattr(self, "_deriv_sup_norm_cache"):
-            p = self.as_cubic_pieces()
-            lo, hi = p.deriv_range_on(0.0, 1.0)
-            self._deriv_sup_norm_cache = max(abs(lo), abs(hi))
+            self._deriv_sup_norm_cache = self._norm(cubic_deriv_range)
         return self._deriv_sup_norm_cache
 
     def sup_norm_diff(self, other: "C1Function") -> float:
@@ -318,7 +318,7 @@ class C1Function:
         )
 
     def as_cubic_pieces(self) -> "CubicPieces":
-        return CubicPieces(self.knots.copy(), self._coeffs.copy())
+        return self._pieces
 
     def __eq__(self, other) -> bool:
         return (
@@ -332,17 +332,6 @@ class C1Function:
 # ---------------------------------------------------------------------------
 # shared low-level form
 # ---------------------------------------------------------------------------
-
-
-def _poly_shift(c: np.ndarray, dx) -> np.ndarray:
-    """Coefficients of p(dx + t) given those of p(t); c has shape (..., 4)."""
-    c0, c1, c2, c3 = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
-    r = np.empty_like(c)
-    r[..., 0] = ((c3 * dx + c2) * dx + c1) * dx + c0
-    r[..., 1] = (3.0 * c3 * dx + 2.0 * c2) * dx + c1
-    r[..., 2] = 3.0 * c3 * dx + c2
-    r[..., 3] = c3
-    return r
 
 
 def cubic_eval(c: np.ndarray, s) -> np.ndarray:
@@ -415,8 +404,8 @@ def cubic_deriv_range(c: np.ndarray, s_lo, s_hi) -> tuple[np.ndarray, np.ndarray
 
 class CubicPieces:
     """Piecewise cubic on [breaks[0], breaks[-1]], power basis per cell in the
-    local coordinate s = x - breaks[i].  Continuity is the caller's business;
-    sums of continuous pieces stay continuous."""
+    local coordinate s = x - breaks[i]: the float form every function is
+    evaluated and bounded through.  Continuity is the caller's business."""
 
     def __init__(self, breaks: np.ndarray, coeffs: np.ndarray):
         self.breaks = np.asarray(breaks, dtype=float)
@@ -424,87 +413,18 @@ class CubicPieces:
         if len(self.breaks) != len(self.coeffs) + 1:
             raise ValueError("need one coefficient row per cell")
 
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.breaks[0]), float(self.breaks[-1])
-
-    def locate(self, x: float) -> int:
-        i = int(np.searchsorted(self.breaks, x, side="right") - 1)
-        return min(max(i, 0), len(self.coeffs) - 1)
-
-    def eval_vec(self, xs: np.ndarray) -> np.ndarray:
+    def eval_vec(self, xs: np.ndarray, deriv: bool = False) -> np.ndarray:
+        """Values, or derivatives when `deriv` is set, at the points xs; the
+        end cells extend past the breaks."""
         i = np.clip(np.searchsorted(self.breaks, xs, side="right") - 1, 0, len(self.coeffs) - 1)
-        return cubic_eval(self.coeffs[i].T, xs - self.breaks[i])
-
-    def eval(self, x: float) -> float:
-        return float(self.eval_vec(np.array([x]))[0])
-
-    # -- exact-in-float range bounds ---------------------------------------
-
-    def _pieces_on(self, p: float, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Indices, and local [s_lo, s_hi], of the cells that [p, q] meets."""
-        i = np.arange(self.locate(p), self.locate(q if q > p else p) + 1)
-        lo = np.maximum(p, self.breaks[i])
-        hi = np.minimum(q, self.breaks[i + 1])
-        met = hi >= lo
-        i = i[met]
-        return i, lo[met] - self.breaks[i], hi[met] - self.breaks[i]
-
-    def range_on(self, p: float, q: float) -> tuple[float, float]:
-        if q < p:
-            raise ValueError("empty range query")
-        i, s_lo, s_hi = self._pieces_on(p, q)
-        lo, hi = cubic_range(self.coeffs[i].T, s_lo, s_hi)
-        return float(lo.min(initial=np.inf)), float(hi.max(initial=-np.inf))
-
-    def max_on(self, p: float, q: float) -> float:
-        return self.range_on(p, q)[1]
-
-    def argmax_on(self, p: float, q: float) -> tuple[float, float]:
-        """(max value, a maximizing x)."""
-        i, s_lo, s_hi = self._pieces_on(p, q)
-        if not len(i):
-            return -np.inf, p
-        c = self.coeffs[i].T
-        # cell by cell, candidates in order: ends, then critical points; a
-        # missing critical point repeats s_lo, so it never wins a tie
-        roots = [np.where((r > s_lo) & (r < s_hi), r, s_lo) for r in cubic_critical_points(c)]
-        cands = np.stack((s_lo, s_hi, *roots), axis=1)
-        vals = cubic_eval(c[:, :, None], cands)
-        k = int(np.argmax(vals))
-        cell, j = divmod(k, cands.shape[1])
-        return float(vals.flat[k]), float(self.breaks[i[cell]] + cands[cell, j])
-
-    def deriv_range_on(self, p: float, q: float) -> tuple[float, float]:
-        """Range of the derivative (a quadratic per cell)."""
-        i, s_lo, s_hi = self._pieces_on(p, q)
-        lo, hi = cubic_deriv_range(self.coeffs[i].T, s_lo, s_hi)
-        return float(lo.min(initial=np.inf)), float(hi.max(initial=-np.inf))
-
-    # -- algebra -----------------------------------------------------------
-
-    def scale(self, c: float) -> "CubicPieces":
-        return CubicPieces(self.breaks, c * self.coeffs)
-
-    def negate(self) -> "CubicPieces":
-        return self.scale(-1.0)
+        kernel = cubic_deriv_eval if deriv else cubic_eval
+        return kernel(self.coeffs[i].T, xs - self.breaks[i])
 
     def add_linear(self, slope: float, intercept: float = 0.0) -> "CubicPieces":
         coeffs = self.coeffs.copy()
         coeffs[:, 0] += slope * self.breaks[:-1] + intercept
         coeffs[:, 1] += slope
         return CubicPieces(self.breaks, coeffs)
-
-    def reflect(self) -> "CubicPieces":
-        """x -> p(1-x); requires domain [0,1]."""
-        if self.domain != (0.0, 1.0):
-            raise ValueError("reflect needs domain [0,1]")
-        h = np.diff(self.breaks)
-        # q(t) = p(h - t) on the reversed cell: shift by h, then negate odd terms
-        shifted = _poly_shift(self.coeffs, h)
-        shifted[:, 1] *= -1.0
-        shifted[:, 3] *= -1.0
-        return CubicPieces(1.0 - self.breaks[::-1], shifted[::-1])
 
 
 def pieces_of(f) -> CubicPieces:

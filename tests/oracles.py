@@ -263,9 +263,11 @@ def pieces_range_scalar(p, lo: float, hi: float, deriv: bool = False) -> tuple[f
     cell through the scalar references above."""
     one = cubic_deriv_range_scalar if deriv else cubic_range_scalar
     out_lo, out_hi = np.inf, -np.inf
-    i = p.locate(lo)
-    j = p.locate(hi if hi > lo else lo)
-    for k in range(i, j + 1):
+
+    def cell(x: float) -> int:
+        return min(max(int(np.searchsorted(p.breaks, x, side="right")) - 1, 0), len(p.coeffs) - 1)
+
+    for k in range(cell(lo), cell(max(lo, hi)) + 1):
         a = max(lo, float(p.breaks[k]))
         b = min(hi, float(p.breaks[k + 1]))
         if b < a:

@@ -1,6 +1,6 @@
 """Command-line front end: the `nset`, `bump` and `jarnik-demo` subcommands
-through `cli.main`, the input digest of a report, and the grid count behind
-`jarnik-demo`."""
+through `cli.main`, the input errors of `comb`, `bump` and `game`, the input
+digest of a report, and the grid count behind `jarnik-demo`."""
 
 import hashlib
 import json
@@ -121,6 +121,64 @@ def test_bump_rejects_malformed_input_before_computing(
     monkeypatch.setattr(cli, "make_bump", compute)
     out = tmp_path / "report.json"
     rc = cli.main(["bump", mode, "--f", c1_file, "--hat", "1/4", "--check", "3/4", *flags, "--out", str(out)])
+    assert rc == 2
+    assert f"input error in field '{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SETS = ["--sets", "{sets}", "--n", "1,2,4,7,11", "--delta", "1/2,1/4,1/8,1/16"]
+_Y = ["--f", "{c1}", "--ladder-b", "4,5,6,7"]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["comb", "check-s", *_SETS, "--n", "1,2,3"], "n"),
+        (["comb", "check-s", *_SETS, "--delta", "1/4,1/4,1/16"], "delta"),
+        (["comb", "check-y", *_SETS, *_Y, "--ladder-b", "3"], "ladder-b"),
+        (["comb", "check-s", *_SETS, "--k", "-1"], "k"),
+        (["comb", "check-s", *_SETS, "--n", "1,2"], "n"),
+        (["comb", "check-y", *_SETS, *_Y, "--k", "2"], "n"),
+        (["comb", "check-s", *_SETS, "--delta", "1/2,1/4"], "delta"),
+        (["comb", "check-s", *_SETS, "--sets", "{few_sets}"], "sets"),
+        (["comb", "check-y", *_SETS, *_Y, "--ladder-b", "4,5"], "ladder-b"),
+        (["comb", "check-y", *_SETS, *_Y, "--tol", "0"], "tol"),
+        (["comb", "perm", "--count", "-1"], "count"),
+        (["comb", "perm", "--m-max", "0"], "m-max"),
+        (["bump", "make", "--hat", "1/4", "--f", "{pwl}"], "f"),
+        (["bump", "mu", "--f", "{pwl}"], "f"),
+        (["bump", "make", "--hat", "5/4"], "hat"),
+        (["bump", "make", "--hat", "1/4", "--check", "5/4"], "check"),
+        (["bump", "make", "--hat", "1/4", "--a", "3000"], "a"),
+        (["bump", "make", "--hat", "1/4", "--a", "18"], "a"),
+        (["game", "run", "--seed", "-1"], "seed"),
+    ],
+    ids=[
+        "comb-n-growth", "comb-delta-order", "comb-ladder-b", "comb-k",
+        "comb-n-short", "comb-n-short-shifted", "comb-delta-short", "comb-sets-short",
+        "comb-ladder-b-short", "comb-check-y-tol", "perm-count", "perm-m-max",
+        "bump-make-pwl", "bump-mu-pwl", "bump-hat", "bump-check",
+        "bump-a-underflow", "bump-a-grid", "game-seed",
+    ],
+)
+def test_malformed_input_exits_2_and_names_the_field(
+    c1_file, tmp_path, monkeypatch, capsys, argv, field
+):
+    """Each malformed flag exits with 2 before any check runs, and the
+    message names the field."""
+
+    def compute(*args):
+        raise AssertionError("checked before validating the input")
+
+    for name in ("check_S_k", "check_Y_k", "check_perm_A", "run_game"):
+        monkeypatch.setattr(cli, name, compute)
+    sets = [IntervalSet.from_pairs([(F(i % 7, 8), F(i % 7 + 1, 8))]).to_json_dict() for i in range(8)]
+    files = {"sets": sets, "few_sets": sets[:3], "pwl": function_to_json(PwlFunction.zigzag())}
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    out = tmp_path / "report.json"
+    rc = cli.main([x.format(c1=c1_file, **paths) for x in argv] + ["--out", str(out)])
     assert rc == 2
     assert f"input error in field '{field}'" in capsys.readouterr().err
     assert not out.exists()

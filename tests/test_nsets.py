@@ -24,6 +24,7 @@ from knotpoints.nsets import (
     _halves,
     _merge_float_cells,
     _PhiTables,
+    _plus_upper_form,
     NSetEnclosure,
     admissible_eps,
     c1_continuity_delta,
@@ -386,6 +387,29 @@ def test_point_defect_float_parity(seed):
                 assert dv == pytest.approx(float(de), abs=1e-9)
 
 
+def test_point_defects_bound_the_plus_upper_form_of_f():
+    """Every basic variant's float defect is, bit for bit, the plus_upper
+    defect of `_plus_upper_form(f)` at the mapped points: the involutions
+    act on f, as for the enclosure, not on its cubic pieces."""
+    xs = np.random.default_rng(3).uniform(0.0, 1.0, 200)
+    for f in (random_c1_function(seed=7, cells=9, slope_scale=4.0), random_function(7, 4)):
+        for variant in ("plus_lower", "minus_upper", "minus_lower"):
+            g, refl = _plus_upper_form(f, variant)
+            want = point_defects_float(g, 1.5, "plus_upper", 1.0 - xs if refl else xs)
+            assert float_bits(point_defects_float(f, 1.5, variant, xs)).tolist() == (
+                float_bits(want).tolist()
+            ), (type(f).__name__, variant)
+
+
+@pytest.mark.parametrize("a", [18.0, 3000.0])
+def test_point_defects_refuse_scales_off_the_grid(a):
+    """A window that underflows, or a grid over the segment cap, is refused
+    as the enclosure refuses it."""
+    with pytest.raises(EnclosureRangeError) as err:
+        point_defects_float(C1Function.zero(), a, "plus_upper", np.array([0.0]))
+    assert err.value.field == "a"
+
+
 # -- certified C1 enclosures ------------------------------------------------
 
 
@@ -460,7 +484,7 @@ def _phi_of(kind: str, seed: int, a: float):
 def _seg_cubic(phi, x):
     """Coefficients (as one column) and left break of the piece of phi that
     a grid segment starting at x lies in, found in phi's own breaks."""
-    k = phi.locate(x)
+    k = min(max(int(np.searchsorted(phi.breaks, x, side="right")) - 1, 0), len(phi.coeffs) - 1)
     return phi.coeffs[k][:, None], phi.breaks[k]
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from knotpoints.realfn import (
     C1Function,
-    CubicPieces,
     PwlFunction,
     cubic_deriv_range,
     cubic_range,
@@ -194,18 +193,25 @@ def test_c1_sup_norm_diff():
 @given(st.integers(0, 10 ** 6), st.integers(0, 80), st.integers(1, 80))
 @settings(max_examples=40, deadline=None)
 def test_cubic_range_bounds_contain_samples(seed, pk, qk):
+    """cubic_range over each piece clipped to [p, q] holds the samples of
+    that piece and is attained; the sup norm holds every sample."""
     f = random_c1_function(seed=seed, cells=5)
     pc = pieces_of(f)
     p = pk / 81
     q = min(1.0, p + qk / 81)
-    lo, hi = pc.range_on(p, q)
     xs = np.linspace(p, q, 200)
+    k = np.clip(np.searchsorted(pc.breaks, xs, side="right") - 1, 0, len(pc.coeffs) - 1)
+    left = pc.breaks[k]
+    lo, hi = cubic_range(
+        pc.coeffs[k].T, np.maximum(p, left) - left, np.minimum(q, pc.breaks[k + 1]) - left
+    )
     vals = pc.eval_vec(xs)
     assert np.all(vals <= hi + 1e-10)
     assert np.all(vals >= lo - 1e-10)
     # the bounds are attained, not just valid
-    assert hi <= np.max(vals) + 1e-3
-    assert lo >= np.min(vals) - 1e-3
+    assert hi.max() <= np.max(vals) + 1e-3
+    assert lo.min() >= np.min(vals) - 1e-3
+    assert np.max(np.abs(vals)) <= f.sup_norm() + 1e-12
 
 
 coefficient = st.one_of(
@@ -258,38 +264,28 @@ def test_range_kernels_equal_the_scalar_reference_bitwise(rows):
         assert np.array_equal(float_bits(lo), float_bits(-nhi))
 
 
-@given(st.integers(0, 10 ** 6), st.integers(1, 30), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@given(st.integers(0, 10 ** 6), st.integers(1, 30))
 @settings(max_examples=60, deadline=None)
-def test_pieces_ranges_equal_the_scalar_reference_bitwise(seed, cells, x, y):
-    """range_on and deriv_range_on equal the cell-by-cell scalar loop, also
-    on a single point and from a knot."""
-    pc = pieces_of(random_c1_function(seed=seed, cells=cells))
-    p, q = min(x, y), max(x, y)
-    k = float(pc.breaks[cells // 2])
-    for lo, hi in ((p, q), (p, p), (k, max(k, q))):
-        ref = pieces_range_scalar(pc, lo, hi)
-        assert float_bits(pc.range_on(lo, hi)).tolist() == float_bits(ref).tolist()
-        ref = pieces_range_scalar(pc, lo, hi, deriv=True)
-        assert float_bits(pc.deriv_range_on(lo, hi)).tolist() == float_bits(ref).tolist()
-
-
-def test_cubic_argmax_is_a_maximizer():
-    f = random_c1_function(seed=21, cells=4)
+def test_pieces_ranges_equal_the_scalar_reference_bitwise(seed, cells):
+    """sup_norm and deriv_sup_norm equal the cell-by-cell scalar loop over
+    [0, 1], bit for bit."""
+    f = random_c1_function(seed=seed, cells=cells)
     pc = pieces_of(f)
-    v, x = pc.argmax_on(0.1, 0.9)
-    assert 0.1 <= x <= 0.9
-    assert v == pytest.approx(pc.max_on(0.1, 0.9), abs=1e-12)
-    assert pc.eval(x) == pytest.approx(v, abs=1e-10)
+    for norm, deriv in ((f.sup_norm, False), (f.deriv_sup_norm, True)):
+        lo, hi = pieces_range_scalar(pc, 0.0, 1.0, deriv)
+        assert float_bits(norm()) == float_bits(max(abs(lo), abs(hi)))
 
 
 def test_deriv_range_bounds():
     f = random_c1_function(seed=5, cells=5)
     pc = pieces_of(f)
-    lo, hi = pc.deriv_range_on(0.2, 0.8)
-    xs = np.linspace(0.2, 0.8, 400)
-    d = np.array([f.deriv(float(x)) for x in xs])
-    assert np.all(d <= hi + 1e-8)
-    assert np.all(d >= lo - 1e-8)
+    lo, hi = cubic_deriv_range(pc.coeffs.T, 0.0, np.diff(pc.breaks))
+    xs = np.linspace(0.0, 1.0, 400)
+    k = np.clip(np.searchsorted(pc.breaks, xs, side="right") - 1, 0, len(pc.coeffs) - 1)
+    d = f.deriv(xs)
+    assert np.all(d <= hi[k] + 1e-8)
+    assert np.all(d >= lo[k] - 1e-8)
+    assert np.max(np.abs(d)) <= f.deriv_sup_norm() + 1e-8
 
 
 def test_pwl_as_cubic_pieces_matches():
