@@ -36,11 +36,9 @@ from .bmgame import (
     verify_report,
 )
 from .bump import (
-    BumpDifficultCheck,
     BumpSpec,
     EpsilonSearchError,
     SizingChain,
-    check_bump_difficult,
     check_bump_easy,
     check_bump_properties,
     lemma_epsilon,
@@ -54,7 +52,6 @@ from .indexcomb import (
     IndexSeq,
     ScaleLadder,
     SeqOfSets,
-    apply_finite_permutation,
     check_S_k,
     check_Y_k,
     check_perm_A,
@@ -62,7 +59,6 @@ from .indexcomb import (
     random_finite_permutation,
     random_index_seq,
     shift_seq,
-    verify_K_n_trick,
 )
 from .intervalsets import (
     EMPTY,
@@ -77,7 +73,6 @@ from .intervalsets import (
     pairwise_disjoint,
     prefix_distance,
     subset_within,
-    subset_within_closed,
     union_of_point_sets,
 )
 from .nsets import (
@@ -87,14 +82,9 @@ from .nsets import (
     EnclosureRangeError,
     NSetEnclosure,
     admissible_eps,
-    c1_continuity_delta,
-    c1_single_delta,
     continuity_delta,
-    interior_inclusion_holds,
-    n_full_truncated,
     n_set_enclosure,
     n_set_exact,
-    point_defect_exact,
     point_defects_float,
     pow2_bounds,
     pow2_gap_bounds,
@@ -105,7 +95,6 @@ from .realfn import (
     PwlFunction,
     function_from_json,
     function_to_json,
-    promote_pwl,
     random_c1_function,
     random_function,
 )

@@ -23,29 +23,19 @@ midpoint slope c = (a+b)/2:
       constraints used by the perturbation argument.
 
 `check_bump_easy` verifies pointwise that located points which already
-satisfy a reading keep satisfying it after the bump is added;
-`check_bump_difficult` runs the certified enclosure comparison for the
-containment of the perturbed exception set.
+satisfy a reading keep satisfying it after the bump is added.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 
 import numpy as np
 
-from .intervalsets import (
-    FinitePointSet,
-    IntervalSet,
-    Rat,
-    as_fraction,
-    ball,
-    is_subset,
-    subset_within,
-)
+from .intervalsets import FinitePointSet, IntervalSet, Rat, as_fraction
 from .nsets import (
     _PhiTables,
     n_set_enclosure,
@@ -63,8 +53,6 @@ __all__ = [
     "SizingChain",
     "mu",
     "check_bump_easy",
-    "BumpDifficultCheck",
-    "check_bump_difficult",
     "EpsilonSearchError",
 ]
 
@@ -401,7 +389,7 @@ def mu(f: C1Function, a: Rat, b: Rat, h: Rat, tol: float = 1e-4) -> SizingChain:
 
 
 # ---------------------------------------------------------------------------
-# the two containment checks
+# the easy containment check
 # ---------------------------------------------------------------------------
 
 _MEMBER_SLACK = 1e-12
@@ -424,82 +412,3 @@ def check_bump_easy(f: C1Function, a: Rat, spec: BumpSpec, phi: C1Function | Non
         if np.any((df <= _MEMBER_SLACK) & (dg > _KEEP_SLACK)):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class BumpDifficultCheck:
-    """Outcome of the enclosure comparison for the difficult containment.
-
-    status is "certified" when the outer enclosure of the perturbed
-    exception set provably sits inside the inner enclosure of the scale-b set
-    intersected with the open width-neighborhood of the located points (both
-    readings); "refuted" when even the inner enclosure escapes the outer
-    relaxation; "undecided" otherwise, with the unresolved length."""
-
-    status: str
-    undecided_length: Fraction
-    details: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def certified(self) -> bool:
-        return self.status == "certified"
-
-    @property
-    def refuted(self) -> bool:
-        return self.status == "refuted"
-
-
-def check_bump_difficult(
-    f: C1Function,
-    a: Rat,
-    b: Rat,
-    spec: BumpSpec,
-    phi: C1Function | None = None,
-    tol: float = 1e-4,
-) -> BumpDifficultCheck:
-    """Certified comparison of the perturbed exception set against the
-    scale-b set cut down to the width-neighborhood of the located points:
-    for each reading, outer(set of f+bump at a) against inner(set of f at b)
-    and strict distance below w to the located points."""
-    if phi is None:
-        phi = make_bump(spec)
-    g = f.add(phi)
-    af, bf = as_fraction(a), as_fraction(b)
-    w = spec.width
-    certified = True
-    refuted = False
-    und_total = Fraction(0)
-    details: dict = {}
-    for reading in ("hat", "check"):
-        Hset = spec.located(reading).as_interval_set()
-        Lg = n_set_enclosure(g, af, reading, tol)
-        Fb = n_set_enclosure(f, bf, reading, tol)
-
-        in_b = is_subset(Lg.outer, Fb.inner)
-        near_ok, near_margin = subset_within(Lg.outer, Hset, w)
-        this_cert = in_b and near_ok
-
-        bad_b = not is_subset(Lg.inner, Fb.outer)
-        if Lg.inner.is_empty:
-            bad_near = False
-        elif Hset.is_empty:
-            bad_near = True
-        else:
-            sup = Lg.inner.sup_distance_to(Hset)
-            bad_near = sup is not None and sup > w
-        this_refuted = bad_b or bad_near
-
-        allowed = Fb.inner.intersect(ball(Hset, w))
-        und = Lg.outer.difference(allowed).measure()
-        details[reading] = {
-            "certified": this_cert,
-            "refuted": this_refuted,
-            "undecided_length": und,
-            "near_margin": near_margin,
-        }
-        certified &= this_cert
-        refuted |= this_refuted
-        und_total += und
-
-    status = "refuted" if refuted else ("certified" if certified else "undecided")
-    return BumpDifficultCheck(status, Fraction(0) if certified else und_total, details)

@@ -19,7 +19,6 @@ arithmetic from `intervalsets` (open balls checked with strict margin).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,11 +30,9 @@ from .intervalsets import (
     IntervalSet,
     Rat,
     as_fraction,
-    ball,
     subset_within,
 )
-from .nsets import EnclosureRangeError, NSetEnclosure, n_set_enclosure, n_set_exact
-from .realfn import C1Function, PwlFunction
+from .nsets import EnclosureRangeError, NSetEnclosure, n_set_enclosure
 
 __all__ = [
     "IndexSeq",
@@ -43,13 +40,10 @@ __all__ = [
     "SeqOfSets",
     "ScaleLadder",
     "CombCheck",
-    "CombScenario",
     "index_set_A",
     "shift_seq",
     "check_S_k",
     "check_Y_k",
-    "verify_K_n_trick",
-    "apply_finite_permutation",
     "check_perm_A",
     "random_index_seq",
     "random_finite_permutation",
@@ -162,13 +156,6 @@ class SeqOfSets:
             out = out.union(self.K(i))
         return out
 
-    def to_json_list(self) -> list[dict]:
-        return [s.to_json_dict() for s in self.prefix]
-
-    @staticmethod
-    def from_json_list(items: Sequence[dict]) -> "SeqOfSets":
-        return SeqOfSets(tuple(IntervalSet.from_json_dict(d) for d in items))
-
 
 # ---------------------------------------------------------------------------
 # scale ladders
@@ -245,50 +232,6 @@ class ScaleLadder:
             return base - Fraction(1, 2 ** (2 * m + k))
         return base - self.scale * self.ratio ** (2 * (m - j) + k - 1)
 
-    def validate_chains(self, m_max: int) -> None:
-        """Exact verification of the interleaving invariants up to depth
-        m_max for every j with a b-value: strict monotone walks with exact
-        equality at the (m,last) = (m+1,1) welds."""
-        for j in range(1, len(self.b_values) + 1):
-            if j > m_max:
-                continue
-            a_walk = [
-                ((m, k), self.a_refined(j, m, k))
-                for m in range(max(j, 1), m_max + 1)
-                for k in (1, 2, 3, 4)
-            ]
-            if not self.a(j + 1) > a_walk[0][1]:
-                raise AssertionError(f"a chain top violated at j={j}")
-            for ((_, k1), x), ((_, k2), y) in zip(a_walk, a_walk[1:]):
-                if k1 == 4 and k2 == 1:
-                    if x != y:
-                        raise AssertionError(f"a chain weld broken at j={j}")
-                elif not x > y:
-                    raise AssertionError(f"a chain not strictly descending at j={j}")
-            if not a_walk[-1][1] > self.a(j):
-                raise AssertionError(f"a chain must stay above a_j at j={j}")
-            b_walk = [
-                ((m, k), self.b_refined(j, m, k))
-                for m in range(max(j, 1), m_max + 1)
-                for k in (1, 2, 3)
-            ]
-            if not self.b(j) - 1 < b_walk[0][1]:
-                raise AssertionError(f"b chain bottom violated at j={j}")
-            for ((_, k1), x), ((_, k2), y) in zip(b_walk, b_walk[1:]):
-                if k1 == 3 and k2 == 1:
-                    if x != y:
-                        raise AssertionError(f"b chain weld broken at j={j}")
-                elif not x < y:
-                    raise AssertionError(f"b chain not strictly ascending at j={j}")
-            if not b_walk[-1][1] < self.b(j):
-                raise AssertionError(f"b chain must stay below b_j at j={j}")
-            if not self.b(j) - 1 > j + 1:
-                raise AssertionError(f"b_{j} - 1 must exceed {j}+1")
-            # separation a_j^{m,k} < j+1 < b_j^{m',k'}
-            if not a_walk[0][1] < j + 1 < b_walk[0][1]:
-                raise AssertionError(f"separation around {j}+1 violated")
-
-
 # ---------------------------------------------------------------------------
 # covering checks
 # ---------------------------------------------------------------------------
@@ -337,15 +280,12 @@ _ENGINE_SCALE_CAP = 17
 
 def _n_full_bounds(f, a: Rat, tol: float, cache=None) -> tuple[IntervalSet, IntervalSet, Rat]:
     """(inner, outer, scale used) bracket of the full exception set at scale
-    a.  Piecewise-linear input is exact.  When a C1 scale is beyond the
-    engine's certified range, the inner bound falls back to the largest
-    feasible smaller scale (the sets grow with the scale, so it is still a
-    subset) and the outer bound degrades to the trivial [0,1].  C1
-    enclosures come from cache.get(scale, "full") when a cache is given."""
-    if isinstance(f, PwlFunction):
-        s = n_set_exact(f, a, "full")
-        return s, s, as_fraction(a)
-
+    a, from `n_set_enclosure` (exact for piecewise-linear f at an integer
+    scale).  When a scale is beyond the engine's certified range, the inner
+    bound falls back to the largest feasible smaller scale (the sets grow
+    with the scale, so it is still a subset) and the outer bound degrades to
+    the trivial [0,1].  Enclosures come from cache.get(scale, "full") when a
+    cache is given."""
     def enclosure(scale: Fraction) -> NSetEnclosure:
         if cache is not None:
             return cache.get(scale, "full")
@@ -381,8 +321,9 @@ def check_Y_k(
       (upper family) the union of sets indexed by A_j^m(n) inside the open
       delta_m-ball around N(f, b_j).
 
-    Exact for piecewise-linear f; for C1 f the sound enclosure side is used
-    (outer on the left of the lower family, inner on the right of the upper).
+    Exact for piecewise-linear f at integer scales; otherwise the sound
+    enclosure side is used (outer on the left of the lower family, inner on
+    the right of the upper).
     A failed sound check is re-tested on the anti-sound side: if that side
     passes, the triple is reported undecided rather than failed.
 
@@ -422,30 +363,6 @@ def check_Y_k(
     return CombCheck(not failures, tuple(failures), tuple(undecided), margins)
 
 
-def verify_K_n_trick(
-    K: SeqOfSets, n: IndexSeq, delta: DeltaSeq, k: int, j: int, m_max: int
-) -> bool:
-    """Depth-truncated surrogate of the ball-intersection collapse: the
-    intersection over m in [j, m_max] of the closed delta_m-dilations of the
-    union over A_j^m(n^k) must lie in the open delta_{m_max}-neighborhood of
-    the union of all sets in the prefix.  Failure refutes the mechanism at
-    this depth; success is finite evidence only."""
-    if j < 1 or m_max < j:
-        raise ValueError("need 1 <= j <= m_max")
-    s = check_S_k(K, n, delta, k, m_max)
-    if not s.ok:
-        raise ValueError(f"S-condition fails at {s.failures}; trick precondition unmet")
-    nk = shift_seq(n, k) if k else n
-    cap = FULL
-    for m in range(j, m_max + 1):
-        # interval data is closed, so this dilation is the closed ball,
-        # a superset of the open one: conservative for the check below
-        cap = cap.intersect(ball(K.union_over(index_set_A(j, m, nk)), delta.d(m)))
-    everything = K.union_over(range(1, len(K) + 1))
-    ok, _ = subset_within(cap, everything, delta.d(m_max))
-    return ok
-
-
 # ---------------------------------------------------------------------------
 # finite permutations
 # ---------------------------------------------------------------------------
@@ -460,15 +377,6 @@ def _validate_permutation(sigma: Sequence[int]) -> tuple[int, ...]:
 
 def _sigma_apply(sigma: tuple[int, ...], i: int) -> int:
     return sigma[i - 1] if i <= len(sigma) else i
-
-
-def apply_finite_permutation(K: SeqOfSets, sigma: Sequence[int]) -> SeqOfSets:
-    """Relabel a set sequence along a finite permutation: entry n of the
-    result is K_{sigma(n)}, with sigma the identity beyond its table."""
-    s = _validate_permutation(sigma)
-    if len(s) > len(K):
-        raise ValueError("permutation table longer than the set prefix")
-    return SeqOfSets(tuple(K.K(_sigma_apply(s, i)) for i in range(1, len(K) + 1)))
 
 
 def check_perm_A(n: IndexSeq, sigma: Sequence[int], k: int, m_max: int | None = None) -> CombCheck:
@@ -501,7 +409,7 @@ def check_perm_A(n: IndexSeq, sigma: Sequence[int], k: int, m_max: int | None = 
 
 
 # ---------------------------------------------------------------------------
-# corpus helpers and scenario files
+# corpus helpers
 # ---------------------------------------------------------------------------
 
 
@@ -518,40 +426,3 @@ def random_finite_permutation(seed, p: int) -> tuple[int, ...]:
     table = list(range(1, p + 1))
     rng.shuffle(table)
     return tuple(table)
-
-
-@dataclass(frozen=True)
-class CombScenario:
-    """Self-contained input for the covering checks, JSON round-trippable."""
-
-    K: SeqOfSets
-    n: IndexSeq
-    delta: DeltaSeq
-    k: int
-    m_max: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_prefix": list(self.n.prefix),
-            "delta_prefix": [str(d) for d in self.delta.prefix],
-            "k": self.k,
-            "m_max": self.m_max,
-            "sets": self.K.to_json_list(),
-        }
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "CombScenario":
-        return CombScenario(
-            K=SeqOfSets.from_json_list(d["sets"]),
-            n=IndexSeq(tuple(d["n_prefix"])),
-            delta=DeltaSeq(tuple(Fraction(x) for x in d["delta_prefix"])),
-            k=int(d["k"]),
-            m_max=int(d["m_max"]),
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
-    @staticmethod
-    def loads(text: str) -> "CombScenario":
-        return CombScenario.from_json_dict(json.loads(text))

@@ -264,24 +264,6 @@ class IntervalSet(_IntRationals):
     def contains_point(self, x: Rat) -> bool:
         return self._locate(as_fraction(x))[1]
 
-    def distance_to_point(self, x: Rat) -> Fraction | None:
-        """dist(x, K); None when the set is empty."""
-        if self.is_empty:
-            return None
-        x = as_fraction(x)
-        i, inside = self._locate(x)
-        if inside:
-            return ZERO
-        e, den = self.nums, self.den
-        best: Fraction | None = None
-        if i > 0:
-            best = x - Fraction(e[i - 1], den)
-        if i < len(e):
-            cand = Fraction(e[i], den) - x
-            if best is None or cand < best:
-                best = cand
-        return best
-
     # -- set algebra -------------------------------------------------------
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
@@ -353,15 +335,6 @@ class IntervalSet(_IntRationals):
         a, b, den = _common(self, other)
         return Fraction(max(_directed_sup2(a, b), _directed_sup2(b, a)), 2 * den)
 
-    def sup_distance_to(self, other: "IntervalSet") -> Fraction | None:
-        """One-sided sup_{x in self} dist(x, other); None if undefined
-        (self nonempty, other empty)."""
-        if self.is_empty:
-            return ZERO
-        if other.is_empty:
-            return None
-        return self._directed_sup(other)
-
     def min_distance_to(self, other: "IntervalSet") -> Fraction | None:
         """min distance between the two sets; None when either is empty."""
         if self.is_empty or other.is_empty:
@@ -430,16 +403,6 @@ def subset_within(inner: IntervalSet, outer: IntervalSet, r: Rat) -> tuple[bool,
         return False, ZERO
     h = inner._directed_sup(outer)
     return h < r, r - h
-
-
-def subset_within_closed(inner: IntervalSet, outer: IntervalSet, r: Rat) -> bool:
-    """inner subset of the closed ball B-bar(outer, r)."""
-    r = as_fraction(r)
-    if inner.is_empty:
-        return True
-    if outer.is_empty:
-        return False
-    return inner._directed_sup(outer) <= r
 
 
 def is_subset(inner: IntervalSet, outer: IntervalSet) -> bool:

@@ -58,7 +58,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,16 +82,11 @@ __all__ = [
     "NSetEnclosure",
     "n_set_exact",
     "n_set_enclosure",
-    "n_full_truncated",
-    "point_defect_exact",
     "point_defects_float",
     "continuity_delta",
     "admissible_eps",
     "pow2_bounds",
     "pow2_gap_bounds",
-    "c1_single_delta",
-    "c1_continuity_delta",
-    "interior_inclusion_holds",
 ]
 
 BASIC_VARIANTS = ("plus_upper", "plus_lower", "minus_upper", "minus_lower")
@@ -423,66 +418,15 @@ def n_set_exact(f: PwlFunction, a: Rat, variant: str = "full") -> IntervalSet:
     return functools.reduce(IntervalSet.union, sets)
 
 
-def n_full_truncated(f: PwlFunction, a_list: Sequence[Rat]) -> IntervalSet:
-    """Union of full exception sets over an increasing list of scales."""
-    fracs = [as_fraction(a) for a in a_list]
-    for x, y in zip(fracs, fracs[1:]):
-        if not x < y:
-            raise ValueError("a_list must be strictly increasing")
-    out = EMPTY
-    for a in fracs:
-        out = out.union(n_set_exact(f, a, "full"))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # pointwise membership defects
 # ---------------------------------------------------------------------------
 
 
-def _window_extrema_exact(f: PwlFunction, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    cands = [f.eval(lo), f.eval(hi)]
-    for t, v in zip(f.breakpoints, f.values):
-        if lo < t < hi:
-            cands.append(v)
-    return min(cands), max(cands)
-
-
-def point_defect_exact(f: PwlFunction, a: Rat, variant: str, x: Rat) -> Fraction | None:
-    """Exact membership defect at a point: 0 means x is in the variant set,
-    positive quantifies the worst violation, None means x is outside the
-    variant's domain.  Composites take the best defect of their parts."""
-    _check_variant(variant)
-    if variant in _PARTS:
-        parts = _PARTS[variant]
-        defs = [point_defect_exact(f, a, p, x) for p in parts]
-        defs = [d for d in defs if d is not None]
-        return min(defs) if defs else None
-    ai = _as_integer_scale(a)
-    delta = Fraction(1, 2**ai)
-    xf = as_fraction(x)
-    if variant.startswith("plus"):
-        if not 0 <= xf <= 1 - delta:
-            return None
-        lo, hi = xf, xf + delta
-    else:
-        if not delta <= xf <= 1:
-            return None
-        lo, hi = xf - delta, xf
-    if variant in ("plus_upper", "minus_upper"):
-        g = f.add_linear(-ai)
-    else:
-        g = f.add_linear(ai)
-    mn, mx = _window_extrema_exact(g, lo, hi)
-    gx = g.eval(xf)
-    if variant in ("plus_upper", "minus_lower"):
-        return mx - gx  # need window max <= value at x
-    return gx - mn  # need window min >= value at x
-
-
 def point_defects_float(f, a: float, variant: str, xs) -> np.ndarray:
-    """Float counterpart of `point_defect_exact` at an array of points:
-    +inf outside the variant's domain; composites take the minimum of their
+    """Membership defect at an array of points: at most 0 means the point is
+    in the variant set, positive quantifies the worst violation, +inf means
+    it is outside the variant's domain; composites take the minimum of their
     parts.
 
     Every basic variant is the forward-upper defect of a transformed function
@@ -1043,63 +987,3 @@ def n_set_enclosure(f, a: Rat, variant: str = "full", tol: float = 1e-4) -> NSet
     outer = _merge_float_cells(np.concatenate([in_u, und_u]), np.concatenate([in_v, und_v]))
     enc = NSetEnclosure(inner, outer, tol, outer.measure() - inner.measure(), stats)
     return enc.reflect() if refl else enc
-
-
-# ---------------------------------------------------------------------------
-# single-function scale comparisons (C1)
-# ---------------------------------------------------------------------------
-
-
-def _tilde_enclosures(f: C1Function, a: Rat, tol: float) -> dict[str, NSetEnclosure]:
-    return {
-        "hat": n_set_enclosure(f, a, "hat", tol),
-        "check": n_set_enclosure(f, a, "check", tol),
-    }
-
-
-def interior_inclusion_holds(f: C1Function, a: Rat, b: Rat, tol: float = 1e-4) -> bool:
-    """Certified check that each tilde reading at scale a sits inside the
-    interior (relative to [0,1]) of the same reading at scale b."""
-    ea = _tilde_enclosures(f, a, tol)
-    eb = _tilde_enclosures(f, b, tol)
-    return all(ea[r].outer.subset_of_interior(eb[r].inner) for r in ("hat", "check"))
-
-
-def c1_single_delta(f: C1Function, a: Rat, b: Rat, tol: float = 1e-4) -> Fraction | None:
-    """A certified radius delta with B(tilde set at a, delta) inside the tilde
-    set at b, for both readings; None when the enclosures cannot separate at
-    this tolerance."""
-    best: Fraction | None = None
-    ea = _tilde_enclosures(f, a, tol)
-    eb = _tilde_enclosures(f, b, tol)
-    for r in ("hat", "check"):
-        comp = eb[r].inner.complement_closure()
-        if comp.is_empty:
-            cand = Fraction(1, 4)
-        else:
-            if ea[r].outer.is_empty:
-                cand = Fraction(1, 4)
-            else:
-                sep = ea[r].outer.min_distance_to(comp)
-                if sep is None or sep <= 0:
-                    return None
-                cand = sep / 2
-        best = cand if best is None else min(best, cand)
-    return best
-
-
-def c1_continuity_delta(f: C1Function, a: Rat, b: Rat, tol: float = 1e-4) -> Fraction | None:
-    """A certified delta such that for every g with |g-f| < delta, the
-    a-scale tilde sets of g lie delta-deep inside the b-scale tilde sets of f
-    (the two-function comparison built from the single-function radius and
-    scale continuity at the midpoint c = (a+b)/2)."""
-    af, bf = as_fraction(a), as_fraction(b)
-    c = (af + bf) / 2
-    two_eps = c1_single_delta(f, c, bf, tol)
-    if two_eps is None:
-        return None
-    eps = admissible_eps(af, c, two_eps / 2)
-    if eps <= 0:
-        return None
-    tau = continuity_delta(af, c, eps)
-    return min(eps, tau)

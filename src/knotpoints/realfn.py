@@ -14,10 +14,6 @@ Two concrete classes:
 cell): a C1Function evaluates and bounds through the one it builds, and the
 certified enclosure machinery reads both classes through `as_cubic_pieces`.
 Negation and reflection act on the function classes, never on the pieces.
-
-Promotion PWL -> C^1 (`promote_pwl`) changes the function (slopes are averaged
-at interior knots); it exists only to build new C^1 test inputs and is never
-applied behind the caller's back.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ __all__ = [
     "CubicPieces",
     "random_function",
     "random_c1_function",
-    "promote_pwl",
     "function_to_json",
     "function_from_json",
 ]
@@ -164,30 +159,8 @@ class PwlFunction:
             tuple(1 - b for b in reversed(self.breakpoints)), tuple(reversed(self.values))
         )
 
-    def restrict(self, lo: Rat, hi: Rat) -> "PwlFunction":
-        lo, hi = as_fraction(lo), as_fraction(hi)
-        if lo >= hi:
-            raise ValueError("empty restriction")
-        bks = [lo] + [b for b in self.breakpoints if lo < b < hi] + [hi]
-        return PwlFunction(tuple(bks), tuple(self.eval(x) for x in bks))
-
     def sup_norm_diff(self, other: "PwlFunction") -> Fraction:
         return self.sub(other).sup_norm()
-
-    def simplify(self) -> "PwlFunction":
-        """Drop interior breakpoints where the slope does not change."""
-        if len(self.breakpoints) <= 2:
-            return self
-        bks = [self.breakpoints[0]]
-        vals = [self.values[0]]
-        sl = self.slopes()
-        for i in range(1, len(self.breakpoints) - 1):
-            if sl[i - 1] != sl[i]:
-                bks.append(self.breakpoints[i])
-                vals.append(self.values[i])
-        bks.append(self.breakpoints[-1])
-        vals.append(self.values[-1])
-        return PwlFunction(tuple(bks), tuple(vals))
 
     # -- conversions -------------------------------------------------------
 
@@ -347,10 +320,10 @@ def cubic_deriv_eval(c: np.ndarray, s) -> np.ndarray:
 
 def cubic_critical_points(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The real roots of each cubic's derivative as two arrays, NaN or
-    infinite where a root is missing (such a value lies strictly inside no
-    interval)."""
+    infinite where a root is missing or overflows (such a value lies strictly
+    inside no interval)."""
     qa, qb = 3.0 * c[3], 2.0 * c[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sq = np.sqrt(qb * qb - 4.0 * qa * c[1])
         den = 2.0 * qa
         r1 = np.where(qa != 0.0, (-qb - sq) / den, -c[1] / qb)
@@ -361,7 +334,7 @@ def cubic_critical_points(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def cubic_deriv_vertex(c: np.ndarray) -> np.ndarray:
     """The vertex of each cubic's derivative parabola, NaN or infinite where
     there is none (c[3] = 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return -c[2] / (3.0 * c[3])
 
 
@@ -481,24 +454,6 @@ def random_c1_function(
     values = np.array([amplitude * (2.0 * rng.random() - 1.0) for _ in knots])
     slopes = np.array([slope_scale * (2.0 * rng.random() - 1.0) for _ in knots])
     return C1Function(knots, values, slopes)
-
-
-def promote_pwl(f: PwlFunction, domain_check: bool = True) -> C1Function:
-    """Build a C^1 function from PWL data: slope at an interior knot is the
-    average of the adjacent segment slopes, one-sided at the ends.  This is a
-    different function from f (used only to grow the C^1 corpus)."""
-    if domain_check and f.domain != (Fraction(0), Fraction(1)):
-        raise ValueError("promotion expects domain [0,1]")
-    sl = [float(s) for s in f.slopes()]
-    n = len(f.breakpoints)
-    slopes = np.empty(n)
-    slopes[0] = sl[0]
-    slopes[-1] = sl[-1]
-    for i in range(1, n - 1):
-        slopes[i] = 0.5 * (sl[i - 1] + sl[i])
-    return C1Function(
-        [float(b) for b in f.breakpoints], [float(v) for v in f.values], slopes
-    )
 
 
 # ---------------------------------------------------------------------------

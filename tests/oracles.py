@@ -7,7 +7,11 @@ conditions, float Hausdorff comparisons, and a witness scan for the certified
 epsilon.  Deliberately simple; speed comes from numpy only.  The exact
 exception sets of piecewise-linear functions have a rational reference too:
 the window-max envelope built with `PwlFunction` arithmetic and its zero set
-against phi.  Finite point sets have one as well: `FractionPointSet`, a
+against phi, and the exact point defect read off the window condition.
+`distance_to_point` is the exact distance from a point to an interval set.
+`restrict`, `simplify` and `promote_pwl` are PWL test devices: the first two
+build the envelope, the third turns PWL corpora into C^1 inputs.  Finite
+point sets have a reference as well: `FractionPointSet`, a
 sorted tuple of Fractions, with the point-set functions on top of it, and
 the ball game's snapping and tagging of located points on Fraction lists.
 `random_function` has one too: a dict of Fraction grid points, sorted at
@@ -121,6 +125,24 @@ def dist_to_interval_set(xs: np.ndarray, iset: IntervalSet) -> np.ndarray:
     return np.maximum(0.0, np.minimum(ahead, behind))
 
 
+def distance_to_point(s: IntervalSet, x: Rat) -> Fraction | None:
+    """dist(x, s), exactly, from the two endpoints around x; None when s is
+    empty."""
+    if s.is_empty:
+        return None
+    x = as_fraction(x)
+    if s.contains_point(x):
+        return Fraction(0)
+    e, den = s.nums, s.den
+    i = bisect_right(e, x.numerator * den // x.denominator)
+    near = []
+    if i > 0:
+        near.append(x - Fraction(e[i - 1], den))
+    if i < len(e):
+        near.append(Fraction(e[i], den) - x)
+    return min(near)
+
+
 def dist_to_points(xs: np.ndarray, pts: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(pts, xs)
     ahead = np.where(idx < len(pts), pts[np.minimum(idx, len(pts) - 1)] - xs, np.inf)
@@ -229,14 +251,18 @@ def cubic_extrema_candidates(c, s_lo: float, s_hi: float) -> list[float]:
     a, b, cc = 3.0 * c3, 2.0 * c2, c1
     if a == 0.0:
         if b != 0.0:
-            s = -cc / b
+            with np.errstate(over="ignore"):
+                s = -cc / b
             if s_lo < s < s_hi:
                 cands.append(s)
     else:
         disc = b * b - 4.0 * a * cc
         if disc >= 0.0:
             sq = np.sqrt(disc)
-            for s in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
+            # an overflowed root is infinite and lies inside no interval
+            with np.errstate(over="ignore"):
+                roots = ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a))
+            for s in roots:
                 if s_lo < s < s_hi:
                     cands.append(s)
     return cands
@@ -251,7 +277,8 @@ def cubic_range_scalar(c, s_lo: float, s_hi: float) -> tuple[float, float]:
 def cubic_deriv_range_scalar(c, s_lo: float, s_hi: float) -> tuple[float, float]:
     cands = [s_lo, s_hi]
     if c[3] != 0.0:
-        s = -c[2] / (3.0 * c[3])  # vertex of the derivative parabola
+        with np.errstate(over="ignore"):
+            s = -c[2] / (3.0 * c[3])  # vertex of the derivative parabola
         if s_lo < s < s_hi:
             cands.append(s)
     vals = [(3.0 * c[3] * s + 2.0 * c[2]) * s + c[1] for s in cands]
@@ -305,6 +332,35 @@ def random_function_reference(
         vals.update(new_pts)
     xs = sorted(vals)
     return PwlFunction(tuple(xs), tuple(vals[x] for x in xs))
+
+
+def restrict(f: PwlFunction, lo: Rat, hi: Rat) -> PwlFunction:
+    """f on [lo, hi], with the breakpoints strictly inside kept."""
+    lo, hi = as_fraction(lo), as_fraction(hi)
+    if lo >= hi:
+        raise ValueError("empty restriction")
+    bks = [lo] + [b for b in f.breakpoints if lo < b < hi] + [hi]
+    return PwlFunction(tuple(bks), tuple(f.eval(x) for x in bks))
+
+
+def simplify(f: PwlFunction) -> PwlFunction:
+    """f without the interior breakpoints where the slope does not change."""
+    if len(f.breakpoints) <= 2:
+        return f
+    sl = f.slopes()
+    keep = [0] + [i for i in range(1, len(sl)) if sl[i - 1] != sl[i]] + [len(sl)]
+    return PwlFunction(tuple(f.breakpoints[i] for i in keep), tuple(f.values[i] for i in keep))
+
+
+def promote_pwl(f: PwlFunction) -> C1Function:
+    """A C^1 function from PWL data: the slope at an interior knot is the
+    average of the adjacent segment slopes, one-sided at the ends.  This is a
+    different function from f; it turns PWL corpora into C^1 test inputs."""
+    if f.domain != (Fraction(0), Fraction(1)):
+        raise ValueError("promotion expects domain [0,1]")
+    sl = [float(s) for s in f.slopes()]
+    slopes = [sl[0]] + [0.5 * (p + q) for p, q in zip(sl, sl[1:])] + [sl[-1]]
+    return C1Function([float(b) for b in f.breakpoints], [float(v) for v in f.values], slopes)
 
 
 def _line_through(x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction) -> tuple[Fraction, Fraction]:
@@ -390,7 +446,7 @@ def sliding_window_max(phi: PwlFunction, delta) -> PwlFunction:
             samples[x] = val
 
     xs = sorted(samples)
-    return PwlFunction(tuple(xs), tuple(samples[x] for x in xs)).simplify()
+    return simplify(PwlFunction(tuple(xs), tuple(samples[x] for x in xs)))
 
 
 def _zero_set(d: PwlFunction) -> IntervalSet:
@@ -422,7 +478,7 @@ def plus_upper_reference(f: PwlFunction, a: int) -> IntervalSet:
     m = sliding_window_max(phi, delta)
     if 1 - delta == 0:
         return IntervalSet.points([0]) if m.values[0] == phi.values[0] else EMPTY
-    return _zero_set(m.sub(phi.restrict(0, 1 - delta)))
+    return _zero_set(m.sub(restrict(phi, 0, 1 - delta)))
 
 
 def basic_variant_reference(f: PwlFunction, a: int, variant: str) -> IntervalSet:
@@ -437,6 +493,51 @@ def basic_variant_reference(f: PwlFunction, a: int, variant: str) -> IntervalSet
     if variant == "minus_upper":
         return plus_upper_reference(f.reflect().negate(), a).reflect()
     raise ValueError(f"unknown variant {variant!r}")
+
+
+_PARTS = {
+    "hat": ("plus_upper", "minus_lower"),
+    "check": ("plus_lower", "minus_upper"),
+    "full": VARIANT_NAMES,
+}
+
+
+def _window_extrema_exact(f: PwlFunction, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    cands = [f.eval(lo), f.eval(hi)]
+    for t, v in zip(f.breakpoints, f.values):
+        if lo < t < hi:
+            cands.append(v)
+    return min(cands), max(cands)
+
+
+def point_defect_exact(f: PwlFunction, a: int, variant: str, x: Rat) -> Fraction | None:
+    """Exact membership defect at a point, from the window condition itself:
+    0 means x is in the variant set, positive quantifies the worst
+    violation, None means x is outside the variant's domain.  Composites
+    take the best defect of their parts.  The reference for
+    `nsets.point_defects_float`."""
+    if variant in _PARTS:
+        defs = [point_defect_exact(f, a, p, x) for p in _PARTS[variant]]
+        defs = [d for d in defs if d is not None]
+        return min(defs) if defs else None
+    if variant not in VARIANT_NAMES:
+        raise ValueError(f"unknown variant {variant!r}")
+    delta = Fraction(1, 2**a)
+    xf = as_fraction(x)
+    if variant.startswith("plus"):
+        if not 0 <= xf <= 1 - delta:
+            return None
+        lo, hi = xf, xf + delta
+    else:
+        if not delta <= xf <= 1:
+            return None
+        lo, hi = xf - delta, xf
+    g = f.add_linear(-a if variant.endswith("upper") else a)
+    mn, mx = _window_extrema_exact(g, lo, hi)
+    gx = g.eval(xf)
+    if variant in ("plus_upper", "minus_lower"):
+        return mx - gx  # need window max <= value at x
+    return gx - mn  # need window min >= value at x
 
 
 # ---------------------------------------------------------------------------

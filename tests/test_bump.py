@@ -1,5 +1,5 @@
-"""Bump construction on exact located points, and the bump constants: the
-perturbation radius mu and the witness eps."""
+"""Bump construction on exact located points, the easy containment check,
+and the bump constants: the perturbation radius mu and the witness eps."""
 
 import random
 import re
@@ -11,13 +11,15 @@ from knotpoints import bump
 from knotpoints.bump import (
     BumpSpec,
     EpsilonSearchError,
+    check_bump_easy,
     check_bump_properties,
     lemma_epsilon,
     make_bump,
     mu,
 )
 from knotpoints.intervalsets import FinitePointSet
-from knotpoints.realfn import random_c1_function
+from knotpoints.nsets import point_defects_float
+from knotpoints.realfn import C1Function, random_c1_function
 from oracles import lemma_witness_scan
 
 
@@ -44,6 +46,35 @@ def test_bump_spec_rejects_a_shared_point():
     check = FinitePointSet.of(["2/4", Fraction(7, 8)])
     with pytest.raises(ValueError, match=re.escape("both contain [Fraction(1, 2), Fraction(7, 8)]")):
         BumpSpec(hat, check, Fraction(1, 2), Fraction(1, 100))
+
+
+def _easy_spec() -> tuple[C1Function, BumpSpec]:
+    """f of slope 1/2 < a = 1 satisfies both readings everywhere, so every
+    located point is a member before the bump is added."""
+    f = C1Function.linear(0.5)
+    hat = FinitePointSet.of([Fraction(1, 4), Fraction(5, 8)])
+    check = FinitePointSet.of([Fraction(3, 4)])
+    spec = BumpSpec(hat, check, Fraction(1, 2), Fraction(1, 100))
+    for reading in ("hat", "check"):
+        pts = spec.located(reading).floats()
+        assert max(point_defects_float(f, 1.0, reading, pts)) <= 0.0
+    return f, spec
+
+
+def test_check_bump_easy_keeps_the_readings_of_the_spec_bump():
+    """The lobes peak at H_hat and bottom out at H_check, so the bump of
+    the spec keeps every located point in its reading."""
+    f, spec = _easy_spec()
+    assert check_bump_easy(f, 1, spec)
+
+
+def test_check_bump_easy_refuses_a_bump_with_the_signs_swapped():
+    """The bump of the spec with H_hat and H_check exchanged has a minimum
+    at each hat point, which breaks the hat reading there."""
+    f, spec = _easy_spec()
+    swapped = make_bump(BumpSpec(spec.H_check, spec.H_hat, spec.height, spec.width))
+    assert point_defects_float(f.add(swapped), 1.0, "hat", spec.H_hat.floats()).min() > 0.4
+    assert not check_bump_easy(f, 1, spec, swapped)
 
 
 def test_mu_raises_when_no_radius_fits(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from knotpoints import bump, cli
 from knotpoints.intervalsets import IntervalSet
-from knotpoints.realfn import PwlFunction, function_to_json, random_c1_function
+from knotpoints.realfn import PwlFunction, function_to_json, random_c1_function, random_function
 
 F = Fraction
 REFERENCE = Path(__file__).resolve().parents[1] / "knotbench" / "reference.json"
@@ -199,6 +199,23 @@ def test_bump_mu_reports_the_record_from_one_witness_search(c1_file, tmp_path, m
     chain = bump.mu(cli._load_function(c1_file, "f"), 1, 2, F(1, 2), 1e-4)
     outputs = json.loads(out.read_text())["outputs"]
     assert (outputs["l"], outputs["mu"]) == (chain.l, chain.mu)
+
+
+def test_comb_check_y_takes_a_pwl_function_at_a_non_integer_ladder(tmp_path):
+    """A PWL f whose slope bound exceeds every ladder scale: at b_j = 7/2,
+    9/2, ... the inner bound falls back to the integer scale below, and at
+    4, 5, ... it is exact.  Both ladders write a passing report."""
+    f, sets = tmp_path / "f.json", tmp_path / "sets.json"
+    f.write_text(json.dumps(function_to_json(random_function(0, 6))))
+    sets.write_text(json.dumps([IntervalSet.full().to_json_dict()] * 13))
+    out = tmp_path / "report.json"
+    argv = ["comb", "check-y", "--sets", str(sets), "--f", str(f), "--n", "1,4,8,13",
+            "--delta", "1/4,1/8,1/16,1/32", "--m-max", "2", "--out", str(out)]
+    for ladder in ("7/2,9/2,11/2,13/2", "4,5,6,7"):
+        assert cli.main([*argv, "--ladder-b", ladder]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["inputs"]["ladder_b"] == ladder.split(",")
+        assert rep["outputs"] == {"ok": True, "failures": [], "undecided": []}
 
 
 def test_jarnik_demo_rejects_negative_depth(tmp_path, capsys):

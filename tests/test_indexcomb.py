@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from knotpoints import indexcomb
 from knotpoints.indexcomb import (
-    CombScenario,
     DeltaSeq,
     IndexSeq,
     ScaleLadder,
     SeqOfSets,
-    apply_finite_permutation,
     check_perm_A,
     check_S_k,
     check_Y_k,
@@ -23,9 +21,8 @@ from knotpoints.indexcomb import (
     random_finite_permutation,
     random_index_seq,
     shift_seq,
-    verify_K_n_trick,
 )
-from knotpoints.intervalsets import EMPTY, FULL, IntervalSet, ball
+from knotpoints.intervalsets import EMPTY, FULL, IntervalSet
 from knotpoints.nsets import n_set_enclosure, n_set_exact
 from knotpoints.realfn import C1Function, PwlFunction, random_c1_function
 
@@ -218,7 +215,6 @@ def test_seq_of_sets():
     assert len(K) == 3
     with pytest.raises(ValueError):
         K.K(4)
-    assert SeqOfSets.from_json_list(K.to_json_list()) == K
 
 
 # -- scale ladders ----------------------------------------------------------
@@ -228,8 +224,22 @@ LADDER_B = (5, 6, 7, 8, 9, 10, 11, 12)
 
 
 def test_ladder_chains_validate_both_kinds():
-    ScaleLadder.default(LADDER_B).validate_chains(8)
-    ScaleLadder.geometric(LADDER_B).validate_chains(8)
+    """Walking (m, k) in lexicographic order up to depth 8, the refined
+    a-scales descend strictly from below j+1 toward a_j and the refined
+    b-scales ascend strictly from above b_j-1 toward b_j, except at the
+    welds (m, last) = (m+1, 1), where they are equal."""
+    m_max = 8
+    for lad in (ScaleLadder.default(LADDER_B), ScaleLadder.geometric(LADDER_B)):
+        for j in range(1, len(LADDER_B) + 1):
+            a_walk = [(k, lad.a_refined(j, m, k)) for m in range(j, m_max + 1) for k in (1, 2, 3, 4)]
+            b_walk = [(k, lad.b_refined(j, m, k)) for m in range(j, m_max + 1) for k in (1, 2, 3)]
+            for (k1, x), (k2, y) in zip(a_walk, a_walk[1:]):
+                assert x == y if (k1, k2) == (4, 1) else x > y
+            for (k1, x), (k2, y) in zip(b_walk, b_walk[1:]):
+                assert x == y if (k1, k2) == (3, 1) else x < y
+            assert lad.a(j) < a_walk[-1][1] and a_walk[0][1] < j + 1 < b_walk[0][1]
+            assert lad.b(j) - 1 < b_walk[0][1] and b_walk[-1][1] < lad.b(j)
+            assert lad.b(j) - 1 > j + 1
 
 
 def test_ladder_validation_errors():
@@ -383,42 +393,7 @@ def test_check_y_fetches_every_c1_enclosure_through_the_cache(monkeypatch):
     assert cached.margins == plain.margins
 
 
-def test_verify_K_n_trick_on_exact_construction():
-    K, zz, n, delta, lad = zigzag_scenario()
-    assert verify_K_n_trick(K, n, delta, 0, 1, 3)
-    assert verify_K_n_trick(K, n, delta, 1, 2, 3)
-
-
-def test_verify_K_n_trick_needs_valid_s():
-    n = IndexSeq((1, 2, 4, 7))
-    delta = DeltaSeq.geometric(F(1, 100), F(1, 2), 4)
-    far = [IntervalSet.from_pairs([(0, F(1, 100))])] * 4
-    far += [IntervalSet.from_pairs([(F(9, 10), 1)])] * 4
-    with pytest.raises(ValueError):
-        verify_K_n_trick(SeqOfSets(tuple(far)), n, delta, 0, 2, 4)
-    with pytest.raises(ValueError):
-        verify_K_n_trick(SeqOfSets(tuple(far)), n, delta, 0, 0, 4)
-
-
 # -- finite permutations ----------------------------------------------------
-
-
-def test_apply_finite_permutation():
-    K = SeqOfSets(
-        (
-            IntervalSet.from_pairs([(0, F(1, 4))]),
-            IntervalSet.from_pairs([(F(1, 4), F(1, 2))]),
-            IntervalSet.from_pairs([(F(1, 2), F(3, 4))]),
-        )
-    )
-    out = apply_finite_permutation(K, (2, 1))
-    assert out.K(1) == K.K(2)
-    assert out.K(2) == K.K(1)
-    assert out.K(3) == K.K(3)
-    with pytest.raises(ValueError):
-        apply_finite_permutation(K, (2, 2))
-    with pytest.raises(ValueError):
-        apply_finite_permutation(K, (2, 1, 4, 3))
 
 
 @given(seeds, st.integers(1, 3))
@@ -437,18 +412,6 @@ def test_perm_rejects_sigma_moving_high_indices():
         check_perm_A(n, (1, 2, 3, 5, 4), 1)
     with pytest.raises(ValueError):
         check_perm_A(n, (2, 1), 0)
-
-
-# -- scenario files ---------------------------------------------------------
-
-
-def test_comb_scenario_round_trip():
-    rng = random.Random(7)
-    sc = CombScenario(
-        K=random_interval_seq(rng, 9),
-        n=IndexSeq((2, 3, 5, 8)),
-        delta=DeltaSeq.geometric(F(1, 4), F(1, 2), 4),
-        k=1,
-        m_max=4,
-    )
-    assert CombScenario.loads(sc.dumps()) == sc
+    # a table that is not a permutation of 1..p
+    with pytest.raises(ValueError, match="as a permutation"):
+        check_perm_A(n, (2, 2), 1)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotpoints.intervalsets import EMPTY, FULL, IntervalSet, ball, is_subset, subset_within
+from knotpoints.intervalsets import FULL, IntervalSet, is_subset
 from knotpoints.nsets import (
     BASIC_VARIANTS,
     VARIANTS,
@@ -27,14 +27,9 @@ from knotpoints.nsets import (
     _plus_upper_form,
     NSetEnclosure,
     admissible_eps,
-    c1_continuity_delta,
-    c1_single_delta,
     continuity_delta,
-    interior_inclusion_holds,
-    n_full_truncated,
     n_set_enclosure,
     n_set_exact,
-    point_defect_exact,
     point_defects_float,
     pow2_bounds,
     pow2_gap_bounds,
@@ -44,16 +39,18 @@ from knotpoints.realfn import (
     PwlFunction,
     cubic_deriv_range,
     cubic_range,
-    promote_pwl,
     random_c1_function,
     random_function,
 )
 from oracles import (
     basic_variant_reference,
+    distance_to_point,
     float_bits,
     grid_n_set,
     grid_n_set_full,
     hausdorff_set_vs_points,
+    point_defect_exact,
+    promote_pwl,
     sliding_window_max,
 )
 
@@ -333,15 +330,6 @@ def test_composite_variants_are_unions():
     assert n_set_exact(f, 2, "hat") == pu.union(ml)
     assert n_set_exact(f, 2, "check") == pl.union(mu_)
     assert n_set_exact(f, 2, "full") == pu.union(pl).union(mu_).union(ml)
-
-
-def test_n_full_truncated_is_union_over_scales():
-    f = random_function(seed=123, depth=5)
-    u = n_full_truncated(f, [1, 2, 3])
-    brute = EMPTY
-    for a in (1, 2, 3):
-        brute = brute.union(n_set_exact(f, a, "full"))
-    assert u == brute
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 2))
@@ -650,9 +638,9 @@ def test_enclosure_soundness_against_defect_sampling(seed):
     defects = point_defects_float(f, a, "plus_upper", xs)
     for x, d in zip(xs, defects):
         xf = F(float(x)).limit_denominator(2 ** 40)
-        if enc.inner.contains_point(xf) and enc.inner.distance_to_point(xf) == 0:
+        if enc.inner.contains_point(xf) and distance_to_point(enc.inner, xf) == 0:
             assert d <= 1e-7
-        if not enc.outer.contains_point(xf) and enc.outer.distance_to_point(xf) > F(1, 10 ** 6):
+        if not enc.outer.contains_point(xf) and distance_to_point(enc.outer, xf) > F(1, 10 ** 6):
             assert d > -1e-7
 
 
@@ -718,28 +706,3 @@ def test_enclosure_rejects_bad_inputs():
         n_set_enclosure(wiggly, 1, "full", tol=float("nan"))
     with pytest.raises(TypeError):
         n_set_enclosure(lambda x: x, 1, "full")
-
-
-# -- single-function scale comparisons --------------------------------------
-
-
-def test_interior_inclusion_gentle_function():
-    f = random_c1_function(seed=4, cells=4, amplitude=0.2, slope_scale=0.6)
-    assert interior_inclusion_holds(f, 2, 3, tol=1e-4)
-
-
-def test_c1_single_delta_positive_and_sound():
-    f = random_c1_function(seed=8, cells=4, amplitude=0.2, slope_scale=0.6)
-    d = c1_single_delta(f, 2, 3, tol=1e-4)
-    assert d is not None and d > 0
-    # perturbing below delta keeps the scale-2 set inside the scale-3 set
-    g = f.add(C1Function.linear(0.0, float(d) * 0.5))
-    enc_g = n_set_enclosure(g, 3, "full", tol=1e-4)
-    enc_f = n_set_enclosure(f, 2, "full", tol=1e-4)
-    assert is_subset(enc_f.outer, enc_g.inner)
-
-
-def test_c1_continuity_delta_monotone_scales():
-    f = random_c1_function(seed=15, cells=3, amplitude=0.2, slope_scale=0.5)
-    d23 = c1_continuity_delta(f, 2, 3, tol=1e-4)
-    assert d23 is None or d23 > 0

@@ -16,7 +16,6 @@ from knotpoints.realfn import (
     function_from_json,
     function_to_json,
     pieces_of,
-    promote_pwl,
     random_c1_function,
     random_function,
 )
@@ -26,7 +25,10 @@ from oracles import (
     cubic_range_scalar,
     float_bits,
     pieces_range_scalar,
+    promote_pwl,
     random_function_reference,
+    restrict,
+    simplify,
 )
 
 F = Fraction
@@ -103,12 +105,12 @@ def test_pwl_sup_norm_diff_zero_iff_equal(f, g):
 
 @given(pwl_functions(), fractions_01)
 def test_pwl_simplify_preserves_values(f, x):
-    assert f.simplify()(x) == f(x)
+    assert simplify(f)(x) == f(x)
 
 
 def test_pwl_restrict():
     z = PwlFunction.zigzag()
-    r = z.restrict(F(1, 4), F(3, 4))
+    r = restrict(z, F(1, 4), F(3, 4))
     assert r.domain == (F(1, 4), F(3, 4))
     assert r(F(1, 4)) == F(1, 2)
     assert r(F(1, 2)) == 1
@@ -249,18 +251,21 @@ def cubic_on_interval(draw):
 @settings(max_examples=300, deadline=None)
 def test_range_kernels_equal_the_scalar_reference_bitwise(rows):
     """The vectorized kernels give the scalar loop's min and max, bit for
-    bit, on every row of a batch."""
+    bit, on every row of a batch.  A leading coefficient near the smallest
+    float puts a critical point near 1e281, and the value there overflows
+    to an infinity in the kernels and in the loop alike."""
     c = np.array([r[0] for r in rows]).T
     s_lo = np.array([r[1] for r in rows])
     s_hi = np.array([r[2] for r in rows])
     pairs = ((cubic_range, cubic_range_scalar), (cubic_deriv_range, cubic_deriv_range_scalar))
     for kernel, scalar in pairs:
-        lo, hi = kernel(c, s_lo, s_hi)
-        ref = [scalar(r[0], r[1], r[2]) for r in rows]
+        with np.errstate(over="ignore"):
+            lo, hi = kernel(c, s_lo, s_hi)
+            ref = [scalar(r[0], r[1], r[2]) for r in rows]
+            nlo, nhi = kernel(-c, s_lo, s_hi)
         assert np.array_equal(float_bits(lo), float_bits([m for m, _ in ref]))
         assert np.array_equal(float_bits(hi), float_bits([m for _, m in ref]))
         # the min is the max of the negated cubic, negated
-        nlo, nhi = kernel(-c, s_lo, s_hi)
         assert np.array_equal(float_bits(lo), float_bits(-nhi))
 
 
@@ -304,7 +309,7 @@ def test_promote_pwl_matches_at_knots():
         assert float(f(b)) == pytest.approx(g.eval(float(b)), abs=1e-12)
     assert g.sup_norm_diff(promote_pwl(f)) == 0.0
     with pytest.raises(ValueError):
-        promote_pwl(f.restrict(F(1, 4), F(3, 4)))
+        promote_pwl(restrict(f, F(1, 4), F(3, 4)))
 
 
 # -- corpus generators ------------------------------------------------------
