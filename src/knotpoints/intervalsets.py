@@ -300,26 +300,6 @@ class IntervalSet(_IntRationals):
         den = self.den
         return IntervalSet([den - x for x in reversed(self.nums)], den)
 
-    def closed_complement_of_interior(self) -> "IntervalSet":
-        """[0,1] minus the interior of this set (interior taken in the
-        subspace topology of [0,1], so components touching 0 or 1 are open
-        there).  The result is closed: the boundary of this set survives."""
-        den = self.den
-        pieces = _gaps(self.nums, den)
-        for lo, hi in _pairs(self.nums):
-            if lo == hi:
-                pieces.append((lo, hi))  # a point has empty interior
-            else:
-                if lo != 0:
-                    pieces.append((lo, lo))
-                if hi != den:
-                    pieces.append((hi, hi))
-        return IntervalSet(_normalize(pieces), den)
-
-    def subset_of_interior(self, other: "IntervalSet") -> bool:
-        """self contained in the (subspace) interior of other, exactly."""
-        return self.intersect(other.closed_complement_of_interior()).is_empty
-
     # -- metric ------------------------------------------------------------
 
     def _directed_sup(self, other: "IntervalSet") -> Fraction:

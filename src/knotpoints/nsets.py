@@ -30,14 +30,17 @@ Two computation paths:
   rounding); certification is exact up to float evaluation error, and cells
   the tests cannot decide go to the outer set only.  Phase 1 classifies the
   grid segments themselves and reads their value and slope ranges from the
-  segment tables that also answer the window queries.  Each bisection half
-  keeps its segment index and inherits from its parent the window bound or
-  the witness and the values of phi and phi' at the end they share, so a
-  split evaluates phi and phi' once at the midpoint and phi once at the
-  end of the midpoint's window.  The critical points of phi and phi' are
-  computed once per cubic piece, and every range is the min or max of
-  those values, table entries and the critical values whose root lies
-  strictly inside: the floats that `realfn.cubic_range` and
+  segment tables that also answer the window queries.  The tables evaluate
+  each grid point once, and a range-max level is written by the first
+  query that needs it, in one linear pass over the values (van Herk and Gil
+  & Werman block maxima); each window query reads one level.  Each
+  bisection half keeps its segment index and inherits from its parent the
+  window bound or the witness and the values of phi and phi' at the end
+  they share, so a split evaluates phi and phi' once at the midpoint and
+  phi once at the end of the midpoint's window.  The critical points of
+  phi and phi' are computed once per cubic piece, and every range is the
+  min or max of those values, table entries and the critical values whose
+  root lies strictly inside: the floats that `realfn.cubic_range` and
   `realfn.cubic_deriv_range` compute for the C1Function sup norms.
 
 On both paths, and in the float point defects, the involutions act on the
@@ -519,25 +522,60 @@ class _RangeMax:
     """Sparse table for vectorized range-maximum queries over a float array
     (Bender & Farach-Colton, The LCA problem revisited): level k holds the
     maxima of all windows of length 2^k, and the levels sit end to end in
-    one flat array, so a batch of queries is two gathers."""
+    one flat array, so a batch of queries is two gathers.
+
+    Only level 0, the values, is written when the table is built.  The
+    first query that needs level k fills it straight from level 0 (van
+    Herk 1992; Gil & Werman 1993): cut the values into blocks of 2^k, and a
+    window of 2^k is a suffix of one block followed by a prefix of the
+    next, so the level is the max of one block suffix maximum and one block
+    prefix maximum, O(n) for any k.  Each entry is the last maximum of its
+    window, bit for bit the float of the doubling build np.maximum(level
+    k-1 at i, level k-1 at i + 2^(k-1)), as np.maximum keeps its second
+    argument on a tie; equal maxima differ in their bits only as signed
+    zeros."""
 
     def __init__(self, values: np.ndarray):
         n = len(values)
         pow2 = 1 << np.arange(max(n.bit_length(), 1))
         lengths = n - pow2 + 1
         starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        flat = np.empty(int(lengths.sum()))
-        flat[:n] = values
-        for k in range(1, len(pow2)):
-            prev = flat[starts[k - 1] : starts[k - 1] + lengths[k - 1]]
-            h, m = pow2[k - 1], lengths[k]
-            np.maximum(prev[:m], prev[h : h + m], out=flat[starts[k] : starts[k] + m])
-        self.flat = flat
+        # levels above 0 are written on first use, and pages never written
+        # take no memory
+        self.flat = np.empty(int(lengths.sum()))
+        self.flat[:n] = values
+        self.filled = 1  # bit k set when level k is written
         # [i, j) is covered by the level-k windows starting at i and at
-        # j - 2^k, for k = floor(log2(j - i))
-        self.level = np.maximum(np.frexp(np.arange(n + 1.0))[1] - 1, 0).astype(np.int8)
+        # j - 2^k, for k = floor(log2(j - i)); level[m] is that k for a
+        # length m >= 1, and 0 for m = 0
+        counts = np.minimum(pow2, n + 1 - pow2)
+        counts[0] += 1
+        self.level = np.repeat(np.arange(len(pow2), dtype=np.int8), counts)
         self.start_lo = starts
         self.start_hi = starts - pow2
+
+    def _fill(self, k: int) -> None:
+        """Write level k from level 0 by block prefix and suffix maxima."""
+        n, w = len(self.level) - 1, 1 << k
+        nb = -(-n // w)
+        blocks = np.full(nb * w, -np.inf)
+        blocks[:n] = self.flat[:n]
+        blocks = blocks.reshape(nb, w)
+        # np.maximum keeps its second argument on a tie, so the forward scan
+        # keeps the last of equal maxima and the backward scan the first
+        pre = np.maximum.accumulate(blocks, axis=1).ravel()
+        suf = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1]
+        zero = blocks == 0.0
+        if zero.any():
+            # a suffix whose max is zero ends with the block's last zero,
+            # whose sign the last maximum has
+            last = w - 1 - np.argmax(zero[:, ::-1], axis=1)
+            suf = np.where(suf == 0.0, blocks[np.arange(nb), last][:, None], suf)
+        m, lo = n - w + 1, self.start_lo[k]
+        # the window at i is the suffix from i and the prefix to i + w - 1,
+        # and its last maximum sits in the prefix on a tie
+        np.maximum(suf.ravel()[:m], pre[w - 1 : w - 1 + m], out=self.flat[lo : lo + m])
+        self.filled |= 1 << k
 
     def query(self, i: np.ndarray, j: np.ndarray, empty: float = -np.inf) -> np.ndarray:
         """max over [i, j) per entry; empty ranges give `empty`."""
@@ -545,23 +583,42 @@ class _RangeMax:
         i = np.where(ok, i, 0)
         j = np.where(ok, j, 1)
         k = self.level[j - i]
+        need = int(np.bitwise_or.reduce(np.left_shift(1, k, dtype=np.int32))) & ~self.filled
+        for lev in range(need.bit_length()):
+            if need >> lev & 1:
+                self._fill(lev)
         res = np.maximum(self.flat[self.start_lo[k] + i], self.flat[self.start_hi[k] + j])
         return np.where(ok, res, empty)
 
 
+def _segment_grid(breaks: np.ndarray, step: float, xmax: float) -> np.ndarray:
+    """The sorted distinct points of the uniform grid of the given step over
+    [0,1], the breaks and xmax: the few breaks and xmax are merged into the
+    grid by one insertion pass."""
+    lin = np.linspace(0.0, 1.0, int(np.ceil(1.0 / step)) + 1)
+    extra = np.insert(breaks, np.searchsorted(breaks, xmax), xmax)
+    at = np.searchsorted(lin, extra)
+    new = (lin[np.minimum(at, len(lin) - 1)] != extra) & np.append(True, extra[1:] != extra[:-1])
+    return np.insert(lin, at[new], extra[new])
+
+
 class _PhiTables:
     """Knot-aligned segment grid over [0,1] for phi, with per-segment end
-    values and ranges, per-piece critical values, and sparse tables for
-    window queries.
+    values and ranges, per-piece critical values, and range-max tables
+    (`_RangeMax`, levels filled on first use) for window queries.
 
-    Every knot of phi is a grid point, so segment i lies in one cubic piece,
-    `piece[i]`, whose coefficients `pc[:, piece[i]]` act in the local
-    coordinate x - kleft[i].  A point x in [grid[i], grid[i+1]) is evaluated
-    exactly as `CubicPieces.eval_vec` would, from segment i.
+    The grid is the uniform grid of the step with the knots of phi and xmax
+    merged in.  Every knot of phi is a grid point, so segment i lies in one
+    cubic piece, `piece[i]`, whose coefficients `pc[:, piece[i]]` act in
+    the local coordinate x - kleft[i].  A point x in [grid[i], grid[i+1]) is
+    evaluated exactly as `CubicPieces.eval_vec` would, from segment i.
 
     Segment i keeps phi and phi' at both of its ends from its own cubic:
-    `gridvals[i]`, `hi_val[i]`, `lo_der[i]` and `hi_der[i]` (at a knot,
-    hi_val[i] and gridvals[i+1] come from different pieces).  Each piece
+    `gridvals[i]`, `hi_val[i]`, `lo_der[i]` and `hi_der[i]`.  Each grid
+    point is evaluated once: inside a piece, hi_val[i] and hi_der[i] are
+    gridvals[i+1] and lo_der[i+1], as both come from the same cubic at the
+    same local coordinate, and only at a knot, where they come from
+    different pieces, is the segment's end evaluated apart.  Each piece
     keeps the critical points of phi and of phi' and the values there,
     computed once per piece, and `crit_in_seg`/`vertex_in_seg` mark the
     segments that hold one strictly inside.  The range of phi or phi' over
@@ -572,9 +629,7 @@ class _PhiTables:
     """
 
     def __init__(self, phi: CubicPieces, step: float, xmax: float):
-        pts = np.union1d(phi.breaks, np.linspace(0.0, 1.0, int(np.ceil(1.0 / step)) + 1))
-        pts = np.union1d(pts, np.array([xmax]))
-        self.grid = pts
+        self.grid = pts = _segment_grid(phi.breaks, step, xmax)
         self.n_seg = len(pts) - 1
         self.piece = np.clip(
             np.searchsorted(phi.breaks, pts[:-1], side="right") - 1, 0, len(phi.coeffs) - 1
@@ -597,10 +652,19 @@ class _PhiTables:
         self.crit_in_seg = inside(self.roots[0]) | inside(self.roots[1])
         self.vertex_in_seg = inside(self.vertex)
         c = self.pc[:, self.piece]
-        self.hi_val = cubic_eval(c, self.s_end)
-        self.gridvals = np.append(cubic_eval(c, self.s_beg), self.hi_val[-1])
         self.lo_der = cubic_deriv_eval(c, self.s_beg)
-        self.hi_der = cubic_deriv_eval(c, self.s_end)
+        at_beg = cubic_eval(c, self.s_beg)
+        # inside a piece, segment i ends where segment i + 1 begins, in the
+        # same local coordinate, so only each piece's last segment needs its
+        # end evaluated
+        last = np.append((self.piece[1:] != self.piece[:-1]).nonzero()[0], self.n_seg - 1)
+        c, s = self.pc[:, self.piece[last]], self.s_end[last]
+        at_end = cubic_eval(c, s)
+        self.gridvals = np.append(at_beg, at_end[-1])
+        self.hi_val = self.gridvals[1:].copy()
+        self.hi_val[last] = at_end
+        self.hi_der = np.append(self.lo_der[1:], 0.0)
+        self.hi_der[last] = cubic_deriv_eval(c, s)
         every = np.arange(self.n_seg)
         self.segmin, self.segmax = self.part_range(
             every, self.s_beg, self.s_end, self.gridvals[:-1], self.hi_val
@@ -610,10 +674,7 @@ class _PhiTables:
         )
         self.rmq_segmax = _RangeMax(self.segmax)
         self.rmq_gridvals = _RangeMax(self.gridvals)
-
-    @functools.cached_property
-    def rmq_dermax(self) -> _RangeMax:
-        return _RangeMax(self.dermax)
+        self.rmq_dermax = _RangeMax(self.dermax)
 
     def last_at_or_below(self, x: np.ndarray) -> np.ndarray:
         """Index of the last grid point at or below x."""
@@ -639,7 +700,7 @@ class _PhiTables:
         lo = np.minimum(at_lo, at_hi) if lower else None
         hi = np.maximum(at_lo, at_hi)
         flags = self.vertex_in_seg if deriv else self.crit_in_seg
-        cand = np.flatnonzero(flags[seg])
+        cand = flags[seg].nonzero()[0]
         if len(cand):
             p = self.piece[seg[cand]]
             s_lo, s_hi = s_lo[cand], s_hi[cand]
@@ -647,7 +708,7 @@ class _PhiTables:
             vals = (self.vertex_der,) if deriv else self.crit_vals
             for r, val in zip(roots, vals):
                 rp = r[p]
-                k = np.flatnonzero((rp > s_lo) & (rp < s_hi))
+                k = ((rp > s_lo) & (rp < s_hi)).nonzero()[0]
                 if len(k):
                     idx, cv = cand[k], val[p[k]]
                     if lower:
@@ -665,7 +726,7 @@ class _PhiTables:
         rmq = self.rmq_dermax if deriv else self.rmq_segmax
         ub = np.maximum(left, rmq.query(i_l + 1, np.minimum(ilast, self.n_seg)))
         ic = np.minimum(ilast, self.n_seg - 1)
-        has = np.flatnonzero((ilast > i_l) & (ilast <= self.n_seg - 1) & (self.grid[ic] < hi))
+        has = ((ilast > i_l) & (ilast <= self.n_seg - 1) & (self.grid[ic] < hi)).nonzero()[0]
         if len(has):
             idx = ic[has]
             at_lo = self.lo_der[idx] if deriv else self.gridvals[idx]
@@ -788,7 +849,7 @@ def _halves(tab: _PhiTables, cells: _Cells, delta: float) -> tuple[_Cells, _Cell
     ubw = tab.window_max(left, seg, after - 1, right, phi_right)
     # ... unless mid is the segment's right end (a cell one float wide
     # split there), where the window starts in the next segment
-    odd = np.flatnonzero(s_mid >= s_end)
+    odd = (s_mid >= s_end).nonzero()[0]
     if len(odd):
         i_l = tab.seg_within(mid[odd], seg[odd])
         ubw[odd] = tab.upper_at(mid[odd], right[odd], i_l, after[odd] - 1)
@@ -910,7 +971,7 @@ def _merge_float_cells(u: np.ndarray, v: np.ndarray) -> IntervalSet:
     u, v = u[order], v[order]
     reach = np.maximum.accumulate(v)
     # a component starts at each cell that begins beyond every earlier cell
-    starts = np.flatnonzero(np.concatenate(([True], u[1:] > reach[:-1])))
+    starts = np.concatenate(([True], u[1:] > reach[:-1])).nonzero()[0]
     ends = np.empty(2 * len(starts))
     ends[0::2] = np.maximum(u[starts], 0.0)
     ends[1::2] = np.minimum(reach[np.append(starts[1:] - 1, len(u) - 1)], 1.0)

@@ -2,9 +2,10 @@
 
 Everything here recomputes the quantities under test from their definitions,
 on grids, without touching the library's exact sweep: a trailing/leading
-window max by block cummax (van Herk), grid membership for the window
-conditions, float Hausdorff comparisons, and a witness scan for the certified
-epsilon.  Deliberately simple; speed comes from numpy only.  The exact
+window max by block cummax (van Herk), the doubling build of a range-max
+sparse table, grid membership for the window conditions, float Hausdorff
+comparisons, and a witness scan for the certified epsilon.  Deliberately
+simple; speed comes from numpy only.  The exact
 exception sets of piecewise-linear functions have a rational reference too:
 the window-max envelope built with `PwlFunction` arithmetic and its zero set
 against phi, and the exact point defect read off the window condition.
@@ -54,6 +55,18 @@ def van_herk_max(u: np.ndarray, w: int) -> np.ndarray:
 
 def van_herk_min(u: np.ndarray, w: int) -> np.ndarray:
     return -van_herk_max(-u, w)
+
+
+def doubling_range_max(values: np.ndarray) -> list[np.ndarray]:
+    """Every level of a range-max sparse table by the doubling build: level
+    k holds the max of each window of length 2^k, as np.maximum(level k-1 at
+    i, level k-1 at i + 2^(k-1)), for k up to floor(log2(len(values)))."""
+    levels = [np.array(values, dtype=float)]
+    n = len(values)
+    for k in range(1, n.bit_length()):
+        prev, h, m = levels[-1], 1 << (k - 1), n - (1 << k) + 1
+        levels.append(np.maximum(prev[:m], prev[h : h + m]))
+    return levels
 
 
 def eval_float(f, xs: np.ndarray) -> np.ndarray:

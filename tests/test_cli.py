@@ -201,6 +201,32 @@ def test_bump_mu_reports_the_record_from_one_witness_search(c1_file, tmp_path, m
     assert (outputs["l"], outputs["mu"]) == (chain.l, chain.mu)
 
 
+def test_comb_check_s_reports_the_failing_blocks(tmp_path):
+    """Sets 1-4 near 0 and 5-8 near 1 with n = 1, 2, 4, 7: the new blocks
+    A_2^4 - A_2^3 = {5} and A_3^4 - A_3^3 = {5, 6} lie far from the sets
+    before them, so depth 4 fails on exactly those two and exits 1; depth 3
+    reads only A_2^3 - A_2^2 = {3}, next to set 1, and passes."""
+    sets = tmp_path / "sets.json"
+    near0 = IntervalSet.from_pairs([(0, F(1, 100))]).to_json_dict()
+    near1 = IntervalSet.from_pairs([(F(9, 10), 1)]).to_json_dict()
+    sets.write_text(json.dumps([near0] * 4 + [near1] * 4))
+    out = tmp_path / "report.json"
+    delta = ["1/100", "1/200", "1/400", "1/800"]
+    argv = ["comb", "check-s", "--sets", str(sets), "--n", "1,2,4,7", "--delta", ",".join(delta)]
+    for m_max, rc, failures in (("4", 1, [["s", 2, 4], ["s", 3, 4]]), ("3", 0, [])):
+        assert cli.main([*argv, "--m-max", m_max, "--out", str(out)]) == rc
+        rep = json.loads(out.read_text())
+        assert rep["command"] == [*argv, "--m-max", m_max, "--out", str(out)]
+        assert rep["inputs"] == {
+            "mode": "check-s", "sets": str(sets), "n": [1, 2, 4, 7], "delta": delta,
+            "k": 0, "m_max": int(m_max),
+        }
+        assert rep["seed"] is None and len(rep["inputs_digest"]) == 64
+        assert rep["outputs"] == {"ok": not failures, "failures": failures, "undecided": []}
+        assert rep["checks"] == {"chain": {"ok": not failures, "margin": None}}
+        assert rep["verdict"] == ("fail" if failures else "pass")
+
+
 def test_comb_check_y_takes_a_pwl_function_at_a_non_integer_ladder(tmp_path):
     """A PWL f whose slope bound exceeds every ladder scale: at b_j = 7/2,
     9/2, ... the inner bound falls back to the integer scale below, and at

@@ -150,24 +150,6 @@ def test_union_intersect_difference_pointwise(a, b, x):
         assert distance_to_point(b, x) == 0
 
 
-@given(interval_sets(), fractions_01)
-def test_closed_complement_of_interior_pointwise(s, x):
-    """x is in the closed complement exactly when it is not an interior
-    point of s in the subspace topology of [0,1]."""
-    interior = any(
-        (lo < x or x == lo == 0) and (x < hi or x == hi == 1) for lo, hi in s.intervals
-    )
-    assert s.closed_complement_of_interior().contains_point(x) == (not interior)
-
-
-def test_closed_complement_of_interior_keeps_the_denominator():
-    # the complement closure alone reduces to [0, 1/2] over 2
-    s = iset((F(1, 4), F(1, 4)), (F(1, 2), 1))
-    assert s.closed_complement_of_interior() == iset((0, F(1, 2)))
-    assert not iset((F(1, 2), F(3, 4))).subset_of_interior(s)
-    assert iset((F(3, 4), 1)).subset_of_interior(s)
-
-
 def test_complement_in_I():
     s = iset((F(1, 4), F(1, 2)))
     assert s.complement_closure().intervals == ((F(0), F(1, 4)), (F(1, 2), F(1)))

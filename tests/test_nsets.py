@@ -25,6 +25,8 @@ from knotpoints.nsets import (
     _merge_float_cells,
     _PhiTables,
     _plus_upper_form,
+    _RangeMax,
+    _segment_grid,
     NSetEnclosure,
     admissible_eps,
     continuity_delta,
@@ -45,6 +47,7 @@ from knotpoints.realfn import (
 from oracles import (
     basic_variant_reference,
     distance_to_point,
+    doubling_range_max,
     float_bits,
     grid_n_set,
     grid_n_set_full,
@@ -469,42 +472,107 @@ def _phi_of(kind: str, seed: int, a: float):
     return f.as_cubic_pieces().add_linear(-a)
 
 
-def _seg_cubic(phi, x):
-    """Coefficients (as one column) and left break of the piece of phi that
-    a grid segment starting at x lies in, found in phi's own breaks."""
-    k = min(max(int(np.searchsorted(phi.breaks, x, side="right")) - 1, 0), len(phi.coeffs) - 1)
-    return phi.coeffs[k][:, None], phi.breaks[k]
+def _exact_bits(x) -> np.ndarray:
+    """The bit patterns of float x, the sign of a zero included."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("xmax", [0.75, 0.3, 3 / 7, 0.5 + 2.0 ** -40])
+def test_segment_grid_is_the_sorted_union(xmax):
+    """The merged grid is the sorted union of the uniform grid, the breaks
+    and xmax, also where xmax or a break lands on a grid point or where
+    xmax is a break: with breaks 0, 0.3, 3/7, 0.5 and 1 at step 1/20."""
+    breaks = np.array([0.0, 0.3, 3 / 7, 0.5, 1.0])
+    want = np.union1d(np.union1d(breaks, np.linspace(0.0, 1.0, 21)), [xmax])
+    assert np.array_equal(_exact_bits(_segment_grid(breaks, 1 / 20, xmax)), _exact_bits(want))
+
+
+def _range_max_inputs():
+    """Arrays of lengths 1, 2^k and 2^k +- 1: signed zeros alone, with +-1
+    and with -inf, so that ties are everywhere, and normal floats."""
+    rng = np.random.default_rng(3)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, -np.inf])
+    for n in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257):
+        for p in (2, 4, 5):
+            yield rng.choice(pool[:p], n)
+        yield rng.standard_normal(n)
+
+
+def test_range_max_levels_equal_the_doubling_build():
+    """Building writes level 0 only, and a query fills just the levels its
+    ranges need.  A batch that mixes levels, empty ranges and i = n gives
+    the max of the doubling build's two entries, bit for bit, and the same
+    bits when asked again; every level, filled on demand in any order,
+    equals the doubling build bit for bit, signed zeros included."""
+    rng = np.random.default_rng(4)
+    for values in _range_max_inputs():
+        n = len(values)
+        levels = doubling_range_max(values)
+        rmq = _RangeMax(values)
+        assert rmq.filled == 1
+
+        i = np.append(rng.integers(0, n + 1, 40), [n, n, 0])
+        j = np.append(rng.integers(0, n + 1, 40), [n, 0, n])
+        want = np.full(len(i), -np.inf)
+        k = np.where(j > i, np.log2(np.maximum(j - i, 1)).astype(int), -1)
+        for lev in set(k) - {-1}:
+            at = k == lev
+            want[at] = np.maximum(levels[lev][i[at]], levels[lev][j[at] - (1 << lev)])
+        got = rmq.query(i, j)
+        assert np.array_equal(_exact_bits(got), _exact_bits(want))
+        assert rmq.filled == sum(1 << lev for lev in {0, *k[k >= 0].tolist()})
+        assert np.array_equal(got, [values[a:b].max() if b > a else -np.inf for a, b in zip(i, j)])
+        assert np.array_equal(_exact_bits(rmq.query(i, j)), _exact_bits(want))
+
+        for lev in rng.permutation(len(levels)):
+            w = 1 << int(lev)
+            start = np.arange(n - w + 1)
+            assert np.array_equal(_exact_bits(rmq.query(start, start + w)), _exact_bits(levels[lev]))
+            lo = rmq.start_lo[lev]
+            assert np.array_equal(_exact_bits(rmq.flat[lo : lo + n - w + 1]), _exact_bits(levels[lev]))
+        assert rmq.filled == (1 << len(levels)) - 1
+
+
+def _piece_of(phi, x):
+    """Coefficients (one column each) and left breaks of the pieces of phi
+    that grid segments starting at x lie in, found in phi's own breaks."""
+    k = np.clip(np.searchsorted(phi.breaks, x, side="right") - 1, 0, len(phi.coeffs) - 1)
+    return phi.coeffs[k].T, phi.breaks[k]
+
+
+def _slice_max(values: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """max(values[start:stop]) per entry, -inf where the slice is empty, from
+    one masked gather as wide as the longest slice."""
+    idx = start[:, None] + np.arange(max(int((stop - start).max(initial=0)), 0))
+    got = values[np.minimum(idx, len(values) - 1)]
+    return np.where(idx < stop[:, None], got, -np.inf).max(axis=1, initial=-np.inf)
 
 
 def _segment_maxima(tab: _PhiTables, phi, kernel) -> np.ndarray:
     """kernel's max over every whole grid segment, from phi's own pieces."""
     g = tab.grid
-    k = np.clip(np.searchsorted(phi.breaks, g[:-1], side="right") - 1, 0, len(phi.coeffs) - 1)
-    kl = phi.breaks[k]
-    return kernel(phi.coeffs[k].T, g[:-1] - kl, g[1:] - kl)[1]
+    c, kl = _piece_of(phi, g[:-1])
+    return kernel(c, g[:-1] - kl, g[1:] - kl)[1]
 
 
 def _upper_ref(tab: _PhiTables, phi, lo, hi, kernel) -> np.ndarray:
     """Max of phi (kernel cubic_range) or of phi' (cubic_deriv_range) over
-    each [lo, hi], one query at a time: segment indices from searchsorted,
-    each piece's cubic from phi's breaks, the left and right pieces from the
-    kernel and the middle from a plain max of the kernel over whole
-    segments."""
+    each [lo, hi]: segment indices from searchsorted, each piece's cubic
+    from phi's breaks, the left and right pieces from the kernel and the
+    middle from a plain max of the kernel over whole segments."""
     grid, n_seg = tab.grid, tab.n_seg
+    i = np.clip(np.searchsorted(grid, lo, side="right") - 1, 0, n_seg - 1)
+    ilast = np.searchsorted(grid, hi, side="right") - 1
+    c, kl = _piece_of(phi, grid[i])
+    best = kernel(c, lo - kl, np.minimum(grid[i + 1], hi) - kl)[1]
     whole = _segment_maxima(tab, phi, kernel)
-    out = []
-    for x, h in zip(lo, hi):
-        i = min(max(int(np.searchsorted(grid, x, side="right")) - 1, 0), n_seg - 1)
-        ilast = int(np.searchsorted(grid, h, side="right")) - 1
-        c, kl = _seg_cubic(phi, grid[i])
-        best = kernel(c, [x - kl], [min(grid[i + 1], h) - kl])[1][0]
-        if i + 1 < min(ilast, n_seg):
-            best = max(best, whole[i + 1 : min(ilast, n_seg)].max())
-        if i < ilast <= n_seg - 1 and grid[ilast] < h:
-            c, kr = _seg_cubic(phi, grid[ilast])
-            best = max(best, kernel(c, [grid[ilast] - kr], [h - kr])[1][0])
-        out.append(best)
-    return np.array(out)
+    best = np.maximum(best, _slice_max(whole, i + 1, np.minimum(ilast, n_seg)))
+    r = np.minimum(ilast, n_seg - 1)
+    right = ((i < ilast) & (ilast <= n_seg - 1) & (grid[r] < hi)).nonzero()[0]
+    c, kr = _piece_of(phi, grid[r[right]])
+    tail = kernel(c, grid[r[right]] - kr, hi[right] - kr)[1]
+    best[right] = np.maximum(best[right], tail)
+    return best
 
 
 def _same_bits(x, y) -> bool:
@@ -523,8 +591,7 @@ def test_range_bounds_equal_the_one_query_reference():
 def _check_range_bounds(phi) -> None:
     tab = _PhiTables(phi, 0.01, 0.75)
     g = tab.grid
-    k = np.clip(np.searchsorted(phi.breaks, g[:-1], side="right") - 1, 0, len(phi.coeffs) - 1)
-    c, kl = phi.coeffs[k].T, phi.breaks[k]
+    c, kl = _piece_of(phi, g[:-1])
     for kernel, lo_name, hi_name in (
         (cubic_range, "segmin", "segmax"),
         (cubic_deriv_range, "dermin", "dermax"),
@@ -558,10 +625,8 @@ def _by_search(tab: _PhiTables, phi, cells: _Cells, delta: float) -> dict:
     grid = tab.grid
     after = np.searchsorted(grid, u + delta, side="right")
     phi_r = phi.eval_vec(np.minimum(u + delta, 1.0))
-    at_grid = phi.eval_vec(grid)
-    w = [at_grid[i + 1 : j].max() if j > i + 1 else -np.inf for i, j in zip(seg, after)]
-    k = np.clip(np.searchsorted(phi.breaks, grid[seg], side="right") - 1, 0, len(phi.coeffs) - 1)
-    c, kl = phi.coeffs[k].T, phi.breaks[k]
+    w = _slice_max(phi.eval_vec(grid), seg + 1, after)
+    c, kl = _piece_of(phi, grid[seg])
     s_u, s_v = u - kl, v - kl
     return {
         "ubw": _upper_ref(tab, phi, v, np.minimum(v + delta, 1.0), cubic_range),
