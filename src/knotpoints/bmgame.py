@@ -938,9 +938,7 @@ def round_m(
     # the previous invariant must hold for the actual move; this replaces
     # the inherited-by-continuity argument, whose coarse-side budget is
     # below float resolution at large slope scales
-    inherited = star_bullets(
-        f_m, prev.K_sets, prev.n_m, prev.w_m, ns_prev, m - 1, ladder, 4, 3, tol
-    )
+    inherited = check_star(prev, f_m, ns_prev, ladder, tol)
     if inherited.failures:
         raise GameError(
             "previous-round invariant fails for the move center",

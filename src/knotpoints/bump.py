@@ -22,6 +22,9 @@ midpoint slope c = (a+b)/2:
   mu: half of min{l/2, 2^-a/2, h/(2(|f'|+a))}, strictly inside all three
       constraints used by the perturbation argument.
 
+`lemma_epsilon` halves no cells itself: it runs the bisection engine of
+`nsets` with its own witness test, floor-cell exemption and cell cap.
+
 `check_bump_easy` verifies pointwise that located points which already
 satisfy a reading keep satisfying it after the bump is added.
 """
@@ -37,6 +40,9 @@ import numpy as np
 
 from .intervalsets import FinitePointSet, IntervalSet, Rat, as_fraction
 from .nsets import (
+    _bisect,
+    _cell_ranges,
+    _grid_cells,
     _PhiTables,
     n_set_enclosure,
     point_defects_float,
@@ -219,33 +225,36 @@ def _float_ceil(x: Fraction) -> float:
     return f if Fraction(f) >= x else float(np.nextafter(f, np.inf))
 
 
-def lemma_epsilon(
-    f: C1Function,
-    a: Rat,
-    b: Rat,
-    c: Rat,
-    tol: float = 1e-4,
-    floor: float = _EPS_FLOOR,
-    exempt_budget: float | None = None,
-) -> float:
+def lemma_epsilon(f: C1Function, a: Rat, b: Rat, c: Rat, tol: float = 1e-4) -> float:
     """Certified eps for the witness property: every x in [0, 1-2^-a] that
     fails the forward-upper condition at scale b admits y in (x+eps, x+2^-b]
     with f(y)-f(x) > c(y-x).
 
-    Starts at eps = 2^-b/4 and halves until every cell of an outer enclosure
-    of the failing set either carries a shared witness point beating the
-    cell's maximum of f - c*id, or is exempt because it provably lies in the
-    scale-b set (where the property claims nothing).  Halving only enlarges
-    the witness windows, so the search is monotone.
+    Starts at eps = 2^-b/4 and halves eps until one run of the `nsets`
+    bisection engine settles every cell of an outer enclosure of the
+    failing set.  A cell is settled by a shared witness point beating the
+    cell's maximum of f - c*id, or is exempt because it provably lies in
+    the scale-b set, where the property claims nothing.  The start cells
+    are the failing intervals cut at width 2^-b/8, then at the grid points
+    of the segment tables.
+
+    A run also fails once its cells outnumber the cap max(100000, 8n), n
+    the start cells before the grid cut: a workable eps settles cells
+    within a few halvings, so more cells mean large regions without a
+    shared witness at this eps.  The cap counts the cells before the cut
+    so that it measures the failing set, not the grid.  Halving eps
+    enlarges the witness windows, but at round 2 of the game every failing
+    run ends at the cap, and a larger cap certifies a larger eps: the cap
+    decides eps there, and pass/fail is not claimed to be monotone in eps.
 
     Cells thinner than the bisection floor are exempted when they hug the
     boundary of the scale-b enclosure: membership there flips within float
     resolution and witness margins vanish linearly with the distance to the
     boundary, so no cell width can decide them.  Their total measure must
-    stay below exempt_budget (default: a per-boundary resolution allowance),
-    and downstream containments re-verify by enclosure, so nothing rests on
-    them.  Floor cells far from the boundary have no such excuse and fail
-    the pass; at eps < floor the search raises, never patches over.
+    stay below a per-boundary resolution allowance, and downstream
+    containments re-verify by enclosure, so nothing rests on them.  Floor
+    cells far from the boundary have no such excuse and fail the run; at
+    eps < _EPS_FLOOR the search raises, never patches over.
     """
     af, bf, cf = as_fraction(a), as_fraction(b), as_fraction(c)
     if not 0 < af < cf < bf:
@@ -255,97 +264,74 @@ def lemma_epsilon(
     win_hi = _float_ceil(pow2_bounds(bf)[1])
     eps0 = win / 4.0
 
-    lb2a, _ = pow2_bounds(af)
-    domain = IntervalSet.from_pairs([(0, 1 - lb2a)])
+    domain = IntervalSet.from_pairs([(0, 1 - pow2_bounds(af)[0])])
     enc_b = n_set_enclosure(f, bf, "plus_upper", tol)
     exceptional = domain.difference(enc_b.inner)
     if exceptional.is_empty:
         return eps0
-    out_lo = np.array([_float_floor(lo) for lo, _ in enc_b.outer.intervals])
-    out_hi = np.array([_float_ceil(hi) for _, hi in enc_b.outer.intervals])
+    # the outer enclosure of the scale-b set, padded so that every cell has
+    # a component ahead of it and one behind
+    out_lo = np.array([_float_floor(lo) for lo, _ in enc_b.outer.intervals] + [np.inf])
+    out_hi = np.array([-np.inf] + [_float_ceil(hi) for _, hi in enc_b.outer.intervals])
 
-    starts: list[np.ndarray] = []
-    ends: list[np.ndarray] = []
-    max_w = win / 8.0
+    u0, v0 = [], []
     for lo, hi in exceptional.intervals:
         flo, fhi = _float_floor(lo), _float_ceil(hi)
-        n = max(1, int(np.ceil((fhi - flo) / max_w)))
-        edges = np.linspace(flo, fhi, n + 1)
-        starts.append(edges[:-1])
-        ends.append(edges[1:])
-    u0 = np.concatenate(starts)
-    v0 = np.concatenate(ends)
+        edges = np.linspace(flo, fhi, max(1, int(np.ceil((fhi - flo) / (win / 8.0)))) + 1)
+        u0.append(edges[:-1])
+        v0.append(edges[1:])
+    u0, v0 = np.concatenate(u0), np.concatenate(v0)
 
     c_up = _float_ceil(cf)
-    psi = pieces_of(f).add_linear(-c_up)
-    tab = _PhiTables(psi, win / 2.0, 1.0)
+    tab = _PhiTables(pieces_of(f).add_linear(-c_up), win / 2.0, 1.0)
+    cells0 = _grid_cells(tab, u0, v0)
     der_cut = (float(bf) - c_up) - 1e-12 * (1.0 + float(bf))
     width_floor = 1e-10
     near_slack = 64.0 * width_floor
-    if exempt_budget is None:
-        n_bound = 2 * (len(exceptional.intervals) + len(out_lo))
-        exempt_budget = max(1e-6, near_slack * n_bound)
+    n_bound = 2 * (len(exceptional.intervals) + len(enc_b.outer.intervals))
+    exempt_budget = max(1e-6, near_slack * n_bound)
+    cap = max(100_000, 8 * len(u0))
 
-    def sweep(u: np.ndarray, v: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        # witness shared by the whole cell: a point past every x+eps, within
-        # every true window, where f - c*id exceeds the cell's own maximum;
-        # or exclusion: f' <= b across all the windows makes f - b*id
-        # non-increasing there, so the whole cell lies in the scale-b set
-        # and is exempt from the witness requirement
+    def unsettled(cells) -> np.ndarray:
+        # witness shared by the whole cell: a point past every x+eps,
+        # within every true window, where f - c*id exceeds the cell's
+        # own maximum; or exclusion: f' <= b across all the windows
+        # makes f - b*id non-increasing there, so the whole cell lies in
+        # the scale-b set and is exempt from the witness requirement
+        u, v, seg = cells.u, cells.v, cells.seg
         wlo = v + eps * (1.0 + 1e-9) + 1e-15
         whi = np.minimum(u + win, 1.0)
-        open_win = wlo < whi
         wmax = tab.range_upper(np.minimum(wlo, whi), whi)
-        cmax = tab.range_upper(u, v)
-        good = open_win & (wmax > cmax + 1e-12 * (1.0 + np.abs(wmax)))
-        dmax = tab.deriv_upper(u, np.minimum(v + win_hi, 1.0))
-        good |= dmax <= der_cut
-        return u[~good], v[~good]
+        (_, cmax), _ = _cell_ranges(tab, cells)
+        good = (wlo < whi) & (wmax > cmax + 1e-12 * (1.0 + np.abs(wmax)))
+        hi = np.minimum(v + win_hi, 1.0)
+        good |= tab.upper_at(u, hi, seg, tab.last_at_or_below(hi), deriv=True) <= der_cut
+        return ~good
 
-    def floor_cells_exempt(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # distance from each cell to the outer enclosure of the scale-b set;
-        # zero for cells overlapping it (the enclosure's own undecided strip)
-        idx = np.searchsorted(out_lo, v)
-        ahead = np.where(idx < len(out_lo), out_lo[np.minimum(idx, len(out_lo) - 1)] - v, np.inf)
-        behind = np.where(idx > 0, u - out_hi[np.maximum(idx - 1, 0)], np.inf)
-        dist = np.maximum(0.0, np.minimum(ahead, behind))
-        return dist <= near_slack
+    def go_on(cells, at_floor, depth):
+        nonlocal exempt
+        if at_floor.any():
+            # floor cells must lie within near_slack of the outer
+            # enclosure of the scale-b set (distance zero: they overlap
+            # its undecided strip)
+            fu, fv = cells.u[at_floor], cells.v[at_floor]
+            idx = np.searchsorted(out_lo, fv)
+            near = np.maximum(0.0, np.minimum(out_lo[idx] - fv, fu - out_hi[idx])) <= near_slack
+            exempt += float(np.sum(fv[near] - fu[near]))
+            if not near.all() or exempt > exempt_budget:
+                return None
+            cells = cells.take(~at_floor)
+        return None if 2 * len(cells.u) > cap else cells
 
-    # a pass at a workable eps settles cells within a few halvings of their
-    # start width; a cell count blowing past the cap instead means large
-    # regions have no shared witness at this eps, so treat it as eps failure
-    cap = max(100_000, 8 * len(u0))
     eps = eps0
-    while eps >= floor:
-        u, v = u0, v0
-        hard_stall = False
+    while eps >= _EPS_FLOOR:
         exempt = 0.0
-        while len(u):
-            if len(u) > cap:
-                hard_stall = True
-                break
-            u, v = sweep(u, v, eps)
-            if not len(u):
-                break
-            at_floor = (v - u) <= width_floor
-            if at_floor.any():
-                fu, fv = u[at_floor], v[at_floor]
-                ok = floor_cells_exempt(fu, fv)
-                exempt += float(np.sum(fv[ok] - fu[ok]))
-                if not ok.all() or exempt > exempt_budget:
-                    hard_stall = True
-                    break
-                u, v = u[~at_floor], v[~at_floor]
-                if not len(u):
-                    break
-            mid = 0.5 * (u + v)
-            u = np.concatenate([u, mid])
-            v = np.concatenate([mid, v])
-        if not hard_stall and not len(u):
+        left, _ = _bisect(tab, cells0.take(unsettled(cells0)), unsettled, width_floor, go_on)
+        if not len(left.u):
             return eps
         eps /= 2.0
     raise EpsilonSearchError(
-        f"no witness eps >= {floor:g} certifiable within the exemption budget "
+        f"no witness eps >= {_EPS_FLOOR:g} certifiable within the exemption budget "
         f"for scales a={float(af):.6g}, b={float(bf):.6g}, c={float(cf):.6g}"
     )
 

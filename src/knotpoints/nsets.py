@@ -33,15 +33,19 @@ Two computation paths:
   segment tables that also answer the window queries.  The tables evaluate
   each grid point once, and a range-max level is written by the first
   query that needs it, in one linear pass over the values (van Herk and Gil
-  & Werman block maxima); each window query reads one level.  Each
-  bisection half keeps its segment index and inherits from its parent the
-  window bound or the witness and the values of phi and phi' at the end
-  they share, so a split evaluates phi and phi' once at the midpoint and
-  phi once at the end of the midpoint's window.  The critical points of
-  phi and phi' are computed once per cubic piece, and every range is the
-  min or max of those values, table entries and the critical values whose
-  root lies strictly inside: the floats that `realfn.cubic_range` and
-  `realfn.cubic_deriv_range` compute for the C1Function sup norms.
+  & Werman block maxima); each window query reads one level.  The
+  critical points of phi and phi' are computed once per cubic piece, and
+  every range is the min or max of those values, table entries and the
+  critical values whose root lies strictly inside: the floats that
+  `realfn.cubic_range` and `realfn.cubic_deriv_range` compute for the
+  C1Function sup norms.
+
+One bisection engine, `_bisect`, refines the enclosure after phase 1 and
+runs the witness search of `bump.lemma_epsilon`.  Its cells stay sorted, each
+inside one grid segment with phi and phi' at both ends, which a split
+evaluates once at the midpoint; each caller brings its test of the halves
+and its stop rule.  An enclosure half also inherits its parent's window
+bound or witness, so a split there evaluates phi once more, at mid + delta.
 
 On both paths, and in the float point defects, the involutions act on the
 function before its cubic pieces are built: on the integer form of the exact
@@ -452,7 +456,7 @@ def point_defects_float(f, a: float, variant: str, xs) -> np.ndarray:
     ok = (ts >= -tolredge) & (ts <= 1.0 - delta + tolredge)
     if ok.any():
         v = np.clip(ts[ok], 0.0, 1.0)
-        out[ok] = tab.window_upper(v, delta) - phi.eval_vec(v)
+        out[ok] = tab.range_upper(v, np.minimum(v + delta, 1.0)) - phi.eval_vec(v)
     return out
 
 
@@ -674,7 +678,12 @@ class _PhiTables:
         )
         self.rmq_segmax = _RangeMax(self.segmax)
         self.rmq_gridvals = _RangeMax(self.gridvals)
-        self.rmq_dermax = _RangeMax(self.dermax)
+
+    @functools.cached_property
+    def rmq_dermax(self) -> _RangeMax:
+        """Range maxima of phi' over segments, built by the first query:
+        only the witness search asks for slope windows."""
+        return _RangeMax(self.dermax)
 
     def last_at_or_below(self, x: np.ndarray) -> np.ndarray:
         """Index of the last grid point at or below x."""
@@ -756,14 +765,6 @@ class _PhiTables:
         """Max of phi over [lo, hi] per entry (exact per-segment closed forms)."""
         return self.upper_at(lo, hi, self.seg_of(lo), self.last_at_or_below(hi))
 
-    def deriv_upper(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Max of phi' over [lo, hi] per entry."""
-        return self.upper_at(lo, hi, self.seg_of(lo), self.last_at_or_below(hi), deriv=True)
-
-    def window_upper(self, v: np.ndarray, delta: float) -> np.ndarray:
-        """Upper bound for max phi over [v, v+delta] (window clipped to 1)."""
-        return self.range_upper(v, np.minimum(v + delta, 1.0))
-
 
 def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty(2 * len(a), dtype=a.dtype)
@@ -773,33 +774,50 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Cells:
-    """Cells [u, v] of the C1 bisection, each inside grid segment seg, with
-    the parts of their certificates that a half can inherit:
-
-      ubw     window bound, max phi over [v, min(v+delta, 1)]
-      wit     a value phi attains in [v, u + delta]: the best of phi at the
-              grid points after grid[seg] up to u + delta and at
-              min(u + delta, 1); phi(v) never beats the cell's own max,
-              so it is left out
-      pu, pv  phi at u and at v from segment seg's own cubic
-      du, dv  phi' at u and at v, likewise
-    """
+    """Sorted cells [u, v] of the bisection engine, each inside grid segment
+    seg, with phi (pu, pv) and phi' (du, dv) at u and v from its cubic.
+    Both halves of a cell inherit the fields a subclass adds."""
 
     u: np.ndarray
     v: np.ndarray
     seg: np.ndarray
-    ubw: np.ndarray
-    wit: np.ndarray
     pu: np.ndarray
     pv: np.ndarray
     du: np.ndarray
     dv: np.ndarray
 
     def take(self, keep: np.ndarray) -> "_Cells":
-        return _Cells(*(getattr(self, f.name)[keep] for f in fields(self)))
+        return type(self)(*(getattr(self, f.name)[keep] for f in fields(self)))
 
 
-def _first_cells(tab: _PhiTables, n: int, delta: float) -> _Cells:
+@dataclass
+class _EnclosureCells(_Cells):
+    """Cells of the enclosure, with the certificates a half can inherit:
+      ubw     window bound, max phi over [v, min(v+delta, 1)]
+      wit     a value phi attains in [v, u + delta]: the best of phi at the
+              grid points after grid[seg] up to u + delta and at
+              min(u + delta, 1); phi(v) never beats the cell's own max,
+              so it is left out
+    """
+
+    ubw: np.ndarray
+    wit: np.ndarray
+
+
+def _grid_cells(tab: _PhiTables, u: np.ndarray, v: np.ndarray) -> _Cells:
+    """The sorted disjoint cells [u, v] cut at the grid points strictly
+    inside them, so that each lies in one segment."""
+    g = tab.grid
+    j = np.maximum(np.searchsorted(u, g, side="right") - 1, 0)
+    cut = g[(g > u[j]) & (g < v[j])]
+    u, v = np.sort(np.concatenate([u, cut])), np.sort(np.concatenate([cut, v]))
+    seg = tab.last_at_or_below(u)
+    c, kl = tab.pc[:, tab.piece[seg]], tab.kleft[seg]
+    (pu, du), (pv, dv) = ((cubic_eval(c, s), cubic_deriv_eval(c, s)) for s in (u - kl, v - kl))
+    return _Cells(u, v, seg, pu, pv, du, dv)
+
+
+def _first_cells(tab: _PhiTables, n: int, delta: float) -> _EnclosureCells:
     """The first n grid segments as cells.  Segments are narrower than
     delta, so the window of segment i starts with the whole segment i + 1,
     and its end is the u + delta of segment i + 1: phi there is evaluated
@@ -813,38 +831,58 @@ def _first_cells(tab: _PhiTables, n: int, delta: float) -> _Cells:
     at_end = tab.eval_at(ends, np.minimum(after - 1, tab.n_seg - 1))
     ubw = tab.window_max(tab.segmax[1 : n + 1], seg + 1, after[1:] - 1, ends[1:], at_end[1:])
     wit = np.maximum(tab.rmq_gridvals.query(seg + 1, after[:n]), at_end[:n])
-    return _Cells(
-        grid[:n],
-        grid[1 : n + 1],
-        seg,
-        ubw,
-        wit,
-        tab.gridvals[:n],
-        tab.hi_val[:n],
-        tab.lo_der[:n],
-        tab.hi_der[:n],
-    )
+    vals = (tab.gridvals[:n], tab.hi_val[:n], tab.lo_der[:n], tab.hi_der[:n])
+    return _EnclosureCells(grid[:n], grid[1 : n + 1], seg, *vals, ubw, wit)
 
 
-def _halves(tab: _PhiTables, cells: _Cells, delta: float) -> tuple[_Cells, _Cells]:
-    """The left halves [u, mid] and the right halves [mid, v] of the cells.
-    A left half keeps its parent's witness and values at u, a right half
-    its parent's window bound and values at v; what is new is phi and phi'
-    at mid, phi at min(mid + delta, 1), the left half's window bound and
-    the right half's witness."""
-    u, v, seg = cells.u, cells.v, cells.seg
-    mid = 0.5 * (u + v)
-    right = np.minimum(mid + delta, 1.0)
-    # the grid ends at 1, so after - 1 is also the last index <= right
-    after = np.searchsorted(tab.grid, mid + delta, side="right")
+def _halves(tab: _PhiTables, cells: _Cells) -> _Cells:
+    """The halves [u, mid] and [mid, v] of the cells, interleaved, so that
+    u and v stay sorted.  Only phi and phi' at mid are new, from segment
+    seg's cubic: a left half is its parent with its v end moved to mid, a
+    right half with its u end, and both keep every other field."""
+    seg = cells.seg
+    mid = 0.5 * (cells.u + cells.v)
     c = tab.pc[:, tab.piece[seg]]
     s_mid = mid - tab.kleft[seg]
     phi_mid, der_mid = cubic_eval(c, s_mid), cubic_deriv_eval(c, s_mid)
     del c
+    parent = {f.name: getattr(cells, f.name) for f in fields(cells)}
+    left = {**parent, "v": mid, "pv": phi_mid, "dv": der_mid}
+    right = {**parent, "u": mid, "pu": phi_mid, "du": der_mid}
+    return type(cells)(**{k: _interleave(left[k], right[k]) for k in parent})
+
+
+def _bisect(tab: _PhiTables, cells: _Cells, test, floor: float, go_on):
+    """The bisection engine.  Before each split, go_on(cells, at_floor,
+    depth) is told which cells are at most floor wide and how many splits
+    were made; it returns the cells to split, or None to stop.  Their
+    halves are then kept where test(halves) marks them undecided.  Returns
+    the cells left and the number of splits."""
+    depth = 0
+    while len(cells.u):
+        todo = go_on(cells, cells.v - cells.u <= floor, depth)
+        if todo is None:
+            break
+        cells = _halves(tab, todo)
+        del todo  # free the parents before the halves are tested
+        cells = cells.take(test(cells))
+        depth += 1
+    return cells, depth
+
+
+def _inherit_window(tab: _PhiTables, halves: _EnclosureCells, delta: float) -> None:
+    """Write the certificates the halves do not inherit: the window bound
+    of each left half [u, mid], which a right half takes from its parent,
+    and the witness of each right half [mid, v], which a left half takes
+    from its parent.  Both read phi at min(mid + delta, 1)."""
+    seg, mid, phi_mid = halves.seg[0::2], halves.v[0::2], halves.pv[0::2]
+    right = np.minimum(mid + delta, 1.0)
+    # the grid ends at 1, so after - 1 is also the last index <= right
+    after = np.searchsorted(tab.grid, mid + delta, side="right")
     phi_right = tab.eval_at(right, np.minimum(after - 1, tab.n_seg - 1))
     # a segment is narrower than delta, so the window [mid, right] of the
     # left half starts with the piece [mid, grid[seg + 1]] ...
-    s_end = tab.s_end[seg]
+    s_mid, s_end = mid - tab.kleft[seg], tab.s_end[seg]
     _, left = tab.part_range(seg, s_mid, s_end, phi_mid, tab.hi_val[seg], lower=False)
     ubw = tab.window_max(left, seg, after - 1, right, phi_right)
     # ... unless mid is the segment's right end (a cell one float wide
@@ -853,11 +891,8 @@ def _halves(tab: _PhiTables, cells: _Cells, delta: float) -> tuple[_Cells, _Cell
     if len(odd):
         i_l = tab.seg_within(mid[odd], seg[odd])
         ubw[odd] = tab.upper_at(mid[odd], right[odd], i_l, after[odd] - 1)
-    wit = np.maximum(tab.rmq_gridvals.query(seg + 1, after), phi_right)
-    return (
-        _Cells(u, mid, seg, ubw, cells.wit, cells.pu, phi_mid, cells.du, der_mid),
-        _Cells(mid, v, seg, cells.ubw, wit, phi_mid, cells.pv, der_mid, cells.dv),
-    )
+    halves.ubw[0::2] = ubw
+    halves.wit[1::2] = np.maximum(tab.rmq_gridvals.query(seg + 1, after), phi_right)
 
 
 def _cell_ranges(tab: _PhiTables, cells: _Cells):
@@ -871,7 +906,7 @@ def _cell_ranges(tab: _PhiTables, cells: _Cells):
     )
 
 
-def _decide(cells: _Cells, vals, ders) -> tuple[np.ndarray, np.ndarray]:
+def _decide(cells: _EnclosureCells, vals, ders) -> tuple[np.ndarray, np.ndarray]:
     """(inside, undecided) masks for the cells, given the (min, max) of phi
     and of phi' over each."""
     (vmin, vmax), (dmin, dmax) = vals, ders
@@ -880,25 +915,6 @@ def _decide(cells: _Cells, vals, ders) -> tuple[np.ndarray, np.ndarray]:
     # out: phi keeps growing just to the right, inside the window
     outside = (cells.wit > vmax) | (dmin > 0.0)
     return inside, ~inside & ~outside
-
-
-def _refine(tab: _PhiTables, cells: _Cells, delta: float):
-    """Split every cell at its midpoint and certify both halves.  Returns
-    the inside halves as (left ends, right ends) and the undecided ones as
-    cells, both in the order [u, mid], [mid, v] of their parents, so that
-    u, v and every search key stay sorted.  Each field of the undecided
-    halves is gathered on its own, to keep the peak memory low."""
-    halves = _halves(tab, cells, delta)
-    inside, keep = zip(*(_decide(h, *_cell_ranges(tab, h)) for h in halves))
-    inside, keep = _interleave(*inside), _interleave(*keep)
-    left, right = halves
-    in_u = _interleave(left.u, right.u)[inside]
-    in_v = _interleave(left.v, right.v)[inside]
-    del inside
-    out = _Cells(
-        *(_interleave(getattr(left, f.name), getattr(right, f.name))[keep] for f in fields(_Cells))
-    )
-    return (in_u, in_v), out
 
 
 _MAX_SEGMENTS = 400_000
@@ -947,17 +963,17 @@ def _enclosure_plus_upper_c1(
     in_u, in_v = [cells.u[inside]], [cells.v[inside]]
     stats = {"phase1_cells": n_cells, "undecided_phase1": int(undecided.sum())}
 
-    cells = cells.take(undecided)
-    depth = 0
-    while len(cells.u) and depth < 60:
-        width = float(np.max(cells.v - cells.u))
-        if width <= _WIDTH_FLOOR:
-            break
-        (iu, iv), cells = _refine(tab, cells, delta)
-        in_u.append(iu)
-        in_v.append(iv)
-        depth += 1
+    def test(halves: _EnclosureCells) -> np.ndarray:
+        _inherit_window(tab, halves, delta)
+        inside, undecided = _decide(halves, *_cell_ranges(tab, halves))
+        in_u.append(halves.u[inside])
+        in_v.append(halves.v[inside])
+        return undecided
 
+    def go_on(cells, at_floor, depth):
+        return None if depth >= 60 or at_floor.all() else cells
+
+    cells, depth = _bisect(tab, cells.take(undecided), test, _WIDTH_FLOOR, go_on)
     stats["max_depth"] = depth
     stats["undecided_final"] = len(cells.u)
     return (np.concatenate(in_u), np.concatenate(in_v)), (cells.u, cells.v), stats

@@ -86,20 +86,35 @@ def test_mu_raises_when_no_radius_fits(monkeypatch):
         mu(f, 1, 2, Fraction(1, 4))
 
 
+# a small bump added, as the game adds one to f_1: its knots and the grid
+# points of the segment tables fall inside the start cells of the search
+_SMALL_BUMP = BumpSpec(
+    FinitePointSet.of(["11/20"]), FinitePointSet.of(["77/100"]), Fraction(1, 100), Fraction(1, 10)
+)
+
+
 @pytest.mark.parametrize(
-    "seed, a, b, eps_bits",
+    "seed, a, b, bump_spec, eps_bits",
     [
-        (0, 2, 3, "0x1.0000000000000p-5"),
-        (4, 2, 3, "0x1.0000000000000p-5"),
-        (1, Fraction(3, 2), Fraction(5, 2), "0x1.6a09e667f3bccp-8"),
+        pytest.param(0, 2, 3, None, "0x1.0000000000000p-5", id="0-2-3-0x1.0000000000000p-5"),
+        pytest.param(4, 2, 3, None, "0x1.0000000000000p-5", id="4-2-3-0x1.0000000000000p-5"),
+        pytest.param(
+            1, Fraction(3, 2), Fraction(5, 2), None, "0x1.6a09e667f3bccp-8",
+            id="1-a2-b2-0x1.6a09e667f3bccp-8",
+        ),
+        pytest.param(
+            4, 2, 3, _SMALL_BUMP, "0x1.0000000000000p-5", id="4-2-3-bump-0x1.0000000000000p-5"
+        ),
     ],
 )
-def test_lemma_epsilon_witnesses_hold_on_a_fine_grid(seed, a, b, eps_bits):
+def test_lemma_epsilon_witnesses_hold_on_a_fine_grid(seed, a, b, bump_spec, eps_bits):
     """The certified eps at the midpoint slope c = (a+b)/2 is the pinned
     value, and the independent grid scan finds a witness for every clearly
     failing point.  Where points fail, twice the eps leaves some without
     one, so the scan is not vacuous there."""
     f = random_c1_function(seed, cells=6, amplitude=0.5, slope_scale=2.0)
+    if bump_spec is not None:
+        f = f.add(make_bump(bump_spec))
     c = (Fraction(a) + Fraction(b)) / 2
     eps = lemma_epsilon(f, a, b, c)
     assert eps.hex() == eps_bits

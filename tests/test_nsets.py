@@ -4,7 +4,6 @@ for piecewise-linear functions (against the rational window-max reference in
 
 import hashlib
 import json
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,10 +17,12 @@ from knotpoints.nsets import (
     BASIC_VARIANTS,
     VARIANTS,
     EnclosureRangeError,
-    _Cells,
     _cell_ranges,
+    _EnclosureCells,
     _first_cells,
+    _grid_cells,
     _halves,
+    _inherit_window,
     _merge_float_cells,
     _PhiTables,
     _plus_upper_form,
@@ -613,10 +614,11 @@ def _check_range_bounds(phi) -> None:
         np.minimum(lo + rng.random(300) * 0.3, 1.0),
     )
     assert _same_bits(tab.range_upper(lo, hi), _upper_ref(tab, phi, lo, hi, cubic_range))
-    assert _same_bits(tab.deriv_upper(lo, hi), _upper_ref(tab, phi, lo, hi, cubic_deriv_range))
+    dmax = tab.upper_at(lo, hi, tab.seg_of(lo), tab.last_at_or_below(hi), deriv=True)
+    assert _same_bits(dmax, _upper_ref(tab, phi, lo, hi, cubic_deriv_range))
 
 
-def _by_search(tab: _PhiTables, phi, cells: _Cells, delta: float) -> dict:
+def _by_search(tab: _PhiTables, phi, cells, delta: float) -> dict:
     """Cell fields and ranges the way a fresh search computes them: `after`
     from searchsorted, phi from CubicPieces.eval_vec, the window from the
     one-query reference, and every value and range from the kernels on the
@@ -650,13 +652,14 @@ def test_segment_indexed_bounds_equal_the_search_route(seed, a, kind):
     cells, whole segments among them) and three generations of their halves
     carry the same window bounds, witnesses and end values, and have the
     same value and slope ranges, as a fresh search and the kernels on their
-    own ends give, bit for bit."""
+    own ends give, bit for bit.  The halves are the engine's, with the
+    enclosure's certificates written in."""
     delta = 2.0 ** -a
     phi = _phi_of(kind, seed, a)
     tab = _PhiTables(phi, min(1e-2, delta / 2.0), 1.0 - delta)
     n = int(np.searchsorted(tab.grid, 1.0 - delta, side="left"))
 
-    def check(cells: _Cells) -> None:
+    def check(cells: _EnclosureCells) -> None:
         ref = _by_search(tab, phi, cells, delta)
         for name in ("ubw", "wit", "pu", "pv", "du", "dv"):
             assert _same_bits(getattr(cells, name), ref[name]), name
@@ -678,16 +681,38 @@ def test_segment_indexed_bounds_equal_the_search_route(seed, a, kind):
     v[60:80] = np.minimum(np.nextafter(u[60:80], 2.0), hi[60:80])
     u[80:90] = np.nextafter(hi[80:90], 0.0)
     v[80:90] = hi[80:90]
-    cells = _Cells(u, v, seg, *np.zeros((6, 200)))
-    ref = _by_search(tab, phi, cells, delta)
-    cells = _Cells(u, v, seg, ref["ubw"], ref["wit"], ref["pu"], ref["pv"], ref["du"], ref["dv"])
+    ref = _by_search(tab, phi, _EnclosureCells(u, v, seg, *np.zeros((6, 200))), delta)
+    cells = _EnclosureCells(u, v, seg, *(ref[k] for k in ("pu", "pv", "du", "dv", "ubw", "wit")))
     for _ in range(3):
-        halves = _halves(tab, cells, delta)
-        for h in halves:
-            check(h)
-        cells = _Cells(
-            *(np.concatenate([getattr(h, f.name) for h in halves]) for f in fields(_Cells))
-        )
+        cells = _halves(tab, cells)
+        _inherit_window(tab, cells, delta)
+        check(cells)
+
+
+def test_grid_cells_lie_in_one_segment():
+    """Cells are cut at exactly the grid points strictly inside them: a
+    whole segment and a cell in one segment stay whole, a cell over several
+    segments is cut at each.  The pieces lie in their segments, and their
+    end values are the kernels' on that segment's cubic, bit for bit, so
+    their maxima equal the range query's."""
+    phi = _phi_of("cubic", 3, 2.0)
+    tab = _PhiTables(phi, 0.01, 1.0)
+    g = tab.grid
+    rand = np.sort(np.random.default_rng(3).uniform(g[30], 1.0, 30))
+    u = np.concatenate([[g[5], g[10] + 1e-4, (g[20] + g[21]) / 2], rand[0::2]])
+    v = np.concatenate([[g[6], g[14], g[24]], rand[1::2]])
+    cells = _grid_cells(tab, u, v)
+    want = []
+    for lo, hi in zip(u, v):
+        pts = [lo, *g[(g > lo) & (g < hi)], hi]
+        want += zip(pts, pts[1:])
+    assert list(zip(cells.u, cells.v)) == want
+    assert np.all((g[cells.seg] <= cells.u) & (cells.v <= g[cells.seg + 1]))
+    ref = _by_search(tab, phi, cells, 0.25)
+    for name in ("pu", "pv", "du", "dv"):
+        assert _same_bits(getattr(cells, name), ref[name]), name
+    # inside one segment, the max from the carried values is the search's
+    assert _same_bits(_cell_ranges(tab, cells)[0][1], tab.range_upper(cells.u, cells.v))
 
 
 @given(st.integers(0, 10 ** 6))
