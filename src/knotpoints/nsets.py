@@ -46,6 +46,13 @@ inside one grid segment with phi and phi' at both ends, which a split
 evaluates once at the midpoint; each caller brings its test of the halves
 and its stop rule.  An enclosure half also inherits its parent's window
 bound or witness, so a split there evaluates phi once more, at mid + delta.
+The grid index of mid + delta lies between those of the segment's two ends
+plus delta, which phase 1 finds once, so it takes one comparison and only
+rarely a search.  Cells move as whole arrays, one per field: a split
+interleaves each field of the parents with its new values, and the kept
+cells are gathered field by field from one index array, or selected by the
+mask itself when it keeps nearly every cell (`_Cells`).  Every per-segment
+or per-piece value is gathered with `ndarray.take`.
 
 On both paths, and in the float point defects, the involutions act on the
 function before its cubic pieces are built: on the integer form of the exact
@@ -63,7 +70,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -583,16 +590,23 @@ class _RangeMax:
 
     def query(self, i: np.ndarray, j: np.ndarray, empty: float = -np.inf) -> np.ndarray:
         """max over [i, j) per entry; empty ranges give `empty`."""
-        ok = j > i
-        i = np.where(ok, i, 0)
-        j = np.where(ok, j, 1)
-        k = self.level[j - i]
+        m = j - i
+        ok = m > 0
+        all_ok = ok.all()
+        if not all_ok:
+            i = np.where(ok, i, 0)
+            j = np.where(ok, j, 1)
+            m = j - i
+        k = self.level.take(m)
         need = int(np.bitwise_or.reduce(np.left_shift(1, k, dtype=np.int32))) & ~self.filled
         for lev in range(need.bit_length()):
             if need >> lev & 1:
                 self._fill(lev)
-        res = np.maximum(self.flat[self.start_lo[k] + i], self.flat[self.start_hi[k] + j])
-        return np.where(ok, res, empty)
+        flat = self.flat
+        res = np.maximum(
+            flat.take(self.start_lo.take(k) + i), flat.take(self.start_hi.take(k) + j)
+        )
+        return res if all_ok else np.where(ok, res, empty)
 
 
 def _segment_grid(breaks: np.ndarray, step: float, xmax: float) -> np.ndarray:
@@ -635,10 +649,15 @@ class _PhiTables:
     def __init__(self, phi: CubicPieces, step: float, xmax: float):
         self.grid = pts = _segment_grid(phi.breaks, step, xmax)
         self.n_seg = len(pts) - 1
-        self.piece = np.clip(
-            np.searchsorted(phi.breaks, pts[:-1], side="right") - 1, 0, len(phi.coeffs) - 1
+        # every break is a grid point, so the breaks at or below grid point i
+        # are those at positions <= i: the piece of segment i is their count
+        # less one, clipped to the pieces there are
+        at = np.searchsorted(pts[:-1], phi.breaks)
+        n_pc = len(phi.coeffs)
+        self.piece = np.repeat(
+            np.clip(np.arange(-1, n_pc + 1), 0, n_pc - 1), np.diff(at, prepend=0, append=self.n_seg)
         )
-        self.kleft = phi.breaks[self.piece]
+        self.kleft = phi.breaks.take(self.piece)
         self.pc = np.ascontiguousarray(phi.coeffs.T)
         # a missing root is NaN or infinite and lies strictly inside nothing
         with np.errstate(invalid="ignore", over="ignore"):
@@ -650,19 +669,19 @@ class _PhiTables:
         self.s_end = pts[1:] - self.kleft
 
         def inside(r):
-            rp = r[self.piece]
+            rp = r.take(self.piece)
             return (rp > self.s_beg) & (rp < self.s_end)
 
         self.crit_in_seg = inside(self.roots[0]) | inside(self.roots[1])
         self.vertex_in_seg = inside(self.vertex)
-        c = self.pc[:, self.piece]
+        c = self.pc.take(self.piece, axis=1)
         self.lo_der = cubic_deriv_eval(c, self.s_beg)
         at_beg = cubic_eval(c, self.s_beg)
         # inside a piece, segment i ends where segment i + 1 begins, in the
         # same local coordinate, so only each piece's last segment needs its
         # end evaluated
         last = np.append((self.piece[1:] != self.piece[:-1]).nonzero()[0], self.n_seg - 1)
-        c, s = self.pc[:, self.piece[last]], self.s_end[last]
+        c, s = self.pc.take(self.piece.take(last), axis=1), self.s_end.take(last)
         at_end = cubic_eval(c, s)
         self.gridvals = np.append(at_beg, at_end[-1])
         self.hi_val = self.gridvals[1:].copy()
@@ -694,12 +713,12 @@ class _PhiTables:
 
     def seg_within(self, x: np.ndarray, seg: np.ndarray) -> np.ndarray:
         """seg_of(x) for x in [grid[seg], grid[seg+1]], without a search."""
-        return np.minimum(seg + (x >= self.grid[seg + 1]), self.n_seg - 1)
+        return np.minimum(seg + (x >= self.grid.take(seg + 1)), self.n_seg - 1)
 
     def eval_at(self, x: np.ndarray, seg: np.ndarray, deriv: bool = False) -> np.ndarray:
         """phi(x), or phi'(x), for x in segment seg (x = 1 in the last one)."""
         kernel = cubic_deriv_eval if deriv else cubic_eval
-        return kernel(self.pc[:, self.piece[seg]], x - self.kleft[seg])
+        return kernel(self.pc.take(self.piece.take(seg), axis=1), x - self.kleft.take(seg))
 
     def part_range(self, seg, s_lo, s_hi, at_lo, at_hi, deriv=False, lower=True):
         """(min, max) of phi, or phi', over [s_lo, s_hi] inside segment seg
@@ -709,20 +728,20 @@ class _PhiTables:
         lo = np.minimum(at_lo, at_hi) if lower else None
         hi = np.maximum(at_lo, at_hi)
         flags = self.vertex_in_seg if deriv else self.crit_in_seg
-        cand = flags[seg].nonzero()[0]
+        cand = flags.take(seg).nonzero()[0]
         if len(cand):
-            p = self.piece[seg[cand]]
-            s_lo, s_hi = s_lo[cand], s_hi[cand]
+            p = self.piece.take(seg.take(cand))
+            s_lo, s_hi = s_lo.take(cand), s_hi.take(cand)
             roots = (self.vertex,) if deriv else self.roots
             vals = (self.vertex_der,) if deriv else self.crit_vals
             for r, val in zip(roots, vals):
-                rp = r[p]
+                rp = r.take(p)
                 k = ((rp > s_lo) & (rp < s_hi)).nonzero()[0]
                 if len(k):
-                    idx, cv = cand[k], val[p[k]]
+                    idx, cv = cand.take(k), val.take(p.take(k))
                     if lower:
-                        lo[idx] = np.minimum(lo[idx], cv)
-                    hi[idx] = np.maximum(hi[idx], cv)
+                        lo[idx] = np.minimum(lo.take(idx), cv)
+                    hi[idx] = np.maximum(hi.take(idx), cv)
         return lo, hi
 
     def window_max(self, left, i_l, ilast, hi, at_hi, deriv=False) -> np.ndarray:
@@ -735,20 +754,23 @@ class _PhiTables:
         rmq = self.rmq_dermax if deriv else self.rmq_segmax
         ub = np.maximum(left, rmq.query(i_l + 1, np.minimum(ilast, self.n_seg)))
         ic = np.minimum(ilast, self.n_seg - 1)
-        has = ((ilast > i_l) & (ilast <= self.n_seg - 1) & (self.grid[ic] < hi)).nonzero()[0]
+        has = ((ilast > i_l) & (ilast <= self.n_seg - 1) & (self.grid.take(ic) < hi)).nonzero()[0]
         if len(has):
+            # usually every window has a right piece: then no entry is gathered
+            if len(has) == len(ic):
+                has = slice(None)
             idx = ic[has]
-            at_lo = self.lo_der[idx] if deriv else self.gridvals[idx]
-            s_hi = hi[has] - self.kleft[idx]
-            _, val = self.part_range(idx, self.s_beg[idx], s_hi, at_lo, at_hi[has], deriv, False)
+            at_lo = (self.lo_der if deriv else self.gridvals).take(idx)
+            s_hi = hi[has] - self.kleft.take(idx)
+            _, val = self.part_range(idx, self.s_beg.take(idx), s_hi, at_lo, at_hi[has], deriv, False)
             ub[has] = np.maximum(ub[has], val)
         return ub
 
     def upper_at(self, lo, hi, i_l, ilast, deriv=False) -> np.ndarray:
         """Max over [lo, hi] of phi or phi', given i_l = seg_of(lo) and ilast
         the last grid index at or below hi; lo and hi lie in [0, 1]."""
-        left_hi = np.minimum(self.grid[i_l + 1], hi)
-        kl = self.kleft[i_l]
+        left_hi = np.minimum(self.grid.take(i_l + 1), hi)
+        kl = self.kleft.take(i_l)
         _, left = self.part_range(
             i_l,
             lo - kl,
@@ -776,7 +798,12 @@ def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Cells:
     """Sorted cells [u, v] of the bisection engine, each inside grid segment
     seg, with phi (pu, pv) and phi' (du, dv) at u and v from its cubic.
-    Both halves of a cell inherit the fields a subclass adds."""
+    Both halves of a cell inherit the fields a subclass adds.
+
+    Each field is one array, in the order the dataclass declares it, and
+    the cells move field by field: `_halves` interleaves the parents' array
+    with the new midpoint values (or with itself, for an inherited field),
+    and `take` selects the kept cells from every field in one way."""
 
     u: np.ndarray
     v: np.ndarray
@@ -787,7 +814,16 @@ class _Cells:
     dv: np.ndarray
 
     def take(self, keep: np.ndarray) -> "_Cells":
-        return type(self)(*(getattr(self, f.name)[keep] for f in fields(self)))
+        """The cells where the mask `keep` holds, in order.  The mask is
+        turned into indices once, and every field is gathered with them;
+        a mask that drops fewer than one cell in 16, as when the cells
+        double at every level, selects by itself: its long runs copy as
+        fast, and no index array, 8 bytes a kept cell, joins the halves and
+        the kept cells at the engine's peak memory."""
+        if 16 * (len(keep) - np.count_nonzero(keep)) < len(keep):
+            return type(self)(*(x[keep] for x in vars(self).values()))
+        idx = keep.nonzero()[0]
+        return type(self)(*(x.take(idx) for x in vars(self).values()))
 
 
 @dataclass
@@ -812,22 +848,36 @@ def _grid_cells(tab: _PhiTables, u: np.ndarray, v: np.ndarray) -> _Cells:
     cut = g[(g > u[j]) & (g < v[j])]
     u, v = np.sort(np.concatenate([u, cut])), np.sort(np.concatenate([cut, v]))
     seg = tab.last_at_or_below(u)
-    c, kl = tab.pc[:, tab.piece[seg]], tab.kleft[seg]
+    c, kl = tab.pc.take(tab.piece.take(seg), axis=1), tab.kleft.take(seg)
     (pu, du), (pv, dv) = ((cubic_eval(c, s), cubic_deriv_eval(c, s)) for s in (u - kl, v - kl))
     return _Cells(u, v, seg, pu, pv, du, dv)
 
 
-def _first_cells(tab: _PhiTables, n: int, delta: float) -> _EnclosureCells:
-    """The first n grid segments as cells.  Segments are narrower than
-    delta, so the window of segment i starts with the whole segment i + 1,
-    and its end is the u + delta of segment i + 1: phi there is evaluated
-    once for both."""
-    grid = tab.grid
+def _after_within(grid: np.ndarray, after: np.ndarray, seg: np.ndarray, reach: np.ndarray):
+    """searchsorted(grid, reach, "right") for reach = t + delta with t in
+    segment seg, given after[i] = searchsorted(grid, grid[i] + delta,
+    "right") at the grid points up to seg + 1.  Rounding is monotone, so
+    reach lies between grid[seg] + delta and grid[seg + 1] + delta, and the
+    index between after[seg] and after[seg + 1]: one comparison decides it
+    when they are at most one apart, and a search when they are further."""
+    lo, hi = after.take(seg), after.take(seg + 1)
+    out = lo + ((hi > lo) & (grid.take(lo, mode="clip") <= reach))
+    far = (hi - lo > 1).nonzero()[0]
+    if len(far):
+        out[far] = np.searchsorted(grid, reach[far], side="right")
+    return out
+
+
+def _first_cells(tab: _PhiTables, after: np.ndarray, delta: float) -> _EnclosureCells:
+    """The first n = len(after) - 1 grid segments as cells, given after[i] =
+    searchsorted(grid, grid[i] + delta, "right"); as the grid ends at 1,
+    after[i] - 1 is also the last index at or below min(grid[i] + delta,
+    1).  Segments are narrower than delta, so the window of segment i
+    starts with the whole segment i + 1, and its end is the u + delta of
+    segment i + 1: phi there is evaluated once for both."""
+    grid, n = tab.grid, len(after) - 1
     seg = np.arange(n, dtype=np.int32)
-    reach = grid[: n + 1] + delta
-    # as the grid ends at 1, after - 1 is also the last index <= min(reach, 1)
-    after = np.searchsorted(grid, reach, side="right")
-    ends = np.minimum(reach, 1.0)
+    ends = np.minimum(grid[: n + 1] + delta, 1.0)
     at_end = tab.eval_at(ends, np.minimum(after - 1, tab.n_seg - 1))
     ubw = tab.window_max(tab.segmax[1 : n + 1], seg + 1, after[1:] - 1, ends[1:], at_end[1:])
     wit = np.maximum(tab.rmq_gridvals.query(seg + 1, after[:n]), at_end[:n])
@@ -842,22 +892,23 @@ def _halves(tab: _PhiTables, cells: _Cells) -> _Cells:
     right half with its u end, and both keep every other field."""
     seg = cells.seg
     mid = 0.5 * (cells.u + cells.v)
-    c = tab.pc[:, tab.piece[seg]]
-    s_mid = mid - tab.kleft[seg]
+    c = tab.pc.take(tab.piece.take(seg), axis=1)
+    s_mid = mid - tab.kleft.take(seg)
     phi_mid, der_mid = cubic_eval(c, s_mid), cubic_deriv_eval(c, s_mid)
     del c
-    parent = {f.name: getattr(cells, f.name) for f in fields(cells)}
-    left = {**parent, "v": mid, "pv": phi_mid, "dv": der_mid}
-    right = {**parent, "u": mid, "pu": phi_mid, "du": der_mid}
-    return type(cells)(**{k: _interleave(left[k], right[k]) for k in parent})
+    left = {"v": mid, "pv": phi_mid, "dv": der_mid}
+    right = {"u": mid, "pu": phi_mid, "du": der_mid}
+    return type(cells)(
+        *(_interleave(left.get(k, x), right.get(k, x)) for k, x in vars(cells).items())
+    )
 
 
 def _bisect(tab: _PhiTables, cells: _Cells, test, floor: float, go_on):
     """The bisection engine.  Before each split, go_on(cells, at_floor,
-    depth) is told which cells are at most floor wide and how many splits
-    were made; it returns the cells to split, or None to stop.  Their
+    depth) is told which cells are at most floor wide and how many levels
+    were split; it returns the cells to split, or None to stop.  Their
     halves are then kept where test(halves) marks them undecided.  Returns
-    the cells left and the number of splits."""
+    the cells left and the number of levels split."""
     depth = 0
     while len(cells.u):
         todo = go_on(cells, cells.v - cells.u <= floor, depth)
@@ -870,20 +921,24 @@ def _bisect(tab: _PhiTables, cells: _Cells, test, floor: float, go_on):
     return cells, depth
 
 
-def _inherit_window(tab: _PhiTables, halves: _EnclosureCells, delta: float) -> None:
+def _inherit_window(
+    tab: _PhiTables, halves: _EnclosureCells, delta: float, after_grid: np.ndarray
+) -> None:
     """Write the certificates the halves do not inherit: the window bound
     of each left half [u, mid], which a right half takes from its parent,
     and the witness of each right half [mid, v], which a left half takes
-    from its parent.  Both read phi at min(mid + delta, 1)."""
-    seg, mid, phi_mid = halves.seg[0::2], halves.v[0::2], halves.pv[0::2]
-    right = np.minimum(mid + delta, 1.0)
-    # the grid ends at 1, so after - 1 is also the last index <= right
-    after = np.searchsorted(tab.grid, mid + delta, side="right")
+    from its parent.  Both read phi at min(mid + delta, 1), whose grid index
+    `_after_within` finds from after_grid, as `_first_cells` takes it."""
+    # one contiguous index array serves the many gathers below
+    seg, mid, phi_mid = halves.seg[0::2].astype(np.intp), halves.v[0::2], halves.pv[0::2]
+    reach = mid + delta
+    right = np.minimum(reach, 1.0)
+    after = _after_within(tab.grid, after_grid, seg, reach)
     phi_right = tab.eval_at(right, np.minimum(after - 1, tab.n_seg - 1))
     # a segment is narrower than delta, so the window [mid, right] of the
     # left half starts with the piece [mid, grid[seg + 1]] ...
-    s_mid, s_end = mid - tab.kleft[seg], tab.s_end[seg]
-    _, left = tab.part_range(seg, s_mid, s_end, phi_mid, tab.hi_val[seg], lower=False)
+    s_mid, s_end = mid - tab.kleft.take(seg), tab.s_end.take(seg)
+    _, left = tab.part_range(seg, s_mid, s_end, phi_mid, tab.hi_val.take(seg), lower=False)
     ubw = tab.window_max(left, seg, after - 1, right, phi_right)
     # ... unless mid is the segment's right end (a cell one float wide
     # split there), where the window starts in the next segment
@@ -898,7 +953,7 @@ def _inherit_window(tab: _PhiTables, halves: _EnclosureCells, delta: float) -> N
 def _cell_ranges(tab: _PhiTables, cells: _Cells):
     """((min, max) of phi, (min, max) of phi') over each cell, from the
     values at its ends and the critical values inside."""
-    kl = tab.kleft[cells.seg]
+    kl = tab.kleft.take(cells.seg)
     s_u, s_v = cells.u - kl, cells.v - kl
     return (
         tab.part_range(cells.seg, s_u, s_v, cells.pu, cells.pv),
@@ -946,29 +1001,40 @@ def _enclosure_plus_upper_c1(
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], dict]:
     """Inside cells and undecided cells, each as (left ends, right ends)
     arrays, for the forward-upper set of a C1 function, via two-phase
-    certified bisection."""
+    certified bisection, and stats: the phase-1 cells and how many stayed
+    undecided, the splits (cells halved, summed over the levels), the
+    number of levels and the undecided cells left."""
     delta, step = _grid_step(a, tol)
     xmax = 1.0 - delta
     phi = f.as_cubic_pieces().add_linear(-a)
     tab = _PhiTables(phi, step, xmax)
     n_cells = int(np.searchsorted(tab.grid, xmax, side="left"))
+    after = np.searchsorted(tab.grid, tab.grid[: n_cells + 1] + delta, side="right")
+
+    in_u, in_v = [], []
+
+    def settle(cells: _EnclosureCells, vals, ders) -> np.ndarray:
+        """Keep the ends of the cells `_decide` puts inside; return the
+        undecided mask."""
+        inside, undecided = _decide(cells, vals, ders)
+        idx = inside.nonzero()[0]
+        in_u.append(cells.u.take(idx))
+        in_v.append(cells.v.take(idx))
+        return undecided
 
     # phase 1: the cells are the grid segments, whose ranges the table holds
-    cells = _first_cells(tab, n_cells, delta)
-    inside, undecided = _decide(
+    cells = _first_cells(tab, after, delta)
+    undecided = settle(
         cells,
         (tab.segmin[:n_cells], tab.segmax[:n_cells]),
         (tab.dermin[:n_cells], tab.dermax[:n_cells]),
     )
-    in_u, in_v = [cells.u[inside]], [cells.v[inside]]
-    stats = {"phase1_cells": n_cells, "undecided_phase1": int(undecided.sum())}
+    stats = {"phase1_cells": n_cells, "undecided_phase1": int(undecided.sum()), "splits": 0}
 
     def test(halves: _EnclosureCells) -> np.ndarray:
-        _inherit_window(tab, halves, delta)
-        inside, undecided = _decide(halves, *_cell_ranges(tab, halves))
-        in_u.append(halves.u[inside])
-        in_v.append(halves.v[inside])
-        return undecided
+        stats["splits"] += len(halves.u) // 2
+        _inherit_window(tab, halves, delta, after)
+        return settle(halves, *_cell_ranges(tab, halves))
 
     def go_on(cells, at_floor, depth):
         return None if depth >= 60 or at_floor.all() else cells
@@ -983,8 +1049,10 @@ def _merge_float_cells(u: np.ndarray, v: np.ndarray) -> IntervalSet:
     """Exact union of the closed float cells [u_i, v_i], clipped to [0,1]."""
     if not len(u):
         return EMPTY
-    order = np.lexsort((v, u))
-    u, v = u[order], v[order]
+    # cells with equal u may come in any order: only the first of them can
+    # start a component, and every end is a running max
+    order = np.argsort(u)
+    u, v = u.take(order), v.take(order)
     reach = np.maximum.accumulate(v)
     # a component starts at each cell that begins beyond every earlier cell
     starts = np.concatenate(([True], u[1:] > reach[:-1])).nonzero()[0]

@@ -2,6 +2,7 @@
 for piecewise-linear functions (against the rational window-max reference in
 `oracles`), certified C1 enclosures, and the scale continuity helpers."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -17,6 +18,7 @@ from knotpoints.nsets import (
     BASIC_VARIANTS,
     VARIANTS,
     EnclosureRangeError,
+    _after_within,
     _cell_ranges,
     _EnclosureCells,
     _first_cells,
@@ -39,8 +41,11 @@ from knotpoints.nsets import (
 )
 from knotpoints.realfn import (
     C1Function,
+    CubicPieces,
     PwlFunction,
+    cubic_deriv_eval,
     cubic_deriv_range,
+    cubic_eval,
     cubic_range,
     random_c1_function,
     random_function,
@@ -488,6 +493,23 @@ def test_segment_grid_is_the_sorted_union(xmax):
     assert np.array_equal(_exact_bits(_segment_grid(breaks, 1 / 20, xmax)), _exact_bits(want))
 
 
+@pytest.mark.parametrize("xmax", [0.5, 3 / 7, 0.5 + 2.0 ** -40])
+def test_segment_pieces_equal_the_break_search(xmax):
+    """The piece of every segment, read from where the breaks sit in the
+    grid, is the one a search in the breaks finds, dtype included: with a
+    break on a point of the uniform grid (0.5), xmax equal to a break (0.5
+    and 3/7) and xmax between grid points."""
+    breaks = np.array([0.0, 0.3, 3 / 7, 0.5, 1.0])
+    coeffs = np.random.default_rng(5).standard_normal((4, 4))
+    assert 0.5 in np.linspace(0.0, 1.0, 21)
+    for phi in (CubicPieces(breaks, coeffs), _phi_of("cubic", 5, 2.0)):
+        tab = _PhiTables(phi, 1 / 20, xmax)
+        want = np.clip(
+            np.searchsorted(phi.breaks, tab.grid[:-1], side="right") - 1, 0, len(phi.coeffs) - 1
+        )
+        assert tab.piece.dtype == want.dtype and np.array_equal(tab.piece, want)
+
+
 def _range_max_inputs():
     """Arrays of lengths 1, 2^k and 2^k +- 1: signed zeros alone, with +-1
     and with -inf, so that ties are everywhere, and normal floats."""
@@ -667,7 +689,8 @@ def test_segment_indexed_bounds_equal_the_search_route(seed, a, kind):
         for got, want in zip((vmin, vmax, dmin, dmax), ref["ranges"]):
             assert _same_bits(got, want)
 
-    check(_first_cells(tab, n, delta))
+    after = np.searchsorted(tab.grid, tab.grid[: n + 1] + delta, side="right")
+    check(_first_cells(tab, after, delta))
 
     rng = np.random.default_rng(seed)
     seg = rng.integers(0, n, 200).astype(np.int32)
@@ -685,8 +708,81 @@ def test_segment_indexed_bounds_equal_the_search_route(seed, a, kind):
     cells = _EnclosureCells(u, v, seg, *(ref[k] for k in ("pu", "pv", "du", "dv", "ubw", "wit")))
     for _ in range(3):
         cells = _halves(tab, cells)
-        _inherit_window(tab, cells, delta)
+        _inherit_window(tab, cells, delta, after)
         check(cells)
+
+
+def test_window_end_bracket_equals_the_search():
+    """The window end index of t + delta with t in segment seg, bracketed
+    by the ends of the segment, is the search's, for t anywhere in the
+    segment, on its ends and at the middle of cells one float wide; on
+    grids where the bracket is one point wide, and wider at clustered
+    breaks."""
+    rng = np.random.default_rng(8)
+    clustered = CubicPieces(
+        np.concatenate([[0.0], np.sort(rng.uniform(0.6, 0.62, 30)), [1.0]]), np.zeros((31, 4))
+    )
+    for phi, a in ((_phi_of("cubic", 8, 2.0), 2.0), (clustered, 1.5)):
+        delta = 2.0 ** -a
+        tab = _PhiTables(phi, min(1e-2, delta / 2.0), 1.0 - delta)
+        g = tab.grid
+        n = int(np.searchsorted(g, 1.0 - delta, side="left"))
+        after = np.searchsorted(g, g[: n + 1] + delta, side="right")
+        seg = rng.integers(0, n, 600)
+        lo, hi = g[seg], g[seg + 1]
+        t = lo + rng.random(600) * (hi - lo)
+        t[:100], t[100:200] = lo[:100], hi[100:200]
+        # the middle of [u, next float after u], for u at and inside the segment
+        u = np.where(np.arange(100) % 2 == 0, lo[200:300], np.nextafter(hi[200:300], 0.0))
+        t[200:300] = 0.5 * (u + np.nextafter(u, 2.0))
+        t = np.clip(t, lo, hi)
+        want = np.searchsorted(g, t + delta, side="right")
+        assert np.array_equal(_after_within(g, after, seg, t + delta), want)
+    # the clustered grid sends some cells to the search
+    assert (after[seg + 1] - after[seg] > 1).any()
+
+
+def test_halves_and_take_move_cells_bitwise():
+    """Halving then keeping cells moves every field like a reference that
+    interleaves the halves field by field with slices and filters them
+    with a boolean mask, bit for bit and dtype for dtype: phi and phi' at
+    each midpoint from its segment's own cubic, on random enclosure cells
+    (signed zeros and infinities among the inherited values) and on the
+    plain cells the witness search starts from, with masks that keep by
+    indices and one that keeps nearly every cell."""
+    phi = _phi_of("cubic", 9, 2.0)
+    tab = _PhiTables(phi, 0.01, 0.75)
+    g = tab.grid
+    rng = np.random.default_rng(9)
+    seg = np.sort(rng.integers(0, tab.n_seg, 300)).astype(np.int32)
+    lo, hi = g[seg], g[seg + 1]
+    t = np.sort(rng.random((300, 2)), axis=1)
+    u, v = lo + t[:, 0] * (hi - lo), lo + t[:, 1] * (hi - lo)
+    vals = rng.choice([0.0, -0.0, np.inf, -np.inf, 1.5, -2.25], (6, 300))
+    random_cells = _EnclosureCells(np.clip(u, lo, hi), np.clip(v, u, hi), seg, *vals)
+    start = _grid_cells(tab, np.array([0.05, 0.3]), np.array([0.2, 0.61]))
+
+    for cells in (random_cells, start):
+        mid = 0.5 * (cells.u + cells.v)
+        c, kl = _piece_of(phi, g[cells.seg])
+        at_mid = {"phi": cubic_eval(c, mid - kl), "der": cubic_deriv_eval(c, mid - kl)}
+        new_left = {"v": mid, "pv": at_mid["phi"], "dv": at_mid["der"]}
+        new_right = {"u": mid, "pu": at_mid["phi"], "du": at_mid["der"]}
+        halves = _halves(tab, cells)
+        n = 2 * len(mid)
+        # half kept and none kept gather by indices; one dropped in 40 by the mask
+        for keep in (rng.random(n) < 0.5, np.zeros(n, dtype=bool), np.arange(n) % 40 != 7):
+            got = halves.take(keep)
+            assert type(got) is type(cells)
+            for f in dataclasses.fields(cells):
+                parent = getattr(cells, f.name)
+                want = np.empty(2 * len(parent), dtype=parent.dtype)
+                want[0::2] = new_left.get(f.name, parent)
+                want[1::2] = new_right.get(f.name, parent)
+                want = want[keep]
+                field_got = getattr(got, f.name)
+                assert field_got.dtype == want.dtype, f.name
+                assert np.array_equal(field_got.view(np.uint8), want.view(np.uint8)), f.name
 
 
 def test_grid_cells_lie_in_one_segment():
@@ -755,18 +851,18 @@ def test_enclosure_union_merges_stats():
     f = random_c1_function(0, cells=6, amplitude=0.5, slope_scale=2.0)
     parts = [n_set_enclosure(f, 1, v, tol=1e-4).stats for v in BASIC_VARIANTS]
     full = n_set_enclosure(f, 1, "full", tol=1e-4).stats
-    for key in ("phase1_cells", "undecided_phase1", "undecided_final"):
+    for key in ("phase1_cells", "undecided_phase1", "undecided_final", "splits"):
         assert full[key] == sum(p[key] for p in parts)
     assert full["max_depth"] == max(p["max_depth"] for p in parts)
 
 
-# (phase1_cells, undecided_phase1, max_depth, undecided_final) per corpus key
+# (phase1_cells, undecided_phase1, max_depth, undecided_final, splits) per corpus key
 _REFERENCE_STATS = {
-    "0|1|0.0001": (20008, 7, 27, 12043),
-    "3|2|1e-05": (300012, 12, 24, 410),
+    "0|1|0.0001": (20008, 7, 27, 12043, 12224),
+    "3|2|1e-05": (300012, 12, 24, 410, 689),
     # cells double at every level here; these two set the corpus's peak memory
-    "2|1|0.0001": (20008, 6, 27, 313441),
-    "3|1|0.0001": (20008, 10, 27, 276020),
+    "2|1|0.0001": (20008, 6, 27, 313441, 313605),
+    "3|1|0.0001": (20008, 10, 27, 276020, 276293),
 }
 
 
@@ -781,7 +877,7 @@ def test_enclosure_output_matches_benchmark_reference(key):
     enc = n_set_enclosure(f, F(a), "full", tol=float(tol))
     blob = f"{enc.inner.intervals}|{enc.outer.intervals}".encode()
     assert hashlib.sha256(blob).hexdigest() == ref
-    names = ("phase1_cells", "undecided_phase1", "max_depth", "undecided_final")
+    names = ("phase1_cells", "undecided_phase1", "max_depth", "undecided_final", "splits")
     assert enc.stats == dict(zip(names, stats))
 
 
