@@ -13,14 +13,12 @@ from .bmgame import (
     DenseOpenOracle,
     GameError,
     GameInfeasibleError,
-    GameParams,
     GameRuleError,
     GameState,
     HatCheckSet,
     OracleError,
     OracleReply,
     RoundRecord,
-    StarCheck,
     check_star,
     game_report,
     limit_report,

@@ -42,6 +42,10 @@ floor of 1e-12 and abort loudly, and net sizes are capped.  When a round's
 perturbation radius mu_m collapses below what any buildable net could honor
 the engine raises GameInfeasibleError carrying the measured cascade instead
 of silently degrading.
+
+The game is played at one operating point: the module constants below and
+the scale ladder of `indexcomb`.  A saved game records them in its `params`
+block, and `state_from_json` refuses a game saved with other values.
 """
 
 from __future__ import annotations
@@ -61,7 +65,17 @@ from .bump import (
     make_bump,
     mu,
 )
-from .indexcomb import DeltaSeq, IndexSeq, ScaleLadder, SeqOfSets, check_Y_k, index_set_A
+from .indexcomb import (
+    LADDER_RATIO,
+    LADDER_SCALE,
+    CombCheck,
+    DeltaSeq,
+    IndexSeq,
+    ScaleLadder,
+    SeqOfSets,
+    check_Y_k,
+    index_set_A,
+)
 from .intervalsets import (
     FinitePointSet,
     Rat,
@@ -89,12 +103,11 @@ __all__ = [
     "GameRuleError",
     "GameInfeasibleError",
     "OracleError",
-    "GameParams",
     "HatCheckSet",
     "OracleReply",
+    "DenseOpenOracle",
     "RoundRecord",
     "GameState",
-    "StarCheck",
     "oracle_everything",
     "oracle_avoid_point",
     "oracle_target_prefix",
@@ -103,6 +116,7 @@ __all__ = [
     "round_m",
     "check_star",
     "run_game",
+    "limit_report",
     "state_to_json",
     "state_from_json",
     "game_report",
@@ -111,7 +125,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# errors and parameters
+# errors and the operating point
 # ---------------------------------------------------------------------------
 
 
@@ -135,43 +149,35 @@ class OracleError(GameError):
     """An oracle reply breaks its own contract, or retries are exhausted."""
 
 
-@dataclass(frozen=True)
-class GameParams:
-    """Engine-wide knobs.  The defaults are the desk-scale operating point.
+# enclosure tolerance of every certificate
+TOL = 1e-4
+# net spacing as a multiple of the covering radius mu; below 1 it keeps a
+# positive coverage margin
+NET_FACTOR = Fraction(9, 10)
+# located-ball radius w_1 as a multiple of the least gap between located
+# points; below 1/2 it keeps the closed balls disjoint
+W_SAFETY = Fraction(9, 20)
+# net-size diagnosis threshold: a round whose mu would need a net of more
+# points raises GameInfeasibleError with the measured cascade.  Round 1
+# builds its net only below it; later rounds build none.
+MAX_NET_POINTS = 2_000_000
+# round 1 asks the oracle at most this often, quartering its snapping budget
+MAX_ORACLE_RETRIES = 6
+# w_1, eps_1 and beta_1 below this raise GameInfeasibleError
+SHRINK_FLOOR = 1e-12
 
-    net_factor: net spacing as a multiple of the covering radius (< 1 keeps
-    a positive coverage margin).  w_safety: located-ball radius as a multiple
-    of the minimum point gap (< 1/2 keeps closed balls disjoint).
-    max_net_points is the net-size diagnosis threshold: a round whose mu
-    would need a net of more points raises GameInfeasibleError with the
-    measured cascade.  Round 1 builds its net only below it; later rounds
-    build none.
-    """
-
-    tol: float = 1e-4
-    net_factor: Fraction = Fraction(9, 10)
-    w_safety: Fraction = Fraction(45, 100)
-    max_net_points: int = 2_000_000
-    max_oracle_retries: int = 6
-    shrink_floor: float = 1e-12
-    ladder_kind: str = "geometric"
-    ladder_ratio: Fraction = Fraction(4, 5)
-    ladder_scale: Fraction = Fraction(9, 10)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "net_factor", as_fraction(self.net_factor))
-        object.__setattr__(self, "w_safety", as_fraction(self.w_safety))
-        object.__setattr__(self, "ladder_ratio", as_fraction(self.ladder_ratio))
-        object.__setattr__(self, "ladder_scale", as_fraction(self.ladder_scale))
-        if not 0 < self.net_factor < 1:
-            raise ValueError("net_factor must lie in (0,1)")
-        if not 0 < self.w_safety < Fraction(1, 2):
-            raise ValueError("w_safety must lie in (0,1/2)")
-
-    def ladder(self, b_values: Sequence[Rat]) -> ScaleLadder:
-        if self.ladder_kind == "geometric":
-            return ScaleLadder.geometric(b_values, self.ladder_ratio, self.ladder_scale)
-        return ScaleLadder.default(b_values)
+# the operating point as a saved game's `params` block records it
+_PARAMS = {
+    "tol": TOL,
+    "net_factor": str(NET_FACTOR),
+    "w_safety": str(W_SAFETY),
+    "max_net_points": MAX_NET_POINTS,
+    "max_oracle_retries": MAX_ORACLE_RETRIES,
+    "shrink_floor": SHRINK_FLOOR,
+    "ladder_kind": "geometric",
+    "ladder_ratio": str(LADDER_RATIO),
+    "ladder_scale": str(LADDER_SCALE),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +295,15 @@ def oracle_everything() -> DenseOpenOracle:
     return call
 
 
-def oracle_avoid_point(p: Rat, rho: Rat | None = None) -> DenseOpenOracle:
+def oracle_avoid_point(p: Rat) -> DenseOpenOracle:
     """Sequences whose returned prefix keeps all points off a closed ball
-    around p.  The avoided radius adapts to the request (at most eps/8) so
-    the reply can stay eps-close to any target; the certificate radius is a
-    quarter of the clearance margin."""
+    around p.  The avoided radius adapts to the request (eps/8) so the reply
+    can stay eps-close to any target; the certificate radius is a quarter of
+    the clearance margin."""
     pf = as_fraction(p)
-    rho_fixed = None if rho is None else as_fraction(rho)
 
     def call(target: tuple[FinitePointSet, ...], eps: float) -> OracleReply:
-        ef = as_fraction(eps)
-        radius = min(rho_fixed, ef / 8) if rho_fixed is not None else ef / 8
+        radius = as_fraction(eps) / 8
         pad = radius / 2
         moved = []
         for s in target:
@@ -358,12 +362,7 @@ def oracle_target_prefix(T: Sequence[FinitePointSet], tol: Rat) -> DenseOpenOrac
 PlayerI = Callable[[int, tuple[C1Function, Fraction] | None], tuple[C1Function, Rat]]
 
 
-def random_player_one(
-    seed: int,
-    first_cells: int = 4,
-    first_amplitude: float = 0.3,
-    first_slope: float = 1.5,
-) -> PlayerI:
+def random_player_one(seed: int) -> PlayerI:
     """Seeded adversary: an arbitrary first move, then centers perturbed by
     a random smooth function of norm about a quarter of the available radius,
     with the answer radius leaving an eighth of it as rule margin."""
@@ -372,9 +371,7 @@ def random_player_one(
     def move(m: int, prev: tuple[C1Function, Fraction] | None):
         sub = int(rng.integers(1, 2**31))
         if prev is None:
-            f = random_c1_function(
-                seed=sub, cells=first_cells, amplitude=first_amplitude, slope_scale=first_slope
-            )
+            f = random_c1_function(seed=sub, cells=4, amplitude=0.3, slope_scale=1.5)
             return f, Fraction(1)
         g, beta = prev
         bf = float(beta)
@@ -405,15 +402,15 @@ def random_player_one(
 class RoundRecord:
     """Everything Player II constructs in one round, plus certification
     margins.  Radii and heights are exact rationals; the analytic quantities
-    (mu, eps) are certified floats."""
+    (mu, eps) are certified floats.  A saved round also carries "zeta_m":
+    null and "L_sets": [], the refinement data of a round m >= 2, which the
+    engine never builds (see `round_m`)."""
 
     m: int
     f_m: C1Function
     alpha_m: Fraction
     h_m: Fraction
     mu_m: float
-    zeta_m: float | None
-    L_sets: tuple[HatCheckSet, ...]
     K_sets: tuple[HatCheckSet, ...]
     n_m: int
     w_m: Fraction
@@ -441,8 +438,8 @@ class RoundRecord:
             "alpha_m": str(self.alpha_m),
             "h_m": str(self.h_m),
             "mu_m": self.mu_m,
-            "zeta_m": self.zeta_m,
-            "L_sets": [s.to_json() for s in self.L_sets],
+            "zeta_m": None,
+            "L_sets": [],
             "K_sets": [s.to_json() for s in self.K_sets],
             "n_m": self.n_m,
             "w_m": str(self.w_m),
@@ -458,14 +455,19 @@ class RoundRecord:
 
     @staticmethod
     def from_json(obj: dict) -> "RoundRecord":
+        if obj["zeta_m"] is not None:
+            raise ValueError(f"zeta_m is {obj['zeta_m']!r}; the engine records null")
+        if obj["L_sets"] != []:
+            raise ValueError("L_sets is not empty; the engine builds no refined located sets")
+        certs = obj.get("certifications", {})
+        if not isinstance(certs, dict) or not isinstance(certs.get("star_self", {}), dict):
+            raise ValueError("certifications and their star_self entry must be objects")
         return RoundRecord(
             m=obj["m"],
             f_m=function_from_json(obj["f_m"]),
             alpha_m=Fraction(obj["alpha_m"]),
             h_m=Fraction(obj["h_m"]),
             mu_m=obj["mu_m"],
-            zeta_m=obj["zeta_m"],
-            L_sets=tuple(HatCheckSet.from_json(s) for s in obj["L_sets"]),
             K_sets=tuple(HatCheckSet.from_json(s) for s in obj["K_sets"]),
             n_m=obj["n_m"],
             w_m=Fraction(obj["w_m"]),
@@ -476,7 +478,7 @@ class RoundRecord:
             oracle_l=obj["oracle_l"],
             oracle_r=Fraction(obj["oracle_r"]),
             oracle_label=obj.get("oracle_label", ""),
-            certifications=obj.get("certifications", {}),
+            certifications=certs,
         )
 
 
@@ -485,7 +487,6 @@ class GameState:
     """Immutable after each round; rounds are indexed consecutively from 1."""
 
     rounds: tuple[RoundRecord, ...]
-    params: GameParams = field(default_factory=GameParams)
 
     def __post_init__(self) -> None:
         for i, rec in enumerate(self.rounds, start=1):
@@ -497,10 +498,15 @@ class GameState:
         return tuple(rec.n_m for rec in self.rounds)
 
     def ladder(self) -> ScaleLadder:
-        return self.params.ladder(tuple(rec.b_m for rec in self.rounds))
+        return ScaleLadder(tuple(rec.b_m for rec in self.rounds))
 
     def last(self) -> RoundRecord:
         return self.rounds[-1]
+
+
+def _verdict_json(check: CombCheck) -> dict:
+    """A verdict as reports record it; the in-round ones add the margins."""
+    return {"ok": check.ok, "failures": list(check.failures), "undecided": list(check.undecided)}
 
 
 def _json_clean(obj):
@@ -521,32 +527,18 @@ def _json_clean(obj):
 
 
 class _EnclosureCache:
-    """Per-function cache of N-set enclosures keyed by (scale, variant)."""
+    """Per-function cache of N-set enclosures at tolerance TOL, keyed by
+    (scale, variant)."""
 
-    def __init__(self, f: C1Function, tol: float) -> None:
+    def __init__(self, f: C1Function) -> None:
         self.f = f
-        self.tol = tol
         self._store: dict[tuple[Fraction, str], NSetEnclosure] = {}
 
     def get(self, a: Rat, variant: str) -> NSetEnclosure:
         key = (as_fraction(a), variant)
         if key not in self._store:
-            self._store[key] = n_set_enclosure(self.f, key[0], variant, self.tol)
+            self._store[key] = n_set_enclosure(self.f, key[0], variant, TOL)
         return self._store[key]
-
-
-@dataclass(frozen=True)
-class StarCheck:
-    """Verdict for the three bullet families over j in [m], both readings.
-    Keys of margins/failures/undecided are (j, bullet, reading)."""
-
-    ok: bool
-    failures: tuple = ()
-    undecided: tuple = ()
-    margins: dict = field(default_factory=dict, compare=False)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _enclosure_or_reason(cache: _EnclosureCache, a: Rat, variant: str) -> NSetEnclosure | str:
@@ -567,13 +559,12 @@ def star_bullets(
     ladder: ScaleLadder,
     ka: int,
     kb: int,
-    tol: float,
-    cache: _EnclosureCache | None = None,
-) -> StarCheck:
-    """Certify the three bullet families at depth (ka, kb) of the refined
-    scales: the invariant itself uses (4, 3); the in-round claims for g_m
-    use the stronger (3, 2)."""
-    cache = cache if cache is not None and cache.f is f else _EnclosureCache(f, tol)
+) -> CombCheck:
+    """Certify the three bullet families over j in [m], both readings, at
+    depth (ka, kb) of the refined scales: the invariant itself uses (4, 3);
+    the in-round claims for g_m use the stronger (3, 2).  The verdict's keys
+    are (j, bullet, reading)."""
+    cache = _EnclosureCache(f)
     nseq = IndexSeq(tuple(ns))
     failures: list = []
     undecided: list = []
@@ -632,7 +623,7 @@ def star_bullets(
             settle(
                 (j, 3, rd), enc_a, lambda s: disjoint_gap(s, others), "outer touches, inner clear"
             )
-    return StarCheck(not failures and not undecided, tuple(failures), tuple(undecided), margins)
+    return CombCheck(not failures and not undecided, tuple(failures), tuple(undecided), margins)
 
 
 def check_star(
@@ -640,13 +631,10 @@ def check_star(
     f: C1Function,
     ns: Sequence[int],
     ladder: ScaleLadder,
-    tol: float = 1e-4,
-) -> StarCheck:
+) -> CombCheck:
     """The round invariant for an arbitrary member f of the answered ball,
     at the weld scales (depth 4 on the fine side, 3 on the coarse side)."""
-    return star_bullets(
-        f, record.K_sets, record.n_m, record.w_m, ns, record.m, ladder, 4, 3, tol
-    )
+    return star_bullets(f, record.K_sets, record.n_m, record.w_m, ns, record.m, ladder, 4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -725,12 +713,12 @@ def _alternate_tags(pts: FinitePointSet) -> HatCheckSet:
 
 
 def _infeasible_cascade(
-    f: C1Function, a3: Fraction, a2: Fraction, chain: SizingChain, need: float, cap: int
+    f: C1Function, a3: Fraction, a2: Fraction, chain: SizingChain, need: float
 ) -> GameInfeasibleError:
     """Assemble the measured collapse chain for the error message."""
     return GameInfeasibleError(
         f"perturbation radius mu = {chain.mu:.3g} would need a net of about "
-        f"{need:.3g} points (cap {cap}).  Certified chain at scales "
+        f"{need:.3g} points (cap {MAX_NET_POINTS}).  Certified chain at scales "
         f"({float(a3):.6g}, {float(a2):.6g}): witness eps = {chain.eps:.3g}, "
         f"interval length l = {chain.l:.3g}, slope norm = {f.deriv_sup_norm():.6g}. "
         "The located nets of the previous round force curvature of order "
@@ -742,7 +730,7 @@ def _infeasible_cascade(
             "eps": chain.eps,
             "l": chain.l,
             "net_points": need,
-            "cap": cap,
+            "cap": MAX_NET_POINTS,
             "deriv_norm": f.deriv_sup_norm(),
         },
     )
@@ -753,35 +741,29 @@ def _infeasible_cascade(
 # ---------------------------------------------------------------------------
 
 
-def round_one(
-    f1: C1Function,
-    alpha1: Rat,
-    oracle: DenseOpenOracle,
-    params: GameParams = GameParams(),
-) -> RoundRecord:
+def round_one(f1: C1Function, alpha1: Rat, oracle: DenseOpenOracle) -> RoundRecord:
     """First answer: a double net of located points fine enough that the
     bump of half the available height traps the fine-scale slope sets of
     everything in the answered ball."""
     alpha = as_fraction(alpha1)
     if alpha <= 0:
         raise GameRuleError("alpha_1 must be positive")
-    tol = params.tol
-    ladder0 = params.ladder(())
+    ladder0 = ScaleLadder(())
     a13 = ladder0.a_refined(1, 1, 3)
     a12 = ladder0.a_refined(1, 1, 2)
     a14 = ladder0.a_refined(1, 1, 4)
 
     h1 = alpha / 2
     try:
-        chain = mu(f1, a13, a12, h1, tol)
+        chain = mu(f1, a13, a12, h1, TOL)
     except EpsilonSearchError as e:
         raise GameInfeasibleError(f"round 1 perturbation radius failed: {e}") from e
     mu1 = chain.mu
 
-    spacing = as_fraction(mu1) * params.net_factor
+    spacing = as_fraction(mu1) * NET_FACTOR
     need = 2.0 / float(spacing)
-    if need > params.max_net_points:
-        raise _infeasible_cascade(f1, a13, a12, chain, need, params.max_net_points)
+    if need > MAX_NET_POINTS:
+        raise _infeasible_cascade(f1, a13, a12, chain, need)
     hat_t, check_t = _alternating_net(spacing)
     flat_t = hat_t.union(check_t)
     target = (flat_t,)
@@ -789,7 +771,7 @@ def round_one(
 
     eps_orc = float(spacing) / 16.0
     reply = tagged = None
-    for _ in range(params.max_oracle_retries):
+    for _ in range(MAX_ORACLE_RETRIES):
         reply = oracle(target, eps_orc)
         if not pairwise_disjoint([s for s in reply.sets]):
             raise OracleError("oracle reply is not a family of pairwise disjoint sets")
@@ -818,8 +800,8 @@ def round_one(
     gap = all_pts.min_gap()
     if gap is None or gap <= 0:
         raise OracleError("located points collapsed onto each other")
-    w1 = min(as_fraction(reply.r), params.w_safety * gap)
-    if float(w1) < params.shrink_floor:
+    w1 = min(as_fraction(reply.r), W_SAFETY * gap)
+    if float(w1) < SHRINK_FLOOR:
         raise GameInfeasibleError(f"w_1 = {float(w1):.3g} fell below the floor")
 
     spec = BumpSpec(tagged.hat, tagged.check, h1, w1)
@@ -830,18 +812,13 @@ def round_one(
     g1 = f1.add(phi)
 
     b1 = Fraction(max(4, math.ceil(g1.deriv_sup_norm() + 0.72) + 1))
-    ladder = params.ladder((b1,))
+    ladder = ScaleLadder((b1,))
     if not ladder.b_refined(1, 1, 2) >= as_fraction(g1.deriv_sup_norm()):
         raise GameError("b_1 does not dominate the answered slope norm")
 
     # in-round claims at depth (3, 2), which also yield the margin for eps_1
-    claims = star_bullets(g1, K_sets, n1, w1, (n1,), 1, ladder, 3, 2, tol)
-    certs["claims_g"] = {
-        "ok": claims.ok,
-        "failures": list(claims.failures),
-        "undecided": list(claims.undecided),
-        "margins": _json_clean(claims.margins),
-    }
+    claims = star_bullets(g1, K_sets, n1, w1, (n1,), 1, ladder, 3, 2)
+    certs["claims_g"] = {**_verdict_json(claims), "margins": _json_clean(claims.margins)}
     if not claims.ok:
         raise GameError(
             "round-1 claims for g_1 failed", {"failures": claims.failures, "undecided": claims.undecided}
@@ -853,11 +830,11 @@ def round_one(
         if isinstance(claims.margins.get((1, 1, rd)), float)
     )
     eps1 = margin1 / 2.0
-    if eps1 < params.shrink_floor:
+    if eps1 < SHRINK_FLOOR:
         raise GameInfeasibleError(f"eps_1 margin {eps1:.3g} below the floor")
     eps_adm = admissible_eps(a14, a13, as_fraction(eps1))
     beta1 = min(alpha - h1, continuity_delta(a14, a13, eps_adm))
-    if float(beta1) < params.shrink_floor:
+    if float(beta1) < SHRINK_FLOOR:
         raise GameInfeasibleError(f"beta_1 = {float(beta1):.3g} below the floor")
 
     rec = RoundRecord(
@@ -866,8 +843,6 @@ def round_one(
         alpha_m=alpha,
         h_m=h1,
         mu_m=mu1,
-        zeta_m=None,
-        L_sets=(),
         K_sets=tuple(K_sets),
         n_m=n1,
         w_m=w1,
@@ -880,13 +855,8 @@ def round_one(
         oracle_label=reply.label,
         certifications=certs,
     )
-    star = check_star(rec, g1, (n1,), ladder, tol)
-    certs["star_self"] = {
-        "ok": star.ok,
-        "failures": list(star.failures),
-        "undecided": list(star.undecided),
-        "margins": _json_clean(star.margins),
-    }
+    star = check_star(rec, g1, (n1,), ladder)
+    certs["star_self"] = {**_verdict_json(star), "margins": _json_clean(star.margins)}
     if not star.ok:
         raise GameError(
             "round-1 invariant failed for the answered center",
@@ -900,23 +870,16 @@ def round_one(
 # ---------------------------------------------------------------------------
 
 
-def round_m(
-    state: GameState,
-    f_m: C1Function,
-    alpha_m: Rat,
-    oracle: DenseOpenOracle,
-) -> NoReturn:
+def round_m(state: GameState, f_m: C1Function, alpha_m: Rat) -> NoReturn:
     """Move-rule checks plus diagnosis for a round m >= 2; never returns.
 
     Raises GameRuleError when the move ball does not lie inside the previous
     answer, and GameError when the previous invariant fails at the move
     center.  Otherwise it computes the perturbation radius mu_m (the least
     over j in [m]) and raises GameInfeasibleError with the measured cascade
-    when a net at that radius would exceed params.max_net_points.  A net
-    that fits raises GameError: the engine builds no round-m net (see the
-    module docstring), so `oracle` is never consulted."""
-    params = state.params
-    tol = params.tol
+    when a net at that radius would exceed MAX_NET_POINTS.  A net that fits
+    raises GameError: the engine builds no round-m net (see the module
+    docstring), so a round m >= 2 consults no oracle."""
     m = len(state.rounds) + 1
     if m < 2:
         raise GameError("round_m needs a completed first round")
@@ -938,7 +901,7 @@ def round_m(
     # the previous invariant must hold for the actual move; this replaces
     # the inherited-by-continuity argument, whose coarse-side budget is
     # below float resolution at large slope scales
-    inherited = check_star(prev, f_m, ns_prev, ladder, tol)
+    inherited = check_star(prev, f_m, ns_prev, ladder)
     if inherited.failures:
         raise GameError(
             "previous-round invariant fails for the move center",
@@ -951,7 +914,7 @@ def round_m(
         a3 = ladder.a_refined(j, m, 3)
         a2 = ladder.a_refined(j, m, 2)
         try:
-            chains[j] = mu(f_m, a3, a2, h_m, tol)
+            chains[j] = mu(f_m, a3, a2, h_m, TOL)
         except EpsilonSearchError as e:
             raise GameInfeasibleError(
                 f"round {m} perturbation radius failed at j={j}: {e}"
@@ -959,22 +922,21 @@ def round_m(
     j_min = min(chains, key=lambda j: chains[j].mu)
     mu_m = chains[j_min].mu
 
-    spacing = as_fraction(mu_m) * params.net_factor
+    spacing = as_fraction(mu_m) * NET_FACTOR
     need = 2.0 / float(spacing)
-    if need > params.max_net_points:
+    if need > MAX_NET_POINTS:
         raise _infeasible_cascade(
             f_m,
             ladder.a_refined(j_min, m, 3),
             ladder.a_refined(j_min, m, 2),
             chains[j_min],
             need,
-            params.max_net_points,
         )
     raise GameError(
         f"round {m} net of about {need:.3g} points fits under the cap, but the "
         "engine stops at the net-size diagnosis and builds no round-m net; "
         "see the knotpoints.bmgame module docstring",
-        {"mu": mu_m, "net_points": need, "cap": params.max_net_points},
+        {"mu": mu_m, "net_points": need, "cap": MAX_NET_POINTS},
     )
 
 
@@ -987,22 +949,21 @@ def run_game(
     adversary: PlayerI,
     oracle: DenseOpenOracle,
     rounds: int,
-    params: GameParams = GameParams(),
 ) -> tuple[GameState, dict]:
     """Play the given number of rounds and verify the truncated limit
     statements.  Returns the immutable state and the limit report.  Only
     round 1 consults the oracle (see `round_m`)."""
     if rounds < 1:
         raise ValueError("need at least one round")
-    state = GameState((), params)
+    state = GameState(())
     for m in range(1, rounds + 1):
         prev = None if not state.rounds else (state.last().g_m, state.last().beta_m)
         f, alpha = adversary(m, prev)
         if m == 1:
-            rec = round_one(f, alpha, oracle, params)
+            rec = round_one(f, alpha, oracle)
         else:
-            rec = round_m(state, f, alpha, oracle)
-        state = GameState(state.rounds + (rec,), params)
+            rec = round_m(state, f, alpha)
+        state = GameState(state.rounds + (rec,))
     report = limit_report(state)
     return state, report
 
@@ -1047,7 +1008,7 @@ def limit_report(state: GameState) -> dict:
     f = last.g_m
     cov_ok = True
     cov_entries = {}
-    cache = _EnclosureCache(f, state.params.tol)
+    cache = _EnclosureCache(f)
     nseq = IndexSeq(state.ns)
     for m in range(1, M + 1):
         rec = state.rounds[m - 1]
@@ -1092,14 +1053,10 @@ def limit_report(state: GameState) -> dict:
         ladder,
         0,
         M,
-        state.params.tol,
+        TOL,
         cache=cache,
     )
-    report["checks"]["index_chain"] = {
-        "ok": comb.ok,
-        "failures": list(comb.failures),
-        "undecided": list(comb.undecided),
-    }
+    report["checks"]["index_chain"] = _verdict_json(comb)
 
     orc_ok = True
     orc_entries = {}
@@ -1127,38 +1084,26 @@ def limit_report(state: GameState) -> dict:
 def state_to_json(state: GameState) -> dict:
     return {
         "schema": "knotpoints.game/1",
-        "params": {
-            "tol": state.params.tol,
-            "net_factor": str(state.params.net_factor),
-            "w_safety": str(state.params.w_safety),
-            "max_net_points": state.params.max_net_points,
-            "max_oracle_retries": state.params.max_oracle_retries,
-            "shrink_floor": state.params.shrink_floor,
-            "ladder_kind": state.params.ladder_kind,
-            "ladder_ratio": str(state.params.ladder_ratio),
-            "ladder_scale": str(state.params.ladder_scale),
-        },
+        "params": dict(_PARAMS),
         "rounds": [rec.to_json() for rec in state.rounds],
     }
 
 
 def state_from_json(obj: dict) -> GameState:
-    if obj.get("schema") != "knotpoints.game/1":
-        raise ValueError(f"unknown game state schema: {obj.get('schema')!r}")
+    """Read a saved game back; a game saved at another operating point than
+    the module constants is refused, naming the first key that differs."""
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema != "knotpoints.game/1":
+        raise ValueError(f"unknown game state schema: {schema!r}")
     p = obj["params"]
-    params = GameParams(
-        tol=p["tol"],
-        net_factor=Fraction(p["net_factor"]),
-        w_safety=Fraction(p["w_safety"]),
-        max_net_points=p["max_net_points"],
-        max_oracle_retries=p["max_oracle_retries"],
-        shrink_floor=p["shrink_floor"],
-        ladder_kind=p["ladder_kind"],
-        ladder_ratio=Fraction(p["ladder_ratio"]),
-        ladder_scale=Fraction(p["ladder_scale"]),
-    )
-    rounds = tuple(RoundRecord.from_json(r) for r in obj["rounds"])
-    return GameState(rounds, params)
+    if not isinstance(p, dict):
+        raise ValueError("params is not an object")
+    for key in sorted(set(p) | set(_PARAMS)):
+        if p.get(key) != _PARAMS.get(key):
+            raise ValueError(
+                f"params.{key} is {p.get(key)!r}; the engine plays only at {_PARAMS.get(key)!r}"
+            )
+    return GameState(tuple(RoundRecord.from_json(r) for r in obj["rounds"]))
 
 
 def game_report(state: GameState, limit: dict) -> dict:
@@ -1175,12 +1120,14 @@ def verify_report(report: dict) -> tuple[bool, dict]:
     """Recompute the invariant for every recorded round (at the recorded
     centers) and the limit checks; compare with the stored verdicts."""
     state = state_from_json(report["state"])
+    if not state.rounds:
+        raise ValueError("rounds is empty; a game report holds at least one round")
     ladder = state.ladder()
     recomputed: dict = {"rounds": {}, "mismatches": []}
     for rec in state.rounds:
-        star = check_star(rec, rec.g_m, state.ns[: rec.m], ladder, state.params.tol)
+        star = check_star(rec, rec.g_m, state.ns[: rec.m], ladder)
         stored = rec.certifications.get("star_self", {})
-        entry = {"ok": star.ok, "failures": list(star.failures), "undecided": list(star.undecided)}
+        entry = _verdict_json(star)
         recomputed["rounds"][rec.m] = entry
         if stored and bool(stored.get("ok")) != star.ok:
             recomputed["mismatches"].append(f"round {rec.m}: star verdict changed")

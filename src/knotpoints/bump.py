@@ -56,6 +56,7 @@ __all__ = [
     "make_bump",
     "check_bump_properties",
     "lemma_epsilon",
+    "lobe_half_width",
     "SizingChain",
     "mu",
     "check_bump_easy",

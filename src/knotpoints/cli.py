@@ -109,14 +109,18 @@ def _int_list(text: str, field: str) -> list[int]:
         raise InputError(field, f"not an integer list: {text!r}") from e
 
 
-def _load_json(path: str, field: str) -> dict:
+def _load_json(path: str, field: str, kind: type = dict):
+    """The JSON value in the file, refused unless its top level is a `kind`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as e:
         raise InputError(field, f"cannot read {path!r}: {e}") from e
     except json.JSONDecodeError as e:
         raise InputError(field, f"invalid JSON in {path!r}: {e}") from e
+    if not isinstance(obj, kind):
+        raise InputError(field, f"the top level of {path!r} is a {type(obj).__name__}, not a {kind.__name__}")
+    return obj
 
 
 def _load_function(path: str, field: str):
@@ -259,8 +263,8 @@ def cmd_hausdorff(args, argv: list[str]) -> dict:
 
 
 def _comb_sets(args) -> SeqOfSets:
-    obj = _load_json(args.sets, "sets")
-    if not isinstance(obj, list) or not obj:
+    obj = _load_json(args.sets, "sets", list)
+    if not obj:
         raise InputError("sets", "expected a nonempty JSON list of interval sets")
     try:
         return SeqOfSets(tuple(IntervalSet.from_json_dict(o) for o in obj))
@@ -338,7 +342,7 @@ def cmd_comb(args, argv: list[str]) -> dict:
         _check_tol(args.tol)
         f = _load_function(args.f, "f")
         try:
-            ladder = ScaleLadder.geometric(tuple(_rat_list(args.ladder_b, "ladder-b")))
+            ladder = ScaleLadder(tuple(_rat_list(args.ladder_b, "ladder-b")))
         except ValueError as e:
             raise InputError("ladder-b", str(e)) from e
         if len(ladder.b_values) < args.m_max:
@@ -441,8 +445,9 @@ def _parse_oracle(spec: str):
 def cmd_game(args, argv: list[str]) -> dict:
     if args.mode == "verify":
         rep_obj = _load_json(args.report, "report")
-        if rep_obj.get("schema") == REPORT_SCHEMA:
-            rep_obj = rep_obj.get("outputs", {}).get("game", rep_obj)
+        outputs = rep_obj.get("outputs") if rep_obj.get("schema") == REPORT_SCHEMA else None
+        if isinstance(outputs, dict):
+            rep_obj = outputs.get("game", rep_obj)
         try:
             ok, recomputed = verify_report(rep_obj)
         except (KeyError, ValueError, TypeError) as e:

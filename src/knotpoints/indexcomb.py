@@ -162,6 +162,11 @@ class SeqOfSets:
 # ---------------------------------------------------------------------------
 
 
+# the refinement shape of every ladder (see ScaleLadder)
+LADDER_RATIO = Fraction(4, 5)
+LADDER_SCALE = Fraction(9, 10)
+
+
 @dataclass(frozen=True)
 class ScaleLadder:
     """Base scales a_j = j and b_j (given, with b_j > j+2) together with the
@@ -172,40 +177,24 @@ class ScaleLadder:
     a-side and ascends from just above b_j-1 toward b_j on the b-side, with
     the chain welds a_j^{m,4} = a_j^{m+1,1} and b_j^{m,3} = b_j^{m+1,1}.
 
-    Two refinement shapes: "dyadic" uses the offsets 2^-(3m+k) and 2^-(2m+k);
-    "geometric" uses scale*ratio^(3(m-j)+k-1) and scale*ratio^(2(m-j)+k-1),
-    which approach the base scales much more slowly and so leave far wider
-    gaps between neighbors (the certified numerics need those gaps at desk
-    scale).  Everything is exact rational arithmetic.
+    The offsets are LADDER_SCALE * LADDER_RATIO^(3(m-j)+k-1) on the a-side
+    and LADDER_SCALE * LADDER_RATIO^(2(m-j)+k-1) on the b-side.  They
+    approach the base scales far more slowly than dyadic offsets
+    2^-(3m+k) would, and so leave wide gaps between neighbors: the certified
+    numerics need those gaps at desk scale.  Everything is exact rational
+    arithmetic.
     """
 
     b_values: tuple[Fraction, ...]
-    kind: str = "dyadic"
-    ratio: Fraction = Fraction(4, 5)
-    scale: Fraction = Fraction(9, 10)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b_values", tuple(as_fraction(x) for x in self.b_values))
-        object.__setattr__(self, "ratio", as_fraction(self.ratio))
-        object.__setattr__(self, "scale", as_fraction(self.scale))
-        if self.kind not in ("dyadic", "geometric"):
-            raise ValueError("kind must be 'dyadic' or 'geometric'")
-        if not 0 < self.ratio < 1 or not 0 < self.scale < 1:
-            raise ValueError("need 0 < ratio < 1 and 0 < scale < 1")
         for j, b in enumerate(self.b_values, start=1):
             if not b > j + 2:
                 raise ValueError(f"b_{j} = {b} must exceed {j}+2")
         for x, y in zip(self.b_values, self.b_values[1:]):
             if not x < y:
                 raise ValueError("b values must strictly increase")
-
-    @staticmethod
-    def default(b_values: Sequence[Rat]) -> "ScaleLadder":
-        return ScaleLadder(tuple(as_fraction(b) for b in b_values))
-
-    @staticmethod
-    def geometric(b_values: Sequence[Rat], ratio: Rat = Fraction(4, 5), scale: Rat = Fraction(9, 10)) -> "ScaleLadder":
-        return ScaleLadder(tuple(as_fraction(b) for b in b_values), "geometric", as_fraction(ratio), as_fraction(scale))
 
     def a(self, j: int) -> Fraction:
         if j < 1:
@@ -220,17 +209,12 @@ class ScaleLadder:
     def a_refined(self, j: int, m: int, k: int) -> Fraction:
         if not (1 <= j <= m and 1 <= k <= 4):
             raise ValueError("need 1 <= j <= m and k in [4]")
-        if self.kind == "dyadic":
-            return j + Fraction(1, 2 ** (3 * m + k))
-        return j + self.scale * self.ratio ** (3 * (m - j) + k - 1)
+        return j + LADDER_SCALE * LADDER_RATIO ** (3 * (m - j) + k - 1)
 
     def b_refined(self, j: int, m: int, k: int) -> Fraction:
         if not (1 <= j <= m and 1 <= k <= 3):
             raise ValueError("need 1 <= j <= m and k in [3]")
-        base = self.b(j)
-        if self.kind == "dyadic":
-            return base - Fraction(1, 2 ** (2 * m + k))
-        return base - self.scale * self.ratio ** (2 * (m - j) + k - 1)
+        return self.b(j) - LADDER_SCALE * LADDER_RATIO ** (2 * (m - j) + k - 1)
 
 # ---------------------------------------------------------------------------
 # covering checks
@@ -240,8 +224,10 @@ class ScaleLadder:
 @dataclass(frozen=True)
 class CombCheck:
     """Outcome of a family of inclusion checks: ok means every required
-    inclusion was certified; failures/undecided list the offending (family,
-    j, m) triples; margins record the certified slack per checked triple."""
+    inclusion was certified; failures/undecided list the offending keys;
+    margins record the certified slack per checked key.  The keys are
+    (family, j, m) triples here and (j, bullet, reading) triples in the
+    bullet checks of `bmgame.star_bullets`."""
 
     ok: bool
     failures: tuple = ()

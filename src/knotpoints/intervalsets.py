@@ -55,6 +55,22 @@ from math import gcd, lcm
 from operator import add, le, lt, sub
 from typing import Iterable, Sequence, Union
 
+__all__ = [
+    "EMPTY",
+    "FULL",
+    "FinitePointSet",
+    "IntervalSet",
+    "as_fraction",
+    "ball",
+    "disjoint_gap",
+    "is_subset",
+    "open_cover_full",
+    "pairwise_disjoint",
+    "prefix_distance",
+    "subset_within",
+    "union_of_point_sets",
+]
+
 Rat = Union[int, float, str, Fraction]
 
 ZERO = Fraction(0)

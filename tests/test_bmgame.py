@@ -1,8 +1,8 @@
 """Ball-game checks on hand-built scenarios: an enclosure that the engine
 cannot certify makes a verdict undecided, any other error propagates,
 `round_m` enforces the move rules and ends at its net-size diagnosis, a
-saved game reads back and verifies, and the limit distances match a direct
-computation."""
+saved game reads back and verifies, a game saved at another operating point
+is refused, and the limit distances match a direct computation."""
 
 import json
 from dataclasses import replace
@@ -16,15 +16,12 @@ from knotpoints import bmgame, bump
 from knotpoints.bmgame import (
     GameError,
     GameInfeasibleError,
-    GameParams,
     GameRuleError,
     GameState,
     HatCheckSet,
     RoundRecord,
-    StarCheck,
     game_report,
     limit_report,
-    oracle_everything,
     round_m,
     star_bullets,
     state_from_json,
@@ -32,6 +29,7 @@ from knotpoints.bmgame import (
     verify_report,
 )
 from knotpoints.bump import SizingChain
+from knotpoints.indexcomb import CombCheck, ScaleLadder
 from knotpoints.intervalsets import FULL, FinitePointSet
 from knotpoints.nsets import EnclosureRangeError, NSetEnclosure
 from knotpoints.realfn import C1Function
@@ -46,8 +44,7 @@ class StubCache:
     """Stands in for `_EnclosureCache`: raises `error` at the scales `fails`
     accepts and returns the full set everywhere else."""
 
-    def __init__(self, f, error, fails=lambda a: True):
-        self.f, self.tol = f, 1e-4
+    def __init__(self, error, fails=lambda a: True):
         self.error, self.fails = error, fails
 
     def get(self, a, variant):
@@ -56,27 +53,27 @@ class StubCache:
         return NSetEnclosure.exact(FULL)
 
 
-LADDER = GameParams().ladder((B1,))
+LADDER = ScaleLadder((B1,))
 FINE, COARSE = LADDER.a_refined(1, 1, 4), LADDER.b_refined(1, 1, 3)
 
 
-def _star(cache):
-    return star_bullets(cache.f, K_SETS, 1, F(1, 8), (1,), 1, LADDER, 4, 3, 1e-4, cache=cache)
+def _star(monkeypatch, error, fails=lambda a: True):
+    """star_bullets on f = 0 with its enclosures fetched from a StubCache."""
+    monkeypatch.setattr(bmgame, "_EnclosureCache", lambda f: StubCache(error, fails))
+    return star_bullets(C1Function.zero(), K_SETS, 1, F(1, 8), (1,), 1, LADDER, 4, 3)
 
 
-def test_star_bullets_undecided_on_enclosure_range_error():
-    f = C1Function.zero()
-    star = _star(StubCache(f, EnclosureRangeError("a", "out of range")))
+def test_star_bullets_undecided_on_enclosure_range_error(monkeypatch):
+    star = _star(monkeypatch, EnclosureRangeError("a", "out of range"))
     assert not star.ok and not star.failures
     assert set(star.undecided) == {(1, b, rd) for b in (1, 2, 3) for rd in ("hat", "check")}
     assert star.margins[(1, 1, "hat")] == "enclosure unavailable: out of range"
 
 
 @pytest.mark.parametrize("scale", [FINE, COARSE], ids=["fine", "coarse"])
-def test_star_bullets_propagates_other_value_errors(scale):
-    f = C1Function.zero()
+def test_star_bullets_propagates_other_value_errors(monkeypatch, scale):
     with pytest.raises(ValueError, match="not a range error"):
-        _star(StubCache(f, ValueError("not a range error"), fails=lambda a: a == scale))
+        _star(monkeypatch, ValueError("not a range error"), fails=lambda a: a == scale)
 
 
 def _one_round_state() -> GameState:
@@ -87,8 +84,6 @@ def _one_round_state() -> GameState:
         alpha_m=F(1),
         h_m=F(0),
         mu_m=0.1,
-        zeta_m=None,
-        L_sets=K_SETS,
         K_sets=K_SETS,
         n_m=1,
         w_m=F(1, 16),
@@ -103,8 +98,8 @@ def _one_round_state() -> GameState:
 
 
 def test_limit_report_null_coverage_on_enclosure_range_error(monkeypatch):
-    def cache(f, tol):
-        return StubCache(f, EnclosureRangeError("a", "out of range"), fails=lambda a: a == B1)
+    def cache(f):
+        return StubCache(EnclosureRangeError("a", "out of range"), fails=lambda a: a == B1)
 
     monkeypatch.setattr(bmgame, "_EnclosureCache", cache)
     entry = limit_report(_one_round_state())["checks"]["limit_coverage"]["entries"]["j=1,m=1"]
@@ -115,8 +110,8 @@ def test_limit_report_null_coverage_on_enclosure_range_error(monkeypatch):
 
 @pytest.mark.parametrize("scale", [F(1), B1], ids=["fine", "coarse"])
 def test_limit_report_propagates_other_value_errors(monkeypatch, scale):
-    def cache(f, tol):
-        return StubCache(f, ValueError("not a range error"), fails=lambda a: a == scale)
+    def cache(f):
+        return StubCache(ValueError("not a range error"), fails=lambda a: a == scale)
 
     def index_chain(*args, **kwargs):
         raise AssertionError("the coverage check swallowed the error")
@@ -127,22 +122,18 @@ def test_limit_report_propagates_other_value_errors(monkeypatch, scale):
         limit_report(_one_round_state())
 
 
-def _round_m(state, f, alpha):
-    return round_m(state, f, alpha, oracle_everything())
-
-
 def test_round_m_rejects_moves_outside_the_previous_answer():
     state = _one_round_state()
     one = C1Function([0.0, 1.0], [1.0, 1.0], [0.0, 0.0])  # 1 away from g_1, beta_1 = 1/2
     with pytest.raises(GameRuleError, match="outside beta"):
-        _round_m(state, one, F(1, 8))
+        round_m(state, one, F(1, 8))
     with pytest.raises(GameRuleError, match="does not fit"):
-        _round_m(state, C1Function.zero(), F(1))
+        round_m(state, C1Function.zero(), F(1))
 
 
 def test_round_m_needs_a_completed_first_round():
     with pytest.raises(GameError, match="completed first round"):
-        _round_m(GameState(()), C1Function.zero(), F(1, 8))
+        round_m(GameState(()), C1Function.zero(), F(1, 8))
 
 
 @pytest.fixture
@@ -154,7 +145,7 @@ def stub_round_m(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("the sizing chain was recomputed")
 
-    monkeypatch.setattr(bmgame, "star_bullets", lambda *args: StarCheck(True))
+    monkeypatch.setattr(bmgame, "star_bullets", lambda *args: CombCheck(True))
     monkeypatch.setattr(bump, "lemma_epsilon", no_search)
     return lambda radius: monkeypatch.setattr(bmgame, "mu", lambda *args: SizingChain(2e-9, 4e-15, radius))
 
@@ -162,7 +153,7 @@ def stub_round_m(monkeypatch):
 def test_round_m_diagnoses_a_net_above_the_cap(stub_round_m):
     stub_round_m(1e-15)
     with pytest.raises(GameInfeasibleError) as err:
-        _round_m(_one_round_state(), C1Function.zero(), F(1, 8))
+        round_m(_one_round_state(), C1Function.zero(), F(1, 8))
     d = err.value.details
     assert set(d) == {"mu", "eps", "l", "net_points", "cap", "deriv_norm"}
     assert (d["mu"], d["eps"], d["l"], d["cap"], d["deriv_norm"]) == (1e-15, 2e-9, 4e-15, 2_000_000, 0.0)
@@ -172,7 +163,7 @@ def test_round_m_diagnoses_a_net_above_the_cap(stub_round_m):
 def test_round_m_stops_when_the_net_would_fit(stub_round_m):
     stub_round_m(0.1)
     with pytest.raises(GameError, match="net-size diagnosis") as err:
-        _round_m(_one_round_state(), C1Function.zero(), F(1, 8))
+        round_m(_one_round_state(), C1Function.zero(), F(1, 8))
     assert not isinstance(err.value, GameInfeasibleError)
 
 
@@ -184,7 +175,6 @@ def test_saved_game_reads_back_and_verifies():
     rec = replace(
         _one_round_state().rounds[0],
         K_sets=(HatCheckSet(hat, check),),
-        L_sets=(),
         w_m=F(1, 10),
         certifications={"star_self": {"ok": True}},
     )
@@ -199,6 +189,49 @@ def test_saved_game_reads_back_and_verifies():
     report["state"]["rounds"][0]["certifications"]["star_self"]["ok"] = False
     ok, recomputed = verify_report(report)
     assert not ok and recomputed["mismatches"] == ["round 1: star verdict changed"]
+
+
+def test_saved_game_records_the_one_operating_point():
+    assert state_to_json(GameState(())) == {
+        "schema": "knotpoints.game/1",
+        "params": {
+            "ladder_kind": "geometric",
+            "ladder_ratio": "4/5",
+            "ladder_scale": "9/10",
+            "max_net_points": 2000000,
+            "max_oracle_retries": 6,
+            "net_factor": "9/10",
+            "shrink_floor": 1e-12,
+            "tol": 0.0001,
+            "w_safety": "9/20",
+        },
+        "rounds": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda s: s["params"].update(tol=1e-5), "params.tol"),
+        (lambda s: s["params"].update(ladder_kind="dyadic"), "params.ladder_kind"),
+        (lambda s: s["params"].pop("w_safety"), "params.w_safety"),
+        (lambda s: s["params"].update(extra=1), "params.extra"),
+        (lambda s: s["rounds"][0].update(L_sets=s["rounds"][0]["K_sets"]), "L_sets"),
+        (lambda s: s["rounds"][0].update(zeta_m=0.5), "zeta_m"),
+        (lambda s: s["rounds"][0].update(certifications=[]), "certifications"),
+        (lambda s: s["rounds"][0].update(certifications={"star_self": [1]}), "certifications"),
+    ],
+    ids=["tol", "ladder-kind", "missing-key", "extra-key", "l-sets", "zeta-m", "certs", "star-self"],
+)
+def test_state_from_json_refuses_what_no_run_writes(edit, key):
+    """A saved game that differs from the engine's constants is refused with
+    the key named, not replayed under settings no run uses; so is one whose
+    certifications `verify_report` could not read."""
+    saved = state_to_json(_one_round_state())
+    state_from_json(saved)
+    edit(saved)
+    with pytest.raises(ValueError, match=f"^{key} "):
+        state_from_json(saved)
 
 
 # points on a coarse grid, so that sets collide, and off it

@@ -1,6 +1,6 @@
 """Command-line front end: the `nset`, `bump` and `jarnik-demo` subcommands
-through `cli.main`, the input errors of `comb`, `bump` and `game`, the input
-digest of a report, and the grid count behind `jarnik-demo`."""
+through `cli.main`, the input errors of `nset`, `comb`, `bump` and `game`,
+the input digest of a report, and the grid count behind `jarnik-demo`."""
 
 import hashlib
 import json
@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotpoints import bump, cli
+from knotpoints.bmgame import GameState, game_report
 from knotpoints.intervalsets import IntervalSet
 from knotpoints.realfn import PwlFunction, function_to_json, random_c1_function, random_function
 
@@ -152,6 +153,13 @@ _Y = ["--f", "{c1}", "--ladder-b", "4,5,6,7"]
         (["bump", "make", "--hat", "1/4", "--a", "3000"], "a"),
         (["bump", "make", "--hat", "1/4", "--a", "18"], "a"),
         (["game", "run", "--seed", "-1"], "seed"),
+        (["nset", "--f", "{list}", "--a", "1"], "f"),
+        (["nset", "--f", "{text}", "--a", "1"], "f"),
+        (["bump", "mu", "--f", "{list}"], "f"),
+        (["bump", "mu", "--f", "{text}"], "f"),
+        (["game", "verify", "--report", "{list}"], "report"),
+        (["game", "verify", "--report", "{envelope}"], "report"),
+        (["game", "verify", "--report", "{no_rounds}"], "report"),
     ],
     ids=[
         "comb-n-growth", "comb-delta-order", "comb-ladder-b", "comb-k",
@@ -159,13 +167,15 @@ _Y = ["--f", "{c1}", "--ladder-b", "4,5,6,7"]
         "comb-ladder-b-short", "comb-check-y-tol", "perm-count", "perm-m-max",
         "bump-make-pwl", "bump-mu-pwl", "bump-hat", "bump-check",
         "bump-a-underflow", "bump-a-grid", "game-seed",
+        "nset-f-list", "nset-f-text", "bump-mu-f-list", "bump-mu-f-text",
+        "game-verify-list", "game-verify-outputs-list", "game-verify-no-rounds",
     ],
 )
 def test_malformed_input_exits_2_and_names_the_field(
     c1_file, tmp_path, monkeypatch, capsys, argv, field
 ):
-    """Each malformed flag exits with 2 before any check runs, and the
-    message names the field."""
+    """Each malformed flag or input file exits with 2 before any check runs,
+    and the message names the field."""
 
     def compute(*args):
         raise AssertionError("checked before validating the input")
@@ -173,7 +183,15 @@ def test_malformed_input_exits_2_and_names_the_field(
     for name in ("check_S_k", "check_Y_k", "check_perm_A", "run_game"):
         monkeypatch.setattr(cli, name, compute)
     sets = [IntervalSet.from_pairs([(F(i % 7, 8), F(i % 7 + 1, 8))]).to_json_dict() for i in range(8)]
-    files = {"sets": sets, "few_sets": sets[:3], "pwl": function_to_json(PwlFunction.zigzag())}
+    files = {
+        "sets": sets,
+        "few_sets": sets[:3],
+        "pwl": function_to_json(PwlFunction.zigzag()),
+        "list": [1, 2],
+        "text": "x",
+        "envelope": {"schema": "knotpoints.report/1", "outputs": []},
+        "no_rounds": game_report(GameState(()), {}),
+    }
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     paths = {name: str(tmp_path / f"{name}.json") for name in files}

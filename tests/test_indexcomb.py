@@ -221,15 +221,17 @@ def test_seq_of_sets():
 
 
 LADDER_B = (5, 6, 7, 8, 9, 10, 11, 12)
+# b_j as close to j+2 as the ladder allows, and non-integer
+OTHER_B = tuple(j + 2 + F(1, 7) for j in range(1, 9))
 
 
-def test_ladder_chains_validate_both_kinds():
+def test_ladder_chains_validate():
     """Walking (m, k) in lexicographic order up to depth 8, the refined
     a-scales descend strictly from below j+1 toward a_j and the refined
     b-scales ascend strictly from above b_j-1 toward b_j, except at the
     welds (m, last) = (m+1, 1), where they are equal."""
     m_max = 8
-    for lad in (ScaleLadder.default(LADDER_B), ScaleLadder.geometric(LADDER_B)):
+    for lad in (ScaleLadder(LADDER_B), ScaleLadder(OTHER_B)):
         for j in range(1, len(LADDER_B) + 1):
             a_walk = [(k, lad.a_refined(j, m, k)) for m in range(j, m_max + 1) for k in (1, 2, 3, 4)]
             b_walk = [(k, lad.b_refined(j, m, k)) for m in range(j, m_max + 1) for k in (1, 2, 3)]
@@ -244,22 +246,20 @@ def test_ladder_chains_validate_both_kinds():
 
 def test_ladder_validation_errors():
     with pytest.raises(ValueError):
-        ScaleLadder.default((3,))  # b_1 must exceed 3
+        ScaleLadder((3,))  # b_1 must exceed 3
     with pytest.raises(ValueError):
-        ScaleLadder.default((5, 5))
-    with pytest.raises(ValueError):
-        ScaleLadder((F(5),), kind="cubic")
+        ScaleLadder((5, 5))
 
 
 def test_ladder_base_scales():
-    lad = ScaleLadder.default(LADDER_B)
+    lad = ScaleLadder(LADDER_B)
     assert lad.a(3) == 3
     assert lad.b(2) == 6
     with pytest.raises(ValueError):
         lad.b(9)
 
 
-@pytest.mark.parametrize("lad", [ScaleLadder.default(LADDER_B), ScaleLadder.geometric(LADDER_B)])
+@pytest.mark.parametrize("lad", [ScaleLadder(LADDER_B), ScaleLadder(OTHER_B)])
 def test_ladder_welds_exact(lad):
     for j in range(1, 5):
         for m in range(j, 6):
@@ -268,7 +268,7 @@ def test_ladder_welds_exact(lad):
 
 
 def test_ladder_refined_ordering():
-    lad = ScaleLadder.geometric(LADDER_B)
+    lad = ScaleLadder(LADDER_B)
     for j in (1, 2, 3):
         assert lad.a(j) < lad.a_refined(j, j + 2, 4) < lad.a_refined(j, j, 1) < lad.a(j) + 1
         assert lad.b(j) - 1 < lad.b_refined(j, j, 1) < lad.b_refined(j, j + 2, 3) < lad.b(j)
@@ -276,7 +276,7 @@ def test_ladder_refined_ordering():
 
 
 def test_ladder_refined_rejects_bad_indices():
-    lad = ScaleLadder.default(LADDER_B)
+    lad = ScaleLadder(LADDER_B)
     with pytest.raises(ValueError):
         lad.a_refined(2, 1, 1)
     with pytest.raises(ValueError):
@@ -325,7 +325,7 @@ def zigzag_scenario():
     exact at distance zero, and scale monotonicity does the rest."""
     zz = PwlFunction.zigzag()
     n = IndexSeq((2, 4, 7, 11, 16))
-    lad = ScaleLadder.default((4, 5, 6))
+    lad = ScaleLadder((4, 5, 6))
     target = {n.n(j): j for j in (1, 2, 3)}
     sets = []
     for idx in range(1, n.n(4) + 1):
@@ -373,7 +373,7 @@ def test_check_y_fetches_every_c1_enclosure_through_the_cache(monkeypatch):
     K, _, n, delta, _ = zigzag_scenario()
     f = random_c1_function(3, cells=6, amplitude=0.5, slope_scale=2.0)
     f = f.add(C1Function.linear(50.0))
-    lad = ScaleLadder.default((4, 5, 40))
+    lad = ScaleLadder((4, 5, 40))
     plain = check_Y_k(K, f, n, delta, lad, 0, 3, tol=1e-4)
     cache = CountingCache(f, 1e-4)
 

@@ -1,5 +1,6 @@
 """The package exports only what its own modules use: every name that
-`knotpoints/__init__.py` imports has a caller somewhere in the package."""
+`knotpoints/__init__.py` imports has a caller somewhere in the package, and
+each module's `__all__` lists exactly the names imported from it."""
 
 import ast
 import functools
@@ -70,13 +71,35 @@ def _own_loads(stmt) -> set[str]:
     return out
 
 
+def _imports_of_init() -> dict[str, set[str]]:
+    """The names `knotpoints/__init__.py` imports, per module."""
+    out = {m: set() for m in MODULES}
+    for s in _tree("__init__").body:
+        if isinstance(s, ast.ImportFrom):
+            out[s.module].update(a.asname or a.name for a in s.names)
+    return out
+
+
+def _dunder_all(module: str) -> set[str]:
+    """The module's `__all__`, empty when it has none."""
+    for s in _tree(module).body:
+        if isinstance(s, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in s.targets):
+            return set(ast.literal_eval(s.value))
+    return set()
+
+
+def test_each_dunder_all_lists_what_the_package_imports_from_the_module():
+    for module, names in _imports_of_init().items():
+        assert _dunder_all(module) == names, module
+
+
 def test_every_exported_name_has_a_caller_in_the_package():
     """A caller is a load outside the top-level definition of the name, so
     recursion does not count.  Only the statements around the places that
     spell a name are walked, and a module is parsed only when it spells a
     name that still lacks a caller."""
     assert sorted(MODULES + ("__init__",)) == sorted(p.stem for p in PACKAGE.glob("*.py"))
-    exported = {a.asname or a.name for s in _tree("__init__").body if isinstance(s, ast.ImportFrom) for a in s.names}
+    exported = set().union(*_imports_of_init().values())
     assert exported
     uncalled = [n for n in sorted(exported) if not any(_has_caller(m, n) for m in MODULES)]
     assert uncalled == []
