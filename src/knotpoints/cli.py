@@ -127,7 +127,7 @@ def _load_function(path: str, field: str):
     obj = _load_json(path, field)
     try:
         return function_from_json(obj)
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise InputError(field, f"not a valid function file: {e}") from e
 
 
@@ -149,7 +149,7 @@ def _load_interval_set(path: str, field: str) -> IntervalSet:
     obj = _load_json(path, field)
     try:
         return IntervalSet.from_json_dict(obj)
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise InputError(field, f"not a valid interval-set file: {e}") from e
 
 
@@ -268,7 +268,7 @@ def _comb_sets(args) -> SeqOfSets:
         raise InputError("sets", "expected a nonempty JSON list of interval sets")
     try:
         return SeqOfSets(tuple(IntervalSet.from_json_dict(o) for o in obj))
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
         raise InputError("sets", f"invalid interval set in list: {e}") from e
 
 
@@ -436,7 +436,7 @@ def _parse_oracle(spec: str):
         try:
             T = tuple(FinitePointSet.from_json_list(s) for s in obj["sets"])
             tol = Fraction(obj["tol"])
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
             raise InputError("oracle", f"invalid target oracle file: {e}") from e
         return oracle_target_prefix(T, tol)
     raise InputError("oracle", f"unknown oracle spec {spec!r}; use trivial, avoid:<point>, target:<file>")
@@ -450,7 +450,7 @@ def cmd_game(args, argv: list[str]) -> dict:
             rep_obj = outputs.get("game", rep_obj)
         try:
             ok, recomputed = verify_report(rep_obj)
-        except (KeyError, ValueError, TypeError) as e:
+        except (KeyError, ValueError, TypeError, ZeroDivisionError) as e:
             raise InputError("report", f"not a verifiable game report: {e}") from e
         inputs = {"mode": "verify", "report": args.report}
         outputs = {"recomputed": recomputed}

@@ -353,9 +353,6 @@ class IntervalSet(_IntRationals):
 
     # -- serialization -----------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {"intervals": [[str(lo), str(hi)] for lo, hi in self.intervals]}
-
     @staticmethod
     def from_json_dict(d: dict) -> "IntervalSet":
         return IntervalSet.from_pairs([(Fraction(a), Fraction(b)) for a, b in d["intervals"]])

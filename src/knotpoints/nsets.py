@@ -22,8 +22,13 @@ Two computation paths:
   act on that integer form.  One integer event sweep over phi visits the
   cells between consecutive window events; on each cell phi and the window
   end are single lines and the interior breakpoints a constant, so the set
-  is read per cell from endpoint signs.  Only crossing points are new
-  rationals; nothing is rounded.
+  is read per cell from endpoint signs.  A cell whose signs leave it wholly
+  in or out costs comparisons only; crossing points are the only new
+  rationals, and nothing is rounded.  Each sweep returns its runs with
+  every end an (n, d) pair; a reflected part maps its runs exactly.  The
+  runs of all parts are then sorted and merged on those pairs, only the
+  ends that remain are reduced and brought over their lcm, and the call
+  builds its one IntervalSet from them: no set algebra on part sets.
 * certified enclosure (C1Function, real a > 0): adaptive bisection with
   window bounds from closed-form cubic extrema returns inner/outer interval
   enclosures.  Bounds are evaluated in double precision (no directed
@@ -69,6 +74,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -286,33 +292,18 @@ def admissible_eps(a: Rat, b: Rat, eps: Rat) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _half_cell(u: int, v: int, gu: int, gv: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """{x in [u, v] : g(x) >= 0} for g linear on the cell with g(u) = gu and
-    g(v) = gv, as (lo, hi) with each end a pair (n, d), d > 0, standing for
-    n/d in the units of u and v.  A sign change crosses at (v gu - u gv) /
-    (gu - gv); an empty half comes back inverted, as (v, u)."""
-    if gu >= 0 and gv >= 0:
-        return (u, 1), (v, 1)
-    if gu < 0 and gv < 0:
-        return (v, 1), (u, 1)
-    if gu >= 0:
-        return (u, 1), (v * gu - u * gv, gu - gv)
-    return (u * gv - v * gu, gv - gu), (v, 1)
-
-
-def _le(p: tuple[int, int], q: tuple[int, int]) -> bool:
-    return p[0] * q[1] <= q[0] * p[1]
-
-
-def _values_at(T: list[int], Z: list[int], S: list[int], pts: list[int]) -> list[int]:
-    """phi at increasing integer points of [T[0], T[-1]], by one forward walk
-    over the segments: Z[j] + S[j] (p - T[j]) on [T[j], T[j+1]]."""
-    out = []
-    j, last = 0, len(T) - 2
-    for p in pts:
-        while j < last and T[j + 1] <= p:
-            j += 1
-        out.append(Z[j] + S[j] * (p - T[j]))
+def _values_at(T: list[int], Z: list[int], pts: list[int]) -> list[int]:
+    """phi at points of [T[0], T[-1]]: Z[j] at a breakpoint T[j], and the
+    line through the ends of the segment (T[j], T[j+1]) that holds any other
+    point; the division is exact when the values carry the lcm of the
+    segment widths."""
+    out = list(map(dict(zip(T, Z)).get, pts))
+    if None in out:
+        for i, p in enumerate(pts):
+            if out[i] is None:
+                j = bisect_right(T, p)
+                t0, z0 = T[j - 1], Z[j - 1]
+                out[i] = z0 + (Z[j] - z0) // (T[j] - t0) * (p - t0)
     return out
 
 
@@ -330,11 +321,11 @@ class _IntPwl(NamedTuple):
     def of(f: PwlFunction, a: int) -> "_IntPwl":
         """f over X = lcm(2^a, breakpoint denominators) and V = lcm(X,
         value denominators)."""
-        X = math.lcm(1 << a, *(t.denominator for t in f.breakpoints))
-        V = math.lcm(X, *(y.denominator for y in f.values))
-        T = [t.numerator * (X // t.denominator) for t in f.breakpoints]
-        W = [y.numerator * (V // y.denominator) for y in f.values]
-        return _IntPwl(T, W, X, V)
+        ts = [t.as_integer_ratio() for t in f.breakpoints]
+        ys = [y.as_integer_ratio() for y in f.values]
+        X = math.lcm(1 << a, *(d for _, d in ts))
+        V = math.lcm(X, *(d for _, d in ys))
+        return _IntPwl([n * (X // d) for n, d in ts], [n * (V // d) for n, d in ys], X, V)
 
     def negate(self) -> "_IntPwl":
         return _IntPwl(self.T, [-w for w in self.W], self.X, self.V)
@@ -344,92 +335,169 @@ class _IntPwl(NamedTuple):
         return _IntPwl([self.X - t for t in reversed(self.T)], self.W[::-1], self.X, self.V)
 
 
-def _plus_upper_exact(g: _IntPwl, a: int) -> IntervalSet:
-    """The forward-upper set of g at integer scale a >= 1 in one integer
-    event sweep of phi = g - a*x.
+_Run = tuple[tuple[int, int], tuple[int, int]]
 
-    Between consecutive events (breakpoints <= 1 - delta and breakpoints
-    shifted left by delta) the window [x, x+delta] of a cell [u, v] sees a
-    fixed set of breakpoints, [v, u+delta], whose best value c a monotone
-    deque keeps (Lemire's streaming max filter), and phi is one line L0 at x
-    and one line L1 at x + delta.  The window max is max(L0, L1, c), so the
-    set on the cell is {L0 >= L1} & {L0 >= c}; each half is all, none or one
-    side of a sign change.  Since the window holds x, L0 never exceeds the
-    max: the slack max - phi is nonnegative by construction.
+
+def _plus_upper_exact(g: _IntPwl, a: int, L: int) -> list[_Run]:
+    """The forward-upper set of g at integer scale a >= 1 as its runs
+    (lo, hi), sorted, disjoint and non-adjacent; each end is a pair (n, d),
+    d > 0, standing for n/(d X).  L is the lcm of the segment widths of g.
+
+    One integer event sweep of phi = g - a*x.  Between consecutive events
+    (breakpoints <= 1 - delta and breakpoints shifted left by delta) the
+    window [x, x+delta] of a cell [u, v] sees a fixed set of breakpoints,
+    [v, u+delta], whose best value c a monotone deque keeps (Lemire's
+    streaming max filter), and phi is one line L0 at x and one line L1 at
+    x + delta.  The window max is max(L0, L1, c), so the set on the cell is
+    {L0 >= L1} & {L0 >= c}; each half is all, none or one side of a sign
+    change.  Since the window holds x, L0 never exceeds the max: the slack
+    max - phi is nonnegative by construction.
+
+    A cell is classified by the signs of L0 - L1 and L0 - c at its two ends
+    first: a half negative at both ends leaves the cell out, and a cell
+    nonnegative at all four joins the open run whole.  Only the remaining
+    cells compute crossing points, the only new rationals.  A point u is in
+    the set exactly when phi(u) equals the window max there, so once the
+    envelope check has matched the max at u from both cells, the two agree
+    on u: a run is open at u only when the cell after u goes on from u, and
+    runs end only at a crossing or at 1 - delta.  `n_set_exact` builds the
+    set from the runs.
 
     Positions are the integers of g over X, and values integers over one
     denominator that makes phi exact at every event and event + delta: V
-    times the lcm of the segment widths.  No division rounds: every // below
-    divides an lcm by one of its arguments.
+    times L.  No division rounds: every // below divides a multiple of its
+    divisor.
     """
     T, X, V = g.T, g.X, g.V
     D = X >> a
-    Y = [w - a * t * (V // X) for t, w in zip(T, g.W)]
-    L = math.lcm(*(t1 - t0 for t0, t1 in zip(T, T[1:])))
-    Z = [y * L for y in Y]
-    S = [(y1 - y0) * (L // (t1 - t0)) for t0, t1, y0, y1 in zip(T, T[1:], Y, Y[1:])]
+    k = a * (V // X)
+    Z = [(w - k * t) * L for t, w in zip(T, g.W)]
 
     xmax = X - D
     ev = sorted({t for t in T if t <= xmax} | {t - D for t in T if t >= D})
-    at = _values_at(T, Z, S, ev)
-    ahead = _values_at(T, Z, S, [e + D for e in ev])
+    at = _values_at(T, Z, ev)
+    ahead = _values_at(T, Z, [e + D for e in ev])
 
     dq: deque[int] = deque()  # breakpoints in [v, u + D], values decreasing
+    pop, popleft, push = dq.pop, dq.popleft, dq.append
+    Tn = T + [X + D + 1]  # a sentinel past every window end
     add = 0
-    runs: list[list[tuple[int, int]]] = []
+    runs: list[_Run] = []
+    start = None  # lo of the run that is open at u: it may go on past u
+    cells = zip(ev, at, ahead)
+    u, pu, ru = next(cells)
+    up = pu >= ru  # L0 >= L1 at u
+    e = pu if pu > ru else ru  # max(L0, L1) at u
     m_prev = None
-    for i in range(len(ev) - 1):
-        u, v = ev[i], ev[i + 1]
-        while add < len(T) and T[add] <= u + D:
-            while dq and Z[dq[-1]] <= Z[add]:
-                dq.pop()
-            dq.append(add)
+    for v, pv, rv in cells:
+        reach = u + D
+        while Tn[add] <= reach:
+            z = Z[add]
+            while dq and Z[dq[-1]] <= z:
+                pop()
+            push(add)
             add += 1
         while dq and T[dq[0]] < v:
-            dq.popleft()
-        pu, pv, ru, rv = at[i], at[i + 1], ahead[i], ahead[i + 1]
+            popleft()
         # with no breakpoint inside the window, min(pu, pv) stands in for c:
         # it changes neither the max nor {L0 >= c}, as L0 >= min(pu, pv)
-        c = Z[dq[0]] if dq else min(pu, pv)
+        c = Z[dq[0]] if dq else (pu if pu < pv else pv)
 
         # the window max at u from this cell must match the one at the
         # same point from the cell before
-        if m_prev is not None and max(pu, ru, c) != m_prev:
+        m = e if e > c else c
+        if m != m_prev and m_prev is not None:
             raise AssertionError("window max envelope mismatch at cell boundary")
-        m_prev = max(pv, rv, c)
+        e = pv if pv > rv else rv
+        m_prev = e if e > c else c
 
-        lo1, hi1 = _half_cell(u, v, pu - ru, pv - rv)
-        lo2, hi2 = _half_cell(u, v, pu - c, pv - c)
-        lo = lo2 if _le(lo1, lo2) else lo1
-        hi = hi1 if _le(hi1, hi2) else hi2
-        if not _le(lo, hi):
-            continue
-        if runs and _le(lo, runs[-1][1]):
-            runs[-1][1] = hi  # lo is where the run before ends
+        vp = pv >= rv
+        uc = pu >= c
+        vc = pv >= c
+        if up and vp and uc and vc:
+            if start is None:
+                start = (u, 1)
+        elif (up or vp) and (uc or vc):
+            # each half holds u or v; lo and hi stay None at the cell's ends
+            lo = hi = None
+            if not up:
+                gu, gv = pu - ru, pv - rv
+                lo = (u * gv - v * gu, gv - gu)
+            elif not vp:
+                gu, gv = pu - ru, pv - rv
+                hi = (v * gu - u * gv, gu - gv)
+            if not uc:
+                gu, gv = pu - c, pv - c
+                n, d = u * gv - v * gu, gv - gu
+                if lo is None or n * lo[1] > lo[0] * d:
+                    lo = (n, d)
+            elif not vc:
+                gu, gv = pu - c, pv - c
+                n, d = v * gu - u * gv, gu - gv
+                if hi is None or n * hi[1] < hi[0] * d:
+                    hi = (n, d)
+            if lo is None or hi is None or lo[0] * hi[1] <= hi[0] * lo[1]:
+                if start is None:
+                    start = (u, 1) if lo is None else lo
+                if hi is not None:
+                    runs.append((start, hi))
+                    start = None
+        u, pu, ru, up = v, pv, rv, vp
+    if start is not None:
+        runs.append((start, (u, 1)))
+    return runs
+
+
+def _cmp_lo(r: _Run, s: _Run) -> int:
+    """The sign of lo(r) - lo(s)."""
+    return r[0][0] * s[0][1] - s[0][0] * r[0][1]
+
+
+def _union_of_runs(runs: list[_Run], X: int) -> IntervalSet:
+    """The union of closed runs with ends (n, d) standing for n/(d X), built
+    as one IntervalSet.  The runs are sorted and merged on the pairs, so
+    only the ends that remain are reduced and enter the lcm that is the
+    canonical denominator."""
+    ends: list[tuple[int, int]] = []
+    for lo, hi in sorted(runs, key=functools.cmp_to_key(_cmp_lo)):
+        if ends and lo[0] * ends[-1][1] <= ends[-1][0] * lo[1]:  # lo <= the last hi
+            if hi[0] * ends[-1][1] > ends[-1][0] * hi[1]:
+                ends[-1] = hi
         else:
-            runs.append([lo, hi])
-
-    ends = [p for run in runs for p in run]
-    den = math.lcm(*(X * d for _, d in ends))
-    return IntervalSet([n * (den // (X * d)) for n, d in ends], den)
+            ends += (lo, hi)
+    reduced = []
+    for n, d in ends:
+        q = X * d
+        r = math.gcd(n, q)
+        reduced.append((n // r, q // r))
+    den = math.lcm(*(q for _, q in reduced))
+    return IntervalSet([n * (den // q) for n, q in reduced], den)
 
 
 def n_set_exact(f: PwlFunction, a: Rat, variant: str = "full") -> IntervalSet:
     """Exact exception set for a piecewise-linear f on [0,1] and integer
     scale a; every basic variant is a plus_upper set (`_plus_upper_form`) of
-    one integer form of f."""
+    one integer form of f.  The runs of the parts, reflected exactly where a
+    part needs it, make one IntervalSet."""
     if not isinstance(f, PwlFunction):
         raise TypeError("n_set_exact needs a PwlFunction; use n_set_enclosure for C1")
     _check_variant(variant)
     _check_unit_domain(f)
     ai = _as_integer_scale(a)
     g = _IntPwl.of(f, ai)
-    sets = []
+    X, T = g.X, g.T
+    # negating and reflecting keep the segment widths
+    L = math.lcm(*(t1 - t0 for t0, t1 in zip(T, T[1:])))
+    runs: list[_Run] = []
     for part in _PARTS.get(variant, (variant,)):
         h, refl = _plus_upper_form(g, part)
-        s = _plus_upper_exact(h, ai)
-        sets.append(s.reflect() if refl else s)
-    return functools.reduce(IntervalSet.union, sets)
+        part_runs = _plus_upper_exact(h, ai, L)
+        if refl:  # x -> 1 - x takes n/(d X) to (X d - n)/(d X) and reverses the runs
+            part_runs = [
+                ((X * hd - hn, hd), (X * ld - ln, ld)) for (ln, ld), (hn, hd) in reversed(part_runs)
+            ]
+        runs += part_runs
+    return _union_of_runs(runs, X)
 
 
 # ---------------------------------------------------------------------------

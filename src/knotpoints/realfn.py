@@ -81,11 +81,6 @@ class PwlFunction:
     def zero() -> "PwlFunction":
         return PwlFunction.constant(0)
 
-    @staticmethod
-    def zigzag() -> "PwlFunction":
-        """The tent map: 0 at the endpoints, 1 at 1/2."""
-        return PwlFunction.from_pairs([(0, 0), (Fraction(1, 2), 1), (1, 0)])
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -211,6 +206,9 @@ class C1Function:
             raise ValueError("knots/values/slopes length mismatch")
         if len(self.knots) < 2:
             raise ValueError("need at least two knots")
+        for name, arr in (("knots", self.knots), ("values", self.values), ("slopes", self.slopes)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(np.diff(self.knots) <= 0):
             raise ValueError("knots must be strictly increasing")
         if self.knots[0] != 0.0 or self.knots[-1] != 1.0:

@@ -11,7 +11,8 @@ the window-max envelope built with `PwlFunction` arithmetic and its zero set
 against phi, and the exact point defect read off the window condition.
 `distance_to_point` is the exact distance from a point to an interval set.
 `restrict`, `simplify` and `promote_pwl` are PWL test devices: the first two
-build the envelope, the third turns PWL corpora into C^1 inputs.  Finite
+build the envelope, the third turns PWL corpora into C^1 inputs.  `zigzag`
+is the tent map, and `set_to_json` writes the interval-set file format.  Finite
 point sets have a reference as well: `FractionPointSet`, a
 sorted tuple of Fractions, with the point-set functions on top of it, and
 the ball game's snapping and tagging of located points on Fraction lists.
@@ -345,6 +346,17 @@ def random_function_reference(
         vals.update(new_pts)
     xs = sorted(vals)
     return PwlFunction(tuple(xs), tuple(vals[x] for x in xs))
+
+
+def zigzag() -> PwlFunction:
+    """The tent map: 0 at the endpoints, 1 at 1/2."""
+    return PwlFunction.from_pairs([(0, 0), (Fraction(1, 2), 1), (1, 0)])
+
+
+def set_to_json(s: IntervalSet) -> dict:
+    """The interval-set file format that `IntervalSet.from_json_dict` and
+    the CLI read: each component as a pair of "p/q" strings."""
+    return {"intervals": [[str(lo), str(hi)] for lo, hi in s.intervals]}
 
 
 def restrict(f: PwlFunction, lo: Rat, hi: Rat) -> PwlFunction:

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotpoints import bump, cli
-from knotpoints.bmgame import GameState, game_report
-from knotpoints.intervalsets import IntervalSet
-from knotpoints.realfn import PwlFunction, function_to_json, random_c1_function, random_function
+from knotpoints import bmgame, bump, cli
+from knotpoints.bmgame import GameState, HatCheckSet, RoundRecord, game_report
+from knotpoints.intervalsets import FinitePointSet, IntervalSet
+from knotpoints.realfn import C1Function, function_to_json, random_c1_function, random_function
+from oracles import set_to_json, zigzag
 
 F = Fraction
 REFERENCE = Path(__file__).resolve().parents[1] / "knotbench" / "reference.json"
@@ -58,11 +59,11 @@ def test_nset_out_of_range_enclosures_are_input_errors(c1_file, tmp_path, capsys
     """A PWL function at a non-integer scale above its slope bound, and a C1
     function at a tolerance finer than the engine certifies (in `nset` and
     in `bump mu`), exit with 2 and name the field."""
-    zigzag = tmp_path / "zigzag.json"
-    zigzag.write_text(json.dumps(function_to_json(PwlFunction.zigzag())))
+    tent = tmp_path / "zigzag.json"
+    tent.write_text(json.dumps(function_to_json(zigzag())))
     out = tmp_path / "report.json"
     for argv, field in (
-        (["nset", "--f", str(zigzag), "--a", "3/2"], "a"),
+        (["nset", "--f", str(tent), "--a", "3/2"], "a"),
         (["nset", "--f", c1_file, "--a", "1", "--tol", "1e-7"], "tol"),
         (["bump", "mu", "--f", c1_file, "--tol", "1e-7"], "tol"),
     ):
@@ -182,11 +183,11 @@ def test_malformed_input_exits_2_and_names_the_field(
 
     for name in ("check_S_k", "check_Y_k", "check_perm_A", "run_game"):
         monkeypatch.setattr(cli, name, compute)
-    sets = [IntervalSet.from_pairs([(F(i % 7, 8), F(i % 7 + 1, 8))]).to_json_dict() for i in range(8)]
+    sets = [set_to_json(IntervalSet.from_pairs([(F(i % 7, 8), F(i % 7 + 1, 8))])) for i in range(8)]
     files = {
         "sets": sets,
         "few_sets": sets[:3],
-        "pwl": function_to_json(PwlFunction.zigzag()),
+        "pwl": function_to_json(zigzag()),
         "list": [1, 2],
         "text": "x",
         "envelope": {"schema": "knotpoints.report/1", "outputs": []},
@@ -197,6 +198,89 @@ def test_malformed_input_exits_2_and_names_the_field(
     paths = {name: str(tmp_path / f"{name}.json") for name in files}
     out = tmp_path / "report.json"
     rc = cli.main([x.format(c1=c1_file, **paths) for x in argv] + ["--out", str(out)])
+    assert rc == 2
+    assert f"input error in field '{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _bad_input_files() -> dict:
+    """Input files that each carry one value no loader may accept: a zero
+    denominator, or a non-finite float in C^1 data."""
+    pwl = function_to_json(zigzag())
+    c1 = {"class": "c1", "knots": ["0.0", "0.5", "1.0"], "values": ["0.0"] * 3, "slopes": ["0.0"] * 3}
+    iv = {"intervals": [["0", "1/2"]]}
+    rec = RoundRecord(
+        m=1, f_m=C1Function.zero(), alpha_m=F(1), h_m=F(0), mu_m=0.1,
+        K_sets=(HatCheckSet(FinitePointSet.of([F(1, 4)]), FinitePointSet.of([F(3, 4)])),),
+        n_m=1, w_m=F(1, 16), g_m=C1Function.zero(), b_m=F(9, 2), beta_m=F(1, 2),
+        eps_m=0.1, oracle_l=1, oracle_r=F(1),
+    )
+    game = game_report(GameState((rec,)), {})
+
+    def edited(obj, edit):
+        obj = json.loads(json.dumps(obj))
+        edit(obj)
+        return obj
+
+    def rounds(edit):
+        return lambda g: edit(g["state"]["rounds"][0])
+
+    return {
+        "pwl-zero-den": edited(pwl, lambda f: f["values"].__setitem__(1, "1/0")),
+        "c1-nan-slope": edited(c1, lambda f: f["slopes"].__setitem__(1, "nan")),
+        "c1-inf-value": edited(c1, lambda f: f["values"].__setitem__(1, "inf")),
+        "set": iv,
+        "set-zero-den": {"intervals": [["0", "1/0"]]},
+        "sets-zero-den": [iv, {"intervals": [["1/0", "1"]]}],
+        "game-point": edited(game, rounds(lambda r: r["K_sets"][0]["hat"].__setitem__(0, "1/0"))),
+        "game-w": edited(game, rounds(lambda r: r.update(w_m="1/0"))),
+        "game-nan": edited(game, rounds(lambda r: r["g_m"]["slopes"].__setitem__(0, "nan"))),
+        "target-point": {"sets": [["1/2", "1/0"]], "tol": "1/4"},
+        "target-tol": {"sets": [["1/2"]], "tol": "1/0"},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["nset", "--f", "{pwl-zero-den}", "--a", "1"], "f"),
+        (["nset", "--f", "{c1-nan-slope}", "--a", "3/2"], "f"),
+        (["nset", "--f", "{c1-inf-value}", "--a", "3/2"], "f"),
+        (["hausdorff", "--k", "{set-zero-den}", "--l", "{set}"], "k"),
+        (["hausdorff", "--k", "{set}", "--l", "{set-zero-den}"], "l"),
+        (["comb", "check-s", "--sets", "{sets-zero-den}", "--n", "1,2", "--delta", "1/2"], "sets"),
+        (["game", "verify", "--report", "{game-point}"], "report"),
+        (["game", "verify", "--report", "{game-w}"], "report"),
+        (["game", "verify", "--report", "{game-nan}"], "report"),
+        (["game", "run", "--oracle", "target:{target-point}"], "oracle"),
+        (["game", "run", "--oracle", "target:{target-tol}"], "oracle"),
+    ],
+    ids=[
+        "nset-zero-den", "nset-nan-slope", "nset-inf-value", "hausdorff-k", "hausdorff-l",
+        "comb-sets", "game-verify-point", "game-verify-w", "game-verify-nan",
+        "game-run-target-point", "game-run-target-tol",
+    ],
+)
+def test_unreadable_numbers_in_a_file_exit_2_before_any_engine_work(
+    tmp_path, monkeypatch, capsys, argv, field
+):
+    """A "1/0" in an input file, or a NaN or infinity in C^1 data, is refused
+    by the loader with exit 2 and the field named; no engine runs on it."""
+
+    def compute(*args, **kwargs):
+        raise AssertionError("computed on an input that should have been refused")
+
+    for name in ("n_set_exact", "n_set_enclosure", "check_S_k", "run_game"):
+        monkeypatch.setattr(cli, name, compute)
+    monkeypatch.setattr(IntervalSet, "hausdorff", compute)
+    monkeypatch.setattr(bmgame, "check_star", compute)
+    monkeypatch.setattr(bmgame, "limit_report", compute)
+    paths = {}
+    for name, obj in _bad_input_files().items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(obj))
+    out = tmp_path / "report.json"
+    rc = cli.main([x.format(**paths) for x in argv] + ["--out", str(out)])
     assert rc == 2
     assert f"input error in field '{field}'" in capsys.readouterr().err
     assert not out.exists()
@@ -225,8 +309,8 @@ def test_comb_check_s_reports_the_failing_blocks(tmp_path):
     before them, so depth 4 fails on exactly those two and exits 1; depth 3
     reads only A_2^3 - A_2^2 = {3}, next to set 1, and passes."""
     sets = tmp_path / "sets.json"
-    near0 = IntervalSet.from_pairs([(0, F(1, 100))]).to_json_dict()
-    near1 = IntervalSet.from_pairs([(F(9, 10), 1)]).to_json_dict()
+    near0 = set_to_json(IntervalSet.from_pairs([(0, F(1, 100))]))
+    near1 = set_to_json(IntervalSet.from_pairs([(F(9, 10), 1)]))
     sets.write_text(json.dumps([near0] * 4 + [near1] * 4))
     out = tmp_path / "report.json"
     delta = ["1/100", "1/200", "1/400", "1/800"]
@@ -251,7 +335,7 @@ def test_comb_check_y_takes_a_pwl_function_at_a_non_integer_ladder(tmp_path):
     4, 5, ... it is exact.  Both ladders write a passing report."""
     f, sets = tmp_path / "f.json", tmp_path / "sets.json"
     f.write_text(json.dumps(function_to_json(random_function(0, 6))))
-    sets.write_text(json.dumps([IntervalSet.full().to_json_dict()] * 13))
+    sets.write_text(json.dumps([set_to_json(IntervalSet.full())] * 13))
     out = tmp_path / "report.json"
     argv = ["comb", "check-y", "--sets", str(sets), "--f", str(f), "--n", "1,4,8,13",
             "--delta", "1/4,1/8,1/16,1/32", "--m-max", "2", "--out", str(out)]
@@ -291,10 +375,10 @@ def test_inputs_digest_covers_seed_and_file_contents(tmp_path):
     perm = ("comb", "perm", "--count", "2", "--seed")
     assert digest(*perm, "0") == digest(*perm, "0") != digest(*perm, "1")
     k, l = tmp_path / "k.json", tmp_path / "l.json"
-    l.write_text(json.dumps(IntervalSet.from_pairs([(0, F(1, 2))]).to_json_dict()))
+    l.write_text(json.dumps(set_to_json(IntervalSet.from_pairs([(0, F(1, 2))]))))
     digests = []
     for hi in (F(1, 2), F(3, 4)):
-        k.write_text(json.dumps(IntervalSet.from_pairs([(0, hi)]).to_json_dict()))
+        k.write_text(json.dumps(set_to_json(IntervalSet.from_pairs([(0, hi)]))))
         digests.append(digest("hausdorff", "--k", str(k), "--l", str(l)))
     assert digests[0] != digests[1]
 

@@ -24,7 +24,8 @@ from knotpoints.indexcomb import (
 )
 from knotpoints.intervalsets import EMPTY, FULL, IntervalSet
 from knotpoints.nsets import n_set_enclosure, n_set_exact
-from knotpoints.realfn import C1Function, PwlFunction, random_c1_function
+from knotpoints.realfn import C1Function, random_c1_function
+from oracles import zigzag
 
 F = Fraction
 
@@ -323,7 +324,7 @@ def zigzag_scenario():
     """K_n = exact exception set at scale matching the base ladder wherever
     the index is some n_j, the coarsest set elsewhere: makes the lower family
     exact at distance zero, and scale monotonicity does the rest."""
-    zz = PwlFunction.zigzag()
+    zz = zigzag()
     n = IndexSeq((2, 4, 7, 11, 16))
     lad = ScaleLadder((4, 5, 6))
     target = {n.n(j): j for j in (1, 2, 3)}

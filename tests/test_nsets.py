@@ -3,6 +3,7 @@ for piecewise-linear functions (against the rational window-max reference in
 `oracles`), certified C1 enclosures, and the scale continuity helpers."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -61,6 +62,7 @@ from oracles import (
     point_defect_exact,
     promote_pwl,
     sliding_window_max,
+    zigzag,
 )
 
 F = Fraction
@@ -147,7 +149,7 @@ def test_admissible_eps():
 
 
 def test_sliding_window_max_zigzag_quarter():
-    m = sliding_window_max(PwlFunction.zigzag(), F(1, 4))
+    m = sliding_window_max(zigzag(), F(1, 4))
     expect = PwlFunction.from_pairs(
         [(0, F(1, 2)), (F(1, 4), 1), (F(1, 2), 1), (F(3, 4), F(1, 2))]
     )
@@ -183,8 +185,18 @@ def test_sliding_window_max_dominates_grid(seed, a):
 
 
 def _assert_basics_match_reference(f: PwlFunction, a: int) -> None:
+    """Every basic variant equals its reference, and every composite the
+    union of the references of its parts."""
+    ref = {variant: basic_variant_reference(f, a, variant) for variant in BASIC_VARIANTS}
     for variant in BASIC_VARIANTS:
-        assert n_set_exact(f, a, variant) == basic_variant_reference(f, a, variant), variant
+        assert n_set_exact(f, a, variant) == ref[variant], variant
+    for variant, parts in (
+        ("hat", ("plus_upper", "minus_lower")),
+        ("check", ("plus_lower", "minus_upper")),
+        ("full", BASIC_VARIANTS),
+    ):
+        union = functools.reduce(IntervalSet.union, (ref[p] for p in parts))
+        assert n_set_exact(f, a, variant) == union, variant
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 6), st.integers(1, 9))
@@ -217,7 +229,7 @@ def test_sweep_matches_reference_non_dyadic(f, a):
 @pytest.mark.parametrize(
     "f",
     [
-        PwlFunction.zigzag(),
+        zigzag(),
         PwlFunction.zero(),
         PwlFunction.constant(F(2, 7)),
         PwlFunction.from_pairs([(0, 0), (1, F(5, 3))]),
@@ -232,6 +244,31 @@ def test_sweep_matches_reference_sparse_breakpoints(f, a):
     empty-deque cells); f of slope 2 gives phi the slopes 1, 0 and below as
     a runs up from 1."""
     _assert_basics_match_reference(f, a)
+
+
+def test_depth_ten_full_set_is_pinned():
+    """The digest of (nums, den) that the per-part sets and their unions
+    gave before the runs of all parts made one set: 55 components over a
+    2,943-bit denominator."""
+    s = n_set_exact(random_function(0, 10), 4, "full")
+    assert s.den.bit_length() == 2943
+    digest = hashlib.sha256(repr((s.nums, s.den)).encode()).hexdigest()
+    assert digest == "cfc209a7af9556edc2faa1d8c85aad013329a2307bf0023997e5b8723906a074"
+
+
+def test_exact_sets_are_built_without_set_algebra(monkeypatch):
+    """Each call builds its one IntervalSet from the runs of its parts: no
+    union of part sets, and no reflection of a finished set."""
+
+    def forbidden(*args):
+        raise AssertionError("set algebra on the exact path")
+
+    monkeypatch.setattr(IntervalSet, "union", forbidden)
+    monkeypatch.setattr(IntervalSet, "reflect", forbidden)
+    f = random_function(seed=5, depth=5)
+    for variant in VARIANTS:
+        for a in (1, 3):
+            n_set_exact(f, a, variant)
 
 
 def test_n_set_exact_rejects_partial_domain():
@@ -258,7 +295,7 @@ def test_zero_function_sets_scale_one():
 def test_zigzag_sets_scale_one():
     """Hand-derived: the zigzag has slopes +-2, so at scale 1 the forward
     upper condition only survives where the window sees no rising slope."""
-    zz = PwlFunction.zigzag()
+    zz = zigzag()
     assert n_set_exact(zz, 1, "plus_upper") == IntervalSet.points([F(1, 2)])
     assert n_set_exact(zz, 1, "plus_lower") == IntervalSet.from_pairs([(0, F(3, 8))])
     assert n_set_exact(zz, 1, "minus_lower") == IntervalSet.points([F(1, 2)])
@@ -270,7 +307,7 @@ def test_zigzag_sets_scale_one():
 
 
 def test_zigzag_fills_domain_at_scale_two():
-    zz = PwlFunction.zigzag()
+    zz = zigzag()
     assert n_set_exact(zz, 2, "plus_upper") == IntervalSet.from_pairs([(0, F(3, 4))])
     assert n_set_exact(zz, 2, "full") == FULL
 

@@ -29,6 +29,7 @@ from oracles import (
     random_function_reference,
     restrict,
     simplify,
+    zigzag,
 )
 
 F = Fraction
@@ -61,7 +62,7 @@ def test_pwl_eval_exact():
 def test_pwl_constructors():
     assert PwlFunction.zero()(F(1, 3)) == 0
     assert PwlFunction.constant(F(2, 3))(F(1, 7)) == F(2, 3)
-    z = PwlFunction.zigzag()
+    z = zigzag()
     assert z(0) == 0 and z(F(1, 2)) == 1 and z(1) == 0
     assert z.lipschitz_bound() == 2
 
@@ -109,7 +110,7 @@ def test_pwl_simplify_preserves_values(f, x):
 
 
 def test_pwl_restrict():
-    z = PwlFunction.zigzag()
+    z = zigzag()
     r = restrict(z, F(1, 4), F(3, 4))
     assert r.domain == (F(1, 4), F(3, 4))
     assert r(F(1, 4)) == F(1, 2)
@@ -132,6 +133,17 @@ def test_c1_interpolates_values_and_slopes():
     assert f.deriv(0.5) == pytest.approx(0.0, abs=1e-12)
     assert f.deriv(0.0) == pytest.approx(1.0, abs=1e-12)
     assert f.deriv(1.0) == pytest.approx(-2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["knots", "values", "slopes"])
+def test_c1_refuses_non_finite_data(field, bad):
+    """NaN passes the order test of the knots, so each array is checked for
+    finiteness on its own; the object is never built."""
+    data = {"knots": [0.0, 0.5, 1.0], "values": [0.0, 1.0, 0.0], "slopes": [1.0, 0.0, -2.0]}
+    data[field][1] = bad
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        C1Function(**data)
 
 
 def test_c1_is_c1_across_knots():
@@ -294,7 +306,7 @@ def test_deriv_range_bounds():
 
 
 def test_pwl_as_cubic_pieces_matches():
-    f = PwlFunction.zigzag()
+    f = zigzag()
     pc = f.as_cubic_pieces()
     xs = np.linspace(0, 1, 101)
     expect = np.minimum(2 * xs, 2 - 2 * xs)
