@@ -49,7 +49,7 @@ from .nsets import (
     pow2_bounds,
     pow2_gap_bounds,
 )
-from .realfn import C1Function, cubic_range, pieces_of
+from .realfn import C1Function
 
 __all__ = [
     "BumpSpec",
@@ -175,7 +175,10 @@ def make_bump(spec: BumpSpec) -> C1Function:
 def check_bump_properties(spec: BumpSpec, phi: C1Function, tol: float = 1e-12) -> bool:
     """The three defining properties, from the built pieces: sup norm equals
     the height; the located points attain +h / -h; every piece with positive
-    values lies strictly within w of H_hat, negative within w of H_check."""
+    values lies strictly within w of H_hat, negative within w of H_check.
+    On a piece, the distance to a finite point set is largest at an end of
+    the piece or at a midpoint of two consecutive points strictly inside
+    it, so those are the points checked."""
     h = float(spec.height)
     w = float(spec.width)
     if abs(phi.sup_norm() - h) > tol * max(1.0, h):
@@ -187,10 +190,9 @@ def check_bump_properties(spec: BumpSpec, phi: C1Function, tol: float = 1e-12) -
         if np.max(np.abs(np.asarray(phi.eval(xs)) - sign * h)) > tol * max(1.0, h):
             return False
 
-    # per-piece range of the cubics, in each piece's local coordinate
     pieces = phi.as_cubic_pieces()
     br = pieces.breaks
-    mn, mx = cubic_range(pieces.coeffs.T, 0.0, np.diff(br))
+    mn, mx = pieces.ranges[0]
 
     for flags, pts in ((mx > tol, spec.H_hat), (mn < -tol, spec.H_check)):
         if not bool(flags.any()):
@@ -198,7 +200,10 @@ def check_bump_properties(spec: BumpSpec, phi: C1Function, tol: float = 1e-12) -
         if pts.is_empty:
             return False
         parr = np.array(pts.floats())
-        for x in (br[:-1][flags], br[1:][flags]):
+        lo, hi = br[:-1][flags], br[1:][flags]
+        mids = 0.5 * (parr[:-1] + parr[1:])
+        k = np.maximum(np.searchsorted(lo, mids, side="right") - 1, 0)
+        for x in (lo, hi, mids[(mids > lo[k]) & (mids < hi[k])]):
             idx = np.searchsorted(parr, x)
             right = parr[np.minimum(idx, len(parr) - 1)]
             left = parr[np.maximum(idx - 1, 0)]
@@ -284,7 +289,7 @@ def lemma_epsilon(f: C1Function, a: Rat, b: Rat, c: Rat, tol: float = 1e-4) -> f
     u0, v0 = np.concatenate(u0), np.concatenate(v0)
 
     c_up = _float_ceil(cf)
-    tab = _PhiTables(pieces_of(f).add_linear(-c_up), win / 2.0, 1.0)
+    tab = _PhiTables(f.as_cubic_pieces().add_linear(-c_up), win / 2.0, 1.0)
     cells0 = _grid_cells(tab, u0, v0)
     der_cut = (float(bf) - c_up) - 1e-12 * (1.0 + float(bf))
     width_floor = 1e-10

@@ -38,12 +38,11 @@ Two computation paths:
   segment tables that also answer the window queries.  The tables evaluate
   each grid point once, and a range-max level is written by the first
   query that needs it, in one linear pass over the values (van Herk and Gil
-  & Werman block maxima); each window query reads one level.  The
-  critical points of phi and phi' are computed once per cubic piece, and
-  every range is the min or max of those values, table entries and the
-  critical values whose root lies strictly inside: the floats that
-  `realfn.cubic_range` and `realfn.cubic_deriv_range` compute for the
-  C1Function sup norms.
+  & Werman block maxima); each window query reads one level.  Every range
+  of phi or phi' over part of a segment comes from the range kernel of the
+  cubic pieces (`CubicPieces.part_range`): the min or max of table entries
+  or end values and of the critical values of the piece whose root lies
+  strictly inside.  The tables only mark the segments that hold a root.
 
 One bisection engine, `_bisect`, refines the enclosure after phase 1 and
 runs the witness search of `bump.lemma_epsilon`.  Its cells stay sorted, each
@@ -83,16 +82,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .intervalsets import EMPTY, IntervalSet, Rat, as_fraction, is_subset
-from .realfn import (
-    C1Function,
-    CubicPieces,
-    PwlFunction,
-    cubic_critical_points,
-    cubic_deriv_eval,
-    cubic_deriv_vertex,
-    cubic_eval,
-    pieces_of,
-)
+from .realfn import C1Function, CubicPieces, PwlFunction, cubic_deriv_eval, cubic_eval
 
 __all__ = [
     "VARIANTS",
@@ -524,7 +514,7 @@ def point_defects_float(f, a: float, variant: str, xs) -> np.ndarray:
     delta, step = _grid_step(af)
     g, refl = _plus_upper_form(f, variant)
     ts = 1.0 - xs if refl else xs
-    phi = pieces_of(g).add_linear(-af)
+    phi = g.as_cubic_pieces().add_linear(-af)
     tab = _PhiTables(phi, step, 1.0 - delta)
     out = np.full(xs.shape, np.inf, dtype=float)
     tolredge = 1e-12
@@ -690,8 +680,8 @@ def _segment_grid(breaks: np.ndarray, step: float, xmax: float) -> np.ndarray:
 
 class _PhiTables:
     """Knot-aligned segment grid over [0,1] for phi, with per-segment end
-    values and ranges, per-piece critical values, and range-max tables
-    (`_RangeMax`, levels filled on first use) for window queries.
+    values and ranges, and range-max tables (`_RangeMax`, levels filled on
+    first use) for window queries.
 
     The grid is the uniform grid of the step with the knots of phi and xmax
     merged in.  Every knot of phi is a grid point, so segment i lies in one
@@ -704,14 +694,13 @@ class _PhiTables:
     point is evaluated once: inside a piece, hi_val[i] and hi_der[i] are
     gridvals[i+1] and lo_der[i+1], as both come from the same cubic at the
     same local coordinate, and only at a knot, where they come from
-    different pieces, is the segment's end evaluated apart.  Each piece
-    keeps the critical points of phi and of phi' and the values there,
-    computed once per piece, and `crit_in_seg`/`vertex_in_seg` mark the
+    different pieces, is the segment's end evaluated apart.  The pieces
+    of phi hold the critical points of phi and of phi' and the values there
+    (`CubicPieces.critical`), and `crit_in_seg`/`vertex_in_seg` mark the
     segments that hold one strictly inside.  The range of phi or phi' over
-    any part of a segment is then the min or max of its values at the two
-    ends and the critical values whose root lies strictly inside: the floats
-    `realfn.cubic_range` and `cubic_deriv_range` compute, without evaluating
-    anything but the ends.
+    any part of a segment comes from the pieces' kernel, given the values
+    at the part's two ends, and only the marked segments are handed to it
+    as the ones that can hold a root.
     """
 
     def __init__(self, phi: CubicPieces, step: float, xmax: float):
@@ -726,13 +715,8 @@ class _PhiTables:
             np.clip(np.arange(-1, n_pc + 1), 0, n_pc - 1), np.diff(at, prepend=0, append=self.n_seg)
         )
         self.kleft = phi.breaks.take(self.piece)
+        self.phi = phi
         self.pc = np.ascontiguousarray(phi.coeffs.T)
-        # a missing root is NaN or infinite and lies strictly inside nothing
-        with np.errstate(invalid="ignore", over="ignore"):
-            self.roots = cubic_critical_points(self.pc)
-            self.crit_vals = tuple(cubic_eval(self.pc, r) for r in self.roots)
-            self.vertex = cubic_deriv_vertex(self.pc)
-            self.vertex_der = cubic_deriv_eval(self.pc, self.vertex)
         self.s_beg = pts[:-1] - self.kleft
         self.s_end = pts[1:] - self.kleft
 
@@ -740,8 +724,9 @@ class _PhiTables:
             rp = r.take(self.piece)
             return (rp > self.s_beg) & (rp < self.s_end)
 
-        self.crit_in_seg = inside(self.roots[0]) | inside(self.roots[1])
-        self.vertex_in_seg = inside(self.vertex)
+        ((r1, _), (r2, _)), ((vertex, _),) = phi.critical
+        self.crit_in_seg = inside(r1) | inside(r2)
+        self.vertex_in_seg = inside(vertex)
         c = self.pc.take(self.piece, axis=1)
         self.lo_der = cubic_deriv_eval(c, self.s_beg)
         at_beg = cubic_eval(c, self.s_beg)
@@ -791,26 +776,13 @@ class _PhiTables:
     def part_range(self, seg, s_lo, s_hi, at_lo, at_hi, deriv=False, lower=True):
         """(min, max) of phi, or phi', over [s_lo, s_hi] inside segment seg
         (local coordinates), given its values at both ends; the min is None
-        unless `lower`.  Only the segments that hold a critical point are
-        looked at: a part of any other segment holds none either."""
-        lo = np.minimum(at_lo, at_hi) if lower else None
-        hi = np.maximum(at_lo, at_hi)
+        unless `lower`.  Only the segments that hold a critical point go to
+        the kernel as candidates: a part of any other segment holds none
+        either."""
         flags = self.vertex_in_seg if deriv else self.crit_in_seg
         cand = flags.take(seg).nonzero()[0]
-        if len(cand):
-            p = self.piece.take(seg.take(cand))
-            s_lo, s_hi = s_lo.take(cand), s_hi.take(cand)
-            roots = (self.vertex,) if deriv else self.roots
-            vals = (self.vertex_der,) if deriv else self.crit_vals
-            for r, val in zip(roots, vals):
-                rp = r.take(p)
-                k = ((rp > s_lo) & (rp < s_hi)).nonzero()[0]
-                if len(k):
-                    idx, cv = cand.take(k), val.take(p.take(k))
-                    if lower:
-                        lo[idx] = np.minimum(lo.take(idx), cv)
-                    hi[idx] = np.maximum(hi.take(idx), cv)
-        return lo, hi
+        p = self.piece.take(seg.take(cand))
+        return self.phi.part_range(p, cand, s_lo, s_hi, at_lo, at_hi, deriv, lower)
 
     def window_max(self, left, i_l, ilast, hi, at_hi, deriv=False) -> np.ndarray:
         """Max of phi, or phi', over [lo, hi], given `left`, the max over

@@ -14,10 +14,20 @@ Two concrete classes:
 cell): a C1Function evaluates and bounds through the one it builds, and the
 certified enclosure machinery reads both classes through `as_cubic_pieces`.
 Negation and reflection act on the function classes, never on the pieces.
+
+`CubicPieces` also owns the one range kernel.  On first use it computes,
+per piece, the roots of the derivative and the cubic's values there, and
+the vertex of the derivative parabola and the derivative there; the range
+of a piece, or of any part of one, is the min or max of its values at the
+part's ends and of the critical values whose root lies strictly inside
+(`part_range`).  The whole-piece ranges behind the sup norms are cached on
+the pieces; the segment tables of `nsets` hand their parts to the same
+kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -245,21 +255,16 @@ class C1Function:
 
     # -- norms (closed-form extrema, not sampling) -------------------------
 
-    def _norm(self, kernel) -> float:
+    def _norm(self, deriv: bool) -> float:
         """max |.| of the cubics, or of their derivatives, over every piece."""
-        p = self._pieces
-        lo, hi = kernel(p.coeffs.T, 0.0, np.diff(p.breaks))
+        lo, hi = self._pieces.ranges[deriv]
         return max(abs(float(lo.min())), abs(float(hi.max())))
 
     def sup_norm(self) -> float:
-        if not hasattr(self, "_sup_norm_cache"):
-            self._sup_norm_cache = self._norm(cubic_range)
-        return self._sup_norm_cache
+        return self._norm(False)
 
     def deriv_sup_norm(self) -> float:
-        if not hasattr(self, "_deriv_sup_norm_cache"):
-            self._deriv_sup_norm_cache = self._norm(cubic_deriv_range)
-        return self._deriv_sup_norm_cache
+        return self._norm(True)
 
     def sup_norm_diff(self, other: "C1Function") -> float:
         return self.add(other.scale(-1.0)).sup_norm()
@@ -336,43 +341,6 @@ def cubic_deriv_vertex(c: np.ndarray) -> np.ndarray:
         return -c[2] / (3.0 * c[3])
 
 
-def _widen_at(lo, hi, f, c, r, s_lo, s_hi) -> None:
-    """Widen [lo, hi] by the value of f at the candidates r strictly inside
-    (s_lo, s_hi), in place."""
-    idx = np.flatnonzero((r > s_lo) & (r < s_hi))
-    if len(idx):
-        val = f(c[:, idx], r[idx])
-        lo[idx] = np.minimum(lo[idx], val)
-        hi[idx] = np.maximum(hi[idx], val)
-
-
-def cubic_range(c: np.ndarray, s_lo, s_hi) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) of each cubic over [s_lo, s_hi], from closed-form extrema.
-
-    c has shape (4, n), c[k] the coefficient of s^k.  The range of cubic i
-    is that of its values at both ends and at the critical points strictly
-    inside.  The roots of -c are those of c and IEEE rounding is
-    sign-symmetric, so the min for c is minus the max for -c (up to the sign
-    of a zero).
-    """
-    s_lo, s_hi = np.asarray(s_lo, dtype=float), np.asarray(s_hi, dtype=float)
-    v0, v1 = cubic_eval(c, s_lo), cubic_eval(c, s_hi)
-    lo, hi = np.minimum(v0, v1), np.maximum(v0, v1)
-    for r in cubic_critical_points(c):
-        _widen_at(lo, hi, cubic_eval, c, r, s_lo, s_hi)
-    return lo, hi
-
-
-def cubic_deriv_range(c: np.ndarray, s_lo, s_hi) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) of each cubic's derivative over [s_lo, s_hi]: the ends and
-    the vertex of the derivative parabola when it lies strictly inside."""
-    s_lo, s_hi = np.asarray(s_lo, dtype=float), np.asarray(s_hi, dtype=float)
-    d0, d1 = cubic_deriv_eval(c, s_lo), cubic_deriv_eval(c, s_hi)
-    lo, hi = np.minimum(d0, d1), np.maximum(d0, d1)
-    _widen_at(lo, hi, cubic_deriv_eval, c, cubic_deriv_vertex(c), s_lo, s_hi)
-    return lo, hi
-
-
 class CubicPieces:
     """Piecewise cubic on [breaks[0], breaks[-1]], power basis per cell in the
     local coordinate s = x - breaks[i]: the float form every function is
@@ -397,12 +365,50 @@ class CubicPieces:
         coeffs[:, 1] += slope
         return CubicPieces(self.breaks, coeffs)
 
+    @functools.cached_property
+    def critical(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
+        """Per piece, where the cubic (index 0) or its derivative (index 1)
+        can have an extremum inside an interval, and the value there: the
+        two roots of the derivative with the cubic at each, and the vertex
+        of the derivative parabola with the derivative there.  A missing
+        root is NaN or infinite and lies strictly inside nothing."""
+        c = self.coeffs.T
+        roots, vertex = cubic_critical_points(c), cubic_deriv_vertex(c)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return tuple((r, cubic_eval(c, r)) for r in roots), ((vertex, cubic_deriv_eval(c, vertex)),)
 
-def pieces_of(f) -> CubicPieces:
-    """CubicPieces view of a PwlFunction, C1Function, or CubicPieces."""
-    if isinstance(f, CubicPieces):
-        return f
-    return f.as_cubic_pieces()
+    def part_range(self, p, rows, s_lo, s_hi, at_lo, at_hi, deriv=False, lower=True):
+        """(min, max) of the cubic, or of its derivative, over [s_lo, s_hi]
+        per entry (local coordinates), given its values at both ends: the
+        min or max of those and of the critical values whose root lies
+        strictly inside, ends first.  Only the entries `rows` can hold a
+        root, those of the pieces p; the min is None unless `lower`.  The
+        roots of -c are those of c and IEEE rounding is sign-symmetric, so
+        the min for c is minus the max for -c (up to the sign of a zero)."""
+        lo = np.minimum(at_lo, at_hi) if lower else None
+        hi = np.maximum(at_lo, at_hi)
+        if len(rows):
+            s_lo, s_hi = s_lo.take(rows), s_hi.take(rows)
+            for r, val in self.critical[deriv]:
+                rp = r.take(p)
+                k = ((rp > s_lo) & (rp < s_hi)).nonzero()[0]
+                if len(k):
+                    idx, cv = rows.take(k), val.take(p.take(k))
+                    if lower:
+                        lo[idx] = np.minimum(lo.take(idx), cv)
+                    hi[idx] = np.maximum(hi.take(idx), cv)
+        return lo, hi
+
+    @functools.cached_property
+    def ranges(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(min, max) over each whole piece of the cubic (index 0) and of
+        its derivative (index 1)."""
+        every = np.arange(len(self.coeffs))
+        c, s_lo, s_hi = self.coeffs.T, np.zeros(len(every)), np.diff(self.breaks)
+        return tuple(
+            self.part_range(every, every, s_lo, s_hi, ev(c, s_lo), ev(c, s_hi), deriv)
+            for deriv, ev in ((False, cubic_eval), (True, cubic_deriv_eval))
+        )
 
 
 # ---------------------------------------------------------------------------

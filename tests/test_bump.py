@@ -41,6 +41,35 @@ def test_bump_reads_each_point_as_its_float():
     assert check_bump_properties(spec, phi)
 
 
+def _one_sided(hat, check=(), height=Fraction(1, 2), width=Fraction(1, 10)) -> BumpSpec:
+    return BumpSpec(FinitePointSet.of(hat), FinitePointSet.of(check), height, width)
+
+
+# a plateau of height 1/2 over [1/5, 4/5]: the ends of every positive piece
+# are near H_hat = {1/5, 4/5}, but phi(1/2) = 1/2 is 3/10 from both points
+_PLATEAU = C1Function([0, 0.15, 0.2, 0.8, 0.85, 1], [0, 0, 0.5, 0.5, 0, 0], [0] * 6)
+
+
+@pytest.mark.parametrize(
+    "spec, phi",
+    [
+        pytest.param(_one_sided(["1/5", "4/5"]), _PLATEAU, id="middle-of-a-piece-far-from-the-points"),
+        pytest.param(
+            _one_sided(["1/2"]), make_bump(_one_sided(["1/2"], height=Fraction(1, 4))), id="sup-norm-not-height"
+        ),
+        pytest.param(_one_sided(["1/4", "3/4"]), make_bump(_one_sided(["1/4"])), id="located-point-not-at-height"),
+        pytest.param(
+            _one_sided(["1/4"]), make_bump(_one_sided(["1/4"], ["3/4"])), id="negative-piece-without-check-points"
+        ),
+    ],
+)
+def test_check_bump_properties_refuses(spec, phi):
+    """Each function breaks one defining property of the spec and passes
+    the checks before it: the plateau has sup norm h and the value h at
+    both located points, so only its middle can refuse it."""
+    assert not check_bump_properties(spec, phi)
+
+
 def test_bump_spec_rejects_a_shared_point():
     hat = FinitePointSet.of([Fraction(1, 4), Fraction(1, 2), Fraction(7, 8)])
     check = FinitePointSet.of(["2/4", Fraction(7, 8)])

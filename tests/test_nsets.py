@@ -45,14 +45,14 @@ from knotpoints.realfn import (
     CubicPieces,
     PwlFunction,
     cubic_deriv_eval,
-    cubic_deriv_range,
     cubic_eval,
-    cubic_range,
     random_c1_function,
     random_function,
 )
 from oracles import (
     basic_variant_reference,
+    cubic_deriv_range_scalar,
+    cubic_range_scalar,
     distance_to_point,
     doubling_range_max,
     float_bits,
@@ -608,29 +608,40 @@ def _slice_max(values: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.nd
     return np.where(idx < stop[:, None], got, -np.inf).max(axis=1, initial=-np.inf)
 
 
-def _segment_maxima(tab: _PhiTables, phi, kernel) -> np.ndarray:
-    """kernel's max over every whole grid segment, from phi's own pieces."""
+def _scalar_ranges(c, s_lo, s_hi, deriv=False) -> tuple[np.ndarray, np.ndarray]:
+    """(min, max) of the cubic, or of its derivative, of each column of c
+    over [s_lo, s_hi], one scalar reference call per column."""
+    scalar = cubic_deriv_range_scalar if deriv else cubic_range_scalar
+    n = c.shape[1]
+    s_lo, s_hi = np.broadcast_to(s_lo, n).tolist(), np.broadcast_to(s_hi, n).tolist()
+    ref = [scalar(col, lo, hi) for col, lo, hi in zip(c.T.tolist(), s_lo, s_hi)]
+    return np.array([m for m, _ in ref], dtype=float), np.array([m for _, m in ref], dtype=float)
+
+
+def _segment_maxima(tab: _PhiTables, phi, deriv) -> np.ndarray:
+    """The reference max over every whole grid segment, from phi's own
+    pieces."""
     g = tab.grid
     c, kl = _piece_of(phi, g[:-1])
-    return kernel(c, g[:-1] - kl, g[1:] - kl)[1]
+    return _scalar_ranges(c, g[:-1] - kl, g[1:] - kl, deriv)[1]
 
 
-def _upper_ref(tab: _PhiTables, phi, lo, hi, kernel) -> np.ndarray:
-    """Max of phi (kernel cubic_range) or of phi' (cubic_deriv_range) over
-    each [lo, hi]: segment indices from searchsorted, each piece's cubic
-    from phi's breaks, the left and right pieces from the kernel and the
-    middle from a plain max of the kernel over whole segments."""
+def _upper_ref(tab: _PhiTables, phi, lo, hi, deriv=False) -> np.ndarray:
+    """Max of phi, or of phi', over each [lo, hi]: segment indices from
+    searchsorted, each piece's cubic from phi's breaks, the left and right
+    pieces from the scalar reference and the middle from a plain max of
+    the reference over whole segments."""
     grid, n_seg = tab.grid, tab.n_seg
     i = np.clip(np.searchsorted(grid, lo, side="right") - 1, 0, n_seg - 1)
     ilast = np.searchsorted(grid, hi, side="right") - 1
     c, kl = _piece_of(phi, grid[i])
-    best = kernel(c, lo - kl, np.minimum(grid[i + 1], hi) - kl)[1]
-    whole = _segment_maxima(tab, phi, kernel)
+    best = _scalar_ranges(c, lo - kl, np.minimum(grid[i + 1], hi) - kl, deriv)[1]
+    whole = _segment_maxima(tab, phi, deriv)
     best = np.maximum(best, _slice_max(whole, i + 1, np.minimum(ilast, n_seg)))
     r = np.minimum(ilast, n_seg - 1)
     right = ((i < ilast) & (ilast <= n_seg - 1) & (grid[r] < hi)).nonzero()[0]
     c, kr = _piece_of(phi, grid[r[right]])
-    tail = kernel(c, grid[r[right]] - kr, hi[right] - kr)[1]
+    tail = _scalar_ranges(c, grid[r[right]] - kr, hi[right] - kr, deriv)[1]
     best[right] = np.maximum(best[right], tail)
     return best
 
@@ -640,10 +651,10 @@ def _same_bits(x, y) -> bool:
 
 
 def test_range_bounds_equal_the_one_query_reference():
-    """The per-segment tables equal the kernels on whole segments, and range
-    queries equal the one-query reference: queries that start on a grid
-    point and end inside its segment, cover whole segments, or start and
-    end anywhere."""
+    """The per-segment tables equal the scalar references on whole
+    segments, and range queries equal the one-query reference: queries
+    that start on a grid point and end inside its segment, cover whole
+    segments, or start and end anywhere."""
     for kind, a in (("cubic", 2.0), ("quadratic", 1.0), ("linear", 2.0)):
         _check_range_bounds(_phi_of(kind, 11, a))
 
@@ -652,17 +663,14 @@ def _check_range_bounds(phi) -> None:
     tab = _PhiTables(phi, 0.01, 0.75)
     g = tab.grid
     c, kl = _piece_of(phi, g[:-1])
-    for kernel, lo_name, hi_name in (
-        (cubic_range, "segmin", "segmax"),
-        (cubic_deriv_range, "dermin", "dermax"),
-    ):
-        lo, hi = kernel(c, g[:-1] - kl, g[1:] - kl)
+    for deriv, lo_name, hi_name in ((False, "segmin", "segmax"), (True, "dermin", "dermax")):
+        lo, hi = _scalar_ranges(c, g[:-1] - kl, g[1:] - kl, deriv)
         assert _same_bits(getattr(tab, lo_name), lo) and _same_bits(getattr(tab, hi_name), hi)
-    at_end = cubic_range(c, g[1:] - kl, g[1:] - kl)[0]
-    assert _same_bits(tab.gridvals, np.append(cubic_range(c, g[:-1] - kl, g[:-1] - kl)[0], at_end[-1]))
+    at_end = _scalar_ranges(c, g[1:] - kl, g[1:] - kl)[0]
+    assert _same_bits(tab.gridvals, np.append(_scalar_ranges(c, g[:-1] - kl, g[:-1] - kl)[0], at_end[-1]))
     assert _same_bits(tab.hi_val, at_end)
-    assert _same_bits(tab.lo_der, cubic_deriv_range(c, g[:-1] - kl, g[:-1] - kl)[0])
-    assert _same_bits(tab.hi_der, cubic_deriv_range(c, g[1:] - kl, g[1:] - kl)[0])
+    assert _same_bits(tab.lo_der, _scalar_ranges(c, g[:-1] - kl, g[:-1] - kl, True)[0])
+    assert _same_bits(tab.hi_der, _scalar_ranges(c, g[1:] - kl, g[1:] - kl, True)[0])
 
     rng = np.random.default_rng(11)
     i = rng.integers(0, tab.n_seg - 3, 300)
@@ -672,16 +680,17 @@ def _check_range_bounds(phi) -> None:
         [g[i] + rng.random(300) * (g[i + 1] - g[i]), g[i + 1 + i % 2]],
         np.minimum(lo + rng.random(300) * 0.3, 1.0),
     )
-    assert _same_bits(tab.range_upper(lo, hi), _upper_ref(tab, phi, lo, hi, cubic_range))
+    assert _same_bits(tab.range_upper(lo, hi), _upper_ref(tab, phi, lo, hi))
     dmax = tab.upper_at(lo, hi, tab.seg_of(lo), tab.last_at_or_below(hi), deriv=True)
-    assert _same_bits(dmax, _upper_ref(tab, phi, lo, hi, cubic_deriv_range))
+    assert _same_bits(dmax, _upper_ref(tab, phi, lo, hi, deriv=True))
 
 
 def _by_search(tab: _PhiTables, phi, cells, delta: float) -> dict:
     """Cell fields and ranges the way a fresh search computes them: `after`
     from searchsorted, phi from CubicPieces.eval_vec, the window from the
-    one-query reference, and every value and range from the kernels on the
-    cubic of the cell's segment and the cell's own ends."""
+    one-query reference, and every value and range from the scalar
+    references on the cubic of the cell's segment and the cell's own
+    ends."""
     u, v, seg = cells.u, cells.v, cells.seg
     grid = tab.grid
     after = np.searchsorted(grid, u + delta, side="right")
@@ -690,13 +699,13 @@ def _by_search(tab: _PhiTables, phi, cells, delta: float) -> dict:
     c, kl = _piece_of(phi, grid[seg])
     s_u, s_v = u - kl, v - kl
     return {
-        "ubw": _upper_ref(tab, phi, v, np.minimum(v + delta, 1.0), cubic_range),
+        "ubw": _upper_ref(tab, phi, v, np.minimum(v + delta, 1.0)),
         "wit": np.maximum(w, phi_r),
-        "pu": cubic_range(c, s_u, s_u)[0],
-        "pv": cubic_range(c, s_v, s_v)[0],
-        "du": cubic_deriv_range(c, s_u, s_u)[0],
-        "dv": cubic_deriv_range(c, s_v, s_v)[0],
-        "ranges": (*cubic_range(c, s_u, s_v), *cubic_deriv_range(c, s_u, s_v)),
+        "pu": _scalar_ranges(c, s_u, s_u)[0],
+        "pv": _scalar_ranges(c, s_v, s_v)[0],
+        "du": _scalar_ranges(c, s_u, s_u, True)[0],
+        "dv": _scalar_ranges(c, s_v, s_v, True)[0],
+        "ranges": (*_scalar_ranges(c, s_u, s_v), *_scalar_ranges(c, s_u, s_v, True)),
     }
 
 
@@ -710,9 +719,9 @@ def test_segment_indexed_bounds_equal_the_search_route(seed, a, kind):
     """Phase-1 cells, random cells inside a segment (points, one-float
     cells, whole segments among them) and three generations of their halves
     carry the same window bounds, witnesses and end values, and have the
-    same value and slope ranges, as a fresh search and the kernels on their
-    own ends give, bit for bit.  The halves are the engine's, with the
-    enclosure's certificates written in."""
+    same value and slope ranges, as a fresh search and the scalar
+    references on their own ends give, bit for bit.  The halves are the
+    engine's, with the enclosure's certificates written in."""
     delta = 2.0 ** -a
     phi = _phi_of(kind, seed, a)
     tab = _PhiTables(phi, min(1e-2, delta / 2.0), 1.0 - delta)
@@ -826,8 +835,8 @@ def test_grid_cells_lie_in_one_segment():
     """Cells are cut at exactly the grid points strictly inside them: a
     whole segment and a cell in one segment stay whole, a cell over several
     segments is cut at each.  The pieces lie in their segments, and their
-    end values are the kernels' on that segment's cubic, bit for bit, so
-    their maxima equal the range query's."""
+    end values are the scalar references' on that segment's cubic, bit for
+    bit, so their maxima equal the range query's."""
     phi = _phi_of("cubic", 3, 2.0)
     tab = _PhiTables(phi, 0.01, 1.0)
     g = tab.grid

@@ -1,6 +1,8 @@
 """The package exports only what its own modules use: every name that
 `knotpoints/__init__.py` imports has a caller somewhere in the package, and
-each module's `__all__` lists exactly the names imported from it."""
+each module's `__all__` lists exactly the names imported from it.  Nor does
+the package keep code only its tests call: every top-level function and
+class of a module has a caller in the package too."""
 
 import ast
 import functools
@@ -102,4 +104,18 @@ def test_every_exported_name_has_a_caller_in_the_package():
     exported = set().union(*_imports_of_init().values())
     assert exported
     uncalled = [n for n in sorted(exported) if not any(_has_caller(m, n) for m in MODULES)]
+    assert uncalled == []
+
+
+def test_every_top_level_function_and_class_has_a_caller_in_the_package():
+    """Exported or not, so that a kernel only the tests call lives in the
+    tests.  The defining module is searched first."""
+    defined = [
+        (m, s.name)
+        for m in MODULES
+        for s in _tree(m).body
+        if isinstance(s, (ast.FunctionDef, ast.ClassDef))
+    ]
+    assert len(defined) > 100
+    uncalled = [f"{m}.{n}" for m, n in defined if not any(_has_caller(x, n) for x in (m, *MODULES))]
     assert uncalled == []

@@ -1,6 +1,7 @@
 """Function layer: exact piecewise-linear algebra, C1 Hermite splines,
 certified cubic-piece bounds, corpus generators, serialization."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotpoints.bump import BumpSpec, make_bump
+from knotpoints.intervalsets import FinitePointSet
 from knotpoints.realfn import (
     C1Function,
+    CubicPieces,
     PwlFunction,
-    cubic_deriv_range,
-    cubic_range,
+    cubic_deriv_eval,
+    cubic_eval,
     function_from_json,
     function_to_json,
-    pieces_of,
     random_c1_function,
     random_function,
 )
@@ -204,21 +207,27 @@ def test_c1_sup_norm_diff():
 # -- certified cubic piece bounds -------------------------------------------
 
 
+def _part_range(pc: CubicPieces, k, s_lo, s_hi, deriv=False):
+    """The kernel's (min, max) over [s_lo, s_hi] of pieces k, every entry a
+    candidate, with the end values from the same cubic."""
+    ev = cubic_deriv_eval if deriv else cubic_eval
+    c, rows = pc.coeffs[k].T, np.arange(len(k))
+    return pc.part_range(k, rows, s_lo, s_hi, ev(c, s_lo), ev(c, s_hi), deriv)
+
+
 @given(st.integers(0, 10 ** 6), st.integers(0, 80), st.integers(1, 80))
 @settings(max_examples=40, deadline=None)
 def test_cubic_range_bounds_contain_samples(seed, pk, qk):
-    """cubic_range over each piece clipped to [p, q] holds the samples of
-    that piece and is attained; the sup norm holds every sample."""
+    """The range kernel over each piece clipped to [p, q] holds the samples
+    of that piece and is attained; the sup norm holds every sample."""
     f = random_c1_function(seed=seed, cells=5)
-    pc = pieces_of(f)
+    pc = f.as_cubic_pieces()
     p = pk / 81
     q = min(1.0, p + qk / 81)
     xs = np.linspace(p, q, 200)
     k = np.clip(np.searchsorted(pc.breaks, xs, side="right") - 1, 0, len(pc.coeffs) - 1)
     left = pc.breaks[k]
-    lo, hi = cubic_range(
-        pc.coeffs[k].T, np.maximum(p, left) - left, np.minimum(q, pc.breaks[k + 1]) - left
-    )
+    lo, hi = _part_range(pc, k, np.maximum(p, left) - left, np.minimum(q, pc.breaks[k + 1]) - left)
     vals = pc.eval_vec(xs)
     assert np.all(vals <= hi + 1e-10)
     assert np.all(vals >= lo - 1e-10)
@@ -262,41 +271,66 @@ def cubic_on_interval(draw):
 @given(st.lists(cubic_on_interval(), min_size=1, max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_range_kernels_equal_the_scalar_reference_bitwise(rows):
-    """The vectorized kernels give the scalar loop's min and max, bit for
-    bit, on every row of a batch.  A leading coefficient near the smallest
-    float puts a critical point near 1e281, and the value there overflows
-    to an infinity in the kernels and in the loop alike."""
-    c = np.array([r[0] for r in rows]).T
+    """The range kernel of CubicPieces, one piece per row on the breaks
+    0, 1, ..., n, gives the scalar loop's min and max, bit for bit, on every
+    row of a batch.  A leading coefficient near the smallest float puts a
+    critical point near 1e281, and the value there overflows to an
+    infinity in the kernel and in the loop alike."""
+    c = np.array([r[0] for r in rows])
     s_lo = np.array([r[1] for r in rows])
     s_hi = np.array([r[2] for r in rows])
-    pairs = ((cubic_range, cubic_range_scalar), (cubic_deriv_range, cubic_deriv_range_scalar))
-    for kernel, scalar in pairs:
+    breaks = np.arange(len(rows) + 1.0)
+    every = np.arange(len(rows))
+    for deriv, scalar in ((False, cubic_range_scalar), (True, cubic_deriv_range_scalar)):
         with np.errstate(over="ignore"):
-            lo, hi = kernel(c, s_lo, s_hi)
+            lo, hi = _part_range(CubicPieces(breaks, c), every, s_lo, s_hi, deriv)
             ref = [scalar(r[0], r[1], r[2]) for r in rows]
-            nlo, nhi = kernel(-c, s_lo, s_hi)
+            nlo, nhi = _part_range(CubicPieces(breaks, -c), every, s_lo, s_hi, deriv)
         assert np.array_equal(float_bits(lo), float_bits([m for m, _ in ref]))
         assert np.array_equal(float_bits(hi), float_bits([m for _, m in ref]))
         # the min is the max of the negated cubic, negated
         assert np.array_equal(float_bits(lo), float_bits(-nhi))
 
 
+def _ranges_equal_the_scalar_reference(pc: CubicPieces) -> None:
+    """The whole-piece ranges of the pieces, of the cubics and of their
+    derivatives, equal the scalar references on each piece, bit for bit."""
+    h = np.diff(pc.breaks)
+    for deriv, scalar in ((False, cubic_range_scalar), (True, cubic_deriv_range_scalar)):
+        ref = [scalar(c, 0.0, w) for c, w in zip(pc.coeffs, h)]
+        lo, hi = pc.ranges[deriv]
+        assert np.array_equal(float_bits(lo), float_bits([m for m, _ in ref]))
+        assert np.array_equal(float_bits(hi), float_bits([m for _, m in ref]))
+
+
 @given(st.integers(0, 10 ** 6), st.integers(1, 30))
 @settings(max_examples=60, deadline=None)
 def test_pieces_ranges_equal_the_scalar_reference_bitwise(seed, cells):
-    """sup_norm and deriv_sup_norm equal the cell-by-cell scalar loop over
-    [0, 1], bit for bit."""
+    """The per-piece ranges equal the scalar references, and sup_norm and
+    deriv_sup_norm the cell-by-cell scalar loop over [0, 1], bit for bit:
+    on random C^1 functions, on piecewise-linear functions as pieces with
+    c2 = c3 = 0, and on built bumps."""
     f = random_c1_function(seed=seed, cells=cells)
-    pc = pieces_of(f)
+    pc = f.as_cubic_pieces()
+    _ranges_equal_the_scalar_reference(pc)
     for norm, deriv in ((f.sup_norm, False), (f.deriv_sup_norm, True)):
         lo, hi = pieces_range_scalar(pc, 0.0, 1.0, deriv)
         assert float_bits(norm()) == float_bits(max(abs(lo), abs(hi)))
 
+    pwl = random_function(seed, depth=cells % 7).as_cubic_pieces()
+    assert not pwl.coeffs[:, 2:].any()
+    _ranges_equal_the_scalar_reference(pwl)
+
+    ks = random.Random(seed).sample(range(1, 16), 4)
+    hat, check = (FinitePointSet.of([Fraction(k, 16) for k in half]) for half in (ks[:2], ks[2:]))
+    bump = make_bump(BumpSpec(hat, check, Fraction(1, 2), Fraction(1, 100)))
+    _ranges_equal_the_scalar_reference(bump.as_cubic_pieces())
+
 
 def test_deriv_range_bounds():
     f = random_c1_function(seed=5, cells=5)
-    pc = pieces_of(f)
-    lo, hi = cubic_deriv_range(pc.coeffs.T, 0.0, np.diff(pc.breaks))
+    pc = f.as_cubic_pieces()
+    lo, hi = pc.ranges[True]
     xs = np.linspace(0.0, 1.0, 400)
     k = np.clip(np.searchsorted(pc.breaks, xs, side="right") - 1, 0, len(pc.coeffs) - 1)
     d = f.deriv(xs)
