@@ -12,6 +12,7 @@ fails or is refuted, 2 for malformed input (the message names the field).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -505,31 +506,29 @@ def cmd_jarnik_demo(args, argv: list[str]) -> dict:
         raise InputError("grid", "grid must be at least 1000")
     if args.depth < 0:
         raise InputError("depth", f"depth must be >= 0, got {args.depth}")
-    a_list = _int_list(args.a_list, "a-list")
-    if not a_list or any(a < 1 for a in a_list):
+    a_list = sorted(_int_list(args.a_list, "a-list"))
+    if not a_list or a_list[0] < 1:
         raise InputError("a-list", "need positive integer scales")
+    if len(set(a_list)) < len(a_list):
+        raise InputError("a-list", f"repeated scale in {args.a_list!r}")
     decay = _rat(args.decay, "decay")
     amplitude = _rat(args.amplitude, "amplitude")
     f = random_function(args.seed, args.depth, decay, amplitude)
-    fractions = {}
-    for a in sorted(a_list):
-        s = n_set_exact(f, a, "full")
-        fractions[a] = _grid_hits(s, args.grid) / (args.grid + 1)
-    monotone = all(
-        fractions[x] <= fractions[y] + 1e-15
-        for x, y in zip(sorted(fractions), sorted(fractions)[1:])
-    )
+    # every fraction is over grid + 1, so the hit counts order them exactly
+    hits = [_grid_hits(n_set_exact(f, a, "full"), args.grid) for a in a_list]
+    fractions = {a: h / (args.grid + 1) for a, h in zip(a_list, hits)}
+    monotone = all(x <= y for x, y in zip(hits, hits[1:]))
     inputs = {
         "seed": args.seed,
         "depth": args.depth,
         "decay": str(decay),
         "amplitude": str(amplitude),
-        "a_list": sorted(a_list),
+        "a_list": a_list,
         "grid": args.grid,
     }
-    outputs = {"fractions": {str(a): fractions[a] for a in sorted(fractions)}}
+    outputs = {"fractions": {str(a): fractions[a] for a in a_list}}
     checks = {"monotone_in_scale": {"ok": monotone, "margin": None}}
-    csv_lines = ["a,fraction"] + [f"{a},{fractions[a]!r}" for a in sorted(fractions)]
+    csv_lines = ["a,fraction"] + [f"{a},{fractions[a]!r}" for a in a_list]
     return _report(argv, inputs, outputs, checks, seed=args.seed), "\n".join(csv_lines) + "\n"
 
 
@@ -538,7 +537,10 @@ def cmd_jarnik_demo(args, argv: list[str]) -> dict:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    keeps no state on it."""
     p = argparse.ArgumentParser(prog="knotpoints", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 

@@ -16,13 +16,15 @@ the a-set in the b-set variant by variant.
 Two computation paths:
 
 * exact (PwlFunction on [0,1], integer a): the membership test compares
-  phi = f - a*id with its sliding window maximum.  f is converted once per
-  call to integers (breakpoints over one denominator, values over another),
-  and the involutions that turn each basic variant into a plus_upper set
-  act on that integer form.  One integer event sweep over phi visits the
-  cells between consecutive window events; on each cell phi and the window
-  end are single lines and the interior breakpoints a constant, so the set
-  is read per cell from endpoint signs.  A cell whose signs leave it wholly
+  phi = f - a*id with its sliding window maximum.  f is converted to
+  integers once (breakpoints over one denominator, values over another,
+  kept with f); each call rescales that form to its scale only where 2^a
+  does not already divide a denominator, and the involutions that turn
+  each basic variant into a plus_upper set act on the integer form.  One
+  integer event sweep over phi visits the cells between consecutive window
+  events; on each cell phi and the window end are single lines and the
+  interior breakpoints a constant, so the set is read per cell from
+  endpoint signs.  A cell whose signs leave it wholly
   in or out costs comparisons only; crossing points are the only new
   rationals, and nothing is rounded.  Each sweep returns its runs with
   every end an (n, d) pair; a reflected part maps its runs exactly.  The
@@ -77,7 +79,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -282,7 +284,7 @@ def admissible_eps(a: Rat, b: Rat, eps: Rat) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _values_at(T: list[int], Z: list[int], pts: list[int]) -> list[int]:
+def _values_at(T: Sequence[int], Z: list[int], pts: list[int]) -> list[int]:
     """phi at points of [T[0], T[-1]]: Z[j] at a breakpoint T[j], and the
     line through the ends of the segment (T[j], T[j+1]) that holds any other
     point; the division is exact when the values carry the lcm of the
@@ -300,38 +302,46 @@ def _values_at(T: list[int], Z: list[int], pts: list[int]) -> list[int]:
 class _IntPwl(NamedTuple):
     """A piecewise-linear function on [0,1] in integers: breakpoints T[i]/X
     and values W[i]/V, with V a multiple of X and X a multiple of 2^a for
-    the scale a it was built for."""
+    the scale a it was built for; L is the lcm of the widths T[i+1] - T[i],
+    which negating and reflecting keep.
 
-    T: list[int]
-    W: list[int]
+    It is the scale-free form that f keeps (`PwlFunction.integer_form`, over
+    X0 and V0) rescaled to X = lcm(2^a, X0) and V = lcm(X, V0): T by X/X0
+    and W by V/V0, each only when the factor is not 1, and L by X/X0.  A
+    function whose denominators already hold 2^a shares its form with every
+    such scale, so the form is never changed in place."""
+
+    T: Sequence[int]
+    W: Sequence[int]
     X: int
     V: int
+    L: int
 
     @staticmethod
     def of(f: PwlFunction, a: int) -> "_IntPwl":
-        """f over X = lcm(2^a, breakpoint denominators) and V = lcm(X,
-        value denominators)."""
-        ts = [t.as_integer_ratio() for t in f.breakpoints]
-        ys = [y.as_integer_ratio() for y in f.values]
-        X = math.lcm(1 << a, *(d for _, d in ts))
-        V = math.lcm(X, *(d for _, d in ys))
-        return _IntPwl([n * (X // d) for n, d in ts], [n * (V // d) for n, d in ys], X, V)
+        T0, W0, X0, V0, L0 = f.integer_form
+        X = math.lcm(1 << a, X0)
+        V = math.lcm(X, V0)
+        s, r = X // X0, V // V0
+        T = T0 if s == 1 else tuple(t * s for t in T0)
+        W = W0 if r == 1 else tuple(w * r for w in W0)
+        return _IntPwl(T, W, X, V, L0 * s)
 
     def negate(self) -> "_IntPwl":
-        return _IntPwl(self.T, [-w for w in self.W], self.X, self.V)
+        return _IntPwl(self.T, [-w for w in self.W], self.X, self.V, self.L)
 
     def reflect(self) -> "_IntPwl":
         """x -> f(1-x)."""
-        return _IntPwl([self.X - t for t in reversed(self.T)], self.W[::-1], self.X, self.V)
+        return _IntPwl([self.X - t for t in reversed(self.T)], self.W[::-1], self.X, self.V, self.L)
 
 
 _Run = tuple[tuple[int, int], tuple[int, int]]
 
 
-def _plus_upper_exact(g: _IntPwl, a: int, L: int) -> list[_Run]:
+def _plus_upper_exact(g: _IntPwl, a: int) -> list[_Run]:
     """The forward-upper set of g at integer scale a >= 1 as its runs
     (lo, hi), sorted, disjoint and non-adjacent; each end is a pair (n, d),
-    d > 0, standing for n/(d X).  L is the lcm of the segment widths of g.
+    d > 0, standing for n/(d X).
 
     One integer event sweep of phi = g - a*x.  Between consecutive events
     (breakpoints <= 1 - delta and breakpoints shifted left by delta) the
@@ -358,7 +368,7 @@ def _plus_upper_exact(g: _IntPwl, a: int, L: int) -> list[_Run]:
     times L.  No division rounds: every // below divides a multiple of its
     divisor.
     """
-    T, X, V = g.T, g.X, g.V
+    T, X, V, L = g.T, g.X, g.V, g.L
     D = X >> a
     k = a * (V // X)
     Z = [(w - k * t) * L for t, w in zip(T, g.W)]
@@ -370,7 +380,7 @@ def _plus_upper_exact(g: _IntPwl, a: int, L: int) -> list[_Run]:
 
     dq: deque[int] = deque()  # breakpoints in [v, u + D], values decreasing
     pop, popleft, push = dq.pop, dq.popleft, dq.append
-    Tn = T + [X + D + 1]  # a sentinel past every window end
+    Tn = [*T, X + D + 1]  # a sentinel past every window end
     add = 0
     runs: list[_Run] = []
     start = None  # lo of the run that is open at u: it may go on past u
@@ -475,13 +485,11 @@ def n_set_exact(f: PwlFunction, a: Rat, variant: str = "full") -> IntervalSet:
     _check_unit_domain(f)
     ai = _as_integer_scale(a)
     g = _IntPwl.of(f, ai)
-    X, T = g.X, g.T
-    # negating and reflecting keep the segment widths
-    L = math.lcm(*(t1 - t0 for t0, t1 in zip(T, T[1:])))
+    X = g.X
     runs: list[_Run] = []
     for part in _PARTS.get(variant, (variant,)):
         h, refl = _plus_upper_form(g, part)
-        part_runs = _plus_upper_exact(h, ai, L)
+        part_runs = _plus_upper_exact(h, ai)
         if refl:  # x -> 1 - x takes n/(d X) to (X d - n)/(d X) and reverses the runs
             part_runs = [
                 ((X * hd - hn, hd), (X * ld - ln, ld)) for (ln, ld), (hn, hd) in reversed(part_runs)

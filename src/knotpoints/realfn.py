@@ -4,7 +4,8 @@ Two concrete classes:
 
 * `PwlFunction` -- continuous piecewise-linear with rational breakpoints and
   values.  All arithmetic is exact over `fractions.Fraction`; this is the
-  ground-truth path.
+  ground-truth path.  Its scale-free integer form (`integer_form`) is built
+  on first use and kept with the function.
 * `C1Function` -- C^1 piecewise-cubic Hermite data (knots, values, slopes) in
   binary floating point.  Derived quantities (sup norms, range bounds) are
   computed from closed-form cubic extrema, so they are exact up to float
@@ -28,6 +29,7 @@ kernel.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -168,6 +170,21 @@ class PwlFunction:
         return self.sub(other).sup_norm()
 
     # -- conversions -------------------------------------------------------
+
+    @functools.cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int]:
+        """f in integers, free of any scale: (T, W, X, V, L) with breakpoints
+        T[i]/X over X, the lcm of their denominators, values W[i]/V over
+        V = lcm(X, value denominators), and L the lcm of the widths
+        T[i+1] - T[i].  Computed on first use and kept with f; the exact
+        exception sets rescale it to each scale (`nsets._IntPwl.of`)."""
+        ts = [t.as_integer_ratio() for t in self.breakpoints]
+        ys = [y.as_integer_ratio() for y in self.values]
+        X = math.lcm(*(d for _, d in ts))
+        V = math.lcm(X, *(d for _, d in ys))
+        T = tuple(n * (X // d) for n, d in ts)
+        L = math.lcm(*(t1 - t0 for t0, t1 in zip(T, T[1:])))
+        return T, tuple(n * (V // d) for n, d in ys), X, V, L
 
     def as_cubic_pieces(self) -> "CubicPieces":
         breaks = np.array([float(b) for b in self.breakpoints])
@@ -425,28 +442,37 @@ def random_function(
     seeded stdlib generator, scaled by decay^level.  depth 0 is a random line.
     The output is clamped into [-1, 1] range-wise only by choice of amplitude;
     no clipping is applied.
+
+    A draw r of 40 bits stands for r/2^39 - 1 in [-1, 1).  With amplitude
+    p_a/q_a and decay p_d/q_d, the values of level L are kept as integer
+    numerators over the one denominator D_L = q_a q_d^L 2^(39+L): level 0
+    holds p_a (r - 2^39) per draw, and each level multiplies the kept
+    numerators by 2 q_d and sets the midpoint of (v_a, v_b) to
+    (v_a + v_b) q_d + p_a p_d^L 2^L (r - 2^39).  The Fractions are built
+    once, at the end.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    rng = random.Random(seed)
-    decay = as_fraction(decay)
-    amplitude = as_fraction(amplitude)
+    getrandbits = random.Random(seed).getrandbits
+    pa, qa = as_fraction(amplitude).as_integer_ratio()
+    pd, qd = as_fraction(decay).as_integer_ratio()
+    half = 1 << 39
 
-    def draw() -> Fraction:
-        return Fraction(rng.getrandbits(40), 2**39) - 1  # exact dyadic in [-1, 1)
-
-    # values at the grid points i/2^level in x-order; each level draws its
-    # midpoints left to right
-    vals = [amplitude * draw(), amplitude * draw()]
-    scale = amplitude
+    # numerators at the grid points i/2^level in x-order; each level draws
+    # its midpoints left to right
+    vals = [pa * (getrandbits(40) - half), pa * (getrandbits(40) - half)]
+    scale, grow = pa, 2 * qd  # scale = p_a p_d^L 2^L
     for _ in range(depth):
-        scale *= decay
-        finer = [vals[0]]
+        scale *= 2 * pd
+        finer = [vals[0] * grow]
         for va, vb in zip(vals, vals[1:]):
-            finer += ((va + vb) / 2 + scale * draw(), vb)
+            finer += ((va + vb) * qd + scale * (getrandbits(40) - half), vb * grow)
         vals = finer
+    den = qa * qd**depth << (39 + depth)
     n = len(vals) - 1
-    return PwlFunction(tuple(Fraction(i, n) for i in range(n + 1)), tuple(vals))
+    return PwlFunction(
+        tuple(Fraction(i, n) for i in range(n + 1)), tuple(Fraction(v, den) for v in vals)
+    )
 
 
 def random_c1_function(

@@ -17,7 +17,8 @@ point sets have a reference as well: `FractionPointSet`, a
 sorted tuple of Fractions, with the point-set functions on top of it, and
 the ball game's snapping and tagging of located points on Fraction lists.
 `random_function` has one too: a dict of Fraction grid points, sorted at
-every level.
+every level.  So has the integer form of the exact path: `int_pwl_reference`
+converts f to integers afresh at each scale.
 """
 
 from __future__ import annotations
@@ -346,6 +347,17 @@ def random_function_reference(
         vals.update(new_pts)
     xs = sorted(vals)
     return PwlFunction(tuple(xs), tuple(vals[x] for x in xs))
+
+
+def int_pwl_reference(f: PwlFunction, a: int) -> tuple[list[int], list[int], int, int]:
+    """(T, W, X, V) of `nsets._IntPwl.of` converted afresh at each scale:
+    f over X = lcm(2^a, breakpoint denominators) and V = lcm(X, value
+    denominators)."""
+    ts = [t.as_integer_ratio() for t in f.breakpoints]
+    ys = [y.as_integer_ratio() for y in f.values]
+    X = lcm(1 << a, *(d for _, d in ts))
+    V = lcm(X, *(d for _, d in ys))
+    return [n * (X // d) for n, d in ts], [n * (V // d) for n, d in ys], X, V
 
 
 def zigzag() -> PwlFunction:

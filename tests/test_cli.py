@@ -354,6 +354,42 @@ def test_jarnik_demo_rejects_negative_depth(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_jarnik_demo_refuses_a_repeated_scale(tmp_path, monkeypatch, capsys):
+    """A scale named twice is refused with exit 2 before any set is built,
+    where it used to be computed twice and recorded once."""
+
+    def compute(*args):
+        raise AssertionError("computed a set before validating the scales")
+
+    monkeypatch.setattr(cli, "n_set_exact", compute)
+    out = tmp_path / "report.json"
+    rc = cli.main(["jarnik-demo", "--a-list", "2,1,2", "--out", str(out)])
+    assert rc == 2
+    assert "input error in field 'a-list'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """The parser is built once per process.  A call that argparse refuses
+    leaves nothing behind: the next `jarnik-demo` writes the bytes that the
+    same call writes with a freshly built parser."""
+    out = tmp_path / "report.json"
+    argv = ["jarnik-demo", "--depth", "3", "--a-list", "1,2", "--grid", "1000", "--out", str(out)]
+    cli._build_parser.cache_clear()
+    assert cli.main(argv) == 0
+    alone = out.read_bytes()
+    out.unlink()
+    cli._build_parser.cache_clear()
+    with pytest.raises(SystemExit) as e:
+        cli.main(["jarnik-demo", "--depth", "x", "--a-list", "3"])
+    assert e.value.code == 2
+    assert cli._build_parser.cache_info().currsize == 1
+    assert cli.main(argv) == 0
+    assert cli._build_parser.cache_info().hits == 1
+    assert out.read_bytes() == alone
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("seed", ["0", "5", "11"])
 def test_jarnik_demo_output_matches_benchmark_reference(tmp_path, seed):
     """The default `jarnik-demo` outputs are byte-identical to the

@@ -6,6 +6,8 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from knotpoints.nsets import (
     _grid_cells,
     _halves,
     _inherit_window,
+    _IntPwl,
     _merge_float_cells,
     _PhiTables,
     _plus_upper_form,
@@ -59,6 +62,7 @@ from oracles import (
     grid_n_set,
     grid_n_set_full,
     hausdorff_set_vs_points,
+    int_pwl_reference,
     point_defect_exact,
     promote_pwl,
     sliding_window_max,
@@ -269,6 +273,81 @@ def test_exact_sets_are_built_without_set_algebra(monkeypatch):
     for variant in VARIANTS:
         for a in (1, 3):
             n_set_exact(f, a, variant)
+
+
+def _thirds_and_fifths(seed: int, dens: tuple[int, ...]) -> PwlFunction:
+    """Breakpoints over the given odd denominators, so every scale
+    rescales them, and values over 1, 3 or 16, so the values are shared up
+    to a = 4 and rescaled past it."""
+    rng = random.Random(seed)
+    xs = sorted({F(0), F(1)} | {F(rng.randrange(1, q), q) for q in rng.choices(dens, k=7)})
+    return PwlFunction(tuple(xs), tuple(F(rng.randrange(-40, 40), rng.choice((1, 3, 16))) for _ in xs))
+
+
+_INTEGER_FORM_CASES = {
+    "depth4": random_function(2, 4),
+    "depth3": random_function(6, 3, F(-2, 7)),
+    "thirds": _thirds_and_fifths(1, (3, 9)),
+    "fifths": _thirds_and_fifths(2, (5, 25)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_FORM_CASES))
+def test_integer_form_equals_the_per_scale_conversion(monkeypatch, name):
+    """The form f keeps, rescaled per scale, is the conversion made afresh
+    at each scale: shared where 2^a divides the breakpoint denominators
+    (a <= 4 for `depth4`, a <= 3 for `depth3`), rescaled past them and at
+    every scale of the thirds and fifths.  The exact sets of every variant
+    then equal the sets built from the fresh conversion."""
+    f = _INTEGER_FORM_CASES[name]
+    T0, W0, X0, V0, _ = f.integer_form
+    for a in range(1, 11):
+        g = _IntPwl.of(f, a)
+        assert (g.T is T0, g.W is W0) == (X0 % 2**a == 0, V0 % 2**a == 0)
+        assert (list(g.T), list(g.W), g.X, g.V) == int_pwl_reference(f, a)
+        assert g.L == math.lcm(*(t1 - t0 for t0, t1 in zip(g.T, g.T[1:])))
+    fresh = {(v, a): n_set_exact(f, a, v) for v in VARIANTS for a in range(1, 9)}
+
+    def per_scale(h, a):
+        T, W, X, V = int_pwl_reference(h, a)
+        return _IntPwl(T, W, X, V, math.lcm(*(t1 - t0 for t0, t1 in zip(T, T[1:]))))
+
+    monkeypatch.setattr(_IntPwl, "of", per_scale)
+    for (v, a), s in fresh.items():
+        ref = n_set_exact(f, a, v)
+        assert (s.nums, s.den) == (ref.nums, ref.den), (v, a)
+
+
+class _CountedFraction(Fraction):
+    """A Fraction that counts the reads of its numerator and denominator."""
+
+    reads = 0
+
+    def as_integer_ratio(self):
+        _CountedFraction.reads += 1
+        return super().as_integer_ratio()
+
+    @property
+    def numerator(self):
+        _CountedFraction.reads += 1
+        return self._numerator
+
+    @property
+    def denominator(self):
+        _CountedFraction.reads += 1
+        return self._denominator
+
+
+def test_exact_sets_read_the_fractions_of_f_once(monkeypatch):
+    """Eight scales of one f convert its Fractions to integers once."""
+    g = random_function(3, 5)
+    f = PwlFunction(
+        tuple(map(_CountedFraction, g.breakpoints)), tuple(map(_CountedFraction, g.values))
+    )
+    monkeypatch.setattr(_CountedFraction, "reads", 0)
+    for a in range(1, 9):
+        n_set_exact(f, a, "full")
+    assert _CountedFraction.reads == len(f.breakpoints) + len(f.values)
 
 
 def test_n_set_exact_rejects_partial_domain():

@@ -1,6 +1,7 @@
 """Function layer: exact piecewise-linear algebra, C1 Hermite splines,
 certified cubic-piece bounds, corpus generators, serialization."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -375,8 +376,11 @@ def test_random_function_distinct_seeds_differ():
 
 @pytest.mark.parametrize(
     "decay, amplitude",
-    [(F(3, 5), 1), (F(11, 20), 1), (F(1, 2), 1), (F(2), 1), (F(11, 20), F(-7, 3))],
-    ids=["3/5", "11/20", "1/2", "2", "amplitude-7/3"],
+    [
+        (F(3, 5), 1), (F(11, 20), 1), (F(1, 2), 1), (F(2), 1), (F(-2, 7), 1),
+        (F(11, 20), F(-7, 3)), (F(11, 20), 0),
+    ],
+    ids=["3/5", "11/20", "1/2", "2", "-2/7", "amplitude-7/3", "amplitude0"],
 )
 def test_random_function_matches_the_sort_based_builder(decay, amplitude):
     """The grid-order builder draws the same midpoints in the same order as
@@ -387,6 +391,22 @@ def test_random_function_matches_the_sort_based_builder(decay, amplitude):
         got = random_function(seed, depth, decay, amplitude)
         assert got == random_function_reference(seed, depth, decay, amplitude)
         assert all(type(x) is F for x in got.breakpoints + got.values)
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "65e92d0d6f6ec409e871cb9ef792f53c9e89c9a45db480c84a00d66af43330bf"),
+        (4, "9fb57b1b382704d321bb0a95ffa7b7c85e42142c74c93d80f7dcea8aed20673c"),
+    ],
+)
+def test_random_function_at_depth_ten_is_pinned(seed, digest):
+    """One level past the reference test's deepest grid: the breakpoints
+    and values written as "p/q", as the Fraction builder gave them."""
+    f = random_function(seed, 10, F(11, 20))
+    assert len(f.values) == 1025
+    blob = "|".join(map(str, f.breakpoints + f.values)).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_random_c1_function_deterministic():
