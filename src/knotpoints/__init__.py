@@ -15,7 +15,6 @@ from .bmgame import (
     GameInfeasibleError,
     GameRuleError,
     GameState,
-    HatCheckSet,
     OracleError,
     OracleReply,
     RoundRecord,
@@ -36,6 +35,7 @@ from .bmgame import (
 from .bump import (
     BumpSpec,
     EpsilonSearchError,
+    HatCheckSet,
     SizingChain,
     check_bump_easy,
     check_bump_properties,
@@ -47,12 +47,14 @@ from .bump import (
 from .indexcomb import (
     CombCheck,
     DeltaSeq,
+    Enclosures,
     IndexSeq,
     ScaleLadder,
     SeqOfSets,
     check_S_k,
     check_Y_k,
     check_perm_A,
+    enclosure_verdict,
     index_set_A,
     random_finite_permutation,
     random_index_seq,

@@ -60,6 +60,7 @@ import numpy as np
 from .bump import (
     BumpSpec,
     EpsilonSearchError,
+    HatCheckSet,
     SizingChain,
     check_bump_properties,
     make_bump,
@@ -70,10 +71,12 @@ from .indexcomb import (
     LADDER_SCALE,
     CombCheck,
     DeltaSeq,
+    Enclosures,
     IndexSeq,
     ScaleLadder,
     SeqOfSets,
     check_Y_k,
+    enclosure_verdict,
     index_set_A,
 )
 from .intervalsets import (
@@ -94,7 +97,7 @@ from .nsets import (
     NSetEnclosure,
     admissible_eps,
     continuity_delta,
-    n_set_enclosure,
+    n_set_enclosure,  # noqa: F401  (knotbench's tracer test checks it is rebound here)
 )
 from .realfn import C1Function, function_from_json, function_to_json, random_c1_function
 
@@ -103,7 +106,6 @@ __all__ = [
     "GameRuleError",
     "GameInfeasibleError",
     "OracleError",
-    "HatCheckSet",
     "OracleReply",
     "DenseOpenOracle",
     "RoundRecord",
@@ -181,45 +183,8 @@ _PARAMS = {
 
 
 # ---------------------------------------------------------------------------
-# located sets with a two-way partition
+# located sets with a two-way partition (`bump.HatCheckSet`)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HatCheckSet:
-    """A finite located set split into its positive-lobe and negative-lobe
-    halves.  The tilde readings of the game see exactly one half each."""
-
-    hat: FinitePointSet
-    check: FinitePointSet
-
-    def __post_init__(self) -> None:
-        shared = self.hat.intersection(self.check)
-        if not shared.is_empty:
-            raise ValueError(f"hat and check parts share the point {shared.points[0]}")
-
-    def tilde(self, reading: str) -> FinitePointSet:
-        if reading == "hat":
-            return self.hat
-        if reading == "check":
-            return self.check
-        raise ValueError("reading must be 'hat' or 'check'")
-
-    def flat(self) -> FinitePointSet:
-        return self.hat.union(self.check)
-
-    def to_json(self) -> dict:
-        return {
-            "hat": self.hat.to_json_list(),
-            "check": self.check.to_json_list(),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "HatCheckSet":
-        return HatCheckSet(
-            FinitePointSet.from_json_list(obj["hat"]),
-            FinitePointSet.from_json_list(obj["check"]),
-        )
 
 
 def _tilde_union(sets: Sequence[HatCheckSet], indices, reading: str) -> FinitePointSet:
@@ -526,25 +491,10 @@ def _json_clean(obj):
 # ---------------------------------------------------------------------------
 
 
-class _EnclosureCache:
-    """Per-function cache of N-set enclosures at tolerance TOL, keyed by
-    (scale, variant)."""
-
-    def __init__(self, f: C1Function) -> None:
-        self.f = f
-        self._store: dict[tuple[Fraction, str], NSetEnclosure] = {}
-
-    def get(self, a: Rat, variant: str) -> NSetEnclosure:
-        key = (as_fraction(a), variant)
-        if key not in self._store:
-            self._store[key] = n_set_enclosure(self.f, key[0], variant, TOL)
-        return self._store[key]
-
-
-def _enclosure_or_reason(cache: _EnclosureCache, a: Rat, variant: str) -> NSetEnclosure | str:
+def _enclosure_or_reason(enclosures: Enclosures, a: Rat, variant: str) -> NSetEnclosure | str:
     """The enclosure at scale a, or the message saying why it is unavailable."""
     try:
-        return cache.get(a, variant)
+        return enclosures.get(a, variant)
     except EnclosureRangeError as e:
         return f"enclosure unavailable: {e}"
 
@@ -552,52 +502,52 @@ def _enclosure_or_reason(cache: _EnclosureCache, a: Rat, variant: str) -> NSetEn
 def star_bullets(
     f: C1Function,
     K_sets: Sequence[HatCheckSet],
-    n_m: int,
     w_m: Fraction,
     ns: Sequence[int],
-    m: int,
     ladder: ScaleLadder,
     ka: int,
     kb: int,
 ) -> CombCheck:
-    """Certify the three bullet families over j in [m], both readings, at
-    depth (ka, kb) of the refined scales: the invariant itself uses (4, 3);
-    the in-round claims for g_m use the stronger (3, 2).  The verdict's keys
-    are (j, bullet, reading)."""
-    cache = _EnclosureCache(f)
+    """Certify the three bullet families of round m = len(ns) over j in
+    [m], both readings, at depth (ka, kb) of the refined scales: the
+    invariant itself uses (4, 3); the in-round claims for g_m use the
+    stronger (3, 2).  K_sets are the round's located sets, n_m of them.
+    Every bullet is decided by `indexcomb.enclosure_verdict` on enclosures
+    of f at tolerance TOL.  The verdict's keys are (j, bullet, reading)."""
+    enclosures = Enclosures(f, TOL)
+    m = len(ns)
     nseq = IndexSeq(tuple(ns))
     failures: list = []
     undecided: list = []
     margins: dict = {}
 
-    def settle(key, enc, test=None, reason: str = "", decisive: str = "outer") -> None:
-        """Record bullet `key`.  `test(side)` gives (ok, margin) on one side of
-        the enclosure `enc`: a pass on the decisive side settles it, else the
-        other side tells undecided (`reason`) from failed.  `enc` may instead
-        be the message saying why it is unavailable."""
+    def settle(key, enc, test=None, reason: str = "", sound: str = "outer") -> None:
+        """Record bullet `key`, with `test(side)` giving (ok, margin) on one
+        side of the enclosure `enc` and `sound` naming the side whose pass
+        certifies it; an undecided bullet records `reason`.  `enc` may
+        instead be the message saying why it is unavailable."""
         if isinstance(enc, str):
             undecided.append(key)
             margins[key] = enc
             return
-        first, second = (enc.outer, enc.inner) if decisive == "outer" else (enc.inner, enc.outer)
-        ok, marg = test(first)
-        if ok:
-            margins[key] = None if marg is None else float(marg)
-        elif test(second)[0]:
+        sides = (enc.outer, enc.inner) if sound == "outer" else (enc.inner, enc.outer)
+        verdict, marg = enclosure_verdict(test, *sides)
+        if verdict == "undecided":
             undecided.append(key)
             margins[key] = reason
-        else:
+            return
+        if verdict == "failed":
             failures.append(key)
-            margins[key] = float(marg)
+        margins[key] = None if marg is None else float(marg)
 
     for j in range(1, m + 1):
         A = index_set_A(j, m, nseq)
-        out_idx = [n for n in range(1, n_m + 1) if n not in A]
+        out_idx = [n for n in range(1, len(K_sets) + 1) if n not in A]
         a_scale = ladder.a_refined(j, m, ka)
         b_scale = ladder.b_refined(j, m, kb)
         for rd in ("hat", "check"):
             sel = _tilde_union(K_sets, A, rd).as_interval_set()
-            enc_a = _enclosure_or_reason(cache, a_scale, rd)
+            enc_a = _enclosure_or_reason(enclosures, a_scale, rd)
             # bullet (i): fine slope set inside the open w-balls of the
             # selected located points
             settle(
@@ -608,7 +558,7 @@ def star_bullets(
             # bullet (ii): selected located points near the coarse slope set
             settle(
                 (j, 2, rd),
-                _enclosure_or_reason(cache, b_scale, rd),
+                _enclosure_or_reason(enclosures, b_scale, rd),
                 lambda s: subset_within(sel, s, w_m),
                 "inner fails, outer passes",
                 "inner",
@@ -634,7 +584,7 @@ def check_star(
 ) -> CombCheck:
     """The round invariant for an arbitrary member f of the answered ball,
     at the weld scales (depth 4 on the fine side, 3 on the coarse side)."""
-    return star_bullets(f, record.K_sets, record.n_m, record.w_m, ns, record.m, ladder, 4, 3)
+    return star_bullets(f, record.K_sets, record.w_m, ns, ladder, 4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -817,7 +767,7 @@ def round_one(f1: C1Function, alpha1: Rat, oracle: DenseOpenOracle) -> RoundReco
         raise GameError("b_1 does not dominate the answered slope norm")
 
     # in-round claims at depth (3, 2), which also yield the margin for eps_1
-    claims = star_bullets(g1, K_sets, n1, w1, (n1,), 1, ladder, 3, 2)
+    claims = star_bullets(g1, K_sets, w1, (n1,), ladder, 3, 2)
     certs["claims_g"] = {**_verdict_json(claims), "margins": _json_clean(claims.margins)}
     if not claims.ok:
         raise GameError(
@@ -1008,23 +958,21 @@ def limit_report(state: GameState) -> dict:
     f = last.g_m
     cov_ok = True
     cov_entries = {}
-    cache = _EnclosureCache(f)
+    enclosures = Enclosures(f, TOL)
     nseq = IndexSeq(state.ns)
     for m in range(1, M + 1):
         rec = state.rounds[m - 1]
         radius = 3 * rec.w_m
         for j in range(1, m + 1):
             A = index_set_A(j, m, nseq)
-            sel = (
-                union_of_point_sets(limit_sets[n - 1] for n in sorted(A) if n <= len(limit_sets))
-            ).as_interval_set()
+            sel = union_of_point_sets(limit_sets[n - 1] for n in sorted(A)).as_interval_set()
             try:
-                enc = cache.get(Fraction(j), "full")
+                enc = enclosures.get(Fraction(j), "full")
                 okf, margf = subset_within(enc.outer, sel, radius)
             except EnclosureRangeError as e:
                 okf, margf = None, str(e)
             try:
-                encb = cache.get(rec.b_m, "full")
+                encb = enclosures.get(rec.b_m, "full")
                 okb, margb = subset_within(sel, encb.inner, radius)
             except EnclosureRangeError as e:
                 okb, margb = None, str(e)
@@ -1045,17 +993,7 @@ def limit_report(state: GameState) -> dict:
         deltas.append(4 * rec.w_m + 2 * w_prev)
         w_prev = rec.w_m
     K_seq = SeqOfSets(tuple(s.as_interval_set() for s in limit_sets))
-    comb = check_Y_k(
-        K_seq,
-        f,
-        IndexSeq(state.ns),
-        DeltaSeq(tuple(deltas)),
-        ladder,
-        0,
-        M,
-        TOL,
-        cache=cache,
-    )
+    comb = check_Y_k(K_seq, enclosures, nseq, DeltaSeq(tuple(deltas)), ladder, 0, M)
     report["checks"]["index_chain"] = _verdict_json(comb)
 
     orc_ok = True

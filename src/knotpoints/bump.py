@@ -1,7 +1,8 @@
 """Bump functions and the constructive constants that size them.
 
 A bump of height h and width w located at two disjoint finite point sets
-H_hat and H_check is a C1 function with sup norm exactly h that equals +h on
+H_hat and H_check (the halves of a `HatCheckSet`, the located sets of the
+ball game) is a C1 function with sup norm exactly h that equals +h on
 H_hat and -h on H_check, is positive only within distance w of H_hat, and
 negative only within distance w of H_check.  `make_bump` builds one out of
 cubic smoothstep lobes whose half-width shrinks to min(w/2, gap/3), so lobes
@@ -52,6 +53,7 @@ from .nsets import (
 from .realfn import C1Function
 
 __all__ = [
+    "HatCheckSet",
     "BumpSpec",
     "make_bump",
     "check_bump_properties",
@@ -70,12 +72,48 @@ class EpsilonSearchError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BumpSpec:
-    """Location and size data for a bump: +h plateau points, -h plateau
-    points, height, and the width of the allowed sign supports."""
+class HatCheckSet:
+    """A finite located set split into its positive-lobe and negative-lobe
+    halves.  The tilde readings of the game see exactly one half each."""
 
-    H_hat: FinitePointSet
-    H_check: FinitePointSet
+    hat: FinitePointSet
+    check: FinitePointSet
+
+    def __post_init__(self) -> None:
+        shared = self.hat.intersection(self.check)
+        if not shared.is_empty:
+            raise ValueError(f"hat and check parts share the point {shared.points[0]}")
+
+    def tilde(self, reading: str) -> FinitePointSet:
+        if reading == "hat":
+            return self.hat
+        if reading == "check":
+            return self.check
+        raise ValueError("reading must be 'hat' or 'check'")
+
+    def flat(self) -> FinitePointSet:
+        return self.hat.union(self.check)
+
+    def to_json(self) -> dict:
+        return {
+            "hat": self.hat.to_json_list(),
+            "check": self.check.to_json_list(),
+        }
+
+    @staticmethod
+    def from_json(obj: dict) -> "HatCheckSet":
+        return HatCheckSet(
+            FinitePointSet.from_json_list(obj["hat"]),
+            FinitePointSet.from_json_list(obj["check"]),
+        )
+
+
+@dataclass(frozen=True)
+class BumpSpec(HatCheckSet):
+    """Location and size data for a bump: the +h plateau points (hat), the
+    -h plateau points (check), the height h and the width of the allowed
+    sign supports."""
+
     height: Fraction
     width: Fraction
 
@@ -84,26 +122,14 @@ class BumpSpec:
         object.__setattr__(self, "width", as_fraction(self.width))
         if self.height <= 0 or self.width <= 0:
             raise ValueError("height and width must be positive")
-        both = self.H_hat.intersection(self.H_check)
-        if not both.is_empty:
-            raise ValueError(f"H_hat and H_check must be disjoint; both contain {list(both.points)}")
-        g = self.all_points().min_gap()
+        super().__post_init__()
+        g = self.flat().min_gap()
         if g is not None and g <= 2 * self.width:
             warnings.warn(
                 f"point gap {float(g):.3g} is not above twice the width "
                 f"{float(self.width):.3g}; lobes will be shrunk",
                 stacklevel=2,
             )
-
-    def all_points(self) -> FinitePointSet:
-        return self.H_hat.union(self.H_check)
-
-    def located(self, reading: str) -> FinitePointSet:
-        if reading == "hat":
-            return self.H_hat
-        if reading == "check":
-            return self.H_check
-        raise ValueError("reading must be 'hat' or 'check'")
 
 
 def _smoothstep(t: float) -> tuple[float, float]:
@@ -117,7 +143,7 @@ def lobe_half_width(spec: BumpSpec) -> Fraction:
     """Common lobe half-width: min(w/2, gap/3), which keeps lobes disjoint
     and their supports strictly inside the width-w neighborhoods."""
     r = spec.width / 2
-    g = spec.all_points().min_gap()
+    g = spec.flat().min_gap()
     if g is not None:
         r = min(r, g / 3)
     return r
@@ -128,8 +154,8 @@ def make_bump(spec: BumpSpec) -> C1Function:
     at H_hat, negative at H_check, zero with zero slope elsewhere."""
     # (centre, sign) in increasing order: the halves are sorted runs, so the
     # sort is one merge of two runs
-    hat = zip(spec.H_hat.floats(), repeat(1.0))
-    check = zip(spec.H_check.floats(), repeat(-1.0))
+    hat = zip(spec.hat.floats(), repeat(1.0))
+    check = zip(spec.check.floats(), repeat(-1.0))
     pts = sorted(chain(hat, check))
     if not pts:
         raise ValueError("a bump of positive height needs at least one located point")
@@ -172,7 +198,11 @@ def make_bump(spec: BumpSpec) -> C1Function:
     return C1Function(xs, vals, slopes)
 
 
-def check_bump_properties(spec: BumpSpec, phi: C1Function, tol: float = 1e-12) -> bool:
+# the slack of the height and sign checks of a built bump
+_PROPERTY_TOL = 1e-12
+
+
+def check_bump_properties(spec: BumpSpec, phi: C1Function) -> bool:
     """The three defining properties, from the built pieces: sup norm equals
     the height; the located points attain +h / -h; every piece with positive
     values lies strictly within w of H_hat, negative within w of H_check.
@@ -181,20 +211,20 @@ def check_bump_properties(spec: BumpSpec, phi: C1Function, tol: float = 1e-12) -
     it, so those are the points checked."""
     h = float(spec.height)
     w = float(spec.width)
-    if abs(phi.sup_norm() - h) > tol * max(1.0, h):
+    if abs(phi.sup_norm() - h) > _PROPERTY_TOL * max(1.0, h):
         return False
-    for pts, sign in ((spec.H_hat, 1.0), (spec.H_check, -1.0)):
+    for pts, sign in ((spec.hat, 1.0), (spec.check, -1.0)):
         if pts.is_empty:
             continue
         xs = np.array(pts.floats())
-        if np.max(np.abs(np.asarray(phi.eval(xs)) - sign * h)) > tol * max(1.0, h):
+        if np.max(np.abs(np.asarray(phi.eval(xs)) - sign * h)) > _PROPERTY_TOL * max(1.0, h):
             return False
 
     pieces = phi.as_cubic_pieces()
     br = pieces.breaks
     mn, mx = pieces.ranges[0]
 
-    for flags, pts in ((mx > tol, spec.H_hat), (mn < -tol, spec.H_check)):
+    for flags, pts in ((mx > _PROPERTY_TOL, spec.hat), (mn < -_PROPERTY_TOL, spec.check)):
         if not bool(flags.any()):
             continue
         if pts.is_empty:
@@ -396,7 +426,7 @@ def check_bump_easy(f: C1Function, a: Rat, spec: BumpSpec, phi: C1Function | Non
     g = f.add(phi)
     af = float(as_fraction(a))
     for reading in ("hat", "check"):
-        pts = np.array(spec.located(reading).floats())
+        pts = np.array(spec.tilde(reading).floats())
         if not len(pts):
             continue
         df = point_defects_float(f, af, reading, pts)

@@ -42,6 +42,7 @@ from .bump import (
 )
 from .indexcomb import (
     DeltaSeq,
+    Enclosures,
     IndexSeq,
     ScaleLadder,
     SeqOfSets,
@@ -222,20 +223,12 @@ def cmd_nset(args, argv: list[str]) -> dict:
     inputs = {"f": args.f, "a": str(a), "variant": args.variant, "tol": args.tol}
     csv_lines = ["lo,hi"]
     if isinstance(f, PwlFunction) and a.denominator == 1:
-        try:
-            s = n_set_exact(f, a, args.variant)
-        except DomainError as e:
-            raise InputError("f", str(e)) from e
+        s = n_set_exact(f, a, args.variant)
         outputs = {"mode": "exact", "intervals": _iv_json(s), "measure": str(s.measure())}
         checks = {"exact": {"ok": True, "margin": None}}
         csv_lines += [f"{float(lo)!r},{float(hi)!r}" for lo, hi in s.intervals]
     else:
-        try:
-            enc = n_set_enclosure(f, a, args.variant, args.tol)
-        except EnclosureRangeError as e:
-            raise InputError(e.field, str(e)) from e
-        except DomainError as e:
-            raise InputError("f", str(e)) from e
+        enc = n_set_enclosure(f, a, args.variant, args.tol)
         outputs = {
             "mode": "enclosure",
             "inner": _iv_json(enc.inner),
@@ -353,7 +346,7 @@ def cmd_comb(args, argv: list[str]) -> dict:
         inputs["f"] = args.f
         inputs["ladder_b"] = [str(b) for b in ladder.b_values]
         inputs["tol"] = args.tol
-        res = check_Y_k(K, f, n, delta, ladder, args.k, args.m_max, args.tol)
+        res = check_Y_k(K, Enclosures(f, args.tol), n, delta, ladder, args.k, args.m_max)
     outputs = {
         "ok": res.ok,
         "failures": [list(x) for x in res.failures],
@@ -380,10 +373,7 @@ def cmd_bump(args, argv: list[str]) -> dict:
         base = _load_c1(args.f, "f") if args.f else C1Function.zero()
         phi = make_bump(spec)
         props = check_bump_properties(spec, phi)
-        try:
-            easy = check_bump_easy(base, a, spec, phi)
-        except EnclosureRangeError as e:
-            raise InputError(e.field, str(e)) from e
+        easy = check_bump_easy(base, a, spec, phi)
         inputs = {
             "mode": "make",
             "hat": hat.to_json_list(),
@@ -415,8 +405,6 @@ def cmd_bump(args, argv: list[str]) -> dict:
     inputs = {"mode": "mu", "f": args.f, "a": str(a), "b": str(b), "height": str(height), "tol": args.tol}
     try:
         chain = mu(f, a, b, height, args.tol)
-    except EnclosureRangeError as e:
-        raise InputError(e.field, str(e)) from e
     except EpsilonSearchError as e:
         outputs = {"error": str(e)}
         checks = {"radius": {"ok": False, "margin": None}}
@@ -621,8 +609,11 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.monotonic()
     try:
         report, csv_text = _DISPATCH[args.cmd](args, argv)
-    except InputError as e:
-        print(f"input error in field '{e.field}': {e}", file=sys.stderr)
+    except (InputError, EnclosureRangeError, DomainError) as e:
+        # the engine's input errors: a scale or tolerance out of the
+        # certified range names its field, a function off [0,1] is f
+        field = "f" if isinstance(e, DomainError) else e.field
+        print(f"input error in field '{field}': {e}", file=sys.stderr)
         return 2
     _emit(report, getattr(args, "out", None), csv_text, getattr(args, "csv", None))
     print(f"wall_clock_ms={int((time.monotonic() - t0) * 1000)}", file=sys.stderr)

@@ -15,6 +15,12 @@ with a caller-supplied depth and report the exact (j,m) witnesses on failure.
 
 Scales are exact rationals throughout; set inclusions use the exact interval
 arithmetic from `intervalsets` (open balls checked with strict margin).
+
+Every claim about an exception set N(f, a), here and in the ball game of
+`bmgame`, reads N(f, a) from one store per function and tolerance,
+`Enclosures`, and is decided by one rule, `enclosure_verdict`: certified
+when the sound side of the enclosure passes, undecided when only the other
+side does, failed when neither does.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .intervalsets import (
     as_fraction,
     subset_within,
 )
-from .nsets import EnclosureRangeError, NSetEnclosure, n_set_enclosure
+from .nsets import _ENGINE_SCALE_CAP, EnclosureRangeError, NSetEnclosure, n_set_enclosure
 
 __all__ = [
     "IndexSeq",
@@ -40,6 +46,8 @@ __all__ = [
     "SeqOfSets",
     "ScaleLadder",
     "CombCheck",
+    "Enclosures",
+    "enclosure_verdict",
     "index_set_A",
     "shift_seq",
     "check_S_k",
@@ -261,43 +269,62 @@ def check_S_k(K: SeqOfSets, n: IndexSeq, delta: DeltaSeq, k: int, m_max: int) ->
     return CombCheck(not failures, tuple(failures), (), margins)
 
 
-_ENGINE_SCALE_CAP = 17
+class Enclosures:
+    """The enclosures of N(f, a) at one tolerance, each computed on first
+    request and kept: get(a, variant) is n_set_enclosure(f, a, variant,
+    tol).  A scale out of the engine's range raises EnclosureRangeError on
+    every request."""
+
+    def __init__(self, f, tol: float) -> None:
+        self.f, self.tol = f, tol
+        self._store: dict[tuple[Fraction, str], NSetEnclosure] = {}
+
+    def get(self, a: Rat, variant: str) -> NSetEnclosure:
+        key = (as_fraction(a), variant)
+        if key not in self._store:
+            self._store[key] = n_set_enclosure(self.f, key[0], variant, self.tol)
+        return self._store[key]
 
 
-def _n_full_bounds(f, a: Rat, tol: float, cache=None) -> tuple[IntervalSet, IntervalSet, Rat]:
-    """(inner, outer, scale used) bracket of the full exception set at scale
-    a, from `n_set_enclosure` (exact for piecewise-linear f at an integer
-    scale).  When a scale is beyond the engine's certified range, the inner
-    bound falls back to the largest feasible smaller scale (the sets grow
-    with the scale, so it is still a subset) and the outer bound degrades to
-    the trivial [0,1].  Enclosures come from cache.get(scale, "full") when a
-    cache is given."""
-    def enclosure(scale: Fraction) -> NSetEnclosure:
-        if cache is not None:
-            return cache.get(scale, "full")
-        return n_set_enclosure(f, scale, "full", tol)
+def enclosure_verdict(test, sound: IntervalSet, other: IntervalSet):
+    """The rule that decides a claim about N(f, a) from an enclosure of it.
+    `test(side)` gives (ok, margin) for the claim with N(f, a) replaced by
+    one side of the enclosure; `sound` is the side whose pass implies the
+    claim (the outer side where N(f, a) must be small, the inner side where
+    it must be large).  Returns (verdict, margin): "certified" when the
+    sound side passes, "undecided" when only the other side does, "failed"
+    when neither does, and always the sound side's margin."""
+    ok, margin = test(sound)
+    if ok:
+        return "certified", margin
+    return ("undecided" if test(other)[0] else "failed"), margin
 
+
+def _n_full_bounds(enclosures: Enclosures, a: Rat) -> tuple[IntervalSet, IntervalSet]:
+    """(inner, outer) bracket of the full exception set at scale a (exact
+    for piecewise-linear f at an integer scale).  When a scale is beyond the
+    engine's certified range, the inner bound falls back to the largest
+    feasible smaller scale (the sets grow with the scale, so it is still a
+    subset) and the outer bound degrades to the trivial [0,1]."""
     af = as_fraction(a)
     try:
-        enc = enclosure(af)
-        return enc.inner, enc.outer, af
+        enc = enclosures.get(af, "full")
+        return enc.inner, enc.outer
     except EnclosureRangeError:
         c = Fraction(min(int(af), _ENGINE_SCALE_CAP))
         if c <= 0 or c >= af:
             raise
-        return enclosure(c).inner, FULL, c
+        return enclosures.get(c, "full").inner, FULL
 
 
 def check_Y_k(
     K: SeqOfSets,
-    f,
+    enclosures: Enclosures,
     n: IndexSeq,
     delta: DeltaSeq,
     ladder: ScaleLadder,
     k: int,
     m_max: int,
-    tol: float = 1e-4,
-    cache=None,
 ) -> CombCheck:
     """The Y-condition at shift k, truncated at depth m_max: the S-condition
     plus, for every j <= m <= m_max,
@@ -305,17 +332,13 @@ def check_Y_k(
       (lower family) N(f, a_j) inside the union of open delta_m-balls around
       the sets indexed by A_j^m(n^k), and
       (upper family) the union of sets indexed by A_j^m(n) inside the open
-      delta_m-ball around N(f, b_j).
+      delta_m-ball around N(f, b_j),
 
-    Exact for piecewise-linear f at integer scales; otherwise the sound
-    enclosure side is used (outer on the left of the lower family, inner on
-    the right of the upper).
-    A failed sound check is re-tested on the anti-sound side: if that side
-    passes, the triple is reported undecided rather than failed.
-
-    `cache`, when given, is an enclosure cache for f at tolerance tol (any
-    object whose get(scale, variant) returns n_set_enclosure(f, scale,
-    variant, tol)); every C1 enclosure is fetched through it.
+    with N(f, .) read from `enclosures`, the store of f at one tolerance.
+    Each triple is decided by `enclosure_verdict`: the sound side is the
+    outer enclosure on the left of the lower family and the inner one on
+    the right of the upper (both exact for piecewise-linear f at integer
+    scales); its margin is recorded.
     """
     s = check_S_k(K, n, delta, k, m_max)
     failures = list(s.failures)
@@ -323,29 +346,20 @@ def check_Y_k(
     margins = dict(s.margins)
     nk = shift_seq(n, k) if k else n
 
+    def record(key, test, sound, other) -> None:
+        verdict, margins[key] = enclosure_verdict(test, sound, other)
+        if verdict != "certified":
+            (failures if verdict == "failed" else undecided).append(key)
+
     for j in range(1, m_max + 1):
-        low_in, low_out, _ = _n_full_bounds(f, ladder.a(j), tol, cache)
-        up_in, up_out, _ = _n_full_bounds(f, ladder.b(j), tol, cache)
+        low_in, low_out = _n_full_bounds(enclosures, ladder.a(j))
+        up_in, up_out = _n_full_bounds(enclosures, ladder.b(j))
         for m in range(j, m_max + 1):
             dm = delta.d(m)
             rhs = K.union_over(index_set_A(j, m, nk))
-            ok, margin = subset_within(low_out, rhs, dm)
-            margins[("lower", j, m)] = margin
-            if not ok:
-                refutable, _ = subset_within(low_in, rhs, dm)
-                if not refutable:
-                    failures.append(("lower", j, m))
-                else:
-                    undecided.append(("lower", j, m))
+            record(("lower", j, m), lambda side: subset_within(side, rhs, dm), low_out, low_in)
             lhs = K.union_over(index_set_A(j, m, n))
-            ok, margin = subset_within(lhs, up_in, dm)
-            margins[("upper", j, m)] = margin
-            if not ok:
-                survivable, _ = subset_within(lhs, up_out, dm)
-                if not survivable:
-                    failures.append(("upper", j, m))
-                else:
-                    undecided.append(("upper", j, m))
+            record(("upper", j, m), lambda side: subset_within(lhs, side, dm), up_in, up_out)
     return CombCheck(not failures, tuple(failures), tuple(undecided), margins)
 
 

@@ -375,8 +375,8 @@ def _plus_upper_exact(g: _IntPwl, a: int) -> list[_Run]:
 
     xmax = X - D
     ev = sorted({t for t in T if t <= xmax} | {t - D for t in T if t >= D})
-    at = _values_at(T, Z, ev)
-    ahead = _values_at(T, Z, [e + D for e in ev])
+    # phi at the events, then at the events + D, from one lookup table
+    vals = _values_at(T, Z, ev + [e + D for e in ev])
 
     dq: deque[int] = deque()  # breakpoints in [v, u + D], values decreasing
     pop, popleft, push = dq.pop, dq.popleft, dq.append
@@ -384,7 +384,7 @@ def _plus_upper_exact(g: _IntPwl, a: int) -> list[_Run]:
     add = 0
     runs: list[_Run] = []
     start = None  # lo of the run that is open at u: it may go on past u
-    cells = zip(ev, at, ahead)
+    cells = zip(ev, vals, vals[len(ev):])  # zip stops at the last event
     u, pu, ru = next(cells)
     up = pu >= ru  # L0 >= L1 at u
     e = pu if pu > ru else ru  # max(L0, L1) at u
@@ -693,9 +693,10 @@ class _PhiTables:
 
     The grid is the uniform grid of the step with the knots of phi and xmax
     merged in.  Every knot of phi is a grid point, so segment i lies in one
-    cubic piece, `piece[i]`, whose coefficients `pc[:, piece[i]]` act in
-    the local coordinate x - kleft[i].  A point x in [grid[i], grid[i+1]) is
-    evaluated exactly as `CubicPieces.eval_vec` would, from segment i.
+    cubic piece, `piece[i]`, whose coefficients `phi.coeffs[:, piece[i]]`
+    act in the local coordinate x - kleft[i] (`seg_coeffs`).  A point x in
+    [grid[i], grid[i+1]) is evaluated exactly as `CubicPieces.eval_vec`
+    would, from segment i.
 
     Segment i keeps phi and phi' at both of its ends from its own cubic:
     `gridvals[i]`, `hi_val[i]`, `lo_der[i]` and `hi_der[i]`.  Each grid
@@ -718,13 +719,12 @@ class _PhiTables:
         # are those at positions <= i: the piece of segment i is their count
         # less one, clipped to the pieces there are
         at = np.searchsorted(pts[:-1], phi.breaks)
-        n_pc = len(phi.coeffs)
+        n_pc = len(phi.breaks) - 1
         self.piece = np.repeat(
             np.clip(np.arange(-1, n_pc + 1), 0, n_pc - 1), np.diff(at, prepend=0, append=self.n_seg)
         )
         self.kleft = phi.breaks.take(self.piece)
         self.phi = phi
-        self.pc = np.ascontiguousarray(phi.coeffs.T)
         self.s_beg = pts[:-1] - self.kleft
         self.s_end = pts[1:] - self.kleft
 
@@ -735,14 +735,14 @@ class _PhiTables:
         ((r1, _), (r2, _)), ((vertex, _),) = phi.critical
         self.crit_in_seg = inside(r1) | inside(r2)
         self.vertex_in_seg = inside(vertex)
-        c = self.pc.take(self.piece, axis=1)
+        c = phi.coeffs.take(self.piece, axis=1)
         self.lo_der = cubic_deriv_eval(c, self.s_beg)
         at_beg = cubic_eval(c, self.s_beg)
         # inside a piece, segment i ends where segment i + 1 begins, in the
         # same local coordinate, so only each piece's last segment needs its
         # end evaluated
         last = np.append((self.piece[1:] != self.piece[:-1]).nonzero()[0], self.n_seg - 1)
-        c, s = self.pc.take(self.piece.take(last), axis=1), self.s_end.take(last)
+        c, s = self.seg_coeffs(last), self.s_end.take(last)
         at_end = cubic_eval(c, s)
         self.gridvals = np.append(at_beg, at_end[-1])
         self.hi_val = self.gridvals[1:].copy()
@@ -776,10 +776,14 @@ class _PhiTables:
         """seg_of(x) for x in [grid[seg], grid[seg+1]], without a search."""
         return np.minimum(seg + (x >= self.grid.take(seg + 1)), self.n_seg - 1)
 
+    def seg_coeffs(self, seg: np.ndarray) -> np.ndarray:
+        """The (4, len(seg)) coefficients of the cubics of the segments."""
+        return self.phi.coeffs.take(self.piece.take(seg), axis=1)
+
     def eval_at(self, x: np.ndarray, seg: np.ndarray, deriv: bool = False) -> np.ndarray:
         """phi(x), or phi'(x), for x in segment seg (x = 1 in the last one)."""
         kernel = cubic_deriv_eval if deriv else cubic_eval
-        return kernel(self.pc.take(self.piece.take(seg), axis=1), x - self.kleft.take(seg))
+        return kernel(self.seg_coeffs(seg), x - self.kleft.take(seg))
 
     def part_range(self, seg, s_lo, s_hi, at_lo, at_hi, deriv=False, lower=True):
         """(min, max) of phi, or phi', over [s_lo, s_hi] inside segment seg
@@ -896,7 +900,7 @@ def _grid_cells(tab: _PhiTables, u: np.ndarray, v: np.ndarray) -> _Cells:
     cut = g[(g > u[j]) & (g < v[j])]
     u, v = np.sort(np.concatenate([u, cut])), np.sort(np.concatenate([cut, v]))
     seg = tab.last_at_or_below(u)
-    c, kl = tab.pc.take(tab.piece.take(seg), axis=1), tab.kleft.take(seg)
+    c, kl = tab.seg_coeffs(seg), tab.kleft.take(seg)
     (pu, du), (pv, dv) = ((cubic_eval(c, s), cubic_deriv_eval(c, s)) for s in (u - kl, v - kl))
     return _Cells(u, v, seg, pu, pv, du, dv)
 
@@ -940,7 +944,7 @@ def _halves(tab: _PhiTables, cells: _Cells) -> _Cells:
     right half with its u end, and both keep every other field."""
     seg = cells.seg
     mid = 0.5 * (cells.u + cells.v)
-    c = tab.pc.take(tab.piece.take(seg), axis=1)
+    c = tab.seg_coeffs(seg)
     s_mid = mid - tab.kleft.take(seg)
     phi_mid, der_mid = cubic_eval(c, s_mid), cubic_deriv_eval(c, s_mid)
     del c
@@ -1021,6 +1025,9 @@ def _decide(cells: _EnclosureCells, vals, ders) -> tuple[np.ndarray, np.ndarray]
 
 
 _MAX_SEGMENTS = 400_000
+# the largest integer scale a whose grid at step 2^-a/2, 2^(a+1) segments,
+# fits under _MAX_SEGMENTS
+_ENGINE_SCALE_CAP = _MAX_SEGMENTS.bit_length() - 2
 _WIDTH_FLOOR = 1e-12
 
 

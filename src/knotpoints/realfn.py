@@ -12,8 +12,9 @@ Two concrete classes:
   rounding; nothing is sampled.
 
 `CubicPieces` is the float evaluation form (power-basis coefficients per
-cell): a C1Function evaluates and bounds through the one it builds, and the
-certified enclosure machinery reads both classes through `as_cubic_pieces`.
+cell, one row per power): a C1Function evaluates and bounds through the one
+it builds, and the certified enclosure machinery reads both classes through
+`as_cubic_pieces`.
 Negation and reflection act on the function classes, never on the pieces.
 
 `CubicPieces` also owns the one range kernel.  On first use it computes,
@@ -188,9 +189,9 @@ class PwlFunction:
 
     def as_cubic_pieces(self) -> "CubicPieces":
         breaks = np.array([float(b) for b in self.breakpoints])
-        coeffs = np.zeros((len(self.breakpoints) - 1, 4))
-        coeffs[:, 0] = [float(v) for v in self.values[:-1]]
-        coeffs[:, 1] = [float(s) for s in self.slopes()]
+        coeffs = np.zeros((4, len(self.breakpoints) - 1))
+        coeffs[0] = [float(v) for v in self.values[:-1]]
+        coeffs[1] = [float(s) for s in self.slopes()]
         return CubicPieces(breaks, coeffs)
 
 
@@ -200,16 +201,17 @@ class PwlFunction:
 
 
 def _hermite_coeffs(knots: np.ndarray, values: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """Power-basis coefficients per cell in the local coordinate s = x - x0."""
+    """Power-basis coefficients per cell in the local coordinate s = x - x0,
+    in the layout of `CubicPieces`."""
     h = np.diff(knots)
     v0, v1 = values[:-1], values[1:]
     m0, m1 = slopes[:-1], slopes[1:]
     d = (v1 - v0) / h
-    c = np.empty((len(h), 4))
-    c[:, 0] = v0
-    c[:, 1] = m0
-    c[:, 2] = (3.0 * d - 2.0 * m0 - m1) / h
-    c[:, 3] = (m0 + m1 - 2.0 * d) / (h * h)
+    c = np.empty((4, len(h)))
+    c[0] = v0
+    c[1] = m0
+    c[2] = (3.0 * d - 2.0 * m0 - m1) / h
+    c[3] = (m0 + m1 - 2.0 * d) / (h * h)
     return c
 
 
@@ -361,25 +363,30 @@ def cubic_deriv_vertex(c: np.ndarray) -> np.ndarray:
 class CubicPieces:
     """Piecewise cubic on [breaks[0], breaks[-1]], power basis per cell in the
     local coordinate s = x - breaks[i]: the float form every function is
-    evaluated and bounded through.  Continuity is the caller's business."""
+    evaluated and bounded through.  Continuity is the caller's business.
+
+    The coefficients are one C-contiguous (4, n) array for n cells: row k
+    holds the coefficient of s^k of every cell, the layout that `cubic_eval`
+    and `cubic_deriv_eval` read, and column i is cell i.  Gathering columns
+    (`coeffs.take(i, axis=1)`) gives the kernels contiguous rows."""
 
     def __init__(self, breaks: np.ndarray, coeffs: np.ndarray):
         self.breaks = np.asarray(breaks, dtype=float)
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        if len(self.breaks) != len(self.coeffs) + 1:
-            raise ValueError("need one coefficient row per cell")
+        self.coeffs = np.ascontiguousarray(coeffs, dtype=float)
+        if self.coeffs.shape != (4, len(self.breaks) - 1):
+            raise ValueError("need coefficients of shape (4, cells), one column per cell")
 
     def eval_vec(self, xs: np.ndarray, deriv: bool = False) -> np.ndarray:
         """Values, or derivatives when `deriv` is set, at the points xs; the
         end cells extend past the breaks."""
-        i = np.clip(np.searchsorted(self.breaks, xs, side="right") - 1, 0, len(self.coeffs) - 1)
+        i = np.clip(np.searchsorted(self.breaks, xs, side="right") - 1, 0, len(self.breaks) - 2)
         kernel = cubic_deriv_eval if deriv else cubic_eval
-        return kernel(self.coeffs[i].T, xs - self.breaks[i])
+        return kernel(self.coeffs.take(i, axis=1), xs - self.breaks.take(i))
 
     def add_linear(self, slope: float, intercept: float = 0.0) -> "CubicPieces":
         coeffs = self.coeffs.copy()
-        coeffs[:, 0] += slope * self.breaks[:-1] + intercept
-        coeffs[:, 1] += slope
+        coeffs[0] += slope * self.breaks[:-1] + intercept
+        coeffs[1] += slope
         return CubicPieces(self.breaks, coeffs)
 
     @functools.cached_property
@@ -389,7 +396,7 @@ class CubicPieces:
         two roots of the derivative with the cubic at each, and the vertex
         of the derivative parabola with the derivative there.  A missing
         root is NaN or infinite and lies strictly inside nothing."""
-        c = self.coeffs.T
+        c = self.coeffs
         roots, vertex = cubic_critical_points(c), cubic_deriv_vertex(c)
         with np.errstate(invalid="ignore", over="ignore"):
             return tuple((r, cubic_eval(c, r)) for r in roots), ((vertex, cubic_deriv_eval(c, vertex)),)
@@ -420,8 +427,8 @@ class CubicPieces:
     def ranges(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(min, max) over each whole piece of the cubic (index 0) and of
         its derivative (index 1)."""
-        every = np.arange(len(self.coeffs))
-        c, s_lo, s_hi = self.coeffs.T, np.zeros(len(every)), np.diff(self.breaks)
+        every = np.arange(len(self.breaks) - 1)
+        c, s_lo, s_hi = self.coeffs, np.zeros(len(every)), np.diff(self.breaks)
         return tuple(
             self.part_range(every, every, s_lo, s_hi, ev(c, s_lo), ev(c, s_hi), deriv)
             for deriv, ev in ((False, cubic_eval), (True, cubic_deriv_eval))

@@ -307,14 +307,14 @@ def pieces_range_scalar(p, lo: float, hi: float, deriv: bool = False) -> tuple[f
     out_lo, out_hi = np.inf, -np.inf
 
     def cell(x: float) -> int:
-        return min(max(int(np.searchsorted(p.breaks, x, side="right")) - 1, 0), len(p.coeffs) - 1)
+        return min(max(int(np.searchsorted(p.breaks, x, side="right")) - 1, 0), p.coeffs.shape[1] - 1)
 
     for k in range(cell(lo), cell(max(lo, hi)) + 1):
         a = max(lo, float(p.breaks[k]))
         b = min(hi, float(p.breaks[k + 1]))
         if b < a:
             continue
-        mn, mx = one(p.coeffs[k], a - p.breaks[k], b - p.breaks[k])
+        mn, mx = one(p.coeffs[:, k], a - p.breaks[k], b - p.breaks[k])
         out_lo, out_hi = min(out_lo, mn), max(out_hi, mx)
     return float(out_lo), float(out_hi)
 

@@ -41,7 +41,7 @@ K_SETS = (HatCheckSet(FinitePointSet.of([F(1, 4)]), FinitePointSet.of([F(3, 4)])
 
 
 class StubCache:
-    """Stands in for `_EnclosureCache`: raises `error` at the scales `fails`
+    """Stands in for `indexcomb.Enclosures`: raises `error` at the scales `fails`
     accepts and returns the full set everywhere else."""
 
     def __init__(self, error, fails=lambda a: True):
@@ -59,8 +59,8 @@ FINE, COARSE = LADDER.a_refined(1, 1, 4), LADDER.b_refined(1, 1, 3)
 
 def _star(monkeypatch, error, fails=lambda a: True):
     """star_bullets on f = 0 with its enclosures fetched from a StubCache."""
-    monkeypatch.setattr(bmgame, "_EnclosureCache", lambda f: StubCache(error, fails))
-    return star_bullets(C1Function.zero(), K_SETS, 1, F(1, 8), (1,), 1, LADDER, 4, 3)
+    monkeypatch.setattr(bmgame, "Enclosures", lambda f, tol: StubCache(error, fails))
+    return star_bullets(C1Function.zero(), K_SETS, F(1, 8), (1,), LADDER, 4, 3)
 
 
 def test_star_bullets_undecided_on_enclosure_range_error(monkeypatch):
@@ -98,10 +98,10 @@ def _one_round_state() -> GameState:
 
 
 def test_limit_report_null_coverage_on_enclosure_range_error(monkeypatch):
-    def cache(f):
+    def cache(f, tol):
         return StubCache(EnclosureRangeError("a", "out of range"), fails=lambda a: a == B1)
 
-    monkeypatch.setattr(bmgame, "_EnclosureCache", cache)
+    monkeypatch.setattr(bmgame, "Enclosures", cache)
     entry = limit_report(_one_round_state())["checks"]["limit_coverage"]["entries"]["j=1,m=1"]
     assert isinstance(entry["fine_in_balls"], bool)  # decided: scale 1 is available
     assert entry["points_near_coarse"] is None
@@ -110,13 +110,13 @@ def test_limit_report_null_coverage_on_enclosure_range_error(monkeypatch):
 
 @pytest.mark.parametrize("scale", [F(1), B1], ids=["fine", "coarse"])
 def test_limit_report_propagates_other_value_errors(monkeypatch, scale):
-    def cache(f):
+    def cache(f, tol):
         return StubCache(ValueError("not a range error"), fails=lambda a: a == scale)
 
     def index_chain(*args, **kwargs):
         raise AssertionError("the coverage check swallowed the error")
 
-    monkeypatch.setattr(bmgame, "_EnclosureCache", cache)
+    monkeypatch.setattr(bmgame, "Enclosures", cache)
     monkeypatch.setattr(bmgame, "check_Y_k", index_chain)
     with pytest.raises(ValueError, match="not a range error"):
         limit_report(_one_round_state())

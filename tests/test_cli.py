@@ -87,6 +87,29 @@ def test_nset_rejects_a_function_off_the_unit_domain(tmp_path, capsys, a, varian
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "f, flags, field", [("c1", ["--tol", "1e-6"], "tol"), ("part", [], "f")], ids=["c1-tol", "pwl-domain"]
+)
+def test_comb_check_y_out_of_range_enclosures_are_input_errors(
+    c1_file, tmp_path, capsys, f, flags, field
+):
+    """check-y exits with 2 and names the field when an enclosure of f is
+    out of the engine's range: a C1 f at a tolerance finer than the engine
+    certifies, and a PWL f off the unit domain."""
+    sets, part = tmp_path / "sets.json", tmp_path / "part.json"
+    sets.write_text(json.dumps([set_to_json(IntervalSet.full())] * 13))
+    part.write_text(json.dumps({"class": "pwl", "knots": ["0", "3/4"], "values": ["0", "1"]}))
+    out = tmp_path / "report.json"
+    rc = cli.main(
+        ["comb", "check-y", "--sets", str(sets), "--f", c1_file if f == "c1" else str(part),
+         "--n", "1,4,8,13", "--delta", "1/4,1/8,1/16,1/32", "--m-max", "2", "--ladder-b", "4,5",
+         *flags, "--out", str(out)]
+    )
+    assert rc == 2
+    assert f"input error in field '{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("with_f", [False, True], ids=["no-f", "f"])
 def test_bump_make_inputs_name_the_base_function(c1_file, tmp_path, with_f):
     """`--f` is the base function of the window estimates; the report's

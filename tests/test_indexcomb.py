@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from knotpoints import indexcomb
 from knotpoints.indexcomb import (
     DeltaSeq,
+    Enclosures,
     IndexSeq,
     ScaleLadder,
     SeqOfSets,
@@ -339,9 +340,9 @@ def zigzag_scenario():
 
 def test_check_y_holds_on_exact_construction():
     K, zz, n, delta, lad = zigzag_scenario()
-    res0 = check_Y_k(K, zz, n, delta, lad, 0, 3)
+    res0 = check_Y_k(K, Enclosures(zz, 1e-4), n, delta, lad, 0, 3)
     assert res0.ok, (res0.failures, res0.undecided)
-    res1 = check_Y_k(K, zz, n, delta, lad, 1, 3)
+    res1 = check_Y_k(K, Enclosures(zz, 1e-4), n, delta, lad, 1, 3)
     assert res1.ok, (res1.failures, res1.undecided)
 
 
@@ -350,48 +351,41 @@ def test_check_y_detects_a_broken_set():
     sets = list(K.prefix)
     for idx in range(n.n(1)):  # every candidate for j=1 is now useless
         sets[idx] = IntervalSet.points([F(99, 100)])
-    res = check_Y_k(SeqOfSets(tuple(sets)), zz, n, delta, lad, 0, 3)
+    res = check_Y_k(SeqOfSets(tuple(sets)), Enclosures(zz, 1e-4), n, delta, lad, 0, 3)
     assert not res.ok
     assert any(fam == "lower" for fam, _, _ in res.failures)
 
 
-class CountingCache:
-    """Enclosure cache stand-in that records every fetch."""
-
-    def __init__(self, f, tol):
-        self.f, self.tol, self.fetches = f, tol, []
-
-    def get(self, a, variant):
-        self.fetches.append((a, variant))
-        return n_set_enclosure(self.f, a, variant, self.tol)
-
-
 def test_check_y_fetches_every_c1_enclosure_through_the_cache(monkeypatch):
-    """With a cache, check_Y_k computes no enclosure itself, the range
-    fallback included (b_3 = 40 is past the engine's range for a slope
-    near 50, so its inner bound comes from the capped scale 17), and its
-    verdict is unchanged."""
+    """check_Y_k computes every enclosure through the store it is given,
+    each once, the range fallback included (b_3 = 40 is past the engine's
+    range for a slope near 50, so its inner bound comes from the capped
+    scale 17).  A second check on the same store computes none again, only
+    retries the out-of-range scale, and gives the same verdict."""
     K, _, n, delta, _ = zigzag_scenario()
     f = random_c1_function(3, cells=6, amplitude=0.5, slope_scale=2.0)
     f = f.add(C1Function.linear(50.0))
     lad = ScaleLadder((4, 5, 40))
-    plain = check_Y_k(K, f, n, delta, lad, 0, 3, tol=1e-4)
-    cache = CountingCache(f, 1e-4)
+    fetches = []
 
-    def no_direct_call(*args, **kwargs):
-        raise AssertionError("enclosure computed outside the cache")
+    def counted(g, a, variant, tol):
+        fetches.append((a, variant))
+        return n_set_enclosure(g, a, variant, tol)
 
-    monkeypatch.setattr(indexcomb, "n_set_enclosure", no_direct_call)
-    cached = check_Y_k(K, f, n, delta, lad, 0, 3, tol=1e-4, cache=cache)
-    assert cache.fetches == [
+    monkeypatch.setattr(indexcomb, "n_set_enclosure", counted)
+    store = Enclosures(f, 1e-4)
+    first = check_Y_k(K, store, n, delta, lad, 0, 3)
+    assert fetches == [
         (F(1), "full"), (F(4), "full"),
         (F(2), "full"), (F(5), "full"),
         (F(3), "full"), (F(40), "full"), (F(17), "full"),
     ]
-    assert (cached.ok, cached.failures, cached.undecided) == (
-        plain.ok, plain.failures, plain.undecided
+    again = check_Y_k(K, store, n, delta, lad, 0, 3)
+    assert fetches[7:] == [(F(40), "full")]
+    assert (again.ok, again.failures, again.undecided) == (
+        first.ok, first.failures, first.undecided
     )
-    assert cached.margins == plain.margins
+    assert again.margins == first.margins
 
 
 # -- finite permutations ----------------------------------------------------

@@ -21,11 +21,13 @@ from knotpoints.nsets import (
     BASIC_VARIANTS,
     VARIANTS,
     EnclosureRangeError,
+    _ENGINE_SCALE_CAP,
     _after_within,
     _cell_ranges,
     _EnclosureCells,
     _first_cells,
     _grid_cells,
+    _grid_step,
     _halves,
     _inherit_window,
     _IntPwl,
@@ -582,6 +584,15 @@ def test_enclosure_segment_cap_names_the_binding_parameter(a, tol, field):
     assert err.value.field == field
 
 
+def test_engine_scale_cap_is_the_largest_integer_scale_the_grid_fits():
+    """At the cap, the half-window grid of 2^(cap+1) segments fits under
+    the segment cap; one scale more is refused, naming a."""
+    _grid_step(float(_ENGINE_SCALE_CAP))
+    with pytest.raises(EnclosureRangeError) as err:
+        _grid_step(float(_ENGINE_SCALE_CAP + 1))
+    assert err.value.field == "a"
+
+
 def _phi_of(kind: str, seed: int, a: float):
     """phi = f - a*x for a cubic, a quadratic (c3 = 0, phi' vanishing at
     the grid point a/2) or a piecewise-linear (c2 = c3 = 0) f."""
@@ -621,7 +632,7 @@ def test_segment_pieces_equal_the_break_search(xmax):
     for phi in (CubicPieces(breaks, coeffs), _phi_of("cubic", 5, 2.0)):
         tab = _PhiTables(phi, 1 / 20, xmax)
         want = np.clip(
-            np.searchsorted(phi.breaks, tab.grid[:-1], side="right") - 1, 0, len(phi.coeffs) - 1
+            np.searchsorted(phi.breaks, tab.grid[:-1], side="right") - 1, 0, phi.coeffs.shape[1] - 1
         )
         assert tab.piece.dtype == want.dtype and np.array_equal(tab.piece, want)
 
@@ -675,8 +686,8 @@ def test_range_max_levels_equal_the_doubling_build():
 def _piece_of(phi, x):
     """Coefficients (one column each) and left breaks of the pieces of phi
     that grid segments starting at x lie in, found in phi's own breaks."""
-    k = np.clip(np.searchsorted(phi.breaks, x, side="right") - 1, 0, len(phi.coeffs) - 1)
-    return phi.coeffs[k].T, phi.breaks[k]
+    k = np.clip(np.searchsorted(phi.breaks, x, side="right") - 1, 0, phi.coeffs.shape[1] - 1)
+    return phi.coeffs[:, k], phi.breaks[k]
 
 
 def _slice_max(values: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -845,7 +856,7 @@ def test_window_end_bracket_equals_the_search():
     breaks."""
     rng = np.random.default_rng(8)
     clustered = CubicPieces(
-        np.concatenate([[0.0], np.sort(rng.uniform(0.6, 0.62, 30)), [1.0]]), np.zeros((31, 4))
+        np.concatenate([[0.0], np.sort(rng.uniform(0.6, 0.62, 30)), [1.0]]), np.zeros((4, 31))
     )
     for phi, a in ((_phi_of("cubic", 8, 2.0), 2.0), (clustered, 1.5)):
         delta = 2.0 ** -a

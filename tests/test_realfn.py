@@ -212,7 +212,7 @@ def _part_range(pc: CubicPieces, k, s_lo, s_hi, deriv=False):
     """The kernel's (min, max) over [s_lo, s_hi] of pieces k, every entry a
     candidate, with the end values from the same cubic."""
     ev = cubic_deriv_eval if deriv else cubic_eval
-    c, rows = pc.coeffs[k].T, np.arange(len(k))
+    c, rows = pc.coeffs[:, k], np.arange(len(k))
     return pc.part_range(k, rows, s_lo, s_hi, ev(c, s_lo), ev(c, s_hi), deriv)
 
 
@@ -226,7 +226,7 @@ def test_cubic_range_bounds_contain_samples(seed, pk, qk):
     p = pk / 81
     q = min(1.0, p + qk / 81)
     xs = np.linspace(p, q, 200)
-    k = np.clip(np.searchsorted(pc.breaks, xs, side="right") - 1, 0, len(pc.coeffs) - 1)
+    k = np.clip(np.searchsorted(pc.breaks, xs, side="right") - 1, 0, pc.coeffs.shape[1] - 1)
     left = pc.breaks[k]
     lo, hi = _part_range(pc, k, np.maximum(p, left) - left, np.minimum(q, pc.breaks[k + 1]) - left)
     vals = pc.eval_vec(xs)
@@ -284,9 +284,9 @@ def test_range_kernels_equal_the_scalar_reference_bitwise(rows):
     every = np.arange(len(rows))
     for deriv, scalar in ((False, cubic_range_scalar), (True, cubic_deriv_range_scalar)):
         with np.errstate(over="ignore"):
-            lo, hi = _part_range(CubicPieces(breaks, c), every, s_lo, s_hi, deriv)
+            lo, hi = _part_range(CubicPieces(breaks, c.T), every, s_lo, s_hi, deriv)
             ref = [scalar(r[0], r[1], r[2]) for r in rows]
-            nlo, nhi = _part_range(CubicPieces(breaks, -c), every, s_lo, s_hi, deriv)
+            nlo, nhi = _part_range(CubicPieces(breaks, -c.T), every, s_lo, s_hi, deriv)
         assert np.array_equal(float_bits(lo), float_bits([m for m, _ in ref]))
         assert np.array_equal(float_bits(hi), float_bits([m for _, m in ref]))
         # the min is the max of the negated cubic, negated
@@ -298,7 +298,7 @@ def _ranges_equal_the_scalar_reference(pc: CubicPieces) -> None:
     derivatives, equal the scalar references on each piece, bit for bit."""
     h = np.diff(pc.breaks)
     for deriv, scalar in ((False, cubic_range_scalar), (True, cubic_deriv_range_scalar)):
-        ref = [scalar(c, 0.0, w) for c, w in zip(pc.coeffs, h)]
+        ref = [scalar(c, 0.0, w) for c, w in zip(pc.coeffs.T, h)]
         lo, hi = pc.ranges[deriv]
         assert np.array_equal(float_bits(lo), float_bits([m for m, _ in ref]))
         assert np.array_equal(float_bits(hi), float_bits([m for _, m in ref]))
@@ -319,7 +319,7 @@ def test_pieces_ranges_equal_the_scalar_reference_bitwise(seed, cells):
         assert float_bits(norm()) == float_bits(max(abs(lo), abs(hi)))
 
     pwl = random_function(seed, depth=cells % 7).as_cubic_pieces()
-    assert not pwl.coeffs[:, 2:].any()
+    assert not pwl.coeffs[2:].any()
     _ranges_equal_the_scalar_reference(pwl)
 
     ks = random.Random(seed).sample(range(1, 16), 4)
@@ -333,7 +333,7 @@ def test_deriv_range_bounds():
     pc = f.as_cubic_pieces()
     lo, hi = pc.ranges[True]
     xs = np.linspace(0.0, 1.0, 400)
-    k = np.clip(np.searchsorted(pc.breaks, xs, side="right") - 1, 0, len(pc.coeffs) - 1)
+    k = np.clip(np.searchsorted(pc.breaks, xs, side="right") - 1, 0, pc.coeffs.shape[1] - 1)
     d = f.deriv(xs)
     assert np.all(d <= hi[k] + 1e-8)
     assert np.all(d >= lo[k] - 1e-8)
