@@ -41,6 +41,7 @@ import numpy as np
 
 from .intervalsets import FinitePointSet, IntervalSet, Rat, as_fraction
 from .nsets import (
+    _add_chunk,
     _bisect,
     _cell_ranges,
     _grid_cells,
@@ -320,7 +321,8 @@ def lemma_epsilon(f: C1Function, a: Rat, b: Rat, c: Rat, tol: float = 1e-4) -> f
 
     c_up = _float_ceil(cf)
     tab = _PhiTables(f.as_cubic_pieces().add_linear(-c_up), win / 2.0, 1.0)
-    cells0 = _grid_cells(tab, u0, v0)
+    chunks0: list = []
+    _add_chunk(chunks0, _grid_cells(tab, u0, v0))
     der_cut = (float(bf) - c_up) - 1e-12 * (1.0 + float(bf))
     width_floor = 1e-10
     near_slack = 64.0 * width_floor
@@ -344,26 +346,37 @@ def lemma_epsilon(f: C1Function, a: Rat, b: Rat, c: Rat, tol: float = 1e-4) -> f
         good |= tab.upper_at(u, hi, seg, tab.last_at_or_below(hi), deriv=True) <= der_cut
         return ~good
 
-    def go_on(cells, at_floor, depth):
+    def go_on(chunks, at_floor, depth):
         nonlocal exempt
-        if at_floor.any():
-            # floor cells must lie within near_slack of the outer
-            # enclosure of the scale-b set (distance zero: they overlap
-            # its undecided strip)
-            fu, fv = cells.u[at_floor], cells.v[at_floor]
-            idx = np.searchsorted(out_lo, fv)
-            near = np.maximum(0.0, np.minimum(out_lo[idx] - fv, fu - out_hi[idx])) <= near_slack
-            exempt += float(np.sum(fv[near] - fu[near]))
-            if not near.all() or exempt > exempt_budget:
+        kept, widths = [], []
+        for cells, thin in zip(chunks, at_floor):
+            if thin.any():
+                # floor cells must lie within near_slack of the outer
+                # enclosure of the scale-b set (distance zero: they overlap
+                # its undecided strip)
+                fu, fv = cells.u[thin], cells.v[thin]
+                idx = np.searchsorted(out_lo, fv)
+                near = np.maximum(0.0, np.minimum(out_lo[idx] - fv, fu - out_hi[idx])) <= near_slack
+                if not near.all():
+                    return None
+                widths.append(fv - fu)
+                cells = cells.take(~thin)
+            kept.append(cells)
+        if widths:
+            # one sum over the level's floor cells, in order
+            exempt += float(np.sum(np.concatenate(widths)))
+            if exempt > exempt_budget:
                 return None
-            cells = cells.take(~at_floor)
-        return None if 2 * len(cells.u) > cap else cells
+        return None if 2 * sum(map(len, kept)) > cap else kept
 
     eps = eps0
     while eps >= _EPS_FLOOR:
         exempt = 0.0
-        left, _ = _bisect(tab, cells0.take(unsettled(cells0)), unsettled, width_floor, go_on)
-        if not len(left.u):
+        start: list = []
+        for cells in chunks0:
+            _add_chunk(start, cells.take(unsettled(cells)))
+        left, _ = _bisect(tab, start, unsettled, width_floor, go_on)
+        if not left:
             return eps
         eps /= 2.0
     raise EpsilonSearchError(

@@ -36,15 +36,20 @@ Two computation paths:
   enclosures.  Bounds are evaluated in double precision (no directed
   rounding); certification is exact up to float evaluation error, and cells
   the tests cannot decide go to the outer set only.  Phase 1 classifies the
-  grid segments themselves and reads their value and slope ranges from the
-  segment tables that also answer the window queries.  The tables evaluate
-  each grid point once, and a range-max level is written by the first
-  query that needs it, in one linear pass over the values (van Herk and Gil
-  & Werman block maxima); each window query reads one level.  Every range
-  of phi or phi' over part of a segment comes from the range kernel of the
-  cubic pieces (`CubicPieces.part_range`): the min or max of table entries
-  or end values and of the critical values of the piece whose root lies
-  strictly inside.  The tables only mark the segments that hold a root.
+  grid segments themselves, a block of segments at a time, from the values
+  at their ends that the segment tables hold.  The tables evaluate each
+  grid point once and keep per segment only what the bisection gathers:
+  the grid, the piece (int32) and its left knot, phi at both ends and phi'
+  at the start, the root marks, and the max of phi, which is the level 0
+  of its range-max table as phi at the grid points is of its own; phi' at
+  the knot ends is kept once per piece.  A range-max level is written by the
+  first query that needs it, in linear passes over blocks of the values
+  (van Herk and Gil & Werman block maxima); each window query reads one
+  level.  Every range of phi or phi' over part of a segment comes from the
+  range kernel of the cubic pieces (`CubicPieces.part_range`): the min or
+  max of table entries or end values and of the critical values of the
+  piece whose root lies strictly inside.  The tables only mark the
+  segments that hold a root.
 
 One bisection engine, `_bisect`, refines the enclosure after phase 1 and
 runs the witness search of `bump.lemma_epsilon`.  Its cells stay sorted, each
@@ -54,11 +59,15 @@ and its stop rule.  An enclosure half also inherits its parent's window
 bound or witness, so a split there evaluates phi once more, at mid + delta.
 The grid index of mid + delta lies between those of the segment's two ends
 plus delta, which phase 1 finds once, so it takes one comparison and only
-rarely a search.  Cells move as whole arrays, one per field: a split
-interleaves each field of the parents with its new values, and the kept
-cells are gathered field by field from one index array, or selected by the
-mask itself when it keeps nearly every cell (`_Cells`).  Every per-segment
-or per-piece value is gathered with `ndarray.take`.
+rarely a search.  Cells move chunk by chunk, each chunk at most _CHUNK
+cells with one array per field: a split interleaves each field of a parent
+chunk with its new values, the kept cells are gathered field by field from
+one index array, or selected by the mask itself when it keeps nearly every
+cell (`_Cells`), and join the next level's chunks as the parent chunk is
+dropped.  So the engine's working set is about one level of cells, not two
+levels and their halves.  Each chunk of cells left undecided is reduced
+to the components of its union before the outer set is merged.  Every
+per-segment or per-piece value is gathered with `ndarray.take`.
 
 On both paths, and in the float point defects, the involutions act on the
 function before its cubic pieces are built: on the integer form of the exact
@@ -601,16 +610,16 @@ class _RangeMax:
     maxima of all windows of length 2^k, and the levels sit end to end in
     one flat array, so a batch of queries is two gathers.
 
-    Only level 0, the values, is written when the table is built.  The
-    first query that needs level k fills it straight from level 0 (van
-    Herk 1992; Gil & Werman 1993): cut the values into blocks of 2^k, and a
-    window of 2^k is a suffix of one block followed by a prefix of the
-    next, so the level is the max of one block suffix maximum and one block
-    prefix maximum, O(n) for any k.  Each entry is the last maximum of its
-    window, bit for bit the float of the doubling build np.maximum(level
-    k-1 at i, level k-1 at i + 2^(k-1)), as np.maximum keeps its second
-    argument on a tie; equal maxima differ in their bits only as signed
-    zeros."""
+    Only level 0, the values, is written when the table is built, and it is
+    the one copy of them: callers read it as `values`.  The first query
+    that needs level k fills it straight from level 0 (van Herk 1992; Gil &
+    Werman 1993): cut the values into blocks of 2^k, and a window of 2^k is
+    a suffix of one block followed by a prefix of the next, so the level is
+    the max of one block suffix maximum and one block prefix maximum, O(n)
+    for any k.  Each entry is the last maximum of its window, bit for bit
+    the float of the doubling build np.maximum(level k-1 at i, level k-1 at
+    i + 2^(k-1)), as np.maximum keeps its second argument on a tie; equal
+    maxima differ in their bits only as signed zeros."""
 
     def __init__(self, values: np.ndarray):
         n = len(values)
@@ -631,27 +640,42 @@ class _RangeMax:
         self.start_lo = starts
         self.start_hi = starts - pow2
 
+    @property
+    def values(self) -> np.ndarray:
+        """Level 0, the values the table was built from (a view)."""
+        return self.flat[: len(self.level) - 1]
+
     def _fill(self, k: int) -> None:
-        """Write level k from level 0 by block prefix and suffix maxima."""
+        """Write level k from level 0 by block prefix and suffix maxima, a
+        run of whole blocks at a time: about _CHUNK windows, and at least
+        one block."""
         n, w = len(self.level) - 1, 1 << k
-        nb = -(-n // w)
-        blocks = np.full(nb * w, -np.inf)
-        blocks[:n] = self.flat[:n]
-        blocks = blocks.reshape(nb, w)
-        # np.maximum keeps its second argument on a tie, so the forward scan
-        # keeps the last of equal maxima and the backward scan the first
-        pre = np.maximum.accumulate(blocks, axis=1).ravel()
-        suf = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1]
-        zero = blocks == 0.0
-        if zero.any():
-            # a suffix whose max is zero ends with the block's last zero,
-            # whose sign the last maximum has
-            last = w - 1 - np.argmax(zero[:, ::-1], axis=1)
-            suf = np.where(suf == 0.0, blocks[np.arange(nb), last][:, None], suf)
         m, lo = n - w + 1, self.start_lo[k]
-        # the window at i is the suffix from i and the prefix to i + w - 1,
-        # and its last maximum sits in the prefix on a tie
-        np.maximum(suf.ravel()[:m], pre[w - 1 : w - 1 + m], out=self.flat[lo : lo + m])
+        span = w * max(1, _CHUNK // w)
+        for s in range(0, m, span):
+            # the blocks that hold windows s .. s + span - 1 and their ends,
+            # padded with -inf only past the last value, as one pass would
+            vals = self.flat[s : min(s + span + w, n)]
+            nb = -(-len(vals) // w)
+            blocks = np.full(nb * w, -np.inf)
+            blocks[: len(vals)] = vals
+            blocks = blocks.reshape(nb, w)
+            # np.maximum keeps its second argument on a tie, so the forward
+            # scan keeps the last of equal maxima and the backward scan the
+            # first
+            pre = np.maximum.accumulate(blocks, axis=1).ravel()
+            suf = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1]
+            zero = blocks == 0.0
+            if zero.any():
+                # a suffix whose max is zero ends with the block's last
+                # zero, whose sign the last maximum has
+                last = w - 1 - np.argmax(zero[:, ::-1], axis=1)
+                suf = np.where(suf == 0.0, blocks[np.arange(nb), last][:, None], suf)
+            # the window at i is the suffix from i and the prefix to
+            # i + w - 1, and its last maximum sits in the prefix on a tie
+            e = min(s + span, m)
+            out = self.flat[lo + s : lo + e]
+            np.maximum(suf.ravel()[: e - s], pre[w - 1 : w - 1 + e - s], out=out)
         self.filled |= 1 << k
 
     def query(self, i: np.ndarray, j: np.ndarray, empty: float = -np.inf) -> np.ndarray:
@@ -687,83 +711,105 @@ def _segment_grid(breaks: np.ndarray, step: float, xmax: float) -> np.ndarray:
 
 
 class _PhiTables:
-    """Knot-aligned segment grid over [0,1] for phi, with per-segment end
-    values and ranges, and range-max tables (`_RangeMax`, levels filled on
+    """Knot-aligned segment grid over [0,1] for phi, with phi and phi' at
+    the segment ends and range-max tables (`_RangeMax`, levels filled on
     first use) for window queries.
 
     The grid is the uniform grid of the step with the knots of phi and xmax
     merged in.  Every knot of phi is a grid point, so segment i lies in one
-    cubic piece, `piece[i]`, whose coefficients `phi.coeffs[:, piece[i]]`
-    act in the local coordinate x - kleft[i] (`seg_coeffs`).  A point x in
+    cubic piece, `piece[i]` (int32), whose coefficients
+    `phi.coeffs[:, piece[i]]` act in the local coordinate x - kleft[i]
+    (`seg_coeffs`); the segment spans grid[i] - kleft[i] to grid[i+1] -
+    kleft[i] there, formed where a caller gathers them.  A point x in
     [grid[i], grid[i+1]) is evaluated exactly as `CubicPieces.eval_vec`
     would, from segment i.
 
-    Segment i keeps phi and phi' at both of its ends from its own cubic:
-    `gridvals[i]`, `hi_val[i]`, `lo_der[i]` and `hi_der[i]`.  Each grid
-    point is evaluated once: inside a piece, hi_val[i] and hi_der[i] are
-    gridvals[i+1] and lo_der[i+1], as both come from the same cubic at the
-    same local coordinate, and only at a knot, where they come from
-    different pieces, is the segment's end evaluated apart.  The pieces
-    of phi hold the critical points of phi and of phi' and the values there
-    (`CubicPieces.critical`), and `crit_in_seg`/`vertex_in_seg` mark the
-    segments that hold one strictly inside.  The range of phi or phi' over
-    any part of a segment comes from the pieces' kernel, given the values
-    at the part's two ends, and only the marked segments are handed to it
-    as the ones that can hold a root.
+    The tables keep per segment what the bisection gathers.  Each grid
+    point is evaluated once: phi and phi' at the start of segment i are
+    `gridvals[i]` and `lo_der[i]`, and inside a piece the same values, from
+    the same cubic at the same local coordinate, end segment i - 1.  Only
+    at a knot, where the next segment starts a new piece, is the end
+    evaluated apart, once per piece, at its last segment `knot_end[p]`.
+    phi at the end of every segment is `hi_val`, which a split gathers;
+    phi' there, which no split reads, is formed for a run of segments by
+    `hi_der` from `lo_der` and the knot ends' `knot_der`.  `segmax`, the
+    max of phi over each segment, and `gridvals` are the level 0 of their
+    range tables; the max of phi' is the level 0 of `rmq_dermax`, built by
+    the first slope query.  The minima over segments are not kept: phase 1
+    forms them, a block at a time, from the end values (`_first_cells`).
+
+    The pieces of phi hold the critical points of phi and of phi' and the
+    values there (`CubicPieces.critical`), and `crit_in_seg`/
+    `vertex_in_seg` mark the segments that hold one strictly inside.  The
+    range of phi or phi' over any part of a segment comes from the pieces'
+    kernel, given the values at the part's two ends, and only the marked
+    segments are handed to it as the ones that can hold a root.
     """
 
     def __init__(self, phi: CubicPieces, step: float, xmax: float):
         self.grid = pts = _segment_grid(phi.breaks, step, xmax)
-        self.n_seg = len(pts) - 1
+        self.n_seg = n = len(pts) - 1
         # every break is a grid point, so the breaks at or below grid point i
         # are those at positions <= i: the piece of segment i is their count
         # less one, clipped to the pieces there are
         at = np.searchsorted(pts[:-1], phi.breaks)
         n_pc = len(phi.breaks) - 1
         self.piece = np.repeat(
-            np.clip(np.arange(-1, n_pc + 1), 0, n_pc - 1), np.diff(at, prepend=0, append=self.n_seg)
+            np.clip(np.arange(-1, n_pc + 1, dtype=np.int32), 0, n_pc - 1),
+            np.diff(at, prepend=0, append=n),
         )
         self.kleft = phi.breaks.take(self.piece)
         self.phi = phi
-        self.s_beg = pts[:-1] - self.kleft
-        self.s_end = pts[1:] - self.kleft
+        s_beg, s_end = self.local_ends()
 
         def inside(r):
             rp = r.take(self.piece)
-            return (rp > self.s_beg) & (rp < self.s_end)
+            return (rp > s_beg) & (rp < s_end)
 
         ((r1, _), (r2, _)), ((vertex, _),) = phi.critical
         self.crit_in_seg = inside(r1) | inside(r2)
         self.vertex_in_seg = inside(vertex)
-        c = phi.coeffs.take(self.piece, axis=1)
-        self.lo_der = cubic_deriv_eval(c, self.s_beg)
-        at_beg = cubic_eval(c, self.s_beg)
         # inside a piece, segment i ends where segment i + 1 begins, in the
         # same local coordinate, so only each piece's last segment needs its
         # end evaluated
-        last = np.append((self.piece[1:] != self.piece[:-1]).nonzero()[0], self.n_seg - 1)
-        c, s = self.seg_coeffs(last), self.s_end.take(last)
-        at_end = cubic_eval(c, s)
-        self.gridvals = np.append(at_beg, at_end[-1])
+        self.knot_end = last = np.append((self.piece[1:] != self.piece[:-1]).nonzero()[0], n - 1)
+        c, s = self.seg_coeffs(last), s_end.take(last)
+        at_end, self.knot_der = cubic_eval(c, s), cubic_deriv_eval(c, s)
+        c = phi.coeffs.take(self.piece, axis=1)
+        self.lo_der = cubic_deriv_eval(c, s_beg)
+        self.rmq_gridvals = _RangeMax(np.append(cubic_eval(c, s_beg), at_end[-1]))
+        self.gridvals = self.rmq_gridvals.values
+        del c
         self.hi_val = self.gridvals[1:].copy()
         self.hi_val[last] = at_end
-        self.hi_der = np.append(self.lo_der[1:], 0.0)
-        self.hi_der[last] = cubic_deriv_eval(c, s)
-        every = np.arange(self.n_seg)
-        self.segmin, self.segmax = self.part_range(
-            every, self.s_beg, self.s_end, self.gridvals[:-1], self.hi_val
-        )
-        self.dermin, self.dermax = self.part_range(
-            every, self.s_beg, self.s_end, self.lo_der, self.hi_der, deriv=True
-        )
-        self.rmq_segmax = _RangeMax(self.segmax)
-        self.rmq_gridvals = _RangeMax(self.gridvals)
+        _, segmax = self.part_range(np.arange(n), s_beg, s_end, self.gridvals[:-1], self.hi_val, lower=False)
+        self.rmq_segmax = _RangeMax(segmax)
+        self.segmax = self.rmq_segmax.values
 
     @functools.cached_property
     def rmq_dermax(self) -> _RangeMax:
         """Range maxima of phi' over segments, built by the first query:
         only the witness search asks for slope windows."""
-        return _RangeMax(self.dermax)
+        n = self.n_seg
+        s_beg, s_end = self.local_ends()
+        _, dermax = self.part_range(np.arange(n), s_beg, s_end, self.lo_der, self.hi_der(0, n), True, False)
+        return _RangeMax(dermax)
+
+    def local_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every segment as [s_beg, s_end] in its local coordinates."""
+        return self.grid[:-1] - self.kleft, self.grid[1:] - self.kleft
+
+    def hi_der(self, lo: int, hi: int) -> np.ndarray:
+        """phi' at the right ends of segments lo..hi-1 from their own
+        cubics: lo_der of the next segment inside a piece, and knot_der at
+        a knot.  lo_der has no entry after the last segment, which ends at
+        a knot."""
+        nxt = self.lo_der[lo + 1 : hi + 1]
+        der = np.empty(hi - lo)
+        der[: len(nxt)] = nxt
+        k0, k1 = np.searchsorted(self.knot_end, (lo, hi))
+        der[self.knot_end[k0:k1] - lo] = self.knot_der[k0:k1]
+        return der
 
     def last_at_or_below(self, x: np.ndarray) -> np.ndarray:
         """Index of the last grid point at or below x."""
@@ -806,15 +852,16 @@ class _PhiTables:
         rmq = self.rmq_dermax if deriv else self.rmq_segmax
         ub = np.maximum(left, rmq.query(i_l + 1, np.minimum(ilast, self.n_seg)))
         ic = np.minimum(ilast, self.n_seg - 1)
-        has = ((ilast > i_l) & (ilast <= self.n_seg - 1) & (self.grid.take(ic) < hi)).nonzero()[0]
+        g_ic = self.grid.take(ic)
+        has = ((ilast > i_l) & (ilast <= self.n_seg - 1) & (g_ic < hi)).nonzero()[0]
         if len(has):
             # usually every window has a right piece: then no entry is gathered
             if len(has) == len(ic):
                 has = slice(None)
             idx = ic[has]
             at_lo = (self.lo_der if deriv else self.gridvals).take(idx)
-            s_hi = hi[has] - self.kleft.take(idx)
-            _, val = self.part_range(idx, self.s_beg.take(idx), s_hi, at_lo, at_hi[has], deriv, False)
+            kl = self.kleft.take(idx)
+            _, val = self.part_range(idx, g_ic[has] - kl, hi[has] - kl, at_lo, at_hi[has], deriv, False)
             ub[has] = np.maximum(ub[has], val)
         return ub
 
@@ -855,7 +902,9 @@ class _Cells:
     Each field is one array, in the order the dataclass declares it, and
     the cells move field by field: `_halves` interleaves the parents' array
     with the new midpoint values (or with itself, for an inherited field),
-    and `take` selects the kept cells from every field in one way."""
+    and `take` selects the kept cells from every field in one way.  The
+    engine holds its cells as a list of such chunks of at most _CHUNK cells
+    (`_add_chunk`)."""
 
     u: np.ndarray
     v: np.ndarray
@@ -865,17 +914,38 @@ class _Cells:
     du: np.ndarray
     dv: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.u)
+
     def take(self, keep: np.ndarray) -> "_Cells":
         """The cells where the mask `keep` holds, in order.  The mask is
         turned into indices once, and every field is gathered with them;
         a mask that drops fewer than one cell in 16, as when the cells
         double at every level, selects by itself: its long runs copy as
-        fast, and no index array, 8 bytes a kept cell, joins the halves and
-        the kept cells at the engine's peak memory."""
+        fast, and no index array is made."""
         if 16 * (len(keep) - np.count_nonzero(keep)) < len(keep):
             return type(self)(*(x[keep] for x in vars(self).values()))
         idx = keep.nonzero()[0]
         return type(self)(*(x.take(idx) for x in vars(self).values()))
+
+
+# the most cells a chunk of the bisection engine holds, and the segments
+# phase 1 and a range-max fill take at a time (about 128 KB a float field)
+_CHUNK = 1 << 14
+
+
+def _add_chunk(chunks: list, cells: _Cells) -> None:
+    """Append cells, in order, to a list of chunks of at most _CHUNK cells:
+    they join the last chunk when both fit in one, and are otherwise cut
+    into views of _CHUNK cells.  So any two chunks in a row hold more than
+    _CHUNK cells, and a chunk holds over half that on average."""
+    n, fields = len(cells), vars(cells).values()
+    if not n:
+        return
+    if chunks and len(chunks[-1]) + n <= _CHUNK:
+        chunks[-1] = type(cells)(*map(np.concatenate, zip(vars(chunks[-1]).values(), fields)))
+    else:
+        chunks += (type(cells)(*(x[i : i + _CHUNK] for x in fields)) for i in range(0, n, _CHUNK))
 
 
 @dataclass
@@ -920,21 +990,27 @@ def _after_within(grid: np.ndarray, after: np.ndarray, seg: np.ndarray, reach: n
     return out
 
 
-def _first_cells(tab: _PhiTables, after: np.ndarray, delta: float) -> _EnclosureCells:
-    """The first n = len(after) - 1 grid segments as cells, given after[i] =
-    searchsorted(grid, grid[i] + delta, "right"); as the grid ends at 1,
-    after[i] - 1 is also the last index at or below min(grid[i] + delta,
-    1).  Segments are narrower than delta, so the window of segment i
-    starts with the whole segment i + 1, and its end is the u + delta of
-    segment i + 1: phi there is evaluated once for both."""
+def _first_cells(tab: _PhiTables, after: np.ndarray, delta: float):
+    """The first n = len(after) - 1 grid segments as cells, yielded in
+    blocks of _CHUNK segments, given after[i] = searchsorted(grid, grid[i]
+    + delta, "right"); as the grid ends at 1, after[i] - 1 is also the last
+    index at or below min(grid[i] + delta, 1).  Segments are narrower than
+    delta, so the window of segment i starts with the whole segment i + 1,
+    and its end is the u + delta of segment i + 1: phi there is evaluated
+    once for both (twice at the first point of each block after the
+    first)."""
     grid, n = tab.grid, len(after) - 1
-    seg = np.arange(n, dtype=np.int32)
-    ends = np.minimum(grid[: n + 1] + delta, 1.0)
-    at_end = tab.eval_at(ends, np.minimum(after - 1, tab.n_seg - 1))
-    ubw = tab.window_max(tab.segmax[1 : n + 1], seg + 1, after[1:] - 1, ends[1:], at_end[1:])
-    wit = np.maximum(tab.rmq_gridvals.query(seg + 1, after[:n]), at_end[:n])
-    vals = (tab.gridvals[:n], tab.hi_val[:n], tab.lo_der[:n], tab.hi_der[:n])
-    return _EnclosureCells(grid[:n], grid[1 : n + 1], seg, *vals, ubw, wit)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        seg = np.arange(lo, hi, dtype=np.int32)
+        ends = np.minimum(grid[lo : hi + 1] + delta, 1.0)
+        at_end = tab.eval_at(ends, np.minimum(after[lo : hi + 1] - 1, tab.n_seg - 1))
+        ubw = tab.window_max(
+            tab.segmax[lo + 1 : hi + 1], seg + 1, after[lo + 1 : hi + 1] - 1, ends[1:], at_end[1:]
+        )
+        wit = np.maximum(tab.rmq_gridvals.query(seg + 1, after[lo:hi]), at_end[:-1])
+        vals = (tab.gridvals[lo:hi], tab.hi_val[lo:hi], tab.lo_der[lo:hi], tab.hi_der(lo, hi))
+        yield _EnclosureCells(grid[lo:hi], grid[lo + 1 : hi + 1], seg, *vals, ubw, wit)
 
 
 def _halves(tab: _PhiTables, cells: _Cells) -> _Cells:
@@ -955,22 +1031,29 @@ def _halves(tab: _PhiTables, cells: _Cells) -> _Cells:
     )
 
 
-def _bisect(tab: _PhiTables, cells: _Cells, test, floor: float, go_on):
-    """The bisection engine.  Before each split, go_on(cells, at_floor,
-    depth) is told which cells are at most floor wide and how many levels
-    were split; it returns the cells to split, or None to stop.  Their
-    halves are then kept where test(halves) marks them undecided.  Returns
-    the cells left and the number of levels split."""
+def _bisect(tab: _PhiTables, chunks: list, test, floor: float, go_on):
+    """The bisection engine, on sorted cells held as a list of chunks
+    (`_add_chunk`).  Before each level, go_on(chunks, at_floor, depth) is
+    told, chunk by chunk, which cells are at most floor wide, and how many
+    levels were split; it returns the chunks to split, or None to stop.
+    The level then moves one chunk at a time: it halves the chunk, drops
+    it, and appends the halves that test(halves) marks undecided to the
+    next level's chunks.  So a level holds the parents not yet split, the
+    halves of one chunk and the halves kept so far, never all the halves
+    at once.  Returns the chunks left and the number of levels split."""
     depth = 0
-    while len(cells.u):
-        todo = go_on(cells, cells.v - cells.u <= floor, depth)
+    while chunks:
+        todo = go_on(chunks, [c.v - c.u <= floor for c in chunks], depth)
         if todo is None:
             break
-        cells = _halves(tab, todo)
-        del todo  # free the parents before the halves are tested
-        cells = cells.take(test(cells))
+        todo.reverse()
+        chunks = []
+        while todo:
+            halves = _halves(tab, todo.pop())
+            _add_chunk(chunks, halves.take(test(halves)))
+            del halves  # before the next chunk is halved
         depth += 1
-    return cells, depth
+    return chunks, depth
 
 
 def _inherit_window(
@@ -989,7 +1072,8 @@ def _inherit_window(
     phi_right = tab.eval_at(right, np.minimum(after - 1, tab.n_seg - 1))
     # a segment is narrower than delta, so the window [mid, right] of the
     # left half starts with the piece [mid, grid[seg + 1]] ...
-    s_mid, s_end = mid - tab.kleft.take(seg), tab.s_end.take(seg)
+    kl = tab.kleft.take(seg)
+    s_mid, s_end = mid - kl, tab.grid.take(seg + 1) - kl
     _, left = tab.part_range(seg, s_mid, s_end, phi_mid, tab.hi_val.take(seg), lower=False)
     ubw = tab.window_max(left, seg, after - 1, right, phi_right)
     # ... unless mid is the segment's right end (a cell one float wide
@@ -1053,12 +1137,15 @@ def _grid_step(a: float, tol: float = math.inf) -> tuple[float, float]:
 
 def _enclosure_plus_upper_c1(
     f: C1Function, a: float, tol: float
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], dict]:
+) -> tuple[tuple[list, list], tuple[list, list], dict]:
     """Inside cells and undecided cells, each as (left ends, right ends)
-    arrays, for the forward-upper set of a C1 function, via two-phase
-    certified bisection, and stats: the phase-1 cells and how many stayed
-    undecided, the splits (cells halved, summed over the levels), the
-    number of levels and the undecided cells left."""
+    lists of arrays, for the forward-upper set of a C1 function, via
+    two-phase certified bisection, and stats: the phase-1 cells and how
+    many stayed undecided, the splits (cells halved, summed over the
+    levels), the number of levels and the undecided cells left.  Each
+    chunk of undecided cells is sorted, so it is returned as the components
+    of its union (`_components`): the same set, in a few entries, where the
+    cells of the last level can number hundreds of thousands."""
     delta, step = _grid_step(a, tol)
     xmax = 1.0 - delta
     phi = f.as_cubic_pieces().add_linear(-a)
@@ -1068,36 +1155,45 @@ def _enclosure_plus_upper_c1(
 
     in_u, in_v = [], []
 
-    def settle(cells: _EnclosureCells, vals, ders) -> np.ndarray:
+    def settle(cells: _EnclosureCells) -> np.ndarray:
         """Keep the ends of the cells `_decide` puts inside; return the
         undecided mask."""
-        inside, undecided = _decide(cells, vals, ders)
+        inside, undecided = _decide(cells, *_cell_ranges(tab, cells))
         idx = inside.nonzero()[0]
         in_u.append(cells.u.take(idx))
         in_v.append(cells.v.take(idx))
         return undecided
 
-    # phase 1: the cells are the grid segments, whose ranges the table holds
-    cells = _first_cells(tab, after, delta)
-    undecided = settle(
-        cells,
-        (tab.segmin[:n_cells], tab.segmax[:n_cells]),
-        (tab.dermin[:n_cells], tab.dermax[:n_cells]),
-    )
-    stats = {"phase1_cells": n_cells, "undecided_phase1": int(undecided.sum()), "splits": 0}
+    # phase 1: the cells are the grid segments, a block at a time
+    chunks: list = []
+    for cells in _first_cells(tab, after, delta):
+        _add_chunk(chunks, cells.take(settle(cells)))
+    stats = {"phase1_cells": n_cells, "undecided_phase1": sum(map(len, chunks)), "splits": 0}
 
     def test(halves: _EnclosureCells) -> np.ndarray:
-        stats["splits"] += len(halves.u) // 2
+        stats["splits"] += len(halves) // 2
         _inherit_window(tab, halves, delta, after)
-        return settle(halves, *_cell_ranges(tab, halves))
+        return settle(halves)
 
-    def go_on(cells, at_floor, depth):
-        return None if depth >= 60 or at_floor.all() else cells
+    def go_on(chunks, at_floor, depth):
+        return None if depth >= 60 or all(m.all() for m in at_floor) else chunks
 
-    cells, depth = _bisect(tab, cells.take(undecided), test, _WIDTH_FLOOR, go_on)
+    chunks, depth = _bisect(tab, chunks, test, _WIDTH_FLOOR, go_on)
     stats["max_depth"] = depth
-    stats["undecided_final"] = len(cells.u)
-    return (np.concatenate(in_u), np.concatenate(in_v)), (cells.u, cells.v), stats
+    stats["undecided_final"] = sum(map(len, chunks))
+    und = [_components(c.u, c.v) for c in chunks]
+    return (in_u, in_v), ([lo for lo, _ in und], [hi for _, hi in und]), stats
+
+
+def _components(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the closed float cells [u_i, v_i], u ascending, as its
+    components (lo, hi): a component starts at each cell that begins beyond
+    every earlier cell, and ends at the running max of v before the next."""
+    if not len(u):
+        return u, v
+    reach = np.maximum.accumulate(v)
+    starts = np.concatenate(([True], u[1:] > reach[:-1])).nonzero()[0]
+    return u.take(starts), reach.take(np.append(starts[1:] - 1, len(u) - 1))
 
 
 def _merge_float_cells(u: np.ndarray, v: np.ndarray) -> IntervalSet:
@@ -1105,15 +1201,14 @@ def _merge_float_cells(u: np.ndarray, v: np.ndarray) -> IntervalSet:
     if not len(u):
         return EMPTY
     # cells with equal u may come in any order: only the first of them can
-    # start a component, and every end is a running max
-    order = np.argsort(u)
-    u, v = u.take(order), v.take(order)
-    reach = np.maximum.accumulate(v)
-    # a component starts at each cell that begins beyond every earlier cell
-    starts = np.concatenate(([True], u[1:] > reach[:-1])).nonzero()[0]
-    ends = np.empty(2 * len(starts))
-    ends[0::2] = np.maximum(u[starts], 0.0)
-    ends[1::2] = np.minimum(reach[np.append(starts[1:] - 1, len(u) - 1)], 1.0)
+    # start a component, and every end is a running max.  The enclosure's
+    # cells come as a few sorted runs, which a stable sort, timsort, merges
+    # in about linear time
+    order = np.argsort(u, kind="stable")
+    lo, hi = _components(u.take(order), v.take(order))
+    ends = np.empty(2 * len(lo))
+    ends[0::2] = np.maximum(lo, 0.0)
+    ends[1::2] = np.minimum(hi, 1.0)
     # each float is odd * 2^exp exactly; over 2^k, k the largest -exp, the
     # numerators are odd << (exp + k) and 2^k is the canonical denominator
     mant, exp = np.frexp(ends)
@@ -1183,7 +1278,7 @@ def n_set_enclosure(f, a: Rat, variant: str = "full", tol: float = 1e-4) -> NSet
 
     g, refl = _plus_upper_form(f, variant)
     (in_u, in_v), (und_u, und_v), stats = _enclosure_plus_upper_c1(g, af, tol)
-    inner = _merge_float_cells(in_u, in_v)
-    outer = _merge_float_cells(np.concatenate([in_u, und_u]), np.concatenate([in_v, und_v]))
+    inner = _merge_float_cells(np.concatenate(in_u), np.concatenate(in_v))
+    outer = _merge_float_cells(np.concatenate(in_u + und_u), np.concatenate(in_v + und_v))
     enc = NSetEnclosure(inner, outer, tol, outer.measure() - inner.measure(), stats)
     return enc.reflect() if refl else enc

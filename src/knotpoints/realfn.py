@@ -274,16 +274,20 @@ class C1Function:
 
     # -- norms (closed-form extrema, not sampling) -------------------------
 
-    def _norm(self, deriv: bool) -> float:
-        """max |.| of the cubics, or of their derivatives, over every piece."""
-        lo, hi = self._pieces.ranges[deriv]
-        return max(abs(float(lo.min())), abs(float(hi.max())))
+    @functools.cached_property
+    def _norms(self) -> tuple[float, float]:
+        """max |.| of the cubics and of their derivatives over every piece.
+        The ranges come from a second `CubicPieces` over the same arrays,
+        so the per-piece caches (`critical`, `ranges`) go with it and f
+        keeps the two floats only."""
+        pieces = CubicPieces(self._pieces.breaks, self._pieces.coeffs)
+        return tuple(max(abs(float(lo.min())), abs(float(hi.max()))) for lo, hi in pieces.ranges)
 
     def sup_norm(self) -> float:
-        return self._norm(False)
+        return self._norms[0]
 
     def deriv_sup_norm(self) -> float:
-        return self._norm(True)
+        return self._norms[1]
 
     def sup_norm_diff(self, other: "C1Function") -> float:
         return self.add(other.scale(-1.0)).sup_norm()

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotpoints import nsets
+from knotpoints.bump import lemma_epsilon
 from knotpoints.intervalsets import FULL, IntervalSet, is_subset
 from knotpoints.nsets import (
     BASIC_VARIANTS,
@@ -24,6 +27,7 @@ from knotpoints.nsets import (
     _ENGINE_SCALE_CAP,
     _after_within,
     _cell_ranges,
+    _Cells,
     _EnclosureCells,
     _first_cells,
     _grid_cells,
@@ -623,7 +627,7 @@ def test_segment_grid_is_the_sorted_union(xmax):
 @pytest.mark.parametrize("xmax", [0.5, 3 / 7, 0.5 + 2.0 ** -40])
 def test_segment_pieces_equal_the_break_search(xmax):
     """The piece of every segment, read from where the breaks sit in the
-    grid, is the one a search in the breaks finds, dtype included: with a
+    grid, is the one a search in the breaks finds, held as int32: with a
     break on a point of the uniform grid (0.5), xmax equal to a break (0.5
     and 3/7) and xmax between grid points."""
     breaks = np.array([0.0, 0.3, 3 / 7, 0.5, 1.0])
@@ -634,7 +638,7 @@ def test_segment_pieces_equal_the_break_search(xmax):
         want = np.clip(
             np.searchsorted(phi.breaks, tab.grid[:-1], side="right") - 1, 0, phi.coeffs.shape[1] - 1
         )
-        assert tab.piece.dtype == want.dtype and np.array_equal(tab.piece, want)
+        assert tab.piece.dtype == np.int32 and np.array_equal(tab.piece, want)
 
 
 def _range_max_inputs():
@@ -654,6 +658,18 @@ def test_range_max_levels_equal_the_doubling_build():
     the max of the doubling build's two entries, bit for bit, and the same
     bits when asked again; every level, filled on demand in any order,
     equals the doubling build bit for bit, signed zeros included."""
+    _check_range_max_levels()
+
+
+def test_range_max_levels_filled_in_passes_of_whole_blocks(monkeypatch):
+    """The same, with a level filled over many passes: every input fits one
+    pass at the default chunk, and a chunk of 4 makes each pass a few
+    blocks, or one block once the blocks are wider."""
+    monkeypatch.setattr(nsets, "_CHUNK", 4)
+    _check_range_max_levels()
+
+
+def _check_range_max_levels() -> None:
     rng = np.random.default_rng(4)
     for values in _range_max_inputs():
         n = len(values)
@@ -751,16 +767,27 @@ def test_range_bounds_equal_the_one_query_reference():
 
 def _check_range_bounds(phi) -> None:
     tab = _PhiTables(phi, 0.01, 0.75)
-    g = tab.grid
+    g, n = tab.grid, tab.n_seg
     c, kl = _piece_of(phi, g[:-1])
-    for deriv, lo_name, hi_name in ((False, "segmin", "segmax"), (True, "dermin", "dermax")):
-        lo, hi = _scalar_ranges(c, g[:-1] - kl, g[1:] - kl, deriv)
-        assert _same_bits(getattr(tab, lo_name), lo) and _same_bits(getattr(tab, hi_name), hi)
+    # the ends of every segment from its own cubic, the ranges phase 1
+    # forms from them, and the stored maxima
+    ends = (tab.gridvals[:-1], tab.hi_val, tab.lo_der, tab.hi_der(0, n))
+    whole = _Cells(g[:-1], g[1:], np.arange(n, dtype=np.int32), *ends)
+    stored = (tab.segmax, tab.rmq_dermax.values)
+    for deriv, (lo, hi), kept in zip((False, True), _cell_ranges(tab, whole), stored):
+        ref_lo, ref_hi = _scalar_ranges(c, g[:-1] - kl, g[1:] - kl, deriv)
+        assert _same_bits(lo, ref_lo) and _same_bits(hi, ref_hi) and _same_bits(kept, ref_hi)
     at_end = _scalar_ranges(c, g[1:] - kl, g[1:] - kl)[0]
     assert _same_bits(tab.gridvals, np.append(_scalar_ranges(c, g[:-1] - kl, g[:-1] - kl)[0], at_end[-1]))
     assert _same_bits(tab.hi_val, at_end)
     assert _same_bits(tab.lo_der, _scalar_ranges(c, g[:-1] - kl, g[:-1] - kl, True)[0])
-    assert _same_bits(tab.hi_der, _scalar_ranges(c, g[1:] - kl, g[1:] - kl, True)[0])
+    hi_der = _scalar_ranges(c, g[1:] - kl, g[1:] - kl, True)[0]
+    assert _same_bits(tab.hi_der(0, n), hi_der)
+    # any run of segments reads the same slopes: runs that end before, at
+    # and after a knot end, and the last segment alone
+    knot = int(tab.knot_end[0])
+    for lo, hi in ((0, knot), (1, knot + 1), (knot, knot + 2), (knot + 1, n), (n - 1, n)):
+        assert _same_bits(tab.hi_der(lo, hi), hi_der[lo:hi])
 
     rng = np.random.default_rng(11)
     i = rng.integers(0, tab.n_seg - 3, 300)
@@ -826,7 +853,10 @@ def test_segment_indexed_bounds_equal_the_search_route(seed, a, kind):
             assert _same_bits(got, want)
 
     after = np.searchsorted(tab.grid, tab.grid[: n + 1] + delta, side="right")
-    check(_first_cells(tab, after, delta))
+    first = list(_first_cells(tab, after, delta))
+    assert np.array_equal(np.concatenate([c.seg for c in first]), np.arange(n))
+    for cells in first:
+        check(cells)
 
     rng = np.random.default_rng(seed)
     seg = rng.integers(0, n, 200).astype(np.int32)
@@ -996,16 +1026,16 @@ def test_enclosure_union_merges_stats():
 _REFERENCE_STATS = {
     "0|1|0.0001": (20008, 7, 27, 12043, 12224),
     "3|2|1e-05": (300012, 12, 24, 410, 689),
-    # cells double at every level here; these two set the corpus's peak memory
+    # cells double at every level here; the first sets the corpus's peak memory
     "2|1|0.0001": (20008, 6, 27, 313441, 313605),
     "3|1|0.0001": (20008, 10, 27, 276020, 276293),
 }
+# the key whose traced peak is bounded, and the bound: 23.5 MiB measured,
+# nearly all of it the 313,441 cells of the last level, plus 20%
+_PEAK_KEY, _PEAK_MIB = "2|1|0.0001", 28.0
 
 
-@pytest.mark.parametrize("key", list(_REFERENCE_STATS))
-def test_enclosure_output_matches_benchmark_reference(key):
-    """The certified intervals are byte-identical to the referenced ones,
-    and the bisection counts are the pinned ones."""
+def _check_reference(key: str) -> None:
     stats = _REFERENCE_STATS[key]
     ref = json.loads(REFERENCE.read_text())["c1-enclosure"][key]
     seed, a, tol = key.split("|")
@@ -1015,6 +1045,38 @@ def test_enclosure_output_matches_benchmark_reference(key):
     assert hashlib.sha256(blob).hexdigest() == ref
     names = ("phase1_cells", "undecided_phase1", "max_depth", "undecided_final", "splits")
     assert enc.stats == dict(zip(names, stats))
+
+
+@pytest.mark.parametrize("key", list(_REFERENCE_STATS))
+def test_enclosure_output_matches_benchmark_reference(key):
+    """The certified intervals are byte-identical to the referenced ones,
+    and the bisection counts are the pinned ones.  The key whose cells
+    double at every level runs under tracemalloc, and its traced peak stays
+    under _PEAK_MIB: a level that held all its halves at once, or the cells
+    of every level, would pass it."""
+    if key != _PEAK_KEY:
+        _check_reference(key)
+        return
+    tracemalloc.start()
+    try:
+        _check_reference(key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _PEAK_MIB * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_small_chunks_give_the_same_enclosures_and_eps(monkeypatch):
+    """With chunks of 512 cells, every bisection level, phase-1 block and
+    range-max fill spans many chunks: the enclosures and the bisection
+    counts still match the reference, and the witness search, whose first
+    pass ends at its cell cap, certifies the eps of the default size."""
+    f = random_c1_function(4, cells=6, amplitude=0.5, slope_scale=2.0)
+    eps = lemma_epsilon(f, F(3, 2), F(5, 2), 2)
+    monkeypatch.setattr(nsets, "_CHUNK", 512)
+    for key in ("0|1|0.0001", "3|2|1e-05"):
+        _check_reference(key)
+    assert lemma_epsilon(f, F(3, 2), F(5, 2), 2) == eps
 
 
 def test_enclosure_rejects_bad_inputs():

@@ -328,6 +328,15 @@ def test_pieces_ranges_equal_the_scalar_reference_bitwise(seed, cells):
     _ranges_equal_the_scalar_reference(bump.as_cubic_pieces())
 
 
+def test_sup_norms_keep_no_per_piece_cache_on_f():
+    """Reading the sup norms keeps two floats on f: its pieces hold
+    neither `critical` nor `ranges` afterwards."""
+    f = random_c1_function(seed=3, cells=9)
+    norms = f.sup_norm(), f.deriv_sup_norm()
+    assert not {"critical", "ranges"} & vars(f.as_cubic_pieces()).keys()
+    assert (f.sup_norm(), f.deriv_sup_norm()) == norms
+
+
 def test_deriv_range_bounds():
     f = random_c1_function(seed=5, cells=5)
     pc = f.as_cubic_pieces()
