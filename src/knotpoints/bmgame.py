@@ -19,29 +19,33 @@ inclusion chain, and membership in every oracle certificate ball) with
 certified margins.  In the construction, round m refines the located sets
 to within w_{m-1} of their round m-1 ancestors at radii that at least
 halve; the engine does not build that refinement.  `round_m` checks the
-move rules and the inherited invariant, computes the perturbation radius
-mu_m, and stops at the size of the net that radius would need.
+move rules and the inherited invariant, bounds the perturbation radius
+mu_m in exact rationals, and stops at the size of the net that bound
+allows.
 
-Why it stops there.  The round-1 bump forces curvature of order
-height/width^2 on the played function, and the certified witness scale
-collapses with it.  At `game run --rounds 2 --seed 1`, round 2 fails at the
-scales (2.576, 2.72): the slope norm of g_1 is 38,291, the witness eps is
-2.26e-9, l = (c-a)*eps/(|f'|+a) = 4.25e-15 and mu = 1.06e-15, so the net
-would need 2.09e15 points against a cap of 2*10^6.  Local slopes do not
+Why it stops there.  Player II's answer needs a radius mu with
+2*mu*(|f'|+a) < h_m, where h_m = alpha_m/2 and alpha_m < beta_{m-1}.  The
+radius chain eps_1 -> beta_1 -> h_2 makes h_2 tiny, while the round-1 bump
+leaves the played function with a steep slope norm, and this one
+constraint rules out every net, whatever witness eps the bump lemma would
+certify.  The Hermite slope data are f' at the knots, so their largest
+modulus is a certified lower bound of |f'|.  At `game run --rounds 2
+--seed 1`: beta_1 = 5.58e-7, h_2 = 1.74e-7 and |f_2'| >= 38,146 at a =
+2.576, so mu < 2.29e-12 and the net needs more than 9.72e11 points against
+a cap of 2*10^6; the bound stops deciding only at h_2 >= 0.085.  Seeds 1-12
+all end there, with net lower bounds of 1.8e11-5.2e14.  Local slopes do not
 rescue it: on 4,000,001 grid points |g_1'| exceeds 10 on 45% of [0, 1] and
 10^4 on 39% (median 1.76).  On that 39% a net graded by the local slope in
-place of the norm is at most 3.9 times sparser, so it still needs over
-10^14 points there.  Every seed tried ends the same way, so a round-m net
-that fits under the cap is outside what the engine was built to reach and
-raises GameError; a real second round needs a different construction
-scenario, not different constants.
+place of the norm is at most 3.9 times sparser.  A bound that does not
+decide raises GameError; a real second round needs a different
+construction scenario, not different constants.
 
 Everything "sufficiently small" in the construction is an explicit number
 here: margins come from certified set inclusions, shrink loops stop at a
 floor of 1e-12 and abort loudly, and net sizes are capped.  When a round's
-perturbation radius mu_m collapses below what any buildable net could honor
-the engine raises GameInfeasibleError carrying the measured cascade instead
-of silently degrading.
+perturbation radius mu_m falls below what any buildable net could honor the
+engine raises GameInfeasibleError carrying the certified bound instead of
+silently degrading.
 
 The game is played at one operating point: the module constants below and
 the scale ladder of `indexcomb`.  A saved game records them in its `params`
@@ -61,7 +65,6 @@ from .bump import (
     BumpSpec,
     EpsilonSearchError,
     HatCheckSet,
-    SizingChain,
     check_bump_properties,
     make_bump,
     mu,
@@ -159,9 +162,9 @@ NET_FACTOR = Fraction(9, 10)
 # located-ball radius w_1 as a multiple of the least gap between located
 # points; below 1/2 it keeps the closed balls disjoint
 W_SAFETY = Fraction(9, 20)
-# net-size diagnosis threshold: a round whose mu would need a net of more
-# points raises GameInfeasibleError with the measured cascade.  Round 1
-# builds its net only below it; later rounds build none.
+# net-size diagnosis threshold: round 1 builds its net only below it, and a
+# round whose radius would need a net of more points raises
+# GameInfeasibleError; later rounds build none.
 MAX_NET_POINTS = 2_000_000
 # round 1 asks the oracle at most this often, quartering its snapping budget
 MAX_ORACLE_RETRIES = 6
@@ -294,8 +297,9 @@ def oracle_avoid_point(p: Rat) -> DenseOpenOracle:
 
 def oracle_target_prefix(T: Sequence[FinitePointSet], tol: Rat) -> DenseOpenOracle:
     """Sequences within tol of a fixed prefix T.  Dense only along targets
-    already compatible with T; incompatible requests raise OracleError and
-    the engine's bounded retry loop turns that into a failure report."""
+    already compatible with T; an incompatible request raises OracleError,
+    which `round_one` does not catch: the run ends at once (the CLI reports
+    status "error")."""
     T = tuple(T)
     tolf = as_fraction(tol)
 
@@ -340,10 +344,6 @@ def random_player_one(seed: int) -> PlayerI:
             return f, Fraction(1)
         g, beta = prev
         bf = float(beta)
-        if bf <= 0.0:
-            # the available radius is below float resolution: the only
-            # representable move is the center itself
-            return g, beta / 2
         psi = random_c1_function(seed=sub, cells=3, amplitude=1.0, slope_scale=1.0)
         nrm = psi.sup_norm()
         if nrm > 0.0:
@@ -662,30 +662,6 @@ def _alternate_tags(pts: FinitePointSet) -> HatCheckSet:
     return HatCheckSet(FinitePointSet(xs[0::2], den), FinitePointSet(xs[1::2], den))
 
 
-def _infeasible_cascade(
-    f: C1Function, a3: Fraction, a2: Fraction, chain: SizingChain, need: float
-) -> GameInfeasibleError:
-    """Assemble the measured collapse chain for the error message."""
-    return GameInfeasibleError(
-        f"perturbation radius mu = {chain.mu:.3g} would need a net of about "
-        f"{need:.3g} points (cap {MAX_NET_POINTS}).  Certified chain at scales "
-        f"({float(a3):.6g}, {float(a2):.6g}): witness eps = {chain.eps:.3g}, "
-        f"interval length l = {chain.l:.3g}, slope norm = {f.deriv_sup_norm():.6g}. "
-        "The located nets of the previous round force curvature of order "
-        "height/width^2 on the played function, and the certified witness "
-        "scale collapses proportionally; no parameter choice at this round "
-        "recovers a buildable net.",
-        {
-            "mu": chain.mu,
-            "eps": chain.eps,
-            "l": chain.l,
-            "net_points": need,
-            "cap": MAX_NET_POINTS,
-            "deriv_norm": f.deriv_sup_norm(),
-        },
-    )
-
-
 # ---------------------------------------------------------------------------
 # round one
 # ---------------------------------------------------------------------------
@@ -713,7 +689,22 @@ def round_one(f1: C1Function, alpha1: Rat, oracle: DenseOpenOracle) -> RoundReco
     spacing = as_fraction(mu1) * NET_FACTOR
     need = 2.0 / float(spacing)
     if need > MAX_NET_POINTS:
-        raise _infeasible_cascade(f1, a13, a12, chain, need)
+        raise GameInfeasibleError(
+            f"perturbation radius mu = {mu1:.3g} would need a net of about "
+            f"{need:.3g} points (cap {MAX_NET_POINTS}).  Certified chain at scales "
+            f"({float(a13):.6g}, {float(a12):.6g}): witness eps = {chain.eps:.3g}, "
+            f"interval length l = {chain.l:.3g}, slope norm = {f1.deriv_sup_norm():.6g}. "
+            "The first move's slope norm and the witness eps it allows at these "
+            "scales leave round 1 no radius that a net under the cap can honor.",
+            {
+                "mu": mu1,
+                "eps": chain.eps,
+                "l": chain.l,
+                "net_points": need,
+                "cap": MAX_NET_POINTS,
+                "deriv_norm": f1.deriv_sup_norm(),
+            },
+        )
     hat_t, check_t = _alternating_net(spacing)
     flat_t = hat_t.union(check_t)
     target = (flat_t,)
@@ -825,16 +816,22 @@ def round_m(state: GameState, f_m: C1Function, alpha_m: Rat) -> NoReturn:
 
     Raises GameRuleError when the move ball does not lie inside the previous
     answer, and GameError when the previous invariant fails at the move
-    center.  Otherwise it computes the perturbation radius mu_m (the least
-    over j in [m]) and raises GameInfeasibleError with the measured cascade
-    when a net at that radius would exceed MAX_NET_POINTS.  A net that fits
-    raises GameError: the engine builds no round-m net (see the module
-    docstring), so a round m >= 2 consults no oracle."""
+    center.  Otherwise it bounds the perturbation radius in exact rationals
+    from 2*mu*(|f'|+a) < h_m alone, with |f'| >= max|slopes| and a the
+    largest a_refined(j, m, 3): mu < h_m/(2(max|slopes| + a)).  When a net at
+    that radius needs more than MAX_NET_POINTS, as the radius chain
+    eps_1 -> beta_1 -> h_2 against the slope norm of the round-1 bump makes
+    it at every seed, it raises GameInfeasibleError; otherwise GameError, as
+    the engine builds no round-m net (see the module docstring).  Both carry
+    the bound in their details.  No witness eps is searched and no oracle
+    is consulted."""
     m = len(state.rounds) + 1
     if m < 2:
         raise GameError("round_m needs a completed first round")
     prev = state.last()
     alpha = as_fraction(alpha_m)
+    if alpha <= 0:
+        raise GameRuleError(f"alpha_{m} must be positive")
     used = as_fraction(f_m.sup_norm_diff(prev.g_m))
     if used >= prev.beta_m:
         raise GameRuleError(
@@ -858,35 +855,32 @@ def round_m(state: GameState, f_m: C1Function, alpha_m: Rat) -> NoReturn:
             {"failures": inherited.failures},
         )
 
+    # the Hermite slope data are f' at the knots, so their largest modulus
+    # is a certified lower bound of |f'|; one float converts exactly
     h_m = alpha / 2
-    chains = {}
-    for j in range(1, m + 1):
-        a3 = ladder.a_refined(j, m, 3)
-        a2 = ladder.a_refined(j, m, 2)
-        try:
-            chains[j] = mu(f_m, a3, a2, h_m, TOL)
-        except EpsilonSearchError as e:
-            raise GameInfeasibleError(
-                f"round {m} perturbation radius failed at j={j}: {e}"
-            ) from e
-    j_min = min(chains, key=lambda j: chains[j].mu)
-    mu_m = chains[j_min].mu
-
-    spacing = as_fraction(mu_m) * NET_FACTOR
-    need = 2.0 / float(spacing)
-    if need > MAX_NET_POINTS:
-        raise _infeasible_cascade(
-            f_m,
-            ladder.a_refined(j_min, m, 3),
-            ladder.a_refined(j_min, m, 2),
-            chains[j_min],
-            need,
+    slope_lo = Fraction(float(np.abs(f_m.slopes).max()))
+    a = max(ladder.a_refined(j, m, 3) for j in range(1, m + 1))
+    mu_hi = h_m / (2 * (slope_lo + a))
+    net_lo = 2 / (NET_FACTOR * mu_hi)
+    bound = dict(
+        h_m=h_m, slope_lower=slope_lo, a=a, mu_upper=mu_hi, net_lower=net_lo, cap=MAX_NET_POINTS
+    )
+    constraint = (
+        f"2*mu*(|f'|+a) < h_m = {float(h_m):.3g} with |f'| >= {float(slope_lo):.6g} "
+        f"and a = {float(a):.6g} keeps mu below {float(mu_hi):.3g}"
+    )
+    if net_lo > MAX_NET_POINTS:
+        raise GameInfeasibleError(
+            f"round {m}: {constraint}, so its net needs more than {float(net_lo):.3g} "
+            f"points (cap {MAX_NET_POINTS}).  The radius chain eps_1 -> beta_1 -> h_{m} "
+            f"leaves h_{m} far below what the slope norm of the round-1 bump asks "
+            "for; no witness eps recovers a buildable net.",
+            bound,
         )
     raise GameError(
-        f"round {m} net of about {need:.3g} points fits under the cap, but the "
-        "engine stops at the net-size diagnosis and builds no round-m net; "
-        "see the knotpoints.bmgame module docstring",
-        {"mu": mu_m, "net_points": need, "cap": MAX_NET_POINTS},
+        f"round {m}: {constraint}; that bound allows a net under the cap, but the "
+        "engine builds no round-m net; see the knotpoints.bmgame module docstring",
+        bound,
     )
 
 
@@ -900,22 +894,16 @@ def run_game(
     oracle: DenseOpenOracle,
     rounds: int,
 ) -> tuple[GameState, dict]:
-    """Play the given number of rounds and verify the truncated limit
-    statements.  Returns the immutable state and the limit report.  Only
-    round 1 consults the oracle (see `round_m`)."""
+    """Play round 1 and verify the truncated limit statements.  Returns the
+    immutable state and the limit report.  With rounds > 1, `round_m` ends
+    the run at round 2 with its diagnosis; only round 1 consults the
+    oracle."""
     if rounds < 1:
         raise ValueError("need at least one round")
-    state = GameState(())
-    for m in range(1, rounds + 1):
-        prev = None if not state.rounds else (state.last().g_m, state.last().beta_m)
-        f, alpha = adversary(m, prev)
-        if m == 1:
-            rec = round_one(f, alpha, oracle)
-        else:
-            rec = round_m(state, f, alpha)
-        state = GameState(state.rounds + (rec,))
-    report = limit_report(state)
-    return state, report
+    state = GameState((round_one(*adversary(1, None), oracle),))
+    if rounds > 1:
+        round_m(state, *adversary(2, (state.last().g_m, state.last().beta_m)))
+    return state, limit_report(state)
 
 
 def limit_report(state: GameState) -> dict:

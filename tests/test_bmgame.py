@@ -1,8 +1,9 @@
 """Ball-game checks on hand-built scenarios: an enclosure that the engine
 cannot certify makes a verdict undecided, any other error propagates,
-`round_m` enforces the move rules and ends at its net-size diagnosis, a
+`round_m` enforces the move rules and ends at its certified radius bound, a
 saved game reads back and verifies, a game saved at another operating point
-is refused, and the limit distances match a direct computation."""
+is refused, the avoid-point and target-prefix oracles keep their contracts,
+and the limit distances match a direct computation."""
 
 import json
 from dataclasses import replace
@@ -19,18 +20,20 @@ from knotpoints.bmgame import (
     GameRuleError,
     GameState,
     HatCheckSet,
+    OracleError,
     RoundRecord,
     game_report,
     limit_report,
+    oracle_avoid_point,
+    oracle_target_prefix,
     round_m,
     star_bullets,
     state_from_json,
     state_to_json,
     verify_report,
 )
-from knotpoints.bump import SizingChain
 from knotpoints.indexcomb import CombCheck, ScaleLadder
-from knotpoints.intervalsets import FULL, FinitePointSet
+from knotpoints.intervalsets import FULL, FinitePointSet, pairwise_disjoint
 from knotpoints.nsets import EnclosureRangeError, NSetEnclosure
 from knotpoints.realfn import C1Function
 from oracles import dedupe_across_reference, tag_by_nearest_reference
@@ -136,35 +139,59 @@ def test_round_m_needs_a_completed_first_round():
         round_m(GameState(()), C1Function.zero(), F(1, 8))
 
 
+# a legal move from g_1 = 0 inside beta_1 = 1/2: zero at the knots, with a
+# steepest knot slope of modulus 5/2 (its sup norm is about 0.228)
+STEEP = C1Function([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], [0.0, -2.5, 1.0])
+
+
 @pytest.fixture
-def stub_round_m(monkeypatch):
-    """A legal move whose inherited invariant holds; returns a setter for
-    the perturbation radius that every j gets.  The diagnosis reads eps and
-    l from the record, so a witness search would fail the test."""
+def bound_only(monkeypatch):
+    """The inherited invariant holds and any witness-eps search fails the
+    test: the round-m diagnosis must come from the radius bound alone."""
 
     def no_search(*args, **kwargs):
-        raise AssertionError("the sizing chain was recomputed")
+        raise AssertionError("round_m ran a witness-eps search")
 
     monkeypatch.setattr(bmgame, "star_bullets", lambda *args: CombCheck(True))
+    monkeypatch.setattr(bmgame, "mu", no_search)
     monkeypatch.setattr(bump, "lemma_epsilon", no_search)
-    return lambda radius: monkeypatch.setattr(bmgame, "mu", lambda *args: SizingChain(2e-9, 4e-15, radius))
 
 
-def test_round_m_diagnoses_a_net_above_the_cap(stub_round_m):
-    stub_round_m(1e-15)
-    with pytest.raises(GameInfeasibleError) as err:
-        round_m(_one_round_state(), C1Function.zero(), F(1, 8))
-    d = err.value.details
-    assert set(d) == {"mu", "eps", "l", "net_points", "cap", "deriv_norm"}
-    assert (d["mu"], d["eps"], d["l"], d["cap"], d["deriv_norm"]) == (1e-15, 2e-9, 4e-15, 2_000_000, 0.0)
-    assert d["net_points"] == pytest.approx(2 / 0.9e-15)
+def _expected_bound(alpha: Fraction) -> dict:
+    """2*mu*(|f'|+a) < h with |f'| >= 5/2 and a = 2 + (9/10)(4/5)^2, the
+    larger of the two round-2 fine scales a_refined(j, 2, 3), in direct
+    Fraction arithmetic."""
+    h, s, a = alpha / 2, F(5, 2), 2 + F(9, 10) * F(4, 5) ** 2
+    return {
+        "h_m": h,
+        "slope_lower": s,
+        "a": a,
+        "mu_upper": h / (2 * (s + a)),
+        "net_lower": 4 * (s + a) / (F(9, 10) * h),
+        "cap": 2_000_000,
+    }
 
 
-def test_round_m_stops_when_the_net_would_fit(stub_round_m):
-    stub_round_m(0.1)
-    with pytest.raises(GameError, match="net-size diagnosis") as err:
-        round_m(_one_round_state(), C1Function.zero(), F(1, 8))
+def test_round_m_diagnoses_a_net_above_the_cap(bound_only):
+    alpha = F(1, 10**6)
+    with pytest.raises(GameInfeasibleError, match=r"more than 4.51e\+07 points") as err:
+        round_m(_one_round_state(), STEEP, alpha)
+    assert err.value.details == _expected_bound(alpha)
+    assert err.value.details["net_lower"] > 2_000_000
+
+
+def test_round_m_stops_when_the_net_would_fit(bound_only):
+    alpha = F(1, 8)
+    with pytest.raises(GameError, match="builds no round-m net") as err:
+        round_m(_one_round_state(), STEEP, alpha)
     assert not isinstance(err.value, GameInfeasibleError)
+    assert err.value.details == _expected_bound(alpha)
+    assert err.value.details["net_lower"] < 2_000_000
+
+
+def test_round_m_refuses_a_move_of_no_radius():
+    with pytest.raises(GameRuleError, match="alpha_2 must be positive"):
+        round_m(_one_round_state(), STEEP, F(0))
 
 
 def test_saved_game_reads_back_and_verifies():
@@ -291,6 +318,38 @@ def test_alternating_net_is_two_interleaved_grids(spacing):
     want_hat = [i * spacing for i in range(int(1 / spacing) + 1)]
     assert list(hat.points) == want_hat
     assert list(check.points) == [x + spacing / 2 for x in want_hat if x + spacing / 2 <= 1]
+
+
+@pytest.mark.parametrize("p", [F(0), F(1, 2), F(1)], ids=["0", "1/2", "1"])
+def test_avoid_point_oracle_clears_its_ball(p):
+    """Targets that hit p exactly, share it across sets and come within the
+    cleared band: every returned point lies off the closed eps/8-ball
+    around p, and the returned sets are pairwise disjoint."""
+    eps = 0.1
+    near = p + F(1, 100) if p < 1 else p - F(1, 100)
+    target = tuple(FinitePointSet.of(pts) for pts in ([p, F(1, 4)], [p, F(3, 4)], [near]))
+    reply = oracle_avoid_point(p)(target, eps)
+    assert reply.l == len(reply.sets) == 3
+    radius = Fraction(eps) / 8
+    assert all(abs(q - p) > radius for s in reply.sets for q in s.points)
+    assert pairwise_disjoint(reply.sets)
+
+
+T_PREFIX = (FinitePointSet.of([F(1, 4), F(1, 2)]), FinitePointSet.of([F(3, 4)]))
+
+
+def test_target_prefix_oracle_returns_the_prefix():
+    target = (FinitePointSet.of([F(1, 4) + F(1, 1000), F(1, 2)]), T_PREFIX[1], FinitePointSet.of([F(1, 8)]))
+    reply = oracle_target_prefix(T_PREFIX, F(1, 100))(target, 0.1)
+    assert [s.points for s in reply.sets] == [s.points for s in T_PREFIX + target[2:]]
+    assert (reply.l, reply.r) == (len(T_PREFIX), F(1, 400))
+
+
+def test_target_prefix_oracle_names_the_incompatible_coordinate():
+    target = (T_PREFIX[0], FinitePointSet.of([F(1, 8)]))
+    with pytest.raises(OracleError, match="target prefix set 2 lies 0.625") as err:
+        oracle_target_prefix(T_PREFIX, F(1, 100))(target, 0.1)
+    assert err.value.details == {"coordinate": 2, "distance": 0.625}
 
 
 def _two_round_state(far: bool) -> GameState:
