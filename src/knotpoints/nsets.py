@@ -43,7 +43,7 @@ Two computation paths:
   at the start, the root marks, and the max of phi, which is the level 0
   of its range-max table as phi at the grid points is of its own; phi' at
   the knot ends is kept once per piece.  A range-max level is written by the
-  first query that needs it, in linear passes over blocks of the values
+  first query that needs it, in one linear pass over blocks of the values
   (van Herk and Gil & Werman block maxima); each window query reads one
   level.  Every range of phi or phi' over part of a segment comes from the
   range kernel of the cubic pieces (`CubicPieces.part_range`): the min or
@@ -60,14 +60,25 @@ bound or witness, so a split there evaluates phi once more, at mid + delta.
 The grid index of mid + delta lies between those of the segment's two ends
 plus delta, which phase 1 finds once, so it takes one comparison and only
 rarely a search.  Cells move chunk by chunk, each chunk at most _CHUNK
-cells with one array per field: a split interleaves each field of a parent
-chunk with its new values, the kept cells are gathered field by field from
-one index array, or selected by the mask itself when it keeps nearly every
-cell (`_Cells`), and join the next level's chunks as the parent chunk is
-dropped.  So the engine's working set is about one level of cells, not two
-levels and their halves.  Each chunk of cells left undecided is reduced
-to the components of its union before the outer set is merged.  Every
-per-segment or per-piece value is gathered with `ndarray.take`.
+cells held as one (k, n) float array, a row per field, and its segment
+indices (`_Cells`): a split repeats every column of a parent chunk and
+writes the midpoint values into their rows, the kept cells are gathered
+from one index array, and they join the next level's chunks as the parent
+chunk is dropped, each step one call for all the fields.  So the engine's
+working set is about one level of cells, not two levels and their halves.
+Phase 1 decides each block of segments on views of the tables, and only
+the segments it leaves undecided become cells.  The inside segments of
+each phase-1 block and the undecided cells of each chunk are reduced to
+the components of their union before the sets are merged.  A level whose
+halves can no longer be split, since they will all be at the width floor,
+keeps none of them: each chunk's undecided halves go to the components at
+once.  Every per-segment or per-piece value is gathered with `ndarray.take`.
+
+The parts of a composite share what does not depend on the sign of f: the
+composite reflects f once, and the segment grid with where the pieces of
+phi sit on it and where each window ends (`_Geometry`) is built once per
+orientation, as plus_upper hands it to plus_lower and minus_upper to
+minus_lower (`_Handoff`).
 
 On both paths, and in the float point defects, the involutions act on the
 function before its cubic pieces are built: on the integer form of the exact
@@ -121,7 +132,7 @@ _PARTS = {
 }
 
 
-def _plus_upper_form(f, variant: str):
+def _plus_upper_form(f, variant: str, reflect=None):
     """(g, reflected) for a basic variant: its set for f is the plus_upper
     set of g, reflected back when `reflected` is set.  Negating f swaps the
     upper/lower slope bound, reflecting x swaps forward/backward windows:
@@ -131,14 +142,15 @@ def _plus_upper_form(f, variant: str):
       minus_upper(f,a) = reflect(plus_upper(-reflect(f), a))
 
     f is anything with `negate` and `reflect`: the integer form of the exact
-    path (`_IntPwl`), `PwlFunction` and `C1Function`."""
+    path (`_IntPwl`), `PwlFunction` and `C1Function`.  `reflect`, when
+    given, stands in for f.reflect: the parts of a composite share one
+    reflection (`_Handoff.reflect`)."""
     if variant == "plus_upper":
         return f, False
     if variant == "plus_lower":
         return f.negate(), False
-    if variant == "minus_lower":
-        return f.reflect(), True
-    return f.reflect().negate(), True  # minus_upper
+    g = (f.reflect if reflect is None else reflect)()
+    return (g, True) if variant == "minus_lower" else (g.negate(), True)
 
 
 class EnclosureRangeError(ValueError):
@@ -646,16 +658,21 @@ class _RangeMax:
         return self.flat[: len(self.level) - 1]
 
     def _fill(self, k: int) -> None:
-        """Write level k from level 0 by block prefix and suffix maxima, a
-        run of whole blocks at a time: about _CHUNK windows, and at least
-        one block."""
+        """Write level k from level 0 by block prefix and suffix maxima, in
+        one pass over the values: a run of whole blocks at a time, about
+        _CHUNK values and at least one block, whose maxima are computed
+        once.  The window at i is the suffix of its block from i and the
+        prefix of the next block up to i + w - 1, so the windows that start
+        in the last block of a run keep that block's suffix maxima for the
+        prefix maxima of the next run."""
         n, w = len(self.level) - 1, 1 << k
         m, lo = n - w + 1, self.start_lo[k]
+        out = self.flat[lo : lo + m]
         span = w * max(1, _CHUNK // w)
-        for s in range(0, m, span):
-            # the blocks that hold windows s .. s + span - 1 and their ends,
-            # padded with -inf only past the last value, as one pass would
-            vals = self.flat[s : min(s + span + w, n)]
+        carry = None  # the suffix maxima from s - w + 1 to s - 1
+        for s in range(0, n, span):
+            # padded with -inf past the last value only
+            vals = self.flat[s : min(s + span, n)]
             nb = -(-len(vals) // w)
             blocks = np.full(nb * w, -np.inf)
             blocks[: len(vals)] = vals
@@ -664,18 +681,23 @@ class _RangeMax:
             # scan keeps the last of equal maxima and the backward scan the
             # first
             pre = np.maximum.accumulate(blocks, axis=1).ravel()
-            suf = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1]
+            suf = np.empty((nb, w))
+            np.maximum.accumulate(blocks[:, ::-1], axis=1, out=suf[:, ::-1])
             zero = blocks == 0.0
             if zero.any():
                 # a suffix whose max is zero ends with the block's last
                 # zero, whose sign the last maximum has
                 last = w - 1 - np.argmax(zero[:, ::-1], axis=1)
                 suf = np.where(suf == 0.0, blocks[np.arange(nb), last][:, None], suf)
-            # the window at i is the suffix from i and the prefix to
-            # i + w - 1, and its last maximum sits in the prefix on a tie
-            e = min(s + span, m)
-            out = self.flat[lo + s : lo + e]
-            np.maximum(suf.ravel()[: e - s], pre[w - 1 : w - 1 + e - s], out=out)
+            suf = suf.ravel()
+            # a window's last maximum sits in the prefix on a tie
+            if carry is not None:
+                c = min(s, m) - (s - w + 1)
+                np.maximum(carry[:c], pre[:c], out=out[s - w + 1 : s - w + 1 + c])
+            e = min(s + span - w + 1, m)
+            if e > s:
+                np.maximum(suf[: e - s], pre[w - 1 : w - 1 + e - s], out=out[s:e])
+            carry = suf[span - w + 1 : span]
         self.filled |= 1 << k
 
     def query(self, i: np.ndarray, j: np.ndarray, empty: float = -np.inf) -> np.ndarray:
@@ -710,19 +732,50 @@ def _segment_grid(breaks: np.ndarray, step: float, xmax: float) -> np.ndarray:
     return np.insert(lin, at[new], extra[new])
 
 
+class _Geometry(NamedTuple):
+    """The segment grid of one breaks array at one step and xmax, and what
+    every phi on those breaks reads from it: the piece of each segment
+    (int32), its left knot, and the last segment of each piece."""
+
+    breaks: np.ndarray
+    grid: np.ndarray
+    piece: np.ndarray
+    kleft: np.ndarray
+    knot_end: np.ndarray
+
+    @staticmethod
+    def of(breaks: np.ndarray, step: float, xmax: float) -> "_Geometry":
+        grid = _segment_grid(breaks, step, xmax)
+        n = len(grid) - 1
+        # every break is a grid point, so the breaks at or below grid point i
+        # are those at positions <= i: the piece of segment i is their count
+        # less one, clipped to the pieces there are
+        at = np.searchsorted(grid[:-1], breaks)
+        n_pc = len(breaks) - 1
+        piece = np.repeat(
+            np.clip(np.arange(-1, n_pc + 1, dtype=np.int32), 0, n_pc - 1),
+            np.diff(at, prepend=0, append=n),
+        )
+        knot_end = np.append((piece[1:] != piece[:-1]).nonzero()[0], n - 1)
+        return _Geometry(breaks, grid, piece, breaks.take(piece), knot_end)
+
+
 class _PhiTables:
     """Knot-aligned segment grid over [0,1] for phi, with phi and phi' at
     the segment ends and range-max tables (`_RangeMax`, levels filled on
     first use) for window queries.
 
-    The grid is the uniform grid of the step with the knots of phi and xmax
-    merged in.  Every knot of phi is a grid point, so segment i lies in one
-    cubic piece, `piece[i]` (int32), whose coefficients
-    `phi.coeffs[:, piece[i]]` act in the local coordinate x - kleft[i]
-    (`seg_coeffs`); the segment spans grid[i] - kleft[i] to grid[i+1] -
-    kleft[i] there, formed where a caller gathers them.  A point x in
-    [grid[i], grid[i+1]) is evaluated exactly as `CubicPieces.eval_vec`
-    would, from segment i.
+    The grid and where the pieces of phi sit on it are its `_Geometry`,
+    which depends on the breaks of phi, the step and xmax only; a caller
+    that has it for the same breaks array hands it in, and the tables
+    build only what depends on the cubics.  The grid is the uniform grid
+    of the step with the knots of phi and xmax merged in.  Every knot of
+    phi is a grid point, so segment i lies in one cubic piece, `piece[i]`
+    (int32), whose coefficients `phi.coeffs[:, piece[i]]` act in the local
+    coordinate x - kleft[i] (`seg_coeffs`); the segment spans grid[i] -
+    kleft[i] to grid[i+1] - kleft[i] there, formed where a caller gathers
+    them.  A point x in [grid[i], grid[i+1]) is evaluated exactly as
+    `CubicPieces.eval_vec` would, from segment i.
 
     The tables keep per segment what the bisection gathers.  Each grid
     point is evaluated once: phi and phi' at the start of segment i are
@@ -746,19 +799,11 @@ class _PhiTables:
     segments are handed to it as the ones that can hold a root.
     """
 
-    def __init__(self, phi: CubicPieces, step: float, xmax: float):
-        self.grid = pts = _segment_grid(phi.breaks, step, xmax)
-        self.n_seg = n = len(pts) - 1
-        # every break is a grid point, so the breaks at or below grid point i
-        # are those at positions <= i: the piece of segment i is their count
-        # less one, clipped to the pieces there are
-        at = np.searchsorted(pts[:-1], phi.breaks)
-        n_pc = len(phi.breaks) - 1
-        self.piece = np.repeat(
-            np.clip(np.arange(-1, n_pc + 1, dtype=np.int32), 0, n_pc - 1),
-            np.diff(at, prepend=0, append=n),
-        )
-        self.kleft = phi.breaks.take(self.piece)
+    def __init__(self, phi: CubicPieces, step: float, xmax: float, geometry: _Geometry | None = None):
+        if geometry is None:
+            geometry = _Geometry.of(phi.breaks, step, xmax)
+        _, self.grid, self.piece, self.kleft, self.knot_end = geometry
+        self.n_seg = n = len(self.grid) - 1
         self.phi = phi
         s_beg, s_end = self.local_ends()
 
@@ -772,7 +817,7 @@ class _PhiTables:
         # inside a piece, segment i ends where segment i + 1 begins, in the
         # same local coordinate, so only each piece's last segment needs its
         # end evaluated
-        self.knot_end = last = np.append((self.piece[1:] != self.piece[:-1]).nonzero()[0], n - 1)
+        last = self.knot_end
         c, s = self.seg_coeffs(last), s_end.take(last)
         at_end, self.knot_der = cubic_eval(c, s), cubic_deriv_eval(c, s)
         c = phi.coeffs.take(self.piece, axis=1)
@@ -887,46 +932,52 @@ class _PhiTables:
         return self.upper_at(lo, hi, self.seg_of(lo), self.last_at_or_below(hi))
 
 
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(a), dtype=a.dtype)
-    out[0::2], out[1::2] = a, b
-    return out
+def _row(i: int) -> property:
+    """Row i of a cell chunk's float array, read as a field of its cells."""
+    return property(lambda cells: cells.rows[i])
 
 
-@dataclass
+@dataclass(init=False)
 class _Cells:
     """Sorted cells [u, v] of the bisection engine, each inside grid segment
     seg, with phi (pu, pv) and phi' (du, dv) at u and v from its cubic.
     Both halves of a cell inherit the fields a subclass adds.
 
-    Each field is one array, in the order the dataclass declares it, and
-    the cells move field by field: `_halves` interleaves the parents' array
-    with the new midpoint values (or with itself, for an inherited field),
-    and `take` selects the kept cells from every field in one way.  The
-    engine holds its cells as a list of such chunks of at most _CHUNK cells
-    (`_add_chunk`)."""
+    A chunk of cells is one (k, n) float array, `rows`, with a row per
+    float field in the order the dataclass declares them, and its integer
+    array `seg`; each float field reads as a view of its row.  Rows 0 to 5
+    (u, v, pu, pv, du, dv) alternate between the two ends of a cell.  So
+    the cells move with one call per chunk: `_halves` repeats every column,
+    `take` gathers the kept columns, and `_add_chunk` joins or cuts chunks.
+    The engine holds its cells as a list of chunks of at most _CHUNK cells.
+    The constructor takes the fields one by one; `of` wraps rows that are
+    already laid out."""
 
-    u: np.ndarray
-    v: np.ndarray
+    u: np.ndarray = _row(0)
+    v: np.ndarray = _row(1)
     seg: np.ndarray
-    pu: np.ndarray
-    pv: np.ndarray
-    du: np.ndarray
-    dv: np.ndarray
+    pu: np.ndarray = _row(2)
+    pv: np.ndarray = _row(3)
+    du: np.ndarray = _row(4)
+    dv: np.ndarray = _row(5)
+
+    def __init__(self, u, v, seg, *values):
+        self.rows = np.array([u, v, *values], dtype=float)
+        self.seg = seg
+
+    @classmethod
+    def of(cls, rows: np.ndarray, seg: np.ndarray):
+        cells = cls.__new__(cls)
+        cells.rows, cells.seg = rows, seg
+        return cells
 
     def __len__(self) -> int:
-        return len(self.u)
+        return len(self.seg)
 
     def take(self, keep: np.ndarray) -> "_Cells":
-        """The cells where the mask `keep` holds, in order.  The mask is
-        turned into indices once, and every field is gathered with them;
-        a mask that drops fewer than one cell in 16, as when the cells
-        double at every level, selects by itself: its long runs copy as
-        fast, and no index array is made."""
-        if 16 * (len(keep) - np.count_nonzero(keep)) < len(keep):
-            return type(self)(*(x[keep] for x in vars(self).values()))
+        """The cells where the mask `keep` holds, in order."""
         idx = keep.nonzero()[0]
-        return type(self)(*(x.take(idx) for x in vars(self).values()))
+        return self.of(self.rows.take(idx, axis=1), self.seg.take(idx))
 
 
 # the most cells a chunk of the bisection engine holds, and the segments
@@ -939,16 +990,20 @@ def _add_chunk(chunks: list, cells: _Cells) -> None:
     they join the last chunk when both fit in one, and are otherwise cut
     into views of _CHUNK cells.  So any two chunks in a row hold more than
     _CHUNK cells, and a chunk holds over half that on average."""
-    n, fields = len(cells), vars(cells).values()
+    n = len(cells)
     if not n:
         return
     if chunks and len(chunks[-1]) + n <= _CHUNK:
-        chunks[-1] = type(cells)(*map(np.concatenate, zip(vars(chunks[-1]).values(), fields)))
+        last = chunks[-1]
+        rows = np.concatenate((last.rows, cells.rows), axis=1)
+        chunks[-1] = cells.of(rows, np.concatenate((last.seg, cells.seg)))
     else:
-        chunks += (type(cells)(*(x[i : i + _CHUNK] for x in fields)) for i in range(0, n, _CHUNK))
+        chunks += (
+            cells.of(cells.rows[:, i : i + _CHUNK], cells.seg[i : i + _CHUNK]) for i in range(0, n, _CHUNK)
+        )
 
 
-@dataclass
+@dataclass(init=False)
 class _EnclosureCells(_Cells):
     """Cells of the enclosure, with the certificates a half can inherit:
       ubw     window bound, max phi over [v, min(v+delta, 1)]
@@ -958,8 +1013,8 @@ class _EnclosureCells(_Cells):
               so it is left out
     """
 
-    ubw: np.ndarray
-    wit: np.ndarray
+    ubw: np.ndarray = _row(6)
+    wit: np.ndarray = _row(7)
 
 
 def _grid_cells(tab: _PhiTables, u: np.ndarray, v: np.ndarray) -> _Cells:
@@ -990,11 +1045,28 @@ def _after_within(grid: np.ndarray, after: np.ndarray, seg: np.ndarray, reach: n
     return out
 
 
+class _Block(NamedTuple):
+    """A block of grid segments as phase-1 cells: the fields of
+    `_EnclosureCells`, in its order, as views of the tables where they can
+    be.  Only the cells that phase 1 leaves undecided become a chunk."""
+
+    u: np.ndarray
+    v: np.ndarray
+    seg: np.ndarray
+    pu: np.ndarray
+    pv: np.ndarray
+    du: np.ndarray
+    dv: np.ndarray
+    ubw: np.ndarray
+    wit: np.ndarray
+
+
 def _first_cells(tab: _PhiTables, after: np.ndarray, delta: float):
     """The first n = len(after) - 1 grid segments as cells, yielded in
-    blocks of _CHUNK segments, given after[i] = searchsorted(grid, grid[i]
-    + delta, "right"); as the grid ends at 1, after[i] - 1 is also the last
-    index at or below min(grid[i] + delta, 1).  Segments are narrower than
+    blocks of _CHUNK segments (`_Block`), given after[i] =
+    searchsorted(grid, grid[i] + delta, "right"); as the grid ends at 1,
+    after[i] - 1 is also the last index at or below min(grid[i] + delta,
+    1).  Segments are narrower than
     delta, so the window of segment i starts with the whole segment i + 1,
     and its end is the u + delta of segment i + 1: phi there is evaluated
     once for both (twice at the first point of each block after the
@@ -1010,7 +1082,7 @@ def _first_cells(tab: _PhiTables, after: np.ndarray, delta: float):
         )
         wit = np.maximum(tab.rmq_gridvals.query(seg + 1, after[lo:hi]), at_end[:-1])
         vals = (tab.gridvals[lo:hi], tab.hi_val[lo:hi], tab.lo_der[lo:hi], tab.hi_der(lo, hi))
-        yield _EnclosureCells(grid[lo:hi], grid[lo + 1 : hi + 1], seg, *vals, ubw, wit)
+        yield _Block(grid[lo:hi], grid[lo + 1 : hi + 1], seg, *vals, ubw, wit)
 
 
 def _halves(tab: _PhiTables, cells: _Cells) -> _Cells:
@@ -1022,13 +1094,12 @@ def _halves(tab: _PhiTables, cells: _Cells) -> _Cells:
     mid = 0.5 * (cells.u + cells.v)
     c = tab.seg_coeffs(seg)
     s_mid = mid - tab.kleft.take(seg)
-    phi_mid, der_mid = cubic_eval(c, s_mid), cubic_deriv_eval(c, s_mid)
+    new = np.array([mid, cubic_eval(c, s_mid), cubic_deriv_eval(c, s_mid)])
     del c
-    left = {"v": mid, "pv": phi_mid, "dv": der_mid}
-    right = {"u": mid, "pu": phi_mid, "du": der_mid}
-    return type(cells)(
-        *(_interleave(left.get(k, x), right.get(k, x)) for k, x in vars(cells).items())
-    )
+    rows = np.repeat(cells.rows, 2, axis=1)
+    rows[1:6:2, 0::2] = new  # v, pv and dv of the left halves
+    rows[0:6:2, 1::2] = new  # u, pu and du of the right halves
+    return cells.of(rows, np.repeat(seg, 2))
 
 
 def _bisect(tab: _PhiTables, chunks: list, test, floor: float, go_on):
@@ -1135,54 +1206,117 @@ def _grid_step(a: float, tol: float = math.inf) -> tuple[float, float]:
     return delta, step
 
 
+class _Handoff:
+    """What the parts of one composite C1 enclosure hand on, made by the
+    composite call and gone when it returns: f reflected, made by the
+    first of its minus parts, and the segment geometry of the last part
+    with its window ends.  The next part takes those when its phi has the
+    very same breaks array, as negating f keeps it: plus_upper hands them
+    to plus_lower, and minus_upper to minus_lower."""
+
+    def __init__(self, f: C1Function, minus_parts: int = 1):
+        self.f = f
+        self._minus_left = minus_parts
+        self._reflected: C1Function | None = None
+        self.geometry: tuple[_Geometry, np.ndarray] | None = None
+
+    def reflect(self) -> C1Function:
+        """f reflected, kept only while a minus part is still to ask."""
+        g = self.f.reflect() if self._reflected is None else self._reflected
+        self._minus_left -= 1
+        self._reflected = g if self._minus_left > 0 else None
+        return g
+
+    def take_geometry(self, breaks: np.ndarray) -> tuple[_Geometry, np.ndarray] | None:
+        """The last part's (geometry, window ends) if its breaks are
+        `breaks`, else None; either way the handoff lets go of them."""
+        shared, self.geometry = self.geometry, None
+        return shared if shared is not None and shared[0].breaks is breaks else None
+
+
 def _enclosure_plus_upper_c1(
-    f: C1Function, a: float, tol: float
+    f: C1Function, a: float, tol: float, handoff: _Handoff
 ) -> tuple[tuple[list, list], tuple[list, list], dict]:
     """Inside cells and undecided cells, each as (left ends, right ends)
     lists of arrays, for the forward-upper set of a C1 function, via
     two-phase certified bisection, and stats: the phase-1 cells and how
     many stayed undecided, the splits (cells halved, summed over the
-    levels), the number of levels and the undecided cells left.  Each
-    chunk of undecided cells is sorted, so it is returned as the components
-    of its union (`_components`): the same set, in a few entries, where the
-    cells of the last level can number hundreds of thousands."""
+    levels), the number of levels and the undecided cells left.
+
+    The cells of a phase-1 block and of each chunk of undecided cells are
+    sorted, so they are handed on as the components of their union
+    (`_components`): the same set, in a few entries.  When no half of a
+    level can be split again, because every half will be at the width
+    floor or the depth cap comes next, the undecided halves of each chunk
+    go to the components at once, and the level keeps none."""
     delta, step = _grid_step(a, tol)
     xmax = 1.0 - delta
     phi = f.as_cubic_pieces().add_linear(-a)
-    tab = _PhiTables(phi, step, xmax)
-    n_cells = int(np.searchsorted(tab.grid, xmax, side="left"))
-    after = np.searchsorted(tab.grid, tab.grid[: n_cells + 1] + delta, side="right")
+    shared = handoff.take_geometry(phi.breaks)
+    if shared is None:
+        geometry = _Geometry.of(phi.breaks, step, xmax)
+        n_cells = int(np.searchsorted(geometry.grid, xmax, side="left"))
+        after = np.searchsorted(geometry.grid, geometry.grid[: n_cells + 1] + delta, side="right")
+        shared = geometry, after
+    handoff.geometry = shared
+    geometry, after = shared
+    tab = _PhiTables(phi, step, xmax, geometry)
 
     in_u, in_v = [], []
+    und = []  # the components of the undecided cells, chunk by chunk
+    streamed = 0  # undecided cells of the last level, sent to und at once
+    last = False  # whether the level being split is the last one
 
-    def settle(cells: _EnclosureCells) -> np.ndarray:
-        """Keep the ends of the cells `_decide` puts inside; return the
-        undecided mask."""
+    def settle(cells: _EnclosureCells | _Block, whole: bool = False) -> np.ndarray:
+        """Keep the ends of the cells `_decide` puts inside, as their
+        components when `whole`; return the undecided mask."""
         inside, undecided = _decide(cells, *_cell_ranges(tab, cells))
         idx = inside.nonzero()[0]
-        in_u.append(cells.u.take(idx))
-        in_v.append(cells.v.take(idx))
+        u, v = cells.u.take(idx), cells.v.take(idx)
+        if whole:
+            u, v = _components(u, v)
+        in_u.append(u)
+        in_v.append(v)
         return undecided
 
     # phase 1: the cells are the grid segments, a block at a time
     chunks: list = []
-    for cells in _first_cells(tab, after, delta):
-        _add_chunk(chunks, cells.take(settle(cells)))
-    stats = {"phase1_cells": n_cells, "undecided_phase1": sum(map(len, chunks)), "splits": 0}
+    for block in _first_cells(tab, after, delta):
+        idx = settle(block, whole=True).nonzero()[0]
+        _add_chunk(chunks, _EnclosureCells(*(x.take(idx) for x in block)))
+    stats = {"phase1_cells": len(after) - 1, "undecided_phase1": sum(map(len, chunks)), "splits": 0}
 
     def test(halves: _EnclosureCells) -> np.ndarray:
+        nonlocal streamed
         stats["splits"] += len(halves) // 2
         _inherit_window(tab, halves, delta, after)
-        return settle(halves)
+        undecided = settle(halves)
+        if not last:
+            return undecided
+        idx = undecided.nonzero()[0]
+        und.append(_components(halves.u.take(idx), halves.v.take(idx)))
+        streamed += len(idx)
+        return np.zeros_like(undecided)
 
     def go_on(chunks, at_floor, depth):
-        return None if depth >= 60 or all(m.all() for m in at_floor) else chunks
+        nonlocal last
+        if depth >= 60 or all(m.all() for m in at_floor):
+            return None
+        last = depth == 59 or all(_halves_at_floor(c, _WIDTH_FLOOR) for c in chunks)
+        return chunks
 
     chunks, depth = _bisect(tab, chunks, test, _WIDTH_FLOOR, go_on)
     stats["max_depth"] = depth
-    stats["undecided_final"] = sum(map(len, chunks))
-    und = [_components(c.u, c.v) for c in chunks]
+    stats["undecided_final"] = streamed + sum(map(len, chunks))
+    und += (_components(c.u, c.v) for c in chunks)
     return (in_u, in_v), ([lo for lo, _ in und], [hi for _, hi in und]), stats
+
+
+def _halves_at_floor(cells: _Cells, floor: float) -> bool:
+    """Whether both halves that `_halves` makes of every cell are at most
+    floor wide."""
+    mid = 0.5 * (cells.u + cells.v)
+    return bool((mid - cells.u <= floor).all() and (cells.v - mid <= floor).all())
 
 
 def _components(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1234,7 +1368,9 @@ def _full_domain_enclosure(a: Rat, forward: bool) -> NSetEnclosure:
     )
 
 
-def n_set_enclosure(f, a: Rat, variant: str = "full", tol: float = 1e-4) -> NSetEnclosure:
+def n_set_enclosure(
+    f, a: Rat, variant: str = "full", tol: float = 1e-4, *, _handoff: _Handoff | None = None
+) -> NSetEnclosure:
     """Certified inner/outer enclosure of the variant set at scale a.
 
     PwlFunction input with integer a routes to the exact path (inner = outer).
@@ -1242,6 +1378,9 @@ def n_set_enclosure(f, a: Rat, variant: str = "full", tol: float = 1e-4) -> NSet
     variant fills its whole domain and the enclosure is immediate; otherwise
     the bisection engine runs on the forward-upper reduction, with the same
     two involutions as the exact path mapping the result to other variants.
+    A composite is the union of its parts, each enclosed by a call of its
+    own; the composite passes each part call its `_Handoff`, so that f is
+    reflected once and each segment geometry is built once per orientation.
     """
     _check_variant(variant)
     if not tol > 0:  # also refuses NaN
@@ -1267,17 +1406,19 @@ def n_set_enclosure(f, a: Rat, variant: str = "full", tol: float = 1e-4) -> NSet
         raise TypeError("n_set_enclosure needs a PwlFunction or C1Function")
     if variant in _PARTS:
         parts = _PARTS[variant]
-        out = n_set_enclosure(f, a, parts[0], tol)
+        handoff = _Handoff(f, sum(p.startswith("minus") for p in parts))
+        out = n_set_enclosure(f, a, parts[0], tol, _handoff=handoff)
         for p in parts[1:]:
-            out = out.union(n_set_enclosure(f, a, p, tol))
+            out = out.union(n_set_enclosure(f, a, p, tol, _handoff=handoff))
         return out
 
     af = float(as_fraction(a))
     if f.deriv_sup_norm() <= af - 1e-9:
         return _full_domain_enclosure(a, forward=variant.startswith("plus"))
 
-    g, refl = _plus_upper_form(f, variant)
-    (in_u, in_v), (und_u, und_v), stats = _enclosure_plus_upper_c1(g, af, tol)
+    handoff = _Handoff(f) if _handoff is None else _handoff
+    g, refl = _plus_upper_form(f, variant, handoff.reflect)
+    (in_u, in_v), (und_u, und_v), stats = _enclosure_plus_upper_c1(g, af, tol, handoff)
     inner = _merge_float_cells(np.concatenate(in_u), np.concatenate(in_v))
     outer = _merge_float_cells(np.concatenate(in_u + und_u), np.concatenate(in_v + und_v))
     enc = NSetEnclosure(inner, outer, tol, outer.measure() - inner.measure(), stats)

@@ -1014,12 +1014,51 @@ def test_merge_float_cells_is_the_exact_union(cells):
 
 
 def test_enclosure_union_merges_stats():
+    """A C1 composite, whose parts share f reflected and one segment
+    geometry per orientation, is the union of its parts enclosed one call
+    at a time, bit for bit: inner, outer and undecided length.  Its cell
+    counts add up and its depth is the deepest part's."""
     f = random_c1_function(0, cells=6, amplitude=0.5, slope_scale=2.0)
-    parts = [n_set_enclosure(f, 1, v, tol=1e-4).stats for v in BASIC_VARIANTS]
-    full = n_set_enclosure(f, 1, "full", tol=1e-4).stats
-    for key in ("phase1_cells", "undecided_phase1", "undecided_final", "splits"):
-        assert full[key] == sum(p[key] for p in parts)
-    assert full["max_depth"] == max(p["max_depth"] for p in parts)
+    parts = {v: n_set_enclosure(f, 1, v, tol=1e-4) for v in BASIC_VARIANTS}
+    for variant, names in (
+        ("hat", ("plus_upper", "minus_lower")),
+        ("check", ("plus_lower", "minus_upper")),
+        ("full", BASIC_VARIANTS),
+    ):
+        whole = n_set_enclosure(f, 1, variant, tol=1e-4)
+        union = functools.reduce(NSetEnclosure.union, (parts[v] for v in names))
+        assert whole.inner.intervals == union.inner.intervals, variant
+        assert whole.outer.intervals == union.outer.intervals, variant
+        assert whole.undecided_length == union.undecided_length > 0, variant
+        assert whole.stats == union.stats, variant
+        for key in ("phase1_cells", "undecided_phase1", "undecided_final", "splits"):
+            assert whole.stats[key] == sum(parts[v].stats[key] for v in names)
+        assert whole.stats["max_depth"] == max(parts[v].stats["max_depth"] for v in names)
+
+
+def test_composite_builds_one_segment_grid_per_orientation(monkeypatch):
+    """The parts of one orientation hand on their segment geometry, and
+    the minus parts share one reflection of f: a composite builds two
+    grids and reflects f once, a basic variant one grid and f reflected at
+    most once."""
+    f = C1Function([0.0, 0.3, 1.0], [0.0, 0.3, 0.0], [1.5, 0.0, -1.5])
+    counts = {"grid": 0, "reflect": 0}
+
+    def counted(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(nsets, "_segment_grid", counted("grid", nsets._segment_grid))
+    monkeypatch.setattr(C1Function, "reflect", counted("reflect", C1Function.reflect))
+    want = {"full": (2, 1), "hat": (2, 1), "check": (2, 1), "plus_lower": (1, 0), "minus_upper": (1, 1)}
+    for variant, (grids, reflections) in want.items():
+        counts.update(grid=0, reflect=0)
+        enc = n_set_enclosure(f, 1, variant, tol=1e-3)
+        assert "splits" in enc.stats
+        assert (counts["grid"], counts["reflect"]) == (grids, reflections), variant
 
 
 # (phase1_cells, undecided_phase1, max_depth, undecided_final, splits) per corpus key
@@ -1030,9 +1069,10 @@ _REFERENCE_STATS = {
     "2|1|0.0001": (20008, 6, 27, 313441, 313605),
     "3|1|0.0001": (20008, 10, 27, 276020, 276293),
 }
-# the key whose traced peak is bounded, and the bound: 23.5 MiB measured,
-# nearly all of it the 313,441 cells of the last level, plus 20%
-_PEAK_KEY, _PEAK_MIB = "2|1|0.0001", 28.0
+# the key whose traced peak is bounded, and the bound: 16.3 MiB measured,
+# most of it the 145,942 cells that the last level of minus_lower splits,
+# plus 20%.  That level keeps none of its 291,879 undecided halves
+_PEAK_KEY, _PEAK_MIB = "2|1|0.0001", 19.6
 
 
 def _check_reference(key: str) -> None:
@@ -1052,8 +1092,9 @@ def test_enclosure_output_matches_benchmark_reference(key):
     """The certified intervals are byte-identical to the referenced ones,
     and the bisection counts are the pinned ones.  The key whose cells
     double at every level runs under tracemalloc, and its traced peak stays
-    under _PEAK_MIB: a level that held all its halves at once, or the cells
-    of every level, would pass it."""
+    under _PEAK_MIB: a level that held all its halves at once, the cells
+    of every level, or a last level that kept its undecided halves would
+    pass it."""
     if key != _PEAK_KEY:
         _check_reference(key)
         return
