@@ -52,27 +52,26 @@ Two computation paths:
   segments that hold a root.
 
 One bisection engine, `_bisect`, refines the enclosure after phase 1 and
-runs the witness search of `bump.lemma_epsilon`.  Its cells stay sorted, each
-inside one grid segment with phi and phi' at both ends, which a split
+runs the witness search of `bump.lemma_epsilon`.  Its cells stay sorted,
+each inside one grid segment with phi and phi' at both ends, which a split
 evaluates once at the midpoint; each caller brings its test of the halves
 and its stop rule.  An enclosure half also inherits its parent's window
-bound or witness, so a split there evaluates phi once more, at mid + delta.
-The grid index of mid + delta lies between those of the segment's two ends
-plus delta, which phase 1 finds once, so it takes one comparison and only
-rarely a search.  Cells move chunk by chunk, each chunk at most _CHUNK
-cells held as one (k, n) float array, a row per field, and its segment
-indices (`_Cells`): a split repeats every column of a parent chunk and
-writes the midpoint values into their rows, the kept cells are gathered
-from one index array, and they join the next level's chunks as the parent
-chunk is dropped, each step one call for all the fields.  So the engine's
-working set is about one level of cells, not two levels and their halves.
-Phase 1 decides each block of segments on views of the tables, and only
-the segments it leaves undecided become cells.  The inside segments of
-each phase-1 block and the undecided cells of each chunk are reduced to
-the components of their union before the sets are merged.  A level whose
-halves can no longer be split, since they will all be at the width floor,
-keeps none of them: each chunk's undecided halves go to the components at
-once.  Every per-segment or per-piece value is gathered with `ndarray.take`.
+bound or witness, so a split there evaluates phi once more, at mid + delta,
+in the segment that a search of the grid finds.  Cells move chunk by chunk,
+each chunk at most _CHUNK cells held as one (k, n) float array, a row per
+field, and its segment indices (`_Cells`): a split repeats every column of
+a parent chunk and writes the midpoint values into their rows, the kept
+cells are gathered from one index array, and they join the next level's
+chunks as the parent chunk is dropped, each step one call for all the
+fields.  So the engine's working set is about one level of cells, not two
+levels and their halves.  Phase 1 decides each block of segments on views
+of the tables, and only the segments it leaves undecided become cells.  The
+inside segments of each phase-1 block and the undecided cells of each chunk
+are reduced to the components of their union before the sets are merged.  A
+level whose halves can no longer be split, since they will all be at the
+width floor, keeps none of them: each chunk's undecided halves go to the
+components at once.  Every per-segment or per-piece value is gathered with
+`ndarray.take`.
 
 The parts of a composite share what does not depend on the sign of f: the
 composite reflects f once, and the segment grid with where the pieces of
@@ -700,8 +699,8 @@ class _RangeMax:
             carry = suf[span - w + 1 : span]
         self.filled |= 1 << k
 
-    def query(self, i: np.ndarray, j: np.ndarray, empty: float = -np.inf) -> np.ndarray:
-        """max over [i, j) per entry; empty ranges give `empty`."""
+    def query(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """max over [i, j) per entry; empty ranges give -inf."""
         m = j - i
         ok = m > 0
         all_ok = ok.all()
@@ -718,7 +717,7 @@ class _RangeMax:
         res = np.maximum(
             flat.take(self.start_lo.take(k) + i), flat.take(self.start_hi.take(k) + j)
         )
-        return res if all_ok else np.where(ok, res, empty)
+        return res if all_ok else np.where(ok, res, -np.inf)
 
 
 def _segment_grid(breaks: np.ndarray, step: float, xmax: float) -> np.ndarray:
@@ -863,10 +862,6 @@ class _PhiTables:
     def seg_of(self, x: np.ndarray) -> np.ndarray:
         return np.clip(self.last_at_or_below(x), 0, self.n_seg - 1)
 
-    def seg_within(self, x: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        """seg_of(x) for x in [grid[seg], grid[seg+1]], without a search."""
-        return np.minimum(seg + (x >= self.grid.take(seg + 1)), self.n_seg - 1)
-
     def seg_coeffs(self, seg: np.ndarray) -> np.ndarray:
         """The (4, len(seg)) coefficients of the cubics of the segments."""
         return self.phi.coeffs.take(self.piece.take(seg), axis=1)
@@ -900,9 +895,6 @@ class _PhiTables:
         g_ic = self.grid.take(ic)
         has = ((ilast > i_l) & (ilast <= self.n_seg - 1) & (g_ic < hi)).nonzero()[0]
         if len(has):
-            # usually every window has a right piece: then no entry is gathered
-            if len(has) == len(ic):
-                has = slice(None)
             idx = ic[has]
             at_lo = (self.lo_der if deriv else self.gridvals).take(idx)
             kl = self.kleft.take(idx)
@@ -1030,21 +1022,6 @@ def _grid_cells(tab: _PhiTables, u: np.ndarray, v: np.ndarray) -> _Cells:
     return _Cells(u, v, seg, pu, pv, du, dv)
 
 
-def _after_within(grid: np.ndarray, after: np.ndarray, seg: np.ndarray, reach: np.ndarray):
-    """searchsorted(grid, reach, "right") for reach = t + delta with t in
-    segment seg, given after[i] = searchsorted(grid, grid[i] + delta,
-    "right") at the grid points up to seg + 1.  Rounding is monotone, so
-    reach lies between grid[seg] + delta and grid[seg + 1] + delta, and the
-    index between after[seg] and after[seg + 1]: one comparison decides it
-    when they are at most one apart, and a search when they are further."""
-    lo, hi = after.take(seg), after.take(seg + 1)
-    out = lo + ((hi > lo) & (grid.take(lo, mode="clip") <= reach))
-    far = (hi - lo > 1).nonzero()[0]
-    if len(far):
-        out[far] = np.searchsorted(grid, reach[far], side="right")
-    return out
-
-
 class _Block(NamedTuple):
     """A block of grid segments as phase-1 cells: the fields of
     `_EnclosureCells`, in its order, as views of the tables where they can
@@ -1127,19 +1104,18 @@ def _bisect(tab: _PhiTables, chunks: list, test, floor: float, go_on):
     return chunks, depth
 
 
-def _inherit_window(
-    tab: _PhiTables, halves: _EnclosureCells, delta: float, after_grid: np.ndarray
-) -> None:
+def _inherit_window(tab: _PhiTables, halves: _EnclosureCells, delta: float) -> None:
     """Write the certificates the halves do not inherit: the window bound
     of each left half [u, mid], which a right half takes from its parent,
     and the witness of each right half [mid, v], which a left half takes
-    from its parent.  Both read phi at min(mid + delta, 1), whose grid index
-    `_after_within` finds from after_grid, as `_first_cells` takes it."""
+    from its parent.  Both read phi at min(mid + delta, 1), in the segment
+    before the first grid point beyond mid + delta, as `_first_cells`
+    takes it."""
     # one contiguous index array serves the many gathers below
     seg, mid, phi_mid = halves.seg[0::2].astype(np.intp), halves.v[0::2], halves.pv[0::2]
     reach = mid + delta
     right = np.minimum(reach, 1.0)
-    after = _after_within(tab.grid, after_grid, seg, reach)
+    after = np.searchsorted(tab.grid, reach, side="right")
     phi_right = tab.eval_at(right, np.minimum(after - 1, tab.n_seg - 1))
     # a segment is narrower than delta, so the window [mid, right] of the
     # left half starts with the piece [mid, grid[seg + 1]] ...
@@ -1151,8 +1127,7 @@ def _inherit_window(
     # split there), where the window starts in the next segment
     odd = (s_mid >= s_end).nonzero()[0]
     if len(odd):
-        i_l = tab.seg_within(mid[odd], seg[odd])
-        ubw[odd] = tab.upper_at(mid[odd], right[odd], i_l, after[odd] - 1)
+        ubw[odd] = tab.upper_at(mid[odd], right[odd], tab.seg_of(mid[odd]), after[odd] - 1)
     halves.ubw[0::2] = ubw
     halves.wit[1::2] = np.maximum(tab.rmq_gridvals.query(seg + 1, after), phi_right)
 
@@ -1212,7 +1187,8 @@ class _Handoff:
     first of its minus parts, and the segment geometry of the last part
     with its window ends.  The next part takes those when its phi has the
     very same breaks array, as negating f keeps it: plus_upper hands them
-    to plus_lower, and minus_upper to minus_lower."""
+    to plus_lower, and minus_upper to minus_lower.  The parts of a
+    piecewise-linear composite read none of it."""
 
     def __init__(self, f: C1Function, minus_parts: int = 1):
         self.f = f
@@ -1289,7 +1265,7 @@ def _enclosure_plus_upper_c1(
     def test(halves: _EnclosureCells) -> np.ndarray:
         nonlocal streamed
         stats["splits"] += len(halves) // 2
-        _inherit_window(tab, halves, delta, after)
+        _inherit_window(tab, halves, delta)
         undecided = settle(halves)
         if not last:
             return undecided
@@ -1374,8 +1350,9 @@ def n_set_enclosure(
     """Certified inner/outer enclosure of the variant set at scale a.
 
     PwlFunction input with integer a routes to the exact path (inner = outer).
-    For C1 input: when the derivative bound is provably at most a, every
-    variant fills its whole domain and the enclosure is immediate; otherwise
+    Otherwise, when the slope bound of f is provably at most a, every basic
+    variant fills its whole domain and the enclosure is immediate; a
+    piecewise-linear f with a steeper slope is out of range, and for a C1 f
     the bisection engine runs on the forward-upper reduction, with the same
     two involutions as the exact path mapping the result to other variants.
     A composite is the union of its parts, each enclosed by a call of its
@@ -1389,20 +1366,7 @@ def n_set_enclosure(
         _check_unit_domain(f)
         if as_fraction(a).denominator == 1:
             return NSetEnclosure.exact(n_set_exact(f, a, variant))
-        if f.lipschitz_bound() <= as_fraction(a):
-            # every slope is within the cone, so each part fills its domain
-            parts = _PARTS.get(variant, (variant,))
-            out = _full_domain_enclosure(a, forward=parts[0].startswith("plus"))
-            for p in parts[1:]:
-                out = out.union(_full_domain_enclosure(a, forward=p.startswith("plus")))
-            return out
-        raise EnclosureRangeError(
-            "a",
-            "piecewise-linear enclosures need an integer scale when the "
-            f"slope bound exceeds the scale; got a={as_fraction(a)} with "
-            f"slope bound {f.lipschitz_bound()}"
-        )
-    if not isinstance(f, C1Function):
+    elif not isinstance(f, C1Function):
         raise TypeError("n_set_enclosure needs a PwlFunction or C1Function")
     if variant in _PARTS:
         parts = _PARTS[variant]
@@ -1412,9 +1376,20 @@ def n_set_enclosure(
             out = out.union(n_set_enclosure(f, a, p, tol, _handoff=handoff))
         return out
 
+    forward = variant.startswith("plus")
+    if isinstance(f, PwlFunction):
+        if f.lipschitz_bound() <= as_fraction(a):
+            # every slope is within the cone, so the set fills its domain
+            return _full_domain_enclosure(a, forward)
+        raise EnclosureRangeError(
+            "a",
+            "piecewise-linear enclosures need an integer scale when the "
+            f"slope bound exceeds the scale; got a={as_fraction(a)} with "
+            f"slope bound {f.lipschitz_bound()}"
+        )
     af = float(as_fraction(a))
     if f.deriv_sup_norm() <= af - 1e-9:
-        return _full_domain_enclosure(a, forward=variant.startswith("plus"))
+        return _full_domain_enclosure(a, forward)
 
     handoff = _Handoff(f) if _handoff is None else _handoff
     g, refl = _plus_upper_form(f, variant, handoff.reflect)

@@ -145,7 +145,7 @@ def test_lemma_epsilon_witnesses_hold_on_a_fine_grid(seed, a, b, bump_spec, eps_
     if bump_spec is not None:
         f = f.add(make_bump(bump_spec))
     c = (Fraction(a) + Fraction(b)) / 2
-    eps = lemma_epsilon(f, a, b, c)
+    eps = lemma_epsilon(f, a, b)
     assert eps.hex() == eps_bits
     checked, missing = lemma_witness_scan(f, a, b, c, eps)
     assert missing == 0

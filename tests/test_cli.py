@@ -1,6 +1,7 @@
-"""Command-line front end: the `nset`, `bump` and `jarnik-demo` subcommands
-through `cli.main`, the input errors of `nset`, `comb`, `bump` and `game`,
-the input digest of a report, and the grid count behind `jarnik-demo`."""
+"""Command-line front end: the `nset`, `bump`, `game` and `jarnik-demo`
+subcommands through `cli.main`, the input errors of `nset`, `comb`, `bump`
+and `game`, the input digest of a report, and the grid count behind
+`jarnik-demo`."""
 
 import hashlib
 import json
@@ -226,19 +227,24 @@ def test_malformed_input_exits_2_and_names_the_field(
     assert not out.exists()
 
 
+def _one_round(**changes) -> RoundRecord:
+    """A one-round record on f = 0, with the fields in `changes` replaced."""
+    fields = dict(
+        m=1, f_m=C1Function.zero(), alpha_m=F(1), h_m=F(0), mu_m=0.1,
+        K_sets=(HatCheckSet(FinitePointSet.of([F(1, 4)]), FinitePointSet.of([F(3, 4)])),),
+        n_m=1, w_m=F(1, 16), g_m=C1Function.zero(), b_m=F(9, 2), beta_m=F(1, 2),
+        eps_m=0.1, oracle_l=1, oracle_r=F(1),
+    )
+    return RoundRecord(**{**fields, **changes})
+
+
 def _bad_input_files() -> dict:
     """Input files that each carry one value no loader may accept: a zero
     denominator, or a non-finite float in C^1 data."""
     pwl = function_to_json(zigzag())
     c1 = {"class": "c1", "knots": ["0.0", "0.5", "1.0"], "values": ["0.0"] * 3, "slopes": ["0.0"] * 3}
     iv = {"intervals": [["0", "1/2"]]}
-    rec = RoundRecord(
-        m=1, f_m=C1Function.zero(), alpha_m=F(1), h_m=F(0), mu_m=0.1,
-        K_sets=(HatCheckSet(FinitePointSet.of([F(1, 4)]), FinitePointSet.of([F(3, 4)])),),
-        n_m=1, w_m=F(1, 16), g_m=C1Function.zero(), b_m=F(9, 2), beta_m=F(1, 2),
-        eps_m=0.1, oracle_l=1, oracle_r=F(1),
-    )
-    game = game_report(GameState((rec,)), {})
+    game = game_report(GameState((_one_round(),)), {})
 
     def edited(obj, edit):
         obj = json.loads(json.dumps(obj))
@@ -307,6 +313,62 @@ def test_unreadable_numbers_in_a_file_exit_2_before_any_engine_work(
     assert rc == 2
     assert f"input error in field '{field}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture
+def played(monkeypatch):
+    """`cli.run_game` returns one round on f = 0 whose report verifies, as
+    in `test_saved_game_reads_back_and_verifies`: both halves of the
+    located set are 1/10-dense.  The fixture is the list of the oracles
+    that the fake was handed."""
+    hat = FinitePointSet.of([F(2 * k + 1, 16) for k in range(8)])
+    check = FinitePointSet.of([F(k, 8) for k in range(9)])
+    rec = _one_round(
+        K_sets=(HatCheckSet(hat, check),), w_m=F(1, 10), certifications={"star_self": {"ok": True}}
+    )
+    state = GameState((rec,))
+    limit = bmgame.limit_report(state)
+    oracles = []
+
+    def run_game(adv, oracle, rounds):
+        oracles.append(oracle)
+        return state, limit
+
+    monkeypatch.setattr(cli, "run_game", run_game)
+    return oracles
+
+
+def test_game_run_reports_a_complete_game(played, tmp_path):
+    out = tmp_path / "run.json"
+    assert cli.main(["game", "run", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["outputs"]["status"] == "complete"
+    assert set(report["checks"]) == {"completed_rounds", "limit_checks", "star_round_1"}
+    assert all(c["ok"] for c in report["checks"].values())
+
+
+def test_game_verify_reproduces_a_run_and_flags_a_changed_verdict(played, tmp_path):
+    run, out = tmp_path / "run.json", tmp_path / "verify.json"
+    assert cli.main(["game", "run", "--out", str(run)]) == 0
+    assert cli.main(["game", "verify", "--report", str(run), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["outputs"]["recomputed"]["mismatches"] == []
+
+    report = json.loads(run.read_text())
+    report["outputs"]["game"]["state"]["rounds"][0]["certifications"]["star_self"]["ok"] = False
+    run.write_text(json.dumps(report))
+    assert cli.main(["game", "verify", "--report", str(run), "--out", str(out)]) == 1
+    mismatches = json.loads(out.read_text())["outputs"]["recomputed"]["mismatches"]
+    assert mismatches == ["round 1: star verdict changed"]
+
+
+def test_game_run_hands_on_the_avoid_point_oracle(played, tmp_path):
+    assert cli.main(["game", "run", "--oracle", "avoid:1/3", "--out", str(tmp_path / "run.json")]) == 0
+    (oracle,) = played
+    eps = 0.08
+    reply = oracle((FinitePointSet.of([F(1, 3), F(1, 2)]), FinitePointSet.of([F(1, 3) + F(1, 200)])), eps)
+    assert reply.label.startswith("avoid:0.333")
+    radius = F(eps) / 8
+    assert all(abs(q - F(1, 3)) > radius for s in reply.sets for q in s.points)
 
 
 def test_bump_mu_reports_the_record_from_one_witness_search(c1_file, tmp_path, monkeypatch):

@@ -25,7 +25,6 @@ from knotpoints.nsets import (
     VARIANTS,
     EnclosureRangeError,
     _ENGINE_SCALE_CAP,
-    _after_within,
     _cell_ranges,
     _Cells,
     _EnclosureCells,
@@ -874,38 +873,8 @@ def test_segment_indexed_bounds_equal_the_search_route(seed, a, kind):
     cells = _EnclosureCells(u, v, seg, *(ref[k] for k in ("pu", "pv", "du", "dv", "ubw", "wit")))
     for _ in range(3):
         cells = _halves(tab, cells)
-        _inherit_window(tab, cells, delta, after)
+        _inherit_window(tab, cells, delta)
         check(cells)
-
-
-def test_window_end_bracket_equals_the_search():
-    """The window end index of t + delta with t in segment seg, bracketed
-    by the ends of the segment, is the search's, for t anywhere in the
-    segment, on its ends and at the middle of cells one float wide; on
-    grids where the bracket is one point wide, and wider at clustered
-    breaks."""
-    rng = np.random.default_rng(8)
-    clustered = CubicPieces(
-        np.concatenate([[0.0], np.sort(rng.uniform(0.6, 0.62, 30)), [1.0]]), np.zeros((4, 31))
-    )
-    for phi, a in ((_phi_of("cubic", 8, 2.0), 2.0), (clustered, 1.5)):
-        delta = 2.0 ** -a
-        tab = _PhiTables(phi, min(1e-2, delta / 2.0), 1.0 - delta)
-        g = tab.grid
-        n = int(np.searchsorted(g, 1.0 - delta, side="left"))
-        after = np.searchsorted(g, g[: n + 1] + delta, side="right")
-        seg = rng.integers(0, n, 600)
-        lo, hi = g[seg], g[seg + 1]
-        t = lo + rng.random(600) * (hi - lo)
-        t[:100], t[100:200] = lo[:100], hi[100:200]
-        # the middle of [u, next float after u], for u at and inside the segment
-        u = np.where(np.arange(100) % 2 == 0, lo[200:300], np.nextafter(hi[200:300], 0.0))
-        t[200:300] = 0.5 * (u + np.nextafter(u, 2.0))
-        t = np.clip(t, lo, hi)
-        want = np.searchsorted(g, t + delta, side="right")
-        assert np.array_equal(_after_within(g, after, seg, t + delta), want)
-    # the clustered grid sends some cells to the search
-    assert (after[seg + 1] - after[seg] > 1).any()
 
 
 def test_halves_and_take_move_cells_bitwise():
@@ -1113,11 +1082,11 @@ def test_small_chunks_give_the_same_enclosures_and_eps(monkeypatch):
     counts still match the reference, and the witness search, whose first
     pass ends at its cell cap, certifies the eps of the default size."""
     f = random_c1_function(4, cells=6, amplitude=0.5, slope_scale=2.0)
-    eps = lemma_epsilon(f, F(3, 2), F(5, 2), 2)
+    eps = lemma_epsilon(f, F(3, 2), F(5, 2))
     monkeypatch.setattr(nsets, "_CHUNK", 512)
     for key in ("0|1|0.0001", "3|2|1e-05"):
         _check_reference(key)
-    assert lemma_epsilon(f, F(3, 2), F(5, 2), 2) == eps
+    assert lemma_epsilon(f, F(3, 2), F(5, 2)) == eps
 
 
 def test_enclosure_rejects_bad_inputs():
