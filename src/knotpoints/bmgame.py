@@ -96,8 +96,6 @@ from .intervalsets import (
     union_of_point_sets,
 )
 from .nsets import (
-    EnclosureRangeError,
-    NSetEnclosure,
     admissible_eps,
     continuity_delta,
     n_set_enclosure,  # noqa: F401  (knotbench's tracer test checks it is rebound here)
@@ -491,14 +489,6 @@ def _json_clean(obj):
 # ---------------------------------------------------------------------------
 
 
-def _enclosure_or_reason(enclosures: Enclosures, a: Rat, variant: str) -> NSetEnclosure | str:
-    """The enclosure at scale a, or the message saying why it is unavailable."""
-    try:
-        return enclosures.get(a, variant)
-    except EnclosureRangeError as e:
-        return f"enclosure unavailable: {e}"
-
-
 def star_bullets(
     f: C1Function,
     K_sets: Sequence[HatCheckSet],
@@ -512,8 +502,10 @@ def star_bullets(
     [m], both readings, at depth (ka, kb) of the refined scales: the
     invariant itself uses (4, 3); the in-round claims for g_m use the
     stronger (3, 2).  K_sets are the round's located sets, n_m of them.
-    Every bullet is decided by `indexcomb.enclosure_verdict` on enclosures
-    of f at tolerance TOL.  The verdict's keys are (j, bullet, reading)."""
+    Every bullet is decided by `indexcomb.enclosure_verdict` on the store
+    of f's enclosures at tolerance TOL, which also brackets a scale the
+    engine refuses, and the verdict is ok only when every bullet is
+    certified.  Its keys are (j, bullet, reading)."""
     enclosures = Enclosures(f, TOL)
     m = len(ns)
     nseq = IndexSeq(tuple(ns))
@@ -521,17 +513,12 @@ def star_bullets(
     undecided: list = []
     margins: dict = {}
 
-    def settle(key, enc, test=None, reason: str = "", sound: str = "outer") -> None:
-        """Record bullet `key`, with `test(side)` giving (ok, margin) on one
-        side of the enclosure `enc` and `sound` naming the side whose pass
-        certifies it; an undecided bullet records `reason`.  `enc` may
-        instead be the message saying why it is unavailable."""
-        if isinstance(enc, str):
-            undecided.append(key)
-            margins[key] = enc
-            return
-        sides = (enc.outer, enc.inner) if sound == "outer" else (enc.inner, enc.outer)
-        verdict, marg = enclosure_verdict(test, *sides)
+    def settle(key, a, rd, test, reason: str, sound: str = "outer") -> None:
+        """Record bullet `key` on the `rd` set at scale a, with `test(side)`
+        giving (ok, margin) on one side of its enclosure and `sound` naming
+        the side whose pass certifies it; an undecided bullet records
+        `reason`."""
+        verdict, marg = enclosure_verdict(enclosures, a, rd, test, sound)
         if verdict == "undecided":
             undecided.append(key)
             margins[key] = reason
@@ -547,31 +534,25 @@ def star_bullets(
         b_scale = ladder.b_refined(j, m, kb)
         for rd in ("hat", "check"):
             sel = _tilde_union(K_sets, A, rd).as_interval_set()
-            enc_a = _enclosure_or_reason(enclosures, a_scale, rd)
             # bullet (i): fine slope set inside the open w-balls of the
             # selected located points
             settle(
-                (j, 1, rd), enc_a, lambda s: subset_within(s, sel, w_m), "outer fails, inner passes"
+                (j, 1, rd), a_scale, rd, lambda s: subset_within(s, sel, w_m),
+                "outer fails, inner passes",
             )
-            if isinstance(enc_a, str):
-                settle((j, 3, rd), "enclosure unavailable")
             # bullet (ii): selected located points near the coarse slope set
             settle(
-                (j, 2, rd),
-                _enclosure_or_reason(enclosures, b_scale, rd),
-                lambda s: subset_within(sel, s, w_m),
-                "inner fails, outer passes",
-                "inner",
+                (j, 2, rd), b_scale, rd, lambda s: subset_within(sel, s, w_m),
+                "inner fails, outer passes", "inner",
             )
             # bullet (iii): fine slope set avoids closed w-balls of the rest
-            if isinstance(enc_a, str):
-                continue
             if not out_idx:
                 margins[(j, 3, rd)] = "vacuous"
                 continue
             others = ball(_tilde_union(K_sets, out_idx, rd).as_interval_set(), w_m)
             settle(
-                (j, 3, rd), enc_a, lambda s: disjoint_gap(s, others), "outer touches, inner clear"
+                (j, 3, rd), a_scale, rd, lambda s: disjoint_gap(s, others),
+                "outer touches, inner clear",
             )
     return CombCheck(not failures and not undecided, tuple(failures), tuple(undecided), margins)
 
@@ -912,6 +893,11 @@ def limit_report(state: GameState) -> dict:
     (i) prefix Cauchy bounds, (ii) coverage of the slope sets of the last
     answer by tripled located balls, (iii) the nested-index inclusion chain
     at shrinking radii, (iv) membership in every oracle certificate ball.
+
+    Checks (ii) and (iii) read one store of the last answer's enclosures
+    and decide each claim by `indexcomb.enclosure_verdict`: a coverage
+    entry is true, and the check ok, only when its claim is certified, and
+    each margin is the sound side's.
     """
     M = len(state.rounds)
     ladder = state.ladder()
@@ -954,24 +940,19 @@ def limit_report(state: GameState) -> dict:
         for j in range(1, m + 1):
             A = index_set_A(j, m, nseq)
             sel = union_of_point_sets(limit_sets[n - 1] for n in sorted(A)).as_interval_set()
-            try:
-                enc = enclosures.get(Fraction(j), "full")
-                okf, margf = subset_within(enc.outer, sel, radius)
-            except EnclosureRangeError as e:
-                okf, margf = None, str(e)
-            try:
-                encb = enclosures.get(rec.b_m, "full")
-                okb, margb = subset_within(sel, encb.inner, radius)
-            except EnclosureRangeError as e:
-                okb, margb = None, str(e)
+            fine, margf = enclosure_verdict(
+                enclosures, j, "full", lambda s: subset_within(s, sel, radius), "outer"
+            )
+            coarse, margb = enclosure_verdict(
+                enclosures, rec.b_m, "full", lambda s: subset_within(sel, s, radius), "inner"
+            )
             cov_entries[f"j={j},m={m}"] = {
-                "fine_in_balls": okf,
-                "fine_margin": float(margf) if isinstance(margf, Fraction) else margf,
-                "points_near_coarse": okb,
-                "coarse_margin": float(margb) if isinstance(margb, Fraction) else margb,
+                "fine_in_balls": fine == "certified",
+                "fine_margin": float(margf),
+                "points_near_coarse": coarse == "certified",
+                "coarse_margin": float(margb),
             }
-            if okf is False or okb is False:
-                cov_ok = False
+            cov_ok = cov_ok and fine == coarse == "certified"
     report["checks"]["limit_coverage"] = {"ok": cov_ok, "entries": cov_entries}
 
     w1 = state.rounds[0].w_m

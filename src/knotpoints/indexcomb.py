@@ -20,7 +20,8 @@ Every claim about an exception set N(f, a), here and in the ball game of
 `bmgame`, reads N(f, a) from one store per function and tolerance,
 `Enclosures`, and is decided by one rule, `enclosure_verdict`: certified
 when the sound side of the enclosure passes, undecided when only the other
-side does, failed when neither does.
+side does, failed when neither does.  A scale the enclosure engine refuses
+is no exception: the store keeps the bracket it can still certify there.
 """
 
 from __future__ import annotations
@@ -232,8 +233,9 @@ class ScaleLadder:
 @dataclass(frozen=True)
 class CombCheck:
     """Outcome of a family of inclusion checks: ok means every required
-    inclusion was certified; failures/undecided list the offending keys;
-    margins record the certified slack per checked key.  The keys are
+    inclusion was certified, so a family with a failed or an undecided key
+    is not ok; failures/undecided list those keys; margins record the
+    certified slack per checked key.  The keys are
     (family, j, m) triples here and (j, bullet, reading) triples in the
     bullet checks of `bmgame.star_bullets`."""
 
@@ -272,8 +274,12 @@ def check_S_k(K: SeqOfSets, n: IndexSeq, delta: DeltaSeq, k: int, m_max: int) ->
 class Enclosures:
     """The enclosures of N(f, a) at one tolerance, each computed on first
     request and kept: get(a, variant) is n_set_enclosure(f, a, variant,
-    tol).  A scale out of the engine's range raises EnclosureRangeError on
-    every request."""
+    tol).  A scale the engine refuses ("a" range error) is kept as the
+    certified bracket it still allows: outer [0,1], and inner the
+    enclosure's inner set at c = min(int(a), _ENGINE_SCALE_CAP) when
+    0 < c < a, else empty; sound because every variant's set grows with
+    the scale.  A tolerance the engine refuses, or any other error,
+    propagates."""
 
     def __init__(self, f, tol: float) -> None:
         self.f, self.tol = f, tol
@@ -282,39 +288,33 @@ class Enclosures:
     def get(self, a: Rat, variant: str) -> NSetEnclosure:
         key = (as_fraction(a), variant)
         if key not in self._store:
-            self._store[key] = n_set_enclosure(self.f, key[0], variant, self.tol)
+            try:
+                enc = n_set_enclosure(self.f, key[0], variant, self.tol)
+            except EnclosureRangeError as e:
+                if e.field != "a":
+                    raise
+                c = Fraction(min(int(key[0]), _ENGINE_SCALE_CAP))
+                inner = self.get(c, variant).inner if 0 < c < key[0] else EMPTY
+                enc = NSetEnclosure(inner, FULL, self.tol, 1 - inner.measure())
+            self._store[key] = enc
         return self._store[key]
 
 
-def enclosure_verdict(test, sound: IntervalSet, other: IntervalSet):
-    """The rule that decides a claim about N(f, a) from an enclosure of it.
-    `test(side)` gives (ok, margin) for the claim with N(f, a) replaced by
-    one side of the enclosure; `sound` is the side whose pass implies the
-    claim (the outer side where N(f, a) must be small, the inner side where
-    it must be large).  Returns (verdict, margin): "certified" when the
-    sound side passes, "undecided" when only the other side does, "failed"
-    when neither does, and always the sound side's margin."""
-    ok, margin = test(sound)
+def enclosure_verdict(enclosures: Enclosures, a: Rat, variant: str, test, sound: str):
+    """The rule that decides a claim about N(f, a), the `variant` set of the
+    store's f at scale a, from its enclosure in `enclosures`.  `test(side)`
+    gives (ok, margin) for the claim with N(f, a) replaced by one side of
+    the enclosure; `sound` names the side whose pass implies the claim
+    ("outer" where N(f, a) must be small, "inner" where it must be large).
+    Returns (verdict, margin): "certified" when the sound side passes,
+    "undecided" when only the other side does, "failed" when neither does,
+    and always the sound side's margin."""
+    enc = enclosures.get(a, variant)
+    first, other = (enc.outer, enc.inner) if sound == "outer" else (enc.inner, enc.outer)
+    ok, margin = test(first)
     if ok:
         return "certified", margin
     return ("undecided" if test(other)[0] else "failed"), margin
-
-
-def _n_full_bounds(enclosures: Enclosures, a: Rat) -> tuple[IntervalSet, IntervalSet]:
-    """(inner, outer) bracket of the full exception set at scale a (exact
-    for piecewise-linear f at an integer scale).  When a scale is beyond the
-    engine's certified range, the inner bound falls back to the largest
-    feasible smaller scale (the sets grow with the scale, so it is still a
-    subset) and the outer bound degrades to the trivial [0,1]."""
-    af = as_fraction(a)
-    try:
-        enc = enclosures.get(af, "full")
-        return enc.inner, enc.outer
-    except EnclosureRangeError:
-        c = Fraction(min(int(af), _ENGINE_SCALE_CAP))
-        if c <= 0 or c >= af:
-            raise
-        return enclosures.get(c, "full").inner, FULL
 
 
 def check_Y_k(
@@ -334,11 +334,12 @@ def check_Y_k(
       (upper family) the union of sets indexed by A_j^m(n) inside the open
       delta_m-ball around N(f, b_j),
 
-    with N(f, .) read from `enclosures`, the store of f at one tolerance.
-    Each triple is decided by `enclosure_verdict`: the sound side is the
-    outer enclosure on the left of the lower family and the inner one on
-    the right of the upper (both exact for piecewise-linear f at integer
-    scales); its margin is recorded.
+    with N(f, .) the full set read from `enclosures`, the store of f at one
+    tolerance.  Each triple is decided by `enclosure_verdict`: the sound
+    side is the outer enclosure on the left of the lower family and the
+    inner one on the right of the upper (both exact for piecewise-linear f
+    at integer scales); its margin is recorded, and the check is ok only
+    when every triple is certified.
     """
     s = check_S_k(K, n, delta, k, m_max)
     failures = list(s.failures)
@@ -346,21 +347,19 @@ def check_Y_k(
     margins = dict(s.margins)
     nk = shift_seq(n, k) if k else n
 
-    def record(key, test, sound, other) -> None:
-        verdict, margins[key] = enclosure_verdict(test, sound, other)
+    def record(key, a, test, sound) -> None:
+        verdict, margins[key] = enclosure_verdict(enclosures, a, "full", test, sound)
         if verdict != "certified":
             (failures if verdict == "failed" else undecided).append(key)
 
     for j in range(1, m_max + 1):
-        low_in, low_out = _n_full_bounds(enclosures, ladder.a(j))
-        up_in, up_out = _n_full_bounds(enclosures, ladder.b(j))
         for m in range(j, m_max + 1):
             dm = delta.d(m)
             rhs = K.union_over(index_set_A(j, m, nk))
-            record(("lower", j, m), lambda side: subset_within(side, rhs, dm), low_out, low_in)
+            record(("lower", j, m), ladder.a(j), lambda side: subset_within(side, rhs, dm), "outer")
             lhs = K.union_over(index_set_A(j, m, n))
-            record(("upper", j, m), lambda side: subset_within(lhs, side, dm), up_in, up_out)
-    return CombCheck(not failures, tuple(failures), tuple(undecided), margins)
+            record(("upper", j, m), ladder.b(j), lambda side: subset_within(lhs, side, dm), "inner")
+    return CombCheck(not failures and not undecided, tuple(failures), tuple(undecided), margins)
 
 
 # ---------------------------------------------------------------------------

@@ -1187,8 +1187,11 @@ class _Handoff:
     first of its minus parts, and the segment geometry of the last part
     with its window ends.  The next part takes those when its phi has the
     very same breaks array, as negating f keeps it: plus_upper hands them
-    to plus_lower, and minus_upper to minus_lower.  The parts of a
-    piecewise-linear composite read none of it."""
+    to plus_lower, and minus_upper to minus_lower.  The shared reflection
+    is what lets minus_lower take minus_upper's geometry: `take_geometry`
+    hands a geometry on only when `shared[0].breaks is breaks`, and f
+    reflected once per part would give each minus part breaks of its own.
+    The parts of a piecewise-linear composite read none of it."""
 
     def __init__(self, f: C1Function, minus_parts: int = 1):
         self.f = f

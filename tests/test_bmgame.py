@@ -1,5 +1,7 @@
-"""Ball-game checks on hand-built scenarios: an enclosure that the engine
-cannot certify makes a verdict undecided, any other error propagates,
+"""Ball-game checks on hand-built scenarios: at a scale the enclosure
+engine refuses, the enclosure store keeps the bracket it can still certify,
+whose undecided claims leave a verdict not ok, while any other error
+propagates through the store,
 `round_m` enforces the move rules and ends at its certified radius bound, a
 saved game reads back and verifies, a game saved at another operating point
 is refused, the avoid-point and target-prefix oracles keep their contracts,
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotpoints import bmgame, bump
+from knotpoints import bmgame, bump, indexcomb
 from knotpoints.bmgame import (
     GameError,
     GameInfeasibleError,
@@ -33,7 +35,7 @@ from knotpoints.bmgame import (
     verify_report,
 )
 from knotpoints.indexcomb import CombCheck, ScaleLadder
-from knotpoints.intervalsets import FULL, FinitePointSet, pairwise_disjoint
+from knotpoints.intervalsets import EMPTY, FULL, FinitePointSet, pairwise_disjoint
 from knotpoints.nsets import EnclosureRangeError, NSetEnclosure
 from knotpoints.realfn import C1Function
 from oracles import dedupe_across_reference, tag_by_nearest_reference
@@ -43,40 +45,50 @@ B1 = F(9, 2)
 K_SETS = (HatCheckSet(FinitePointSet.of([F(1, 4)]), FinitePointSet.of([F(3, 4)])),)
 
 
-class StubCache:
-    """Stands in for `indexcomb.Enclosures`: raises `error` at the scales `fails`
-    accepts and returns the full set everywhere else."""
+def _stub_engine(monkeypatch, error, fails=lambda a: True, enclosure=NSetEnclosure.exact(FULL)):
+    """Stands in for the engine behind the real `indexcomb.Enclosures`:
+    raises `error` at the scales `fails` accepts and returns `enclosure`
+    everywhere else.  Returns the list of the (scale, variant) asked."""
+    asked = []
 
-    def __init__(self, error, fails=lambda a: True):
-        self.error, self.fails = error, fails
+    def engine(f, a, variant, tol):
+        asked.append((a, variant))
+        if fails(a):
+            raise error
+        return enclosure
 
-    def get(self, a, variant):
-        if self.fails(Fraction(a)):
-            raise self.error
-        return NSetEnclosure.exact(FULL)
+    monkeypatch.setattr(indexcomb, "n_set_enclosure", engine)
+    return asked
 
 
 LADDER = ScaleLadder((B1,))
 FINE, COARSE = LADDER.a_refined(1, 1, 4), LADDER.b_refined(1, 1, 3)
 
 
-def _star(monkeypatch, error, fails=lambda a: True):
-    """star_bullets on f = 0 with its enclosures fetched from a StubCache."""
-    monkeypatch.setattr(bmgame, "Enclosures", lambda f, tol: StubCache(error, fails))
+def _star() -> CombCheck:
+    """star_bullets on f = 0 over one located set, so bullet (iii) is vacuous."""
     return star_bullets(C1Function.zero(), K_SETS, F(1, 8), (1,), LADDER, 4, 3)
 
 
 def test_star_bullets_undecided_on_enclosure_range_error(monkeypatch):
-    star = _star(monkeypatch, EnclosureRangeError("a", "out of range"))
+    """Every scale refused: the store falls back to the capped integer scale
+    below each, is refused there too, and keeps inner empty and outer
+    [0,1], so bullets (i) and (ii) are undecided and the verdict is not ok."""
+    asked = _stub_engine(monkeypatch, EnclosureRangeError("a", "out of range"))
+    star = _star()
     assert not star.ok and not star.failures
-    assert set(star.undecided) == {(1, b, rd) for b in (1, 2, 3) for rd in ("hat", "check")}
-    assert star.margins[(1, 1, "hat")] == "enclosure unavailable: out of range"
+    assert set(star.undecided) == {(1, b, rd) for b in (1, 2) for rd in ("hat", "check")}
+    assert star.margins[(1, 1, "hat")] == "outer fails, inner passes"
+    assert star.margins[(1, 2, "hat")] == "inner fails, outer passes"
+    assert star.margins[(1, 3, "hat")] == "vacuous"
+    assert asked == [(a, rd) for rd in ("hat", "check") for a in (FINE, F(1), COARSE, F(3))]
 
 
 @pytest.mark.parametrize("scale", [FINE, COARSE], ids=["fine", "coarse"])
 def test_star_bullets_propagates_other_value_errors(monkeypatch, scale):
+    _stub_engine(monkeypatch, ValueError("not a range error"), fails=lambda a: a == scale)
     with pytest.raises(ValueError, match="not a range error"):
-        _star(monkeypatch, ValueError("not a range error"), fails=lambda a: a == scale)
+        _star()
 
 
 def _one_round_state() -> GameState:
@@ -100,26 +112,35 @@ def _one_round_state() -> GameState:
     return GameState((rec,))
 
 
-def test_limit_report_null_coverage_on_enclosure_range_error(monkeypatch):
-    def cache(f, tol):
-        return StubCache(EnclosureRangeError("a", "out of range"), fails=lambda a: a == B1)
-
-    monkeypatch.setattr(bmgame, "Enclosures", cache)
-    entry = limit_report(_one_round_state())["checks"]["limit_coverage"]["entries"]["j=1,m=1"]
-    assert isinstance(entry["fine_in_balls"], bool)  # decided: scale 1 is available
-    assert entry["points_near_coarse"] is None
-    assert entry["coarse_margin"] == "out of range"
+def test_limit_report_not_ok_on_enclosure_range_error(monkeypatch):
+    """The fine scale's set is exactly empty and the coarse scale B1 is
+    refused: the store keeps inner empty (the set at scale 4) and outer
+    [0,1] there, so the coarse coverage claim is undecided, its entry false
+    and the report not ok."""
+    asked = _stub_engine(
+        monkeypatch,
+        EnclosureRangeError("a", "out of range"),
+        fails=lambda a: a == B1,
+        enclosure=NSetEnclosure.exact(EMPTY),
+    )
+    report = limit_report(_one_round_state())
+    coverage = report["checks"]["limit_coverage"]
+    assert coverage["entries"]["j=1,m=1"] == {
+        "fine_in_balls": True,
+        "fine_margin": 3 / 16,
+        "points_near_coarse": False,
+        "coarse_margin": 0.0,
+    }
+    assert not coverage["ok"] and not report["ok"]
+    assert asked == [(F(1), "full"), (B1, "full"), (F(4), "full")]
 
 
 @pytest.mark.parametrize("scale", [F(1), B1], ids=["fine", "coarse"])
 def test_limit_report_propagates_other_value_errors(monkeypatch, scale):
-    def cache(f, tol):
-        return StubCache(ValueError("not a range error"), fails=lambda a: a == scale)
-
     def index_chain(*args, **kwargs):
         raise AssertionError("the coverage check swallowed the error")
 
-    monkeypatch.setattr(bmgame, "Enclosures", cache)
+    _stub_engine(monkeypatch, ValueError("not a range error"), fails=lambda a: a == scale)
     monkeypatch.setattr(bmgame, "check_Y_k", index_chain)
     with pytest.raises(ValueError, match="not a range error"):
         limit_report(_one_round_state())

@@ -371,6 +371,20 @@ def test_game_run_hands_on_the_avoid_point_oracle(played, tmp_path):
     assert all(abs(q - F(1, 3)) > radius for s in reply.sets for q in s.points)
 
 
+def test_game_run_hands_on_the_target_prefix_oracle(played, tmp_path):
+    target, out = tmp_path / "target.json", tmp_path / "run.json"
+    target.write_text(json.dumps({"sets": [["1/4", "1/2"], ["3/4"]], "tol": "1/100"}))
+    assert cli.main(["game", "run", "--oracle", f"target:{target}", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["inputs"]["oracle"] == f"target:{target}"
+    (oracle,) = played
+    prefix = [[F(1, 4), F(1, 2)], [F(3, 4)]]
+    request = (FinitePointSet.of([F(1, 4) + F(1, 1000), F(1, 2)]), FinitePointSet.of([F(3, 4)]),
+               FinitePointSet.of([F(1, 8)]))
+    reply = oracle(request, 0.1)
+    assert [list(s.points) for s in reply.sets] == prefix + [[F(1, 8)]]
+    assert (reply.l, reply.r, reply.label) == (2, F(1, 400), "target-prefix")
+
+
 def test_bump_mu_reports_the_record_from_one_witness_search(c1_file, tmp_path, monkeypatch):
     calls = []
     search = bump.lemma_epsilon

@@ -24,7 +24,7 @@ from knotpoints.indexcomb import (
     shift_seq,
 )
 from knotpoints.intervalsets import EMPTY, FULL, IntervalSet
-from knotpoints.nsets import n_set_enclosure, n_set_exact
+from knotpoints.nsets import NSetEnclosure, n_set_enclosure, n_set_exact
 from knotpoints.realfn import C1Function, random_c1_function
 from oracles import zigzag
 
@@ -356,12 +356,27 @@ def test_check_y_detects_a_broken_set():
     assert any(fam == "lower" for fam, _, _ in res.failures)
 
 
+def test_check_y_is_not_ok_while_a_claim_is_undecided(monkeypatch):
+    """An enclosure whose outer set exceeds its inner set by more than delta
+    leaves every lower-family claim undecided (only the inner side passes),
+    and a check with an undecided claim is not ok."""
+    half = IntervalSet.points([F(1, 2)])
+    monkeypatch.setattr(
+        indexcomb, "n_set_enclosure", lambda f, a, variant, tol: NSetEnclosure(half, FULL, tol, F(1))
+    )
+    K = SeqOfSets((half,) * 11)
+    delta = DeltaSeq.geometric(F(1, 4), F(1, 2), 4)
+    res = check_Y_k(K, Enclosures(None, 1e-4), IndexSeq((2, 4, 7, 11)), delta, ScaleLadder((4, 5, 6)), 0, 3)
+    assert not res.ok and not res.failures
+    assert res.undecided == tuple(("lower", j, m) for j in (1, 2, 3) for m in range(j, 4))
+
+
 def test_check_y_fetches_every_c1_enclosure_through_the_cache(monkeypatch):
     """check_Y_k computes every enclosure through the store it is given,
     each once, the range fallback included (b_3 = 40 is past the engine's
     range for a slope near 50, so its inner bound comes from the capped
-    scale 17).  A second check on the same store computes none again, only
-    retries the out-of-range scale, and gives the same verdict."""
+    scale 17).  A second check on the same store computes none again, the
+    out-of-range scale included, and gives the same verdict."""
     K, _, n, delta, _ = zigzag_scenario()
     f = random_c1_function(3, cells=6, amplitude=0.5, slope_scale=2.0)
     f = f.add(C1Function.linear(50.0))
@@ -381,7 +396,7 @@ def test_check_y_fetches_every_c1_enclosure_through_the_cache(monkeypatch):
         (F(3), "full"), (F(40), "full"), (F(17), "full"),
     ]
     again = check_Y_k(K, store, n, delta, lad, 0, 3)
-    assert fetches[7:] == [(F(40), "full")]
+    assert fetches[7:] == []
     assert (again.ok, again.failures, again.undecided) == (
         first.ok, first.failures, first.undecided
     )
