@@ -573,69 +573,40 @@ def check_star(
 # ---------------------------------------------------------------------------
 
 
-def _alternating_net(spacing: Fraction) -> tuple[FinitePointSet, FinitePointSet]:
-    """Two interleaved grids, each an open cover net at radius just above
-    spacing: hat points at multiples of spacing, check points offset by half."""
+def _alternating_net(spacing: Fraction) -> FinitePointSet:
+    """The multiples of half the spacing in [0, 1].  Its even multiples, the
+    hat half, and its odd ones, the check half, are each an open cover net at
+    radius just above spacing; `_tag_on_net` splits a set near it."""
     p, q = spacing.numerator, spacing.denominator
-    # over 2q: hat points i*2p, check points i*2p + p, both up to 2q
-    return (
-        FinitePointSet(range(0, 2 * q + 1, 2 * p), 2 * q),
-        FinitePointSet(range(p, 2 * q + 1, 2 * p), 2 * q),
-    )
+    return FinitePointSet(range(0, 2 * q + 1, p), 2 * q)
 
 
-def _tag_by_nearest(
-    pts: FinitePointSet,
-    hat_target: FinitePointSet,
-    check_target: FinitePointSet,
-    within: Fraction,
-) -> HatCheckSet | None:
-    """Partition pts by the nearer of the two target halves; None when a
-    point is ambiguous or farther than the snapping budget.  Queries are
-    sorted, so one monotone pointer per target suffices."""
-
-    (xs, hs, cs), den = common_numerators((pts, hat_target, check_target))
-    # d > within  <=>  d * wd > wn * den, for a distance d over den
+def _tag_on_net(pts: FinitePointSet, spacing: Fraction, within: Fraction) -> HatCheckSet | None:
+    """Tag each point by its strictly nearest point of
+    `_alternating_net(spacing)`: hat for an even multiple k of half the
+    spacing, check for an odd one.  The two net neighbours of a point are k
+    and k + 1, one of each half, so the nearer one decides.  None when a
+    point is as far from both, or farther than `within` from the net."""
+    p, q = spacing.numerator, spacing.denominator
+    den = math.lcm(pts.den, 2 * q)
+    scale = den // pts.den
+    # half a spacing over den, and the last multiple of it in [0, 1]
+    half = p * (den // (2 * q))
+    last = den // half
+    # d > within  <=>  d * wd > wn, for a distance d over den
     wd, wn = within.denominator, within.numerator * den
-
-    def monotone_nearest(arr: Sequence[int]):
-        state = [0]
-
-        def query(q: int) -> int | None:
-            if not arr:
+    halves: tuple[list[int], list[int]] = ([], [])
+    for x in pts.nums:
+        x *= scale
+        k, d = divmod(x, half)
+        if k < last and half - d <= d:
+            if half - d == d:
                 return None
-            i = state[0]
-            while i + 1 < len(arr) and arr[i + 1] <= q:
-                i += 1
-            state[0] = i
-            d = abs(q - arr[i])
-            if i + 1 < len(arr):
-                d2 = arr[i + 1] - q
-                if d2 < d:
-                    d = d2
-            return d
-
-        return query
-
-    dist_h = monotone_nearest(hs)
-    dist_c = monotone_nearest(cs)
-    hat_pts, check_pts = [], []
-    for q in xs:
-        dh = dist_h(q)
-        dc = dist_c(q)
-        if dh is None and dc is None:
+            k, d = k + 1, half - d
+        if d * wd > wn:
             return None
-        if dc is None or (dh is not None and dh < dc):
-            if dh * wd > wn:
-                return None
-            hat_pts.append(q)
-        elif dh is None or dc < dh:
-            if dc * wd > wn:
-                return None
-            check_pts.append(q)
-        else:
-            return None
-    return HatCheckSet(FinitePointSet(hat_pts, den), FinitePointSet(check_pts, den))
+        halves[k % 2].append(x)
+    return HatCheckSet(FinitePointSet(halves[0], den), FinitePointSet(halves[1], den))
 
 
 def _alternate_tags(pts: FinitePointSet) -> HatCheckSet:
@@ -686,10 +657,7 @@ def round_one(f1: C1Function, alpha1: Rat, oracle: DenseOpenOracle) -> RoundReco
                 "deriv_norm": f1.deriv_sup_norm(),
             },
         )
-    hat_t, check_t = _alternating_net(spacing)
-    flat_t = hat_t.union(check_t)
-    target = (flat_t,)
-    tagged_t = HatCheckSet(hat_t, check_t)
+    target = (_alternating_net(spacing),)
 
     eps_orc = float(spacing) / 16.0
     reply = tagged = None
@@ -697,10 +665,7 @@ def round_one(f1: C1Function, alpha1: Rat, oracle: DenseOpenOracle) -> RoundReco
         reply = oracle(target, eps_orc)
         if not pairwise_disjoint([s for s in reply.sets]):
             raise OracleError("oracle reply is not a family of pairwise disjoint sets")
-        if reply.sets[0] == flat_t:
-            tagged = tagged_t
-        else:
-            tagged = _tag_by_nearest(reply.sets[0], hat_t, check_t, as_fraction(eps_orc))
+        tagged = _tag_on_net(reply.sets[0], spacing, as_fraction(eps_orc))
         if tagged is not None:
             cov_hat = open_cover_full(tagged.hat, mu1)
             cov_check = open_cover_full(tagged.check, mu1)
@@ -746,11 +711,7 @@ def round_one(f1: C1Function, alpha1: Rat, oracle: DenseOpenOracle) -> RoundReco
             "round-1 claims for g_1 failed", {"failures": claims.failures, "undecided": claims.undecided}
         )
 
-    margin1 = min(
-        claims.margins[(1, 1, rd)]
-        for rd in ("hat", "check")
-        if isinstance(claims.margins.get((1, 1, rd)), float)
-    )
+    margin1 = min(claims.margins[(1, 1, rd)] for rd in ("hat", "check"))
     eps1 = margin1 / 2.0
     if eps1 < SHRINK_FLOOR:
         raise GameInfeasibleError(f"eps_1 margin {eps1:.3g} below the floor")
@@ -908,25 +869,29 @@ def limit_report(state: GameState) -> dict:
     limit_sets = located[-1]
     report: dict = {"rounds": M, "checks": {}}
 
-    # dist[mi, mj, n]: Hausdorff distance between the n-th located sets of
-    # rounds mj >= mi, each computed once; a set is at distance 0 from itself
-    dist: dict[tuple[int, int, int], Fraction] = {}
-    cauchy_ok = True
+    # the Hausdorff distance d between the n-th located sets of rounds
+    # mj >= mi, each computed once (a set is at distance 0 from itself); the
+    # last d of each n, to round M, also decides the oracle ball of round mi
+    cauchy_ok = orc_ok = True
     worst = None
+    orc_entries = {}
     for mi, rec in enumerate(state.rounds, start=1):
         bound = 2 * rec.w_m
+        worst_o = None
         for n in range(1, rec.n_m + 1):
             ref = located[mi - 1][n - 1].as_interval_set()
             for mj in range(mi, M + 1):
                 d = Fraction(0)
                 if mj > mi:
                     d = located[mj - 1][n - 1].as_interval_set().hausdorff(ref)
-                dist[mi, mj, n] = d
                 slack = float(bound - d)
                 if worst is None or slack < worst:
                     worst = slack
                 if not d <= bound:
                     cauchy_ok = False
+            worst_o = slack if worst_o is None else min(worst_o, slack)
+            orc_ok = orc_ok and d <= bound
+        orc_entries[f"m={rec.m}"] = {"min_slack": worst_o, "l": rec.oracle_l, "r": str(rec.oracle_r)}
     report["checks"]["prefix_cauchy"] = {"ok": cauchy_ok, "min_slack": worst}
 
     f = last.g_m
@@ -965,18 +930,6 @@ def limit_report(state: GameState) -> dict:
     comb = check_Y_k(K_seq, enclosures, nseq, DeltaSeq(tuple(deltas)), ladder, 0, M)
     report["checks"]["index_chain"] = _verdict_json(comb)
 
-    orc_ok = True
-    orc_entries = {}
-    for mi, rec in enumerate(state.rounds, start=1):
-        bound = 2 * rec.w_m
-        worst_o = None
-        for n in range(1, rec.n_m + 1):
-            d = dist[mi, M, n]
-            slack = float(bound - d)
-            worst_o = slack if worst_o is None else min(worst_o, slack)
-            if not d <= bound:
-                orc_ok = False
-        orc_entries[f"m={rec.m}"] = {"min_slack": worst_o, "l": rec.oracle_l, "r": str(rec.oracle_r)}
     report["checks"]["oracle_balls"] = {"ok": orc_ok, "entries": orc_entries}
 
     report["ok"] = all(block["ok"] for block in report["checks"].values())

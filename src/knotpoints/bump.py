@@ -436,11 +436,10 @@ _MEMBER_SLACK = 1e-12
 _KEEP_SLACK = 1e-9
 
 
-def check_bump_easy(f: C1Function, a: Rat, spec: BumpSpec, phi: C1Function | None = None) -> bool:
+def check_bump_easy(f: C1Function, a: Rat, spec: BumpSpec, phi: C1Function) -> bool:
     """Located points that satisfy a reading for f keep satisfying it for
-    f + bump: checked pointwise at every located point, both readings."""
-    if phi is None:
-        phi = make_bump(spec)
+    f + phi, where phi is the bump of spec: checked pointwise at every
+    located point, both readings."""
     g = f.add(phi)
     af = float(as_fraction(a))
     for reading in ("hat", "check"):

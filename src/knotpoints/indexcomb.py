@@ -85,9 +85,6 @@ class IndexSeq:
             raise ValueError(f"n_{j} not available in prefix of length {len(self.prefix)}")
         return self.prefix[j - 1]
 
-    def shift(self, k: int) -> "IndexSeq":
-        return shift_seq(self, k)
-
 
 def shift_seq(n: IndexSeq, k: int) -> IndexSeq:
     """Drop the first k entries: the shifted sequence n^k with n^k_j = n_{j+k}."""
@@ -125,11 +122,6 @@ class DeltaSeq:
         for x, y in zip(self.prefix, self.prefix[1:]):
             if not y < x:
                 raise ValueError("delta entries must strictly decrease")
-
-    @staticmethod
-    def geometric(first: Rat, ratio: Rat, length: int) -> "DeltaSeq":
-        f, r = as_fraction(first), as_fraction(ratio)
-        return DeltaSeq(tuple(f * r**i for i in range(length)))
 
     def __len__(self) -> int:
         return len(self.prefix)
@@ -295,7 +287,7 @@ class Enclosures:
                     raise
                 c = Fraction(min(int(key[0]), _ENGINE_SCALE_CAP))
                 inner = self.get(c, variant).inner if 0 < c < key[0] else EMPTY
-                enc = NSetEnclosure(inner, FULL, self.tol, 1 - inner.measure())
+                enc = NSetEnclosure(inner, FULL, 1 - inner.measure())
             self._store[key] = enc
         return self._store[key]
 
@@ -412,16 +404,20 @@ def check_perm_A(n: IndexSeq, sigma: Sequence[int], k: int, m_max: int | None = 
 # ---------------------------------------------------------------------------
 
 
-def random_index_seq(seed, length: int, slack: int = 3) -> IndexSeq:
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    vals = [rng.randint(1, 1 + slack)]
+# the most by which a random index sequence exceeds the least growth
+_INDEX_SLACK = 3
+
+
+def random_index_seq(seed: int, length: int) -> IndexSeq:
+    rng = random.Random(seed)
+    vals = [rng.randint(1, 1 + _INDEX_SLACK)]
     for j in range(1, length):
-        vals.append(vals[-1] + j + rng.randint(0, slack))
+        vals.append(vals[-1] + j + rng.randint(0, _INDEX_SLACK))
     return IndexSeq(tuple(vals))
 
 
-def random_finite_permutation(seed, p: int) -> tuple[int, ...]:
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+def random_finite_permutation(seed: int, p: int) -> tuple[int, ...]:
+    rng = random.Random(seed)
     table = list(range(1, p + 1))
     rng.shuffle(table)
     return tuple(table)

@@ -29,11 +29,11 @@ computed on each read, so hot code should stay on the integer form.
 A `FinitePointSet` is stored the same way: one sorted tuple of distinct
 Python-int numerators `nums` over its canonical denominator `den`, the lcm
 of the reduced point denominators, so equal sets have equal (nums, den)
-pairs.  Unions, gaps, nearest points and cover tests rescale to a common
-denominator and stay on integers; `as_interval_set` doubles the numerators
-into degenerate components without building a Fraction.  `.points` and
-iteration give the Fraction view, built on each read.  `floats()` gives the
-points as the same floats as `float(p)`, without building a Fraction.
+pairs.  Unions, gaps and cover tests rescale to a common denominator and
+stay on integers; `as_interval_set` doubles the numerators into degenerate
+components without building a Fraction.  `.points` and iteration give the
+Fraction view, built on each read.  `floats()` gives the points as the
+same floats as `float(p)`, without building a Fraction.
 
 Conventions
 -----------
@@ -506,19 +506,6 @@ class FinitePointSet(_IntRationals):
         if len(e) < 2:
             return None
         return Fraction(min(map(sub, e[1:], e)), self.den)
-
-    def nearest(self, x: Rat) -> Fraction:
-        """The point of the set closest to x (ties resolve to the left)."""
-        if self.is_empty:
-            raise ValueError("nearest point of an empty set")
-        x = as_fraction(x)
-        e, den = self.nums, self.den
-        # compare den*x*q against the points scaled by q = x.denominator
-        q = x.denominator
-        t = x.numerator * den
-        i = bisect_right(e, t // q)
-        cands = e[max(i - 1, 0) : i + 1]
-        return Fraction(min(cands, key=lambda p: abs(p * q - t)), den)
 
     def union(self, other: "FinitePointSet") -> "FinitePointSet":
         return union_of_point_sets((self, other))

@@ -582,7 +582,6 @@ class NSetEnclosure:
 
     inner: IntervalSet
     outer: IntervalSet
-    tolerance: float
     undecided_length: Fraction
     stats: dict = field(default_factory=dict, compare=False)
 
@@ -592,7 +591,7 @@ class NSetEnclosure:
 
     @staticmethod
     def exact(s: IntervalSet) -> "NSetEnclosure":
-        return NSetEnclosure(s, s, 0.0, Fraction(0), {"exact": True})
+        return NSetEnclosure(s, s, Fraction(0), {"exact": True})
 
     def union(self, other: "NSetEnclosure") -> "NSetEnclosure":
         inner = self.inner.union(other.inner)
@@ -600,7 +599,6 @@ class NSetEnclosure:
         return NSetEnclosure(
             inner,
             outer,
-            max(self.tolerance, other.tolerance),
             outer.measure() - inner.measure(),
             _merge_stats(self.stats, other.stats),
         )
@@ -609,7 +607,6 @@ class NSetEnclosure:
         return NSetEnclosure(
             self.inner.reflect(),
             self.outer.reflect(),
-            self.tolerance,
             self.undecided_length,
             dict(self.stats),
         )
@@ -1342,9 +1339,7 @@ def _full_domain_enclosure(a: Rat, forward: bool) -> NSetEnclosure:
     else:
         inner = IntervalSet.from_pairs([(hi2a, 1)])
         outer = IntervalSet.from_pairs([(lo2a, 1)])
-    return NSetEnclosure(
-        inner, outer, 0.0, outer.measure() - inner.measure(), {"shortcut": True}
-    )
+    return NSetEnclosure(inner, outer, outer.measure() - inner.measure(), {"shortcut": True})
 
 
 def n_set_enclosure(
@@ -1399,5 +1394,5 @@ def n_set_enclosure(
     (in_u, in_v), (und_u, und_v), stats = _enclosure_plus_upper_c1(g, af, tol, handoff)
     inner = _merge_float_cells(np.concatenate(in_u), np.concatenate(in_v))
     outer = _merge_float_cells(np.concatenate(in_u + und_u), np.concatenate(in_v + und_v))
-    enc = NSetEnclosure(inner, outer, tol, outer.measure() - inner.measure(), stats)
+    enc = NSetEnclosure(inner, outer, outer.measure() - inner.measure(), stats)
     return enc.reflect() if refl else enc

@@ -252,10 +252,6 @@ class C1Function:
     def zero() -> "C1Function":
         return C1Function([0.0, 1.0], [0.0, 0.0], [0.0, 0.0])
 
-    @staticmethod
-    def linear(slope: float, intercept: float = 0.0) -> "C1Function":
-        return C1Function([0.0, 1.0], [intercept, intercept + slope], [slope, slope])
-
     # -- evaluation --------------------------------------------------------
 
     def _at(self, x, deriv: bool):

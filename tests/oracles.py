@@ -621,16 +621,6 @@ class FractionPointSet:
             return None
         return min(b - a for a, b in zip(self.points, self.points[1:]))
 
-    def nearest(self, x: Rat) -> Fraction:
-        if self.is_empty:
-            raise ValueError("nearest point of an empty set")
-        x = as_fraction(x)
-        i = bisect_right(self.points, x)
-        cands = [p for p in (self.points[i - 1] if i > 0 else None,
-                             self.points[i] if i < len(self.points) else None)
-                 if p is not None]
-        return min(cands, key=lambda p: abs(p - x))
-
     def union(self, other: "FractionPointSet") -> "FractionPointSet":
         return FractionPointSet(tuple(sorted(set(self.points) | set(other.points))))
 
@@ -694,8 +684,9 @@ def dedupe_across_reference(sets: Sequence[Sequence[Fraction]], budget: Fraction
 def tag_by_nearest_reference(
     pts: Sequence[Fraction], hat: Sequence[Fraction], check: Sequence[Fraction], within: Fraction
 ) -> tuple[list[Fraction], list[Fraction]] | None:
-    """`bmgame._tag_by_nearest` by brute force: each point goes to the half
-    holding its strictly nearest target, within the budget; None otherwise."""
+    """`bmgame._tag_on_net` by brute force, on any two target halves: each
+    point goes to the half holding its strictly nearest target, within the
+    budget; None otherwise."""
     hat_pts, check_pts = [], []
     for q in pts:
         dh = min((abs(q - p) for p in hat), default=None)

@@ -12,7 +12,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knotpoints import bmgame, bump, indexcomb
@@ -301,24 +301,26 @@ def test_dedupe_across_matches_the_fraction_reference(sets, budget):
     assert [list(s.points) for s in got] == want
 
 
-offsets = st.sampled_from([F(0), F(1, 32), -F(1, 32), F(1, 16), F(1, 3 * 2**12), -F(1, 5 * 2**9), F(1, 7)])
+net_spacings = st.sampled_from([F(2, 3), F(1, 4), F(9, 50), F(3, 7), F(1, 5)])
+# offsets and budgets in units of half a spacing: +-1/2 is a tie between
+# neighbours, except past the last net point, where no neighbour follows
+offsets = st.sampled_from([F(0), F(1, 4), -F(1, 4), F(1, 2), -F(1, 2), F(3, 4), -F(2, 3), F(1, 3 * 2**12)])
+budgets = st.sampled_from([F(0), F(1, 16), F(1, 4), F(1, 2), F(3, 4)])
 
 
-@given(
-    st.lists(grid_points, max_size=6),
-    st.lists(st.tuples(st.integers(0, 5), offsets), max_size=6),
-    st.sampled_from([F(1, 16), F(1, 3 * 2**11), F(1, 7)]),
-)
+@given(net_spacings, st.lists(st.tuples(st.integers(0, 12), offsets), max_size=6), budgets)
+@example(F(3, 7), [(4, F(1, 2))], F(1, 2))
+@example(F(3, 7), [(4, F(3, 4))], F(3, 4))
 @settings(max_examples=60)
-def test_tag_by_nearest_matches_the_fraction_reference(targets, moves, within):
-    """Targets split alternately into the two halves, and points moved off
-    them: a tie, a point past the budget or two empty halves give None."""
-    flat = FinitePointSet.of(targets)
-    hat, check = FinitePointSet.of(flat.points[0::2]), FinitePointSet.of(flat.points[1::2])
-    ts = flat.points or (F(1, 2),)
-    pts = FinitePointSet.of(min(max(ts[i % len(ts)] + off, 0), 1) for i, off in moves)
-    got = bmgame._tag_by_nearest(pts, hat, check, within)
-    want = tag_by_nearest_reference(pts.points, hat.points, check.points, within)
+def test_tag_by_nearest_matches_the_fraction_reference(spacing, moves, budget):
+    """Points of the net moved off it, tagged by `_tag_on_net` and by brute
+    force against the net's even and odd points: a tie or a point past the
+    budget gives None.  The examples lie past 6/7, the last point of the
+    3/7 net, where 27/28 is no tie and 1 is a hat point."""
+    half, net = spacing / 2, bmgame._alternating_net(spacing).points
+    pts = FinitePointSet.of(min(max(net[i % len(net)] + off * half, 0), 1) for i, off in moves)
+    got = bmgame._tag_on_net(pts, spacing, budget * half)
+    want = tag_by_nearest_reference(pts.points, net[0::2], net[1::2], budget * half)
     if want is None:
         assert got is None
     else:
@@ -333,12 +335,13 @@ def test_hat_check_set_rejects_a_shared_point():
 
 @pytest.mark.parametrize("spacing", [F(2, 3), F(1, 4), F(9, 50), F(3, 7), F(9, 640)])
 def test_alternating_net_is_two_interleaved_grids(spacing):
-    """Hat points at the multiples of the spacing in [0, 1], check points
-    half a spacing on; 2/3 puts a check point on 1 itself."""
-    hat, check = bmgame._alternating_net(spacing)
+    """Tagging the net gives hat points at the multiples of the spacing in
+    [0, 1] and check points half a spacing on; 2/3 puts a check point on 1
+    itself."""
+    tagged = bmgame._tag_on_net(bmgame._alternating_net(spacing), spacing, F(0))
     want_hat = [i * spacing for i in range(int(1 / spacing) + 1)]
-    assert list(hat.points) == want_hat
-    assert list(check.points) == [x + spacing / 2 for x in want_hat if x + spacing / 2 <= 1]
+    assert list(tagged.hat.points) == want_hat
+    assert list(tagged.check.points) == [x + spacing / 2 for x in want_hat if x + spacing / 2 <= 1]
 
 
 @pytest.mark.parametrize("p", [F(0), F(1, 2), F(1)], ids=["0", "1/2", "1"])

@@ -80,7 +80,7 @@ def test_bump_spec_rejects_a_shared_point():
 def _easy_spec() -> tuple[C1Function, BumpSpec]:
     """f of slope 1/2 < a = 1 satisfies both readings everywhere, so every
     located point is a member before the bump is added."""
-    f = C1Function.linear(0.5)
+    f = C1Function([0.0, 1.0], [0.0, 0.5], [0.5, 0.5])
     hat = FinitePointSet.of([Fraction(1, 4), Fraction(5, 8)])
     check = FinitePointSet.of([Fraction(3, 4)])
     spec = BumpSpec(hat, check, Fraction(1, 2), Fraction(1, 100))
@@ -94,7 +94,7 @@ def test_check_bump_easy_keeps_the_readings_of_the_spec_bump():
     """The lobes peak at H_hat and bottom out at H_check, so the bump of
     the spec keeps every located point in its reading."""
     f, spec = _easy_spec()
-    assert check_bump_easy(f, 1, spec)
+    assert check_bump_easy(f, 1, spec, make_bump(spec))
 
 
 def test_check_bump_easy_refuses_a_bump_with_the_signs_swapped():

@@ -56,7 +56,7 @@ def test_index_seq_accessors():
     with pytest.raises(ValueError):
         n.n(5)
     assert shift_seq(n, 2).prefix == (5, 9)
-    assert n.shift(0).prefix == n.prefix
+    assert shift_seq(n, 0).prefix == n.prefix
     with pytest.raises(ValueError):
         shift_seq(n, 4)
     with pytest.raises(ValueError):
@@ -139,7 +139,7 @@ def test_basic_claim_three_shift_equivalence(seed, k):
     n = seq(seed)
     rng = random.Random(seed)
     K = random_interval_seq(rng, n.n(11) + 8)
-    delta = DeltaSeq.geometric(F(1, 4), F(1, 2), 8)
+    delta = DeltaSeq(tuple(F(1, 4) / 2**i for i in range(8)))
     lhs = check_S_k(K, n, delta, k, 8)
     rhs = check_S_k(K, shift_seq(n, k) if k else n, delta, 0, 8)
     assert lhs.ok == rhs.ok
@@ -154,7 +154,7 @@ def test_basic_claim_four_shift_monotone(seed):
     corpus (all sets within half the last radius of each other)."""
     n = seq(seed)
     rng = random.Random(seed + 1)
-    delta = DeltaSeq.geometric(F(1, 4), F(1, 2), 8)
+    delta = DeltaSeq(tuple(F(1, 4) / 2**i for i in range(8)))
     spread = delta.d(8) / 2
     base = F(rng.randint(10, 50), 100)
     K = SeqOfSets(
@@ -203,7 +203,7 @@ def test_delta_seq_validation():
 
 
 def test_delta_seq_geometric():
-    d = DeltaSeq.geometric(F(1, 4), F(1, 2), 3)
+    d = DeltaSeq((F(1, 4), F(1, 8), F(1, 16)))
     assert d.prefix == (F(1, 4), F(1, 8), F(1, 16))
     assert d.d(2) == F(1, 8)
     with pytest.raises(ValueError):
@@ -301,7 +301,7 @@ def random_interval_seq(rng: random.Random, length: int) -> SeqOfSets:
 
 def test_check_s_reports_witnesses():
     n = IndexSeq((1, 2, 4, 7))
-    delta = DeltaSeq.geometric(F(1, 100), F(1, 2), 4)
+    delta = DeltaSeq(tuple(F(1, 100) / 2**i for i in range(4)))
     far = [IntervalSet.from_pairs([(0, F(1, 100))])] * 4
     # index 5 enters A_2^4 - A_2^3 = {n_3+1} and sits far from the early sets
     far += [IntervalSet.from_pairs([(F(9, 10), 1)])] * 4
@@ -313,7 +313,7 @@ def test_check_s_reports_witnesses():
 
 def test_check_s_rejects_bad_args():
     n = IndexSeq((1, 2, 4))
-    delta = DeltaSeq.geometric(F(1, 4), F(1, 2), 3)
+    delta = DeltaSeq(tuple(F(1, 4) / 2**i for i in range(3)))
     K = SeqOfSets((FULL,) * 6)
     with pytest.raises(ValueError):
         check_S_k(K, n, delta, -1, 3)
@@ -334,7 +334,7 @@ def zigzag_scenario():
         j = target.get(idx, 1)
         sets.append(n_set_exact(zz, int(lad.a(j)), "full"))
     K = SeqOfSets(tuple(sets))
-    delta = DeltaSeq.geometric(F(1, 4), F(1, 2), 5)
+    delta = DeltaSeq(tuple(F(1, 4) / 2**i for i in range(5)))
     return K, zz, n, delta, lad
 
 
@@ -362,10 +362,10 @@ def test_check_y_is_not_ok_while_a_claim_is_undecided(monkeypatch):
     and a check with an undecided claim is not ok."""
     half = IntervalSet.points([F(1, 2)])
     monkeypatch.setattr(
-        indexcomb, "n_set_enclosure", lambda f, a, variant, tol: NSetEnclosure(half, FULL, tol, F(1))
+        indexcomb, "n_set_enclosure", lambda f, a, variant, tol: NSetEnclosure(half, FULL, F(1))
     )
     K = SeqOfSets((half,) * 11)
-    delta = DeltaSeq.geometric(F(1, 4), F(1, 2), 4)
+    delta = DeltaSeq(tuple(F(1, 4) / 2**i for i in range(4)))
     res = check_Y_k(K, Enclosures(None, 1e-4), IndexSeq((2, 4, 7, 11)), delta, ScaleLadder((4, 5, 6)), 0, 3)
     assert not res.ok and not res.failures
     assert res.undecided == tuple(("lower", j, m) for j in (1, 2, 3) for m in range(j, 4))
@@ -379,7 +379,7 @@ def test_check_y_fetches_every_c1_enclosure_through_the_cache(monkeypatch):
     out-of-range scale included, and gives the same verdict."""
     K, _, n, delta, _ = zigzag_scenario()
     f = random_c1_function(3, cells=6, amplitude=0.5, slope_scale=2.0)
-    f = f.add(C1Function.linear(50.0))
+    f = f.add(C1Function([0.0, 1.0], [0.0, 50.0], [50.0, 50.0]))
     lad = ScaleLadder((4, 5, 40))
     fetches = []
 

@@ -573,7 +573,7 @@ def test_enclosure_c1_derivative_shortcut():
 
 
 def test_enclosure_underflow_guard():
-    f = C1Function.linear(6000.0)
+    f = C1Function([0.0, 1.0], [0.0, 6000.0], [6000.0, 6000.0])
     with pytest.raises(EnclosureRangeError) as err:
         n_set_enclosure(f, 5000, "plus_upper")
     assert err.value.field == "a"
@@ -581,7 +581,7 @@ def test_enclosure_underflow_guard():
 
 @pytest.mark.parametrize("a, tol, field", [(1, 1e-7, "tol"), (20, 1e-4, "a")])
 def test_enclosure_segment_cap_names_the_binding_parameter(a, tol, field):
-    f = C1Function.linear(100.0)
+    f = C1Function([0.0, 1.0], [0.0, 100.0], [100.0, 100.0])
     with pytest.raises(EnclosureRangeError) as err:
         n_set_enclosure(f, a, "plus_upper", tol)
     assert err.value.field == field

@@ -160,7 +160,7 @@ def test_c1_is_c1_across_knots():
 
 def test_c1_zero_and_linear():
     assert C1Function.zero().sup_norm() == 0.0
-    g = C1Function.linear(2.0, -0.5)
+    g = C1Function([0.0, 1.0], [-0.5, 1.5], [2.0, 2.0])
     assert g.eval(0.75) == pytest.approx(1.0)
     assert g.deriv_sup_norm() == pytest.approx(2.0)
 
@@ -201,7 +201,7 @@ def test_c1_norms_are_cached_and_stable():
 def test_c1_sup_norm_diff():
     f = random_c1_function(seed=11, cells=4)
     assert f.sup_norm_diff(f) == 0.0
-    g = f.add(C1Function.linear(0.0, 0.125))
+    g = f.add(C1Function([0.0, 1.0], [0.125, 0.125], [0.0, 0.0]))
     assert f.sup_norm_diff(g) == pytest.approx(0.125, rel=1e-9)
 
 
