@@ -78,7 +78,6 @@ from .intervalsets import (
 from .nsets import (
     BASIC_VARIANTS,
     VARIANTS,
-    DomainError,
     EnclosureRangeError,
     NSetEnclosure,
     admissible_eps,

@@ -848,6 +848,10 @@ def run_game(
     return state, limit_report(state)
 
 
+# a coverage claim's verdict as its entry in the report
+_CLAIM_JSON = {"certified": True, "failed": False, "undecided": None}
+
+
 def limit_report(state: GameState) -> dict:
     """The four truncated limit verifications, with certified margins.
 
@@ -857,14 +861,15 @@ def limit_report(state: GameState) -> dict:
 
     Checks (ii) and (iii) read one store of the last answer's enclosures
     and decide each claim by `indexcomb.enclosure_verdict`: a coverage
-    entry is true, and the check ok, only when its claim is certified, and
-    each margin is the sound side's.
+    entry is true for a certified claim, false for a failed one and null
+    for an undecided one, the check is ok only when every claim is
+    certified, and each margin is the sound side's.
     """
     M = len(state.rounds)
     ladder = state.ladder()
     last = state.last()
-    # each round's located sets, flattened once; their interval sets are
-    # cached on them, and round M's row is the limit prefix
+    # each round's located sets, flattened once; round M's row is the
+    # limit prefix
     located = [[s.flat() for s in rec.K_sets] for rec in state.rounds]
     limit_sets = located[-1]
     report: dict = {"rounds": M, "checks": {}}
@@ -912,9 +917,9 @@ def limit_report(state: GameState) -> dict:
                 enclosures, rec.b_m, "full", lambda s: subset_within(sel, s, radius), "inner"
             )
             cov_entries[f"j={j},m={m}"] = {
-                "fine_in_balls": fine == "certified",
+                "fine_in_balls": _CLAIM_JSON[fine],
                 "fine_margin": float(margf),
-                "points_near_coarse": coarse == "certified",
+                "points_near_coarse": _CLAIM_JSON[coarse],
                 "coarse_margin": float(margb),
             }
             cov_ok = cov_ok and fine == coarse == "certified"

@@ -53,7 +53,7 @@ from .indexcomb import (
     random_index_seq,
 )
 from .intervalsets import FinitePointSet, IntervalSet, as_fraction
-from .nsets import VARIANTS, DomainError, EnclosureRangeError, n_set_enclosure, n_set_exact
+from .nsets import VARIANTS, EnclosureRangeError, n_set_enclosure, n_set_exact
 from .realfn import (
     C1Function,
     PwlFunction,
@@ -609,11 +609,10 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.monotonic()
     try:
         report, csv_text = _DISPATCH[args.cmd](args, argv)
-    except (InputError, EnclosureRangeError, DomainError) as e:
+    except (InputError, EnclosureRangeError) as e:
         # the engine's input errors: a scale or tolerance out of the
-        # certified range names its field, a function off [0,1] is f
-        field = "f" if isinstance(e, DomainError) else e.field
-        print(f"input error in field '{field}': {e}", file=sys.stderr)
+        # certified range names its field
+        print(f"input error in field '{e.field}': {e}", file=sys.stderr)
         return 2
     _emit(report, getattr(args, "out", None), csv_text, getattr(args, "csv", None))
     print(f"wall_clock_ms={int((time.monotonic() - t0) * 1000)}", file=sys.stderr)

@@ -31,9 +31,9 @@ Python-int numerators `nums` over its canonical denominator `den`, the lcm
 of the reduced point denominators, so equal sets have equal (nums, den)
 pairs.  Unions, gaps and cover tests rescale to a common denominator and
 stay on integers; `as_interval_set` doubles the numerators into degenerate
-components without building a Fraction.  `.points` and iteration give the
-Fraction view, built on each read.  `floats()` gives the points as the
-same floats as `float(p)`, without building a Fraction.
+components on each call, without building a Fraction.  `.points` and
+iteration give the Fraction view, built on each read.  `floats()` gives the
+points as the same floats as `float(p)`, without building a Fraction.
 
 Conventions
 -----------
@@ -236,10 +236,6 @@ class IntervalSet(_IntRationals):
     def full() -> "IntervalSet":
         return IntervalSet((0, 1))
 
-    @staticmethod
-    def points(xs: Iterable[Rat]) -> "IntervalSet":
-        return IntervalSet.from_pairs([(x, x) for x in xs])
-
     # -- the Fraction view and value semantics -----------------------------
 
     @property
@@ -427,12 +423,8 @@ class FinitePointSet(_IntRationals):
     reduces to the canonical denominator, and `of` and `from_ratios` accept
     arbitrary rationals in any order."""
 
-    __slots__ = ("_iset",)
+    __slots__ = ()
     _OUTSIDE = "point leaves [0,1]"
-
-    def __init__(self, nums: Iterable[int] = (), den: int = 1) -> None:
-        super().__init__(nums, den)
-        object.__setattr__(self, "_iset", None)
 
     @staticmethod
     def _check(nums: tuple[int, ...], den: int) -> None:
@@ -492,13 +484,10 @@ class FinitePointSet(_IntRationals):
     # -- queries -----------------------------------------------------------
 
     def as_interval_set(self) -> IntervalSet:
-        """The points as degenerate components, cached on the instance."""
-        if self._iset is None:
-            # sorted distinct points over the canonical denominator are
-            # already an IntervalSet in normal form
-            doubled = list(chain.from_iterable(zip(self.nums, self.nums)))
-            object.__setattr__(self, "_iset", IntervalSet(doubled, self.den))
-        return self._iset
+        """The points as degenerate components, built on each call: sorted
+        distinct points over the canonical denominator are already an
+        IntervalSet in normal form."""
+        return IntervalSet(chain.from_iterable(zip(self.nums, self.nums)), self.den)
 
     def min_gap(self) -> Fraction | None:
         """Smallest spacing between consecutive points; None when fewer than 2."""

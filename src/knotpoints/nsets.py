@@ -80,9 +80,11 @@ orientation, as plus_upper hands it to plus_lower and minus_upper to
 minus_lower (`_Handoff`).
 
 On both paths, and in the float point defects, the involutions act on the
-function before its cubic pieces are built: on the integer form of the exact
-path, on PwlFunction and on C1Function.  A point defect thus bounds the same
-cubic as the enclosure of the same variant.
+function, never on a derived form: on the exact path on the integer form of
+f (`_IntPwl`), the one form of a piecewise-linear f that is negated or
+reflected, and on the float path on the C1Function before its cubic pieces
+are built.  A point defect thus bounds the same cubic as the enclosure of
+the same variant.
 
 The scale-continuity helper `continuity_delta(a, b, eps)` returns the explicit
 perturbation budget delta = eps*(b-a)/4: whenever |f-g| < delta in sup norm,
@@ -108,7 +110,6 @@ from .realfn import C1Function, CubicPieces, PwlFunction, cubic_deriv_eval, cubi
 __all__ = [
     "VARIANTS",
     "BASIC_VARIANTS",
-    "DomainError",
     "EnclosureRangeError",
     "NSetEnclosure",
     "n_set_exact",
@@ -141,7 +142,7 @@ def _plus_upper_form(f, variant: str, reflect=None):
       minus_upper(f,a) = reflect(plus_upper(-reflect(f), a))
 
     f is anything with `negate` and `reflect`: the integer form of the exact
-    path (`_IntPwl`), `PwlFunction` and `C1Function`.  `reflect`, when
+    path (`_IntPwl`) or a `C1Function`.  `reflect`, when
     given, stands in for f.reflect: the parts of a composite share one
     reflection (`_Handoff.reflect`)."""
     if variant == "plus_upper":
@@ -159,16 +160,6 @@ class EnclosureRangeError(ValueError):
     def __init__(self, field: str, message: str) -> None:
         super().__init__(message)
         self.field = field
-
-
-class DomainError(ValueError):
-    """A piecewise-linear f that does not live on all of [0,1]."""
-
-
-def _check_unit_domain(f: PwlFunction) -> None:
-    lo, hi = f.domain
-    if (lo, hi) != (0, 1):
-        raise DomainError(f"exception sets need f on the domain [0,1]; got [{lo}, {hi}]")
 
 
 def _check_variant(variant: str) -> None:
@@ -276,19 +267,14 @@ def continuity_delta(a: Rat, b: Rat, eps: Rat) -> Fraction:
         raise ValueError("need 0 < a < b")
     if ef <= 0:
         raise ValueError("eps must be positive")
+    # certified only below the rational lower bound, which is the gap
+    # itself at integer scales
     gap_lb, _ = pow2_gap_bounds(af, bf)
     if ef >= gap_lb:
-        # certified only below the rational lower bound; exact scales allow
-        # the full range
-        if af.denominator == 1 and bf.denominator == 1:
-            gap = Fraction(1, 2 ** int(af)) - Fraction(1, 2 ** int(bf))
-            if ef >= gap:
-                raise ValueError(f"eps={ef} not below 2^-a - 2^-b = {gap}")
-        else:
-            raise ValueError(
-                f"cannot certify eps={float(ef):.3g} < 2^-a - 2^-b "
-                f"(certified lower bound {float(gap_lb):.3g}); shrink eps"
-            )
+        raise ValueError(
+            f"cannot certify eps={float(ef):.3g} < 2^-a - 2^-b "
+            f"(certified lower bound {float(gap_lb):.3g}); shrink eps"
+        )
     return ef * (bf - af) / 4
 
 
@@ -502,7 +488,6 @@ def n_set_exact(f: PwlFunction, a: Rat, variant: str = "full") -> IntervalSet:
     if not isinstance(f, PwlFunction):
         raise TypeError("n_set_exact needs a PwlFunction; use n_set_enclosure for C1")
     _check_variant(variant)
-    _check_unit_domain(f)
     ai = _as_integer_scale(a)
     g = _IntPwl.of(f, ai)
     X = g.X
@@ -1190,18 +1175,16 @@ class _Handoff:
     reflected once per part would give each minus part breaks of its own.
     The parts of a piecewise-linear composite read none of it."""
 
-    def __init__(self, f: C1Function, minus_parts: int = 1):
+    def __init__(self, f: C1Function):
         self.f = f
-        self._minus_left = minus_parts
         self._reflected: C1Function | None = None
         self.geometry: tuple[_Geometry, np.ndarray] | None = None
 
     def reflect(self) -> C1Function:
-        """f reflected, kept only while a minus part is still to ask."""
-        g = self.f.reflect() if self._reflected is None else self._reflected
-        self._minus_left -= 1
-        self._reflected = g if self._minus_left > 0 else None
-        return g
+        """f reflected, made by the first call and kept."""
+        if self._reflected is None:
+            self._reflected = self.f.reflect()
+        return self._reflected
 
     def take_geometry(self, breaks: np.ndarray) -> tuple[_Geometry, np.ndarray] | None:
         """The last part's (geometry, window ends) if its breaks are
@@ -1361,14 +1344,13 @@ def n_set_enclosure(
     if not tol > 0:  # also refuses NaN
         raise ValueError("tol must be positive")
     if isinstance(f, PwlFunction):
-        _check_unit_domain(f)
         if as_fraction(a).denominator == 1:
             return NSetEnclosure.exact(n_set_exact(f, a, variant))
     elif not isinstance(f, C1Function):
         raise TypeError("n_set_enclosure needs a PwlFunction or C1Function")
     if variant in _PARTS:
         parts = _PARTS[variant]
-        handoff = _Handoff(f, sum(p.startswith("minus") for p in parts))
+        handoff = _Handoff(f)
         out = n_set_enclosure(f, a, parts[0], tol, _handoff=handoff)
         for p in parts[1:]:
             out = out.union(n_set_enclosure(f, a, p, tol, _handoff=handoff))

@@ -2,10 +2,11 @@
 
 Two concrete classes:
 
-* `PwlFunction` -- continuous piecewise-linear with rational breakpoints and
-  values.  All arithmetic is exact over `fractions.Fraction`; this is the
-  ground-truth path.  Its scale-free integer form (`integer_form`) is built
-  on first use and kept with the function.
+* `PwlFunction` -- continuous piecewise-linear on [0,1] with rational
+  breakpoints and values: data, not arithmetic.  The exact exception sets
+  read it through its scale-free integer form (`integer_form`, built on
+  first use and kept with f) and negate and reflect that form; the
+  enclosure path reads only its slope bound.
 * `C1Function` -- C^1 piecewise-cubic Hermite data (knots, values, slopes) in
   binary floating point.  Derived quantities (sup norms, range bounds) are
   computed from closed-form cubic extrema, so they are exact up to float
@@ -13,9 +14,9 @@ Two concrete classes:
 
 `CubicPieces` is the float evaluation form (power-basis coefficients per
 cell, one row per power): a C1Function evaluates and bounds through the one
-it builds, and the certified enclosure machinery reads both classes through
-`as_cubic_pieces`.
-Negation and reflection act on the function classes, never on the pieces.
+it builds, and the certified enclosure machinery reads it through
+`as_cubic_pieces`.  Negation and reflection act on the C1Function, never on
+the pieces.
 
 `CubicPieces` also owns the one range kernel.  On first use it computes,
 per piece, the roots of the derivative and the cubic's values there, and
@@ -32,10 +33,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,11 +59,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PwlFunction:
-    """Continuous piecewise-linear function with exact rational data.
-
-    The canonical domain is [0,1], but any rational subdomain of [0,1] is
-    allowed because window-maximum envelopes naturally live on [0, 1-2^-a].
-    """
+    """Continuous piecewise-linear function on [0,1] with exact rational
+    breakpoints and values, checked once when it is built.  The exact
+    exception sets read it through `integer_form`."""
 
     breakpoints: tuple[Fraction, ...]
     values: tuple[Fraction, ...]
@@ -71,52 +69,14 @@ class PwlFunction:
     def __post_init__(self) -> None:
         if len(self.breakpoints) != len(self.values):
             raise ValueError("breakpoints and values must have equal length")
-        if len(self.breakpoints) < 1:
-            raise ValueError("need at least one breakpoint")
+        if len(self.breakpoints) < 2:
+            raise ValueError("need at least two breakpoints")
         for a, b in zip(self.breakpoints, self.breakpoints[1:]):
             if not a < b:
                 raise ValueError("breakpoints must be strictly increasing")
-        if self.breakpoints[0] < 0 or self.breakpoints[-1] > 1:
-            raise ValueError("domain must lie inside [0,1]")
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[Rat, Rat]]) -> "PwlFunction":
-        pts = sorted((as_fraction(x), as_fraction(v)) for x, v in pairs)
-        return PwlFunction(tuple(p[0] for p in pts), tuple(p[1] for p in pts))
-
-    @staticmethod
-    def constant(c: Rat, lo: Rat = 0, hi: Rat = 1) -> "PwlFunction":
-        return PwlFunction.from_pairs([(lo, c), (hi, c)])
-
-    @staticmethod
-    def zero() -> "PwlFunction":
-        return PwlFunction.constant(0)
-
-    # -- basic queries -----------------------------------------------------
-
-    @property
-    def domain(self) -> tuple[Fraction, Fraction]:
-        return self.breakpoints[0], self.breakpoints[-1]
-
-    def eval(self, x: Rat) -> Fraction:
-        x = as_fraction(x)
-        lo, hi = self.domain
-        if x < lo or x > hi:
-            raise ValueError(f"{x} outside domain [{lo}, {hi}]")
-        i = bisect_right(self.breakpoints, x) - 1
-        if i == len(self.breakpoints) - 1:
-            return self.values[-1]
-        x0, x1 = self.breakpoints[i], self.breakpoints[i + 1]
-        v0, v1 = self.values[i], self.values[i + 1]
-        return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
-
-    def __call__(self, x: Rat) -> Fraction:
-        return self.eval(x)
-
-    def sup_norm(self) -> Fraction:
-        return max(abs(v) for v in self.values)
+        lo, hi = self.breakpoints[0], self.breakpoints[-1]
+        if (lo, hi) != (0, 1):
+            raise ValueError(f"breakpoints must run from 0 to 1; got [{lo}, {hi}]")
 
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(
@@ -127,50 +87,7 @@ class PwlFunction:
         )
 
     def lipschitz_bound(self) -> Fraction:
-        if len(self.breakpoints) == 1:
-            return Fraction(0)
         return max(abs(s) for s in self.slopes())
-
-    # -- arithmetic (exact) ------------------------------------------------
-
-    def _merged_breaks(self, other: "PwlFunction") -> tuple[Fraction, ...]:
-        if self.domain != other.domain:
-            raise ValueError("domain mismatch")
-        return tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
-
-    def add(self, other: "PwlFunction") -> "PwlFunction":
-        bks = self._merged_breaks(other)
-        return PwlFunction(bks, tuple(self.eval(x) + other.eval(x) for x in bks))
-
-    def sub(self, other: "PwlFunction") -> "PwlFunction":
-        return self.add(other.scale(-1))
-
-    def scale(self, c: Rat) -> "PwlFunction":
-        c = as_fraction(c)
-        return PwlFunction(self.breakpoints, tuple(c * v for v in self.values))
-
-    def negate(self) -> "PwlFunction":
-        return self.scale(-1)
-
-    def add_linear(self, slope: Rat, intercept: Rat = 0) -> "PwlFunction":
-        slope, intercept = as_fraction(slope), as_fraction(intercept)
-        return PwlFunction(
-            self.breakpoints,
-            tuple(v + slope * x + intercept for x, v in zip(self.breakpoints, self.values)),
-        )
-
-    def reflect(self) -> "PwlFunction":
-        """x -> f(1-x); requires the full domain [0,1]."""
-        if self.domain != (Fraction(0), Fraction(1)):
-            raise ValueError("reflect needs domain [0,1]")
-        return PwlFunction(
-            tuple(1 - b for b in reversed(self.breakpoints)), tuple(reversed(self.values))
-        )
-
-    def sup_norm_diff(self, other: "PwlFunction") -> Fraction:
-        return self.sub(other).sup_norm()
-
-    # -- conversions -------------------------------------------------------
 
     @functools.cached_property
     def integer_form(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int]:
@@ -186,13 +103,6 @@ class PwlFunction:
         T = tuple(n * (X // d) for n, d in ts)
         L = math.lcm(*(t1 - t0 for t0, t1 in zip(T, T[1:])))
         return T, tuple(n * (V // d) for n, d in ys), X, V, L
-
-    def as_cubic_pieces(self) -> "CubicPieces":
-        breaks = np.array([float(b) for b in self.breakpoints])
-        coeffs = np.zeros((4, len(self.breakpoints) - 1))
-        coeffs[0] = [float(v) for v in self.values[:-1]]
-        coeffs[1] = [float(s) for s in self.slopes()]
-        return CubicPieces(breaks, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +172,6 @@ class C1Function:
     def eval(self, x) -> np.ndarray | float:
         return self._at(x, deriv=False)
 
-    def __call__(self, x):
-        return self.eval(x)
-
     def deriv(self, x) -> np.ndarray | float:
         return self._at(x, deriv=True)
 
@@ -306,11 +213,6 @@ class C1Function:
 
     def reflect(self) -> "C1Function":
         return C1Function(1.0 - self.knots[::-1], self.values[::-1], -self.slopes[::-1])
-
-    def add_linear(self, slope: float, intercept: float = 0.0) -> "C1Function":
-        return C1Function(
-            self.knots, self.values + slope * self.knots + intercept, self.slopes + slope
-        )
 
     def as_cubic_pieces(self) -> "CubicPieces":
         return self._pieces
@@ -383,9 +285,9 @@ class CubicPieces:
         kernel = cubic_deriv_eval if deriv else cubic_eval
         return kernel(self.coeffs.take(i, axis=1), xs - self.breaks.take(i))
 
-    def add_linear(self, slope: float, intercept: float = 0.0) -> "CubicPieces":
+    def add_linear(self, slope: float) -> "CubicPieces":
         coeffs = self.coeffs.copy()
-        coeffs[0] += slope * self.breaks[:-1] + intercept
+        coeffs[0] += slope * self.breaks[:-1]
         coeffs[1] += slope
         return CubicPieces(self.breaks, coeffs)
 

@@ -7,8 +7,13 @@ sparse table, grid membership for the window conditions, float Hausdorff
 comparisons, and a witness scan for the certified epsilon.  Deliberately
 simple; speed comes from numpy only.  The exact
 exception sets of piecewise-linear functions have a rational reference too:
-the window-max envelope built with `PwlFunction` arithmetic and its zero set
-against phi, and the exact point defect read off the window condition.
+the window-max envelope and its zero set against phi, and the exact point
+defect read off the window condition.  They compute in `ExactPwl`, the
+tests' own exact PWL type: a `PwlFunction` lives on [0,1] and does no
+arithmetic, while the envelope lives on [0, 1-2^-a].  `ExactPwl` evaluates,
+adds a line, subtracts on a common domain, negates, reflects and gives the
+cubic pieces that the float point defects read.  `pwl` builds a
+`PwlFunction` through given points.
 `distance_to_point` is the exact distance from a point to an interval set.
 `restrict`, `simplify` and `promote_pwl` are PWL test devices: the first two
 build the envelope, the third turns PWL corpora into C^1 inputs.  `zigzag`
@@ -20,7 +25,6 @@ the ball game's snapping and tagging of located points on Fraction lists.
 every level.  So has the integer form of the exact path: `int_pwl_reference`
 converts f to integers afresh at each scale.
 """
-
 from __future__ import annotations
 
 import heapq
@@ -35,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from knotpoints.intervalsets import EMPTY, IntervalSet, Rat, as_fraction
-from knotpoints.realfn import C1Function, PwlFunction
+from knotpoints.realfn import C1Function, CubicPieces, PwlFunction
 
 VARIANT_NAMES = ("plus_upper", "plus_lower", "minus_upper", "minus_lower")
 
@@ -72,7 +76,7 @@ def doubling_range_max(values: np.ndarray) -> list[np.ndarray]:
 
 
 def eval_float(f, xs: np.ndarray) -> np.ndarray:
-    if isinstance(f, PwlFunction):
+    if isinstance(f, (PwlFunction, ExactPwl)):
         bx = np.array([float(b) for b in f.breakpoints])
         bv = np.array([float(v) for v in f.values])
         return np.interp(xs, bx, bv)
@@ -360,9 +364,72 @@ def int_pwl_reference(f: PwlFunction, a: int) -> tuple[list[int], list[int], int
     return [n * (X // d) for n, d in ts], [n * (V // d) for n, d in ys], X, V
 
 
+def pwl(*points: tuple[Rat, Rat]) -> PwlFunction:
+    """The PwlFunction through the points (x, v), x rising from 0 to 1."""
+    return PwlFunction(tuple(as_fraction(x) for x, _ in points), tuple(as_fraction(v) for _, v in points))
+
+
 def zigzag() -> PwlFunction:
     """The tent map: 0 at the endpoints, 1 at 1/2."""
-    return PwlFunction.from_pairs([(0, 0), (Fraction(1, 2), 1), (1, 0)])
+    return pwl((0, 0), (Fraction(1, 2), 1), (1, 0))
+
+
+@dataclass(frozen=True)
+class ExactPwl:
+    """Continuous piecewise-linear function with Fraction data on some
+    [lo, hi] inside [0,1], with the exact arithmetic the references read:
+    the window-max envelope lives on [0, 1-2^-a].  `of` takes a
+    `PwlFunction` or an ExactPwl.  Its cubic pieces let the float point
+    defects read it as they read a C1Function."""
+
+    breakpoints: tuple[Fraction, ...]
+    values: tuple[Fraction, ...]
+
+    @staticmethod
+    def of(f) -> "ExactPwl":
+        return ExactPwl(f.breakpoints, f.values)
+
+    @property
+    def domain(self) -> tuple[Fraction, Fraction]:
+        return self.breakpoints[0], self.breakpoints[-1]
+
+    def __call__(self, x: Rat) -> Fraction:
+        x = as_fraction(x)
+        lo, hi = self.domain
+        if not lo <= x <= hi:
+            raise ValueError(f"{x} outside domain [{lo}, {hi}]")
+        i = bisect_right(self.breakpoints, x) - 1
+        if i == len(self.breakpoints) - 1:
+            return self.values[-1]
+        (x0, x1), (v0, v1) = self.breakpoints[i : i + 2], self.values[i : i + 2]
+        return v0 + (v1 - v0) * (x - x0) / (x1 - x0)
+
+    def slopes(self) -> list[Fraction]:
+        bks, vals = self.breakpoints, self.values
+        return [(vals[i + 1] - vals[i]) / (bks[i + 1] - bks[i]) for i in range(len(bks) - 1)]
+
+    def add_linear(self, slope: Rat) -> "ExactPwl":
+        return ExactPwl(self.breakpoints, tuple(v + slope * x for x, v in zip(self.breakpoints, self.values)))
+
+    def sub(self, other: "ExactPwl") -> "ExactPwl":
+        """self - other on their common domain."""
+        if self.domain != other.domain:
+            raise ValueError("domain mismatch")
+        bks = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
+        return ExactPwl(bks, tuple(self(x) - other(x) for x in bks))
+
+    def negate(self) -> "ExactPwl":
+        return ExactPwl(self.breakpoints, tuple(-v for v in self.values))
+
+    def reflect(self) -> "ExactPwl":
+        """x -> f(1-x)."""
+        return ExactPwl(tuple(1 - b for b in reversed(self.breakpoints)), tuple(reversed(self.values)))
+
+    def as_cubic_pieces(self) -> CubicPieces:
+        coeffs = np.zeros((4, len(self.breakpoints) - 1))
+        coeffs[0] = [float(v) for v in self.values[:-1]]
+        coeffs[1] = [float(s) for s in self.slopes()]
+        return CubicPieces(np.array([float(b) for b in self.breakpoints]), coeffs)
 
 
 def set_to_json(s: IntervalSet) -> dict:
@@ -371,30 +438,29 @@ def set_to_json(s: IntervalSet) -> dict:
     return {"intervals": [[str(lo), str(hi)] for lo, hi in s.intervals]}
 
 
-def restrict(f: PwlFunction, lo: Rat, hi: Rat) -> PwlFunction:
+def restrict(f, lo: Rat, hi: Rat) -> ExactPwl:
     """f on [lo, hi], with the breakpoints strictly inside kept."""
-    lo, hi = as_fraction(lo), as_fraction(hi)
+    f, lo, hi = ExactPwl.of(f), as_fraction(lo), as_fraction(hi)
     if lo >= hi:
         raise ValueError("empty restriction")
     bks = [lo] + [b for b in f.breakpoints if lo < b < hi] + [hi]
-    return PwlFunction(tuple(bks), tuple(f.eval(x) for x in bks))
+    return ExactPwl(tuple(bks), tuple(f(x) for x in bks))
 
 
-def simplify(f: PwlFunction) -> PwlFunction:
+def simplify(f: ExactPwl) -> ExactPwl:
     """f without the interior breakpoints where the slope does not change."""
     if len(f.breakpoints) <= 2:
         return f
     sl = f.slopes()
     keep = [0] + [i for i in range(1, len(sl)) if sl[i - 1] != sl[i]] + [len(sl)]
-    return PwlFunction(tuple(f.breakpoints[i] for i in keep), tuple(f.values[i] for i in keep))
+    return ExactPwl(tuple(f.breakpoints[i] for i in keep), tuple(f.values[i] for i in keep))
 
 
-def promote_pwl(f: PwlFunction) -> C1Function:
+def promote_pwl(f) -> C1Function:
     """A C^1 function from PWL data: the slope at an interior knot is the
     average of the adjacent segment slopes, one-sided at the ends.  This is a
-    different function from f; it turns PWL corpora into C^1 test inputs."""
-    if f.domain != (Fraction(0), Fraction(1)):
-        raise ValueError("promotion expects domain [0,1]")
+    different function from f; it turns PWL corpora into C^1 test inputs, and
+    data off [0,1] is refused as a C1Function refuses it."""
     sl = [float(s) for s in f.slopes()]
     slopes = [sl[0]] + [0.5 * (p + q) for p, q in zip(sl, sl[1:])] + [sl[-1]]
     return C1Function([float(b) for b in f.breakpoints], [float(v) for v in f.values], slopes)
@@ -426,7 +492,7 @@ def _envelope_points(
     return out
 
 
-def sliding_window_max(phi: PwlFunction, delta) -> PwlFunction:
+def sliding_window_max(phi, delta) -> ExactPwl:
     """M(x) = max of phi over [x, x+delta], exactly, on [0, 1-delta].
 
     Between consecutive event points (breakpoints and breakpoints shifted left
@@ -434,7 +500,7 @@ def sliding_window_max(phi: PwlFunction, delta) -> PwlFunction:
     upper envelope of two lines (the moving endpoints) and one constant (the
     best interior breakpoint, maintained by a monotone deque).
     """
-    delta = as_fraction(delta)
+    phi, delta = ExactPwl.of(phi), as_fraction(delta)
     if not 0 < delta <= 1:
         raise ValueError("need 0 < delta <= 1")
     if phi.domain != (Fraction(0), Fraction(1)):
@@ -442,7 +508,7 @@ def sliding_window_max(phi: PwlFunction, delta) -> PwlFunction:
     xmax = 1 - delta
     if xmax == 0:
         # window is the whole domain; a PWL max is attained at a breakpoint
-        return PwlFunction((Fraction(0),), (max(phi.values),))
+        return ExactPwl((Fraction(0),), (max(phi.values),))
 
     bks = phi.breakpoints
     events = {Fraction(0), xmax}
@@ -471,8 +537,8 @@ def sliding_window_max(phi: PwlFunction, delta) -> PwlFunction:
             dq.popleft()
 
         lines = [
-            _line_through(u, phi.eval(u), v, phi.eval(v)),
-            _line_through(u, phi.eval(u + delta), v, phi.eval(v + delta)),
+            _line_through(u, phi(u), v, phi(v)),
+            _line_through(u, phi(u + delta), v, phi(v + delta)),
         ]
         if dq:
             lines.append((Fraction(0), phi.values[dq[0]]))
@@ -483,16 +549,16 @@ def sliding_window_max(phi: PwlFunction, delta) -> PwlFunction:
             samples[x] = val
 
     xs = sorted(samples)
-    return simplify(PwlFunction(tuple(xs), tuple(samples[x] for x in xs)))
+    return simplify(ExactPwl(tuple(xs), tuple(samples[x] for x in xs)))
 
 
-def _zero_set(d: PwlFunction) -> IntervalSet:
+def _zero_set(d: ExactPwl) -> IntervalSet:
     """Zero set of a nonnegative piecewise-linear function, exactly: whole
     segments where it vanishes identically plus isolated endpoint zeros."""
     pairs: list[tuple[Fraction, Fraction]] = []
     bks, vals = d.breakpoints, d.values
     if len(bks) == 1:
-        return IntervalSet.points([bks[0]]) if vals[0] == 0 else EMPTY
+        return IntervalSet.from_pairs([(bks[0], bks[0])]) if vals[0] == 0 else EMPTY
     for i in range(len(bks) - 1):
         v0, v1 = vals[i], vals[i + 1]
         if v0 < 0 or v1 < 0:
@@ -506,21 +572,22 @@ def _zero_set(d: PwlFunction) -> IntervalSet:
     return IntervalSet.from_pairs(pairs)
 
 
-def plus_upper_reference(f: PwlFunction, a: int) -> IntervalSet:
+def plus_upper_reference(f, a: int) -> IntervalSet:
     """The forward-upper set of f at integer scale a as the zero set of
     sliding_window_max(phi, delta) - phi on [0, 1-delta], phi = f - a*x, all
-    in `PwlFunction` arithmetic."""
+    in `ExactPwl` arithmetic."""
     delta = Fraction(1, 2**a)
-    phi = f.add_linear(-a)
+    phi = ExactPwl.of(f).add_linear(-a)
     m = sliding_window_max(phi, delta)
     if 1 - delta == 0:
-        return IntervalSet.points([0]) if m.values[0] == phi.values[0] else EMPTY
+        return IntervalSet.from_pairs([(0, 0)]) if m.values[0] == phi.values[0] else EMPTY
     return _zero_set(m.sub(restrict(phi, 0, 1 - delta)))
 
 
-def basic_variant_reference(f: PwlFunction, a: int, variant: str) -> IntervalSet:
+def basic_variant_reference(f, a: int, variant: str) -> IntervalSet:
     """A basic variant through plus_upper_reference and the two involutions
     (negate f for the lower bound, reflect x for backward windows)."""
+    f = ExactPwl.of(f)
     if variant == "plus_upper":
         return plus_upper_reference(f, a)
     if variant == "plus_lower":
@@ -539,15 +606,15 @@ _PARTS = {
 }
 
 
-def _window_extrema_exact(f: PwlFunction, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    cands = [f.eval(lo), f.eval(hi)]
+def _window_extrema_exact(f: ExactPwl, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    cands = [f(lo), f(hi)]
     for t, v in zip(f.breakpoints, f.values):
         if lo < t < hi:
             cands.append(v)
     return min(cands), max(cands)
 
 
-def point_defect_exact(f: PwlFunction, a: int, variant: str, x: Rat) -> Fraction | None:
+def point_defect_exact(f, a: int, variant: str, x: Rat) -> Fraction | None:
     """Exact membership defect at a point, from the window condition itself:
     0 means x is in the variant set, positive quantifies the worst
     violation, None means x is outside the variant's domain.  Composites
@@ -569,9 +636,9 @@ def point_defect_exact(f: PwlFunction, a: int, variant: str, x: Rat) -> Fraction
         if not delta <= xf <= 1:
             return None
         lo, hi = xf - delta, xf
-    g = f.add_linear(-a if variant.endswith("upper") else a)
+    g = ExactPwl.of(f).add_linear(-a if variant.endswith("upper") else a)
     mn, mx = _window_extrema_exact(g, lo, hi)
-    gx = g.eval(xf)
+    gx = g(xf)
     if variant in ("plus_upper", "minus_lower"):
         return mx - gx  # need window max <= value at x
     return gx - mn  # need window min >= value at x

@@ -115,7 +115,7 @@ def _one_round_state() -> GameState:
 def test_limit_report_not_ok_on_enclosure_range_error(monkeypatch):
     """The fine scale's set is exactly empty and the coarse scale B1 is
     refused: the store keeps inner empty (the set at scale 4) and outer
-    [0,1] there, so the coarse coverage claim is undecided, its entry false
+    [0,1] there, so the coarse coverage claim is undecided, its entry null
     and the report not ok."""
     asked = _stub_engine(
         monkeypatch,
@@ -128,7 +128,7 @@ def test_limit_report_not_ok_on_enclosure_range_error(monkeypatch):
     assert coverage["entries"]["j=1,m=1"] == {
         "fine_in_balls": True,
         "fine_margin": 3 / 16,
-        "points_near_coarse": False,
+        "points_near_coarse": None,
         "coarse_margin": 0.0,
     }
     assert not coverage["ok"] and not report["ok"]
@@ -426,8 +426,9 @@ def _distance_checks_reference(state: GameState) -> tuple[dict, dict]:
 
 @pytest.mark.parametrize("far", [False, True], ids=["within", "beyond"])
 def test_limit_distances_match_a_direct_computation(far):
-    """The distance table behind prefix_cauchy and oracle_balls, on the
-    entries with m < M that a real run (which stops at round 1) never has."""
+    """prefix_cauchy and oracle_balls against distances computed directly,
+    on the pairs of rounds with m < M that a real run (which stops at round
+    1) never has."""
     state = _two_round_state(far)
     checks = limit_report(state)["checks"]
     cauchy, oracle = _distance_checks_reference(state)

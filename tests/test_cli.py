@@ -538,6 +538,6 @@ def test_grid_hits_counts_grid_points(s, n):
 
 def test_grid_hits_examples():
     assert cli._grid_hits(IntervalSet.full(), 2000) == 2001
-    assert cli._grid_hits(IntervalSet.points([Fraction(1, 2)]), 2000) == 1
-    assert cli._grid_hits(IntervalSet.points([Fraction(1, 3)]), 2000) == 0
+    assert cli._grid_hits(IntervalSet.from_pairs([(Fraction(1, 2), Fraction(1, 2))]), 2000) == 1
+    assert cli._grid_hits(IntervalSet.from_pairs([(Fraction(1, 3), Fraction(1, 3))]), 2000) == 0
     assert cli._grid_hits(IntervalSet.from_pairs([(Fraction(1, 3), Fraction(2, 3))]), 3) == 2

@@ -350,7 +350,7 @@ def test_check_y_detects_a_broken_set():
     K, zz, n, delta, lad = zigzag_scenario()
     sets = list(K.prefix)
     for idx in range(n.n(1)):  # every candidate for j=1 is now useless
-        sets[idx] = IntervalSet.points([F(99, 100)])
+        sets[idx] = IntervalSet.from_pairs([(F(99, 100), F(99, 100))])
     res = check_Y_k(SeqOfSets(tuple(sets)), Enclosures(zz, 1e-4), n, delta, lad, 0, 3)
     assert not res.ok
     assert any(fam == "lower" for fam, _, _ in res.failures)
@@ -360,7 +360,7 @@ def test_check_y_is_not_ok_while_a_claim_is_undecided(monkeypatch):
     """An enclosure whose outer set exceeds its inner set by more than delta
     leaves every lower-family claim undecided (only the inner side passes),
     and a check with an undecided claim is not ok."""
-    half = IntervalSet.points([F(1, 2)])
+    half = IntervalSet.from_pairs([(F(1, 2), F(1, 2))])
     monkeypatch.setattr(
         indexcomb, "n_set_enclosure", lambda f, a, variant, tol: NSetEnclosure(half, FULL, F(1))
     )

@@ -58,6 +58,7 @@ from knotpoints.realfn import (
     random_function,
 )
 from oracles import (
+    ExactPwl,
     basic_variant_reference,
     cubic_deriv_range_scalar,
     cubic_range_scalar,
@@ -70,6 +71,7 @@ from oracles import (
     int_pwl_reference,
     point_defect_exact,
     promote_pwl,
+    pwl,
     sliding_window_max,
     zigzag,
 )
@@ -159,16 +161,14 @@ def test_admissible_eps():
 
 def test_sliding_window_max_zigzag_quarter():
     m = sliding_window_max(zigzag(), F(1, 4))
-    expect = PwlFunction.from_pairs(
-        [(0, F(1, 2)), (F(1, 4), 1), (F(1, 2), 1), (F(3, 4), F(1, 2))]
-    )
+    expect = ExactPwl((F(0), F(1, 4), F(1, 2), F(3, 4)), (F(1, 2), F(1), F(1), F(1, 2)))
     assert m.domain == (F(0), F(3, 4))
-    assert m.sup_norm_diff(expect) == 0
+    assert set(m.sub(expect).values) == {0}
 
 
 def test_sliding_window_max_constant():
-    m = sliding_window_max(PwlFunction.constant(F(2, 7)), F(1, 2))
-    assert m.sup_norm_diff(PwlFunction.constant(F(2, 7), 0, F(1, 2))) == 0
+    m = sliding_window_max(pwl((0, F(2, 7)), (1, F(2, 7))), F(1, 2))
+    assert m == ExactPwl((F(0), F(1, 2)), (F(2, 7), F(2, 7)))
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 3))
@@ -180,6 +180,7 @@ def test_sliding_window_max_dominates_grid(seed, a):
     delta = F(1, 2 ** a)
     m = sliding_window_max(f, delta)
     L = float(f.lipschitz_bound())
+    f = ExactPwl.of(f)
     step = F(1, 512)
     width = int(delta / step)
     xs = [step * i for i in range(512 - width + 1)]
@@ -239,11 +240,11 @@ def test_sweep_matches_reference_non_dyadic(f, a):
     "f",
     [
         zigzag(),
-        PwlFunction.zero(),
-        PwlFunction.constant(F(2, 7)),
-        PwlFunction.from_pairs([(0, 0), (1, F(5, 3))]),
-        PwlFunction.from_pairs([(0, 1), (1, -3)]),
-        PwlFunction.from_pairs([(0, F(1, 7)), (1, F(1, 7) + 2)]),
+        pwl((0, 0), (1, 0)),
+        pwl((0, F(2, 7)), (1, F(2, 7))),
+        pwl((0, 0), (1, F(5, 3))),
+        pwl((0, 1), (1, -3)),
+        pwl((0, F(1, 7)), (1, F(1, 7) + 2)),
     ],
     ids=["zigzag", "zero", "constant", "rising", "falling", "slope-two"],
 )
@@ -356,17 +357,17 @@ def test_exact_sets_read_the_fractions_of_f_once(monkeypatch):
 
 
 def test_n_set_exact_rejects_partial_domain():
-    f = PwlFunction.from_pairs([(0, 0), (F(1, 2), 1)])
+    """f on [0, 1/2] is refused when it is built, before any exact set."""
     for variant in VARIANTS:
-        with pytest.raises(ValueError, match=r"domain \[0,1\]; got \[0, 1/2\]"):
-            n_set_exact(f, 1, variant)
+        with pytest.raises(ValueError, match=r"from 0 to 1; got \[0, 1/2\]"):
+            n_set_exact(pwl((0, 0), (F(1, 2), 1)), 1, variant)
 
 
 # -- exact N-sets: frozen examples ------------------------------------------
 
 
 def test_zero_function_sets_scale_one():
-    z = PwlFunction.zero()
+    z = pwl((0, 0), (1, 0))
     assert n_set_exact(z, 1, "plus_upper") == IntervalSet.from_pairs([(0, F(1, 2))])
     assert n_set_exact(z, 1, "plus_lower") == IntervalSet.from_pairs([(0, F(1, 2))])
     assert n_set_exact(z, 1, "minus_upper") == IntervalSet.from_pairs([(F(1, 2), 1)])
@@ -380,9 +381,9 @@ def test_zigzag_sets_scale_one():
     """Hand-derived: the zigzag has slopes +-2, so at scale 1 the forward
     upper condition only survives where the window sees no rising slope."""
     zz = zigzag()
-    assert n_set_exact(zz, 1, "plus_upper") == IntervalSet.points([F(1, 2)])
+    assert n_set_exact(zz, 1, "plus_upper") == IntervalSet.from_pairs([(F(1, 2), F(1, 2))])
     assert n_set_exact(zz, 1, "plus_lower") == IntervalSet.from_pairs([(0, F(3, 8))])
-    assert n_set_exact(zz, 1, "minus_lower") == IntervalSet.points([F(1, 2)])
+    assert n_set_exact(zz, 1, "minus_lower") == IntervalSet.from_pairs([(F(1, 2), F(1, 2))])
     assert n_set_exact(zz, 1, "minus_upper") == IntervalSet.from_pairs([(F(5, 8), 1)])
     full = n_set_exact(zz, 1, "full")
     assert full == IntervalSet.from_pairs(
@@ -398,7 +399,7 @@ def test_zigzag_fills_domain_at_scale_two():
 
 def test_n_set_exact_rejects_fractional_scale():
     with pytest.raises(ValueError):
-        n_set_exact(PwlFunction.zero(), F(3, 2))
+        n_set_exact(pwl((0, 0), (1, 0)), F(3, 2))
 
 
 # -- exact N-sets: structural properties ------------------------------------
@@ -412,17 +413,19 @@ def test_n_set_exact_rejects_fractional_scale():
 @settings(max_examples=40, deadline=None)
 def test_symmetry_reductions(f, a, variant):
     """Each variant is the forward-upper set of a transformed function: the
-    involutions on the integer form of f agree with `PwlFunction.negate`
+    involutions on the integer form of f agree with `ExactPwl.negate`
     and `reflect`, on dyadic and on non-dyadic (3, 5, 7, 12) data."""
     s = n_set_exact(f, a, variant)
-    if variant == "plus_upper":
-        other = s
-    elif variant == "plus_lower":
-        other = n_set_exact(f.negate(), a, "plus_upper")
+    g = ExactPwl.of(f)
+    if variant == "plus_lower":
+        g = g.negate()
     elif variant == "minus_lower":
-        other = n_set_exact(f.reflect(), a, "plus_upper").reflect()
-    else:
-        other = n_set_exact(f.reflect().negate(), a, "plus_upper").reflect()
+        g = g.reflect()
+    elif variant == "minus_upper":
+        g = g.reflect().negate()
+    other = n_set_exact(PwlFunction(g.breakpoints, g.values), a, "plus_upper")
+    if variant.startswith("minus"):
+        other = other.reflect()
     assert s == other
 
 
@@ -496,7 +499,7 @@ def test_point_defect_float_parity(seed):
     rng = np.random.default_rng(seed + 1)
     xs = rng.uniform(0, 1, 40)
     for variant in BASIC_VARIANTS + ("full",):
-        vec = point_defects_float(f, float(a), variant, xs)
+        vec = point_defects_float(ExactPwl.of(f), float(a), variant, xs)
         for x, dv in zip(xs, vec):
             de = point_defect_exact(f, a, variant, F(x).limit_denominator(2 ** 40))
             if de is None:
@@ -510,7 +513,7 @@ def test_point_defects_bound_the_plus_upper_form_of_f():
     defect of `_plus_upper_form(f)` at the mapped points: the involutions
     act on f, as for the enclosure, not on its cubic pieces."""
     xs = np.random.default_rng(3).uniform(0.0, 1.0, 200)
-    for f in (random_c1_function(seed=7, cells=9, slope_scale=4.0), random_function(7, 4)):
+    for f in (random_c1_function(seed=7, cells=9, slope_scale=4.0), ExactPwl.of(random_function(7, 4))):
         for variant in ("plus_lower", "minus_upper", "minus_lower"):
             g, refl = _plus_upper_form(f, variant)
             want = point_defects_float(g, 1.5, "plus_upper", 1.0 - xs if refl else xs)
@@ -539,7 +542,7 @@ def test_enclosure_exact_for_pwl_integer_scale():
 
 
 def test_enclosure_pwl_fractional_scale_small_slope_shortcut():
-    z = PwlFunction.zero()
+    z = pwl((0, 0), (1, 0))
     enc = n_set_enclosure(z, F(43, 25), "plus_upper")
     assert enc.stats.get("shortcut")
     lo, hi = pow2_bounds(F(43, 25))
@@ -550,14 +553,13 @@ def test_enclosure_pwl_fractional_scale_small_slope_shortcut():
 @pytest.mark.parametrize("variant", ["plus_upper", "minus_lower", "full"])
 def test_enclosure_pwl_rejects_partial_domain_before_the_shortcut(variant):
     """Slope 4/3 is below a = 3/2, so the shortcut would fill [0, 1-2^-a],
-    though f lives on [0, 3/4] only."""
-    f = PwlFunction.from_pairs([(0, 0), (F(3, 4), 1)])
-    with pytest.raises(ValueError, match=r"domain \[0,1\]; got \[0, 3/4\]"):
-        n_set_enclosure(f, F(3, 2), variant)
+    though f lives on [0, 3/4] only: such an f is refused when it is built."""
+    with pytest.raises(ValueError, match=r"from 0 to 1; got \[0, 3/4\]"):
+        n_set_enclosure(pwl((0, 0), (F(3, 4), 1)), F(3, 2), variant)
 
 
 def test_enclosure_pwl_fractional_scale_steep_raises():
-    steep = PwlFunction.from_pairs([(0, 0), (F(1, 2), 10), (1, 0)])
+    steep = pwl((0, 0), (F(1, 2), 10), (1, 0))
     with pytest.raises(EnclosureRangeError) as err:
         n_set_enclosure(steep, F(43, 25), "plus_upper")
     assert err.value.field == "a"

@@ -1,5 +1,6 @@
-"""Function layer: exact piecewise-linear algebra, C1 Hermite splines,
-certified cubic-piece bounds, corpus generators, serialization."""
+"""Function layer: piecewise-linear data and its exact test reference,
+C1 Hermite splines, certified cubic-piece bounds, corpus generators,
+serialization."""
 
 import hashlib
 import random
@@ -24,12 +25,14 @@ from knotpoints.realfn import (
     random_function,
 )
 from oracles import (
+    ExactPwl,
     cubic_deriv_range_scalar,
     cubic_extrema_candidates,
     cubic_range_scalar,
     float_bits,
     pieces_range_scalar,
     promote_pwl,
+    pwl,
     random_function_reference,
     restrict,
     simplify,
@@ -55,7 +58,7 @@ def pwl_functions(draw, max_breaks=5):
 
 
 def test_pwl_eval_exact():
-    f = PwlFunction.from_pairs([(0, 0), (F(1, 2), 1), (1, 0)])
+    f = ExactPwl.of(zigzag())
     assert f(F(1, 4)) == F(1, 2)
     assert f(F(1, 2)) == 1
     assert f(F(7, 8)) == F(1, 4)
@@ -64,10 +67,9 @@ def test_pwl_eval_exact():
 
 
 def test_pwl_constructors():
-    assert PwlFunction.zero()(F(1, 3)) == 0
-    assert PwlFunction.constant(F(2, 3))(F(1, 7)) == F(2, 3)
     z = zigzag()
-    assert z(0) == 0 and z(F(1, 2)) == 1 and z(1) == 0
+    assert z == PwlFunction((F(0), F(1, 2), F(1)), (F(0), F(1), F(0)))
+    assert pwl((0, F(2, 3)), (1, F(2, 3))).values == (F(2, 3), F(2, 3))
     assert z.lipschitz_bound() == 2
 
 
@@ -76,40 +78,30 @@ def test_pwl_validation():
         PwlFunction((F(1, 2), F(0)), (F(0), F(0)))  # unsorted breakpoints
     with pytest.raises(ValueError):
         PwlFunction((F(0),), (F(0), F(1)))  # length mismatch
+    with pytest.raises(ValueError, match="at least two"):
+        PwlFunction((F(0),), (F(0),))
+    for bks in ((F(0), F(3, 4)), (F(1, 4), F(1)), (F(-1), F(1))):
+        with pytest.raises(ValueError, match=r"from 0 to 1; got \["):
+            PwlFunction(bks, (F(0), F(1)))
 
 
 @given(pwl_functions(), pwl_functions(), fractions_01)
 def test_pwl_add_sub_pointwise_exact(f, g, x):
-    assert f.add(g)(x) == f(x) + g(x)
+    f, g = ExactPwl.of(f), ExactPwl.of(g)
     assert f.sub(g)(x) == f(x) - g(x)
 
 
 @given(pwl_functions(), fractions_01)
 def test_pwl_scale_negate_linear_exact(f, x):
-    assert f.scale(F(3, 7))(x) == F(3, 7) * f(x)
+    f = ExactPwl.of(f)
     assert f.negate()(x) == -f(x)
-    assert f.add_linear(F(2, 3), F(1, 5))(x) == f(x) + F(2, 3) * x + F(1, 5)
+    assert f.add_linear(F(2, 3))(x) == f(x) + F(2, 3) * x
     assert f.reflect()(x) == f(1 - x)
-
-
-@given(pwl_functions())
-def test_pwl_norm_symmetries(f):
-    assert f.negate().sup_norm() == f.sup_norm()
-    assert f.reflect().sup_norm() == f.sup_norm()
-    assert f.sup_norm() == max(abs(f(b)) for b in f.breakpoints)
-
-
-@given(pwl_functions(), pwl_functions())
-def test_pwl_sup_norm_diff_zero_iff_equal(f, g):
-    d = f.sup_norm_diff(g)
-    merged = sorted(set(f.breakpoints) | set(g.breakpoints))
-    agree = all(f(x) == g(x) for x in merged)
-    assert (d == 0) == agree
-    assert d == max(abs(f(x) - g(x)) for x in merged)
 
 
 @given(pwl_functions(), fractions_01)
 def test_pwl_simplify_preserves_values(f, x):
+    f = ExactPwl.of(f)
     assert simplify(f)(x) == f(x)
 
 
@@ -122,10 +114,10 @@ def test_pwl_restrict():
 
 
 def test_pwl_slopes_and_lipschitz():
-    f = PwlFunction.from_pairs([(0, 0), (F(1, 4), 1), (1, F(1, 2))])
+    f = pwl((0, 0), (F(1, 4), 1), (1, F(1, 2)))
     assert f.slopes() == (F(4), F(-2, 3))
     assert f.lipschitz_bound() == 4
-    assert PwlFunction.zero().lipschitz_bound() == 0
+    assert pwl((0, 0), (1, 0)).lipschitz_bound() == 0
 
 
 # -- C1 splines -------------------------------------------------------------
@@ -176,7 +168,7 @@ def test_c1_algebra_pointwise(seed):
     assert np.allclose(f.negate().eval(xs), -f.eval(xs), atol=1e-12)
     assert np.allclose(f.reflect().eval(xs), f.eval(1 - xs), atol=1e-12)
     assert np.allclose(
-        f.add_linear(0.5, -0.25).eval(xs), f.eval(xs) + 0.5 * xs - 0.25, atol=1e-12
+        f.as_cubic_pieces().add_linear(0.5).eval_vec(xs), f.eval(xs) + 0.5 * xs, atol=1e-12
     )
 
 
@@ -318,9 +310,9 @@ def test_pieces_ranges_equal_the_scalar_reference_bitwise(seed, cells):
         lo, hi = pieces_range_scalar(pc, 0.0, 1.0, deriv)
         assert float_bits(norm()) == float_bits(max(abs(lo), abs(hi)))
 
-    pwl = random_function(seed, depth=cells % 7).as_cubic_pieces()
-    assert not pwl.coeffs[2:].any()
-    _ranges_equal_the_scalar_reference(pwl)
+    lines = ExactPwl.of(random_function(seed, depth=cells % 7)).as_cubic_pieces()
+    assert not lines.coeffs[2:].any()
+    _ranges_equal_the_scalar_reference(lines)
 
     ks = random.Random(seed).sample(range(1, 16), 4)
     hat, check = (FinitePointSet.of([Fraction(k, 16) for k in half]) for half in (ks[:2], ks[2:]))
@@ -350,8 +342,7 @@ def test_deriv_range_bounds():
 
 
 def test_pwl_as_cubic_pieces_matches():
-    f = zigzag()
-    pc = f.as_cubic_pieces()
+    pc = ExactPwl.of(zigzag()).as_cubic_pieces()
     xs = np.linspace(0, 1, 101)
     expect = np.minimum(2 * xs, 2 - 2 * xs)
     assert np.allclose(pc.eval_vec(xs), expect, atol=1e-12)
@@ -359,10 +350,10 @@ def test_pwl_as_cubic_pieces_matches():
 
 def test_promote_pwl_matches_at_knots():
     """Promotion smooths the corners, so agreement is only at the knots."""
-    f = PwlFunction.from_pairs([(0, 0), (F(1, 3), F(1, 2)), (1, F(-1, 4))])
+    f = pwl((0, 0), (F(1, 3), F(1, 2)), (1, F(-1, 4)))
     g = promote_pwl(f)
-    for b in f.breakpoints:
-        assert float(f(b)) == pytest.approx(g.eval(float(b)), abs=1e-12)
+    for b, v in zip(f.breakpoints, f.values):
+        assert float(v) == pytest.approx(g.eval(float(b)), abs=1e-12)
     assert g.sup_norm_diff(promote_pwl(f)) == 0.0
     with pytest.raises(ValueError):
         promote_pwl(restrict(f, F(1, 4), F(3, 4)))
@@ -376,7 +367,7 @@ def test_random_function_deterministic_and_bounded():
     f2 = random_function(seed=42, depth=5)
     assert f1 == f2
     assert len(f1.breakpoints) <= 2 ** 5 + 1
-    assert f1.domain == (0, 1)
+    assert (f1.breakpoints[0], f1.breakpoints[-1]) == (0, 1)
 
 
 def test_random_function_distinct_seeds_differ():
@@ -429,13 +420,12 @@ def test_random_c1_function_deterministic():
 
 
 def test_pwl_json_round_trip_exact():
-    f = PwlFunction.from_pairs([(0, F(1, 3)), (F(2, 7), F(-1, 9)), (1, 0)])
+    f = pwl((0, F(1, 3)), (F(2, 7), F(-1, 9)), (1, 0))
     d = function_to_json(f)
     assert d["class"] == "pwl"
     g = function_from_json(d)
     assert isinstance(g, PwlFunction)
-    assert f.sup_norm_diff(g) == 0
-    assert g.breakpoints == f.breakpoints
+    assert g == f
 
 
 def test_c1_json_round_trip():
